@@ -20,6 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .quadrature import gauss
+
 MACLAURIN_RADIUS = 4.5
 ASYMPTOTIC_RADIUS = 9.5
 HI_QUAD_RADIUS = 30.0
@@ -66,15 +68,6 @@ def _maclaurin_pair(z: complex) -> tuple[complex, complex]:
     return complex(ai), complex(aip)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
 def _quad_pair(z: complex) -> tuple[complex, complex]:
     """(Ai, Ai') from Ai(z) = e^{-xi}/pi * int_0^inf e^{-sqrt z t^2} cos(t^3/3) dt,
     valid |arg z| < pi; non-oscillatory, so plain panel quadrature suffices."""
@@ -83,7 +76,7 @@ def _quad_pair(z: complex) -> tuple[complex, complex]:
     xi = (2.0 / 3.0) * z * sz
     s = max(sz.real, 0.2)
     T = max(15.0 / math.sqrt(s), 5.0)
-    x, w = _gauss(48)
+    x, w = gauss(48)
     edges = np.linspace(0.0, math.sqrt(T), 15) ** 2
     I0 = 0j
     I2 = 0j
@@ -192,7 +185,7 @@ def _hi_quad(z: complex) -> tuple[complex, complex]:
     c3 = max(e3.real, 0.08)
     zr = z * e1
     T = (3.0 * (760.0 + 2.0 * max(zr.real, 0.0) ** 1.5) / c3) ** (1.0 / 3.0)
-    x, w = _gauss(48)
+    x, w = gauss(48)
     logs, v0, v1 = [], [], []
     s_lo = 0.0
     while s_lo < T:

@@ -8,14 +8,16 @@ decimal serialization so values round-trip bit-exactly.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import inhom, lg, oracle, plane, tp
-from .errors import (AccuracyError, DomainError, OrderError, ParcylError,
-                     PairError, PoleError)
+from .coeffs import get_tables
+from .errors import (ArgumentError, DomainError, OrderError, PairError,
+                     ParcylError)
 
 FUNCTIONS = ("U+", "U+'", "U-", "V-", "U+i", "U-i", "W+x", "W-x",
              "W0", "W3", "UR", "WR")
@@ -49,21 +51,39 @@ def _oracle_payload(ov) -> dict:
     }
 
 
-def _error_exit(exc: Exception) -> int:
-    code = {
-        PairError: "EMPTY_PAIR",
-        PoleError: "POLE",
-        DomainError: "DOMAIN",
-        OrderError: "ORDER",
-        AccuracyError: "ACCURACY",
-    }.get(type(exc), "ERROR")
-    print(json.dumps({"error": code, "detail": str(exc)}))
+def _error_exit(exc: ParcylError) -> int:
+    print(json.dumps({"error": exc.code, "detail": str(exc)}))
     return 2
 
 
-def _dispatch(args) -> object:
-    z = complex(args.z) if args.z is not None else complex(args.x)
-    u, order = args.u, args.order
+def _parameter(u: float) -> float:
+    if not math.isfinite(u):
+        raise ArgumentError(f"u={u} is not finite")
+    if u <= 0:
+        raise DomainError(f"u={u} must be positive")
+    return u
+
+
+def _complex(arg: str | float) -> complex:
+    try:
+        z = complex(arg)
+    except ValueError:
+        raise ArgumentError(f"malformed complex number {arg!r}") from None
+    if not cmath.isfinite(z):
+        raise ArgumentError(f"z={arg} is not finite")
+    return z
+
+
+def _point(args) -> complex:
+    """The --z argument, or --x on the real axis."""
+    arg = args.z if args.z is not None else args.x
+    if arg is None:
+        raise ArgumentError("one of --z or --x is required")
+    return _complex(arg)
+
+
+def _dispatch(args, u: float, z: complex) -> object:
+    order = args.order
     fn = args.function
     if fn == "U+":
         return lg.pcf_U_pos(u, z, order, "+z")
@@ -95,21 +115,21 @@ def _dispatch(args) -> object:
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
-    j, k = (int(p) for p in text.split(","))
+    try:
+        j, k = (int(p) for p in text.split(","))
+    except ValueError:
+        raise ArgumentError(f"malformed pair {text!r}") from None
     if (j, k) == (1, 3):
         raise PairError("the (1,3) recession pair has an empty domain")
     return (j, k)
 
 
 def cmd_eval(args) -> int:
-    try:
-        cv = _dispatch(args)
-    except ParcylError as exc:
-        return _error_exit(exc)
+    u, z = _parameter(args.u), _point(args)
+    cv = _dispatch(args, u, z)
     if args.format == "csv":
         v = cv.value
         print("u,re_z,im_z,order,mantissa_re,mantissa_im,log_scale,bound")
-        z = complex(args.z) if args.z is not None else complex(args.x)
         print(",".join(_fmt(t) for t in
                        (args.u, z.real, z.imag)) +
               f",{cv.order}," +
@@ -122,29 +142,28 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    z = complex(args.z) if args.z is not None else complex(args.x)
-    try:
-        if args.function in ("U+", "U+'"):
-            ov = oracle.oracle_U(args.u / 2.0, math.sqrt(2 * args.u) * z)
-        elif args.function in ("U-", "V-"):
-            a = args.u / 2.0
-            ov = (oracle.oracle_V_neg(a, math.sqrt(2 * args.u) * z)
-                  if args.function == "V-" else
-                  oracle.oracle_U(-a, math.sqrt(2 * args.u) * z))
-        elif args.function == "UR":
-            pair = _parse_pair(args.pair)
-            ov = oracle.oracle_inhom(args.u / 2.0, math.sqrt(2 * args.u) * z,
-                                     args.R, pair)
-        else:
-            raise DomainError(f"no oracle route for {args.function}")
-    except ParcylError as exc:
-        return _error_exit(exc)
+    u, z = _parameter(args.u), _point(args)
+    a, Z = u / 2.0, math.sqrt(2.0 * u) * z
+    fn = args.function
+    if fn == "U+":
+        ov = oracle.oracle_U(a, Z)
+    elif fn == "U+'":
+        ov = oracle.oracle_U_prime(a, Z)
+    elif fn == "U-":
+        ov = oracle.oracle_U(-a, Z)
+    elif fn == "V-":
+        ov = oracle.oracle_V_neg(a, Z)
+    elif fn == "UR":
+        ov = oracle.oracle_inhom(a, Z, args.R, _parse_pair(args.pair))
+    else:
+        raise DomainError(f"no oracle route for {fn}")
     print(json.dumps(_oracle_payload(ov)))
     return 0
 
 
 def cmd_map(args) -> int:
     """Accuracy map over a grid: asymptotic vs oracle vs certified bound."""
+    u = _parameter(args.u)
     re0, re1, nre = args.grid_re
     im0, im1, nim = args.grid_im
     points = [complex(re0 + (re1 - re0) * i / max(nre - 1, 1),
@@ -153,8 +172,8 @@ def cmd_map(args) -> int:
 
     def work(z):
         try:
-            cv = lg.pcf_U_pos(args.u, z, args.order, "+z")
-            ov = oracle.oracle_U(args.u / 2.0, math.sqrt(2 * args.u) * z)
+            cv = lg.pcf_U_pos(u, z, args.order, "+z")
+            ov = oracle.oracle_U(u / 2.0, math.sqrt(2 * u) * z)
             actual = abs((cv.value / ov.value).to_complex() - 1.0)
             return (z, cv, actual)
         except ParcylError:
@@ -180,15 +199,13 @@ def cmd_map(args) -> int:
 
 def cmd_domain(args) -> int:
     d = plane.DomainId(args.tag)
-    z = complex(args.z)
+    z = _complex(args.z)
     print(json.dumps({"tag": args.tag, "z": [z.real, z.imag],
                       "contains": plane.domain_contains(z, d)}))
     return 0
 
 
 def cmd_coeff_dump(args) -> int:
-    from .coeffs import get_tables
-
     t = get_tables()
     fam = {"Ebar": t.Ebar, "Etilde": t.Etilde, "E": t.E}.get(args.family)
     if fam is not None:
@@ -212,8 +229,7 @@ def cmd_coeff_dump(args) -> int:
                for s in range(min(args.smax, len(g) - 1) + 1)]
         print(json.dumps(out))
         return 0
-    print(json.dumps({"error": "ORDER", "detail": f"unknown family {args.family}"}))
-    return 2
+    raise OrderError(f"unknown family {args.family}")
 
 
 def _grid(text: str) -> tuple[float, float, float]:
@@ -271,7 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParcylError as exc:
+        return _error_exit(exc)
 
 
 if __name__ == "__main__":

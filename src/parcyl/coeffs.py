@@ -16,8 +16,10 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from .errors import ConsistencyError, OrderError
+from .errors import ConsistencyError, OrderError, TurningPointError
+from .plane import beta_map, xi_zeta
 from .ratpoly import RationalFunc, RationalPoly
 
 #: default table depth; supports expansion orders n, m up to 6
@@ -194,8 +196,6 @@ def _pow_poly(p: RationalPoly, k: int) -> RationalPoly:
 
 def _binom_series_at_one(k: int) -> list[Fraction]:
     """Taylor coefficients of (z+1)^k at z=1: sum C(k,j) 2^{k-j} (z-1)^j."""
-    from math import comb
-
     return [Fraction(comb(k, j) * 2 ** (k - j)) for j in range(k + 1)]
 
 
@@ -293,15 +293,10 @@ def modified_coeff(s: int, z: complex, kind: str,
     principal values from the plane module are used.  Raises near the
     turning point where xi vanishes.
     """
-    from .errors import TurningPointError
-
-    if xi is None or beta is None:
-        from .plane import beta_map, xi_zeta
-
-        if xi is None:
-            xi, _ = xi_zeta(z)
-        if beta is None:
-            beta = beta_map(z, "PCF-")
+    if xi is None:
+        xi, _ = xi_zeta(z)
+    if beta is None:
+        beta = beta_map(z, "PCF-")
     if abs(xi) < 1e-8:
         raise TurningPointError("modified coefficient singular: |xi| < 1e-8")
     t = get_tables()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import loggamma, rgamma
@@ -18,9 +19,12 @@ from . import plane
 from .airy import wi, wi_prime
 from .coeffs import get_tables
 from .errors import DomainError, OrderError, PairError, PoleError
-from .lg import BOUND_SAFETY, CertifiedValue, _gauss
+from .lg import (BOUND_SAFETY, CertifiedValue, _BATCH_SEGS, _GLN, chi_m,
+                 weber_neg_Wj)
+from .quadrature import gauss
 from .scaled import ScaledComplex
-from .tp import _mod_sums, _root_A, tp_coeff_funcs
+from .tp import (CAUCHY_NODES, _RING_CACHE_SIZE, _mod_sums, _root_A,
+                 pcf_U_neg, tp_coeff_funcs)
 
 #: empirical margin for the dropped contour-remainder of the Scorer
 #: expansions; the u=10 worst case measured by scripts/calibration_sweep.py
@@ -101,8 +105,6 @@ def gamma_mR(u: float, m: int, R: int) -> ConnectionConstant:
 
 def gamma_W_mR(u: float, m: int, R: int) -> ConnectionConstant:
     """The Weber analogue, complex valued."""
-    from .lg import chi_m
-
     F = hyp_terminating(R, 0.75 - 0.5 * R + 0.25j * u)
     lg = complex(loggamma(0.5 + 0.5j * u))
     logmag = (R - 1.0) * math.log(2.0) \
@@ -181,26 +183,25 @@ def _bound_integrals(u: float, z: complex, n: int, R: int, variant: str,
         legs = [plane.monotone_path(z, _PAIR_ENDPOINTS_PLUS[pair[0]], "PCF+"),
                 plane.monotone_path(z, _PAIR_ENDPOINTS_PLUS[pair[1]], "PCF+")]
 
-    x, w = _gauss()
-    I1 = 0.0
-    I2 = 0.0
-    sup_g = 0.0
-    for leg in legs:
-        for zs, ze in leg.segments():
-            tt = 0.5 * x + 0.5
-            zn = zs + (ze - zs) * tt
-            dz = abs(ze - zs) * 0.5 * w
-            base = np.abs(zn * zn + sgn)
-            gv = np.array([gn(complex(v)) for v in zn])
-            gdv = np.array([gnd(complex(v)) for v in zn])
-            comb = np.abs(gdv + zn * gv / (2.0 * (zn * zn + sgn)))
-            I1 += float(np.sum(base ** 0.25 * comb * dz))
-            # 4 |Phi f^{1/2}|: numerator |2-3t^2| for the z^2+1 equations,
-            # |3t^2+2| for the z^2-1 one
-            phi_num = np.abs(3.0 * zn * zn + 2.0) if variant == "minus" \
-                else np.abs(2.0 - 3.0 * zn * zn)
-            I2 += float(np.sum(phi_num / base ** 2.5 * dz))
-            sup_g = max(sup_g, float(np.max(base ** 0.25 * np.abs(gv))))
+    x, w = gauss(_GLN)
+    tt = 0.5 * x + 0.5
+    ends = [seg for leg in legs for seg in leg.segments()]
+    I1 = I2 = sup_g = 0.0
+    for i in range(0, len(ends), _BATCH_SEGS):
+        # one row of Gauss nodes per segment
+        zs, ze = np.array(ends[i:i + _BATCH_SEGS]).T[:, :, None]
+        zn = (zs + (ze - zs) * tt).ravel()
+        dz = (abs(ze - zs) * 0.5 * w).ravel()
+        base = np.abs(zn * zn + sgn)
+        gv = gn(zn)
+        comb = np.abs(gnd(zn) + zn * gv / (2.0 * (zn * zn + sgn)))
+        I1 += float(np.sum(base ** 0.25 * comb * dz))
+        # 4 |Phi f^{1/2}|: numerator |2-3t^2| for the z^2+1 equations,
+        # |3t^2+2| for the z^2-1 one
+        phi_num = np.abs(3.0 * zn * zn + 2.0) if variant == "minus" \
+            else np.abs(2.0 - 3.0 * zn * zn)
+        I2 += float(np.sum(phi_num / base ** 2.5 * dz))
+        sup_g = max(sup_g, float(np.max(base ** 0.25 * np.abs(gv))))
 
     wz = abs(z * z + sgn) ** 0.25
     Lbar = sup_g + 0.5 * I1
@@ -265,8 +266,6 @@ def inhom_series(u: float, z: complex, n: int, R: int, variant: str = "plus",
 
 def _weber_left_assembly(u: float, z: complex, n: int, R: int) -> CertifiedValue:
     """Sharper left-half-plane evaluation through the reflection connection."""
-    from .lg import weber_neg_Wj
-
     zr = -z
     base = inhom_series(u, zr, n, R, "weber-", (0, 3))
     al = alpha_R(u, R).value
@@ -312,28 +311,19 @@ def _J_m(u: float, z: complex, m: int, variant: str) -> complex:
         + cmath.exp(even_p) * cmath.sinh(odd_p) * s2 / (u * z32)
 
 
-_RING_CACHE: dict = {}
-
-
-def _scorer_ring(u: float, m: int, variant: str, r0: float = None):
-    from .tp import CAUCHY_NODES, CAUCHY_RADIUS
-
-    if r0 is None:
-        r0 = CAUCHY_RADIUS
-    key = (u, m, variant, r0)
-    if key not in _RING_CACHE:
-        th = (np.arange(CAUCHY_NODES) + 0.5) * (2.0 * math.pi / CAUCHY_NODES)
-        tk = 1.0 + r0 * np.exp(1j * th)
-        vals = np.empty(CAUCHY_NODES, dtype=complex)
-        for i, t in enumerate(tk):
-            t = complex(t)
-            tt = t if t.imag >= 0 else t.conjugate()
-            _, zeta = plane.xi_zeta(tt)
-            zc = -zeta if variant == "WEB+" else zeta
-            v = _root_A(tt) * _J_m(u, tt, m, variant) / zc
-            vals[i] = v if t.imag >= 0 else v.conjugate()
-        _RING_CACHE[key] = (tk, vals)
-    return _RING_CACHE[key]
+@lru_cache(maxsize=_RING_CACHE_SIZE)
+def _scorer_ring(u: float, m: int, variant: str, r0: float):
+    th = (np.arange(CAUCHY_NODES) + 0.5) * (2.0 * math.pi / CAUCHY_NODES)
+    tk = 1.0 + r0 * np.exp(1j * th)
+    vals = np.empty(CAUCHY_NODES, dtype=complex)
+    for i, t in enumerate(tk):
+        t = complex(t)
+        tt = t if t.imag >= 0 else t.conjugate()
+        _, zeta = plane.xi_zeta(tt)
+        zc = -zeta if variant == "WEB+" else zeta
+        v = _root_A(tt) * _J_m(u, tt, m, variant) / zc
+        vals[i] = v if t.imag >= 0 else v.conjugate()
+    return tk, vals
 
 
 def _scorer_contour(u: float, z: complex, m: int, variant: str) -> complex:
@@ -426,8 +416,6 @@ def connect_inhom(variant: str, R: int, u: float, z: complex,
 def connect_inhom_pcfm(u: float, z: complex, m: int, R: int) -> CertifiedValue:
     """U_R^{(0,2)}(-u/2, sqrt(2u) z) via the half-sum connection with the
     real part of Lambda_R(-a)."""
-    from .tp import pcf_U_neg
-
     z = complex(z)
     a = u / 2.0
     u01 = inhom_scorer(u, z, m, R, "PCF-", (0, 1))

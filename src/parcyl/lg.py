@@ -22,6 +22,7 @@ import numpy as np
 from . import plane
 from .coeffs import get_tables
 from .errors import DomainError, OrderError
+from .quadrature import gauss
 from .scaled import ScaledComplex
 
 #: discretized paths slightly shorten the true progressive chain
@@ -31,14 +32,13 @@ BOUND_SAFETY = 1.05
 #: for the z^2+1 equations; the bounds blow up inside this disk)
 TP_REFUSAL = 0.15
 
+#: Gauss-Legendre nodes per path segment in the bound integrals
 _GLN = 32
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
-def _gauss(n: int = _GLN):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+#: path segments whose nodes are evaluated together: traced paths run to
+#: thousands of segments, and one array over all their nodes would hold
+#: tens of MB
+_BATCH_SEGS = 128
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def _beta_image(path: plane.PathPolyline):
     of (p_nodes, dp_nodes) arrays ordered from the far endpoint towards z,
     plus the continuously-continued value at the far end.
     """
-    x, w = _gauss()
+    x, w = gauss(_GLN)
     segs = []
     sign = 1.0
     first_p = None
@@ -95,7 +95,7 @@ def _append_endpoint_tail(segs, first_p):
     """Prepend the straight p-plane run from the exact endpoint +-1 to the
     image of the truncated far vertex."""
     target = 1.0 if first_p.real >= 0 else -1.0
-    x, w = _gauss()
+    x, w = gauss(_GLN)
     t = 0.5 * x + 0.5
     p = target + (first_p - target) * t
     dp = (first_p - target) * 0.5 * np.ones_like(t)
@@ -113,49 +113,48 @@ def omega_varpi(n: int, u: float, segs, family_d) -> tuple[float, float]:
     """
     if n >= len(family_d):
         raise OrderError(f"order n={n} beyond generated tables")
-    omega = 0.0
-    varpi = 0.0
-    for p, dpw in segs:
-        absdp = np.abs(dpw)
-        wfac = np.abs(1.0 - p * p) ** 2
-        en = np.abs(_polyval(family_d[n], p))
-        omega += 2.0 * float(np.sum(en * absdp))
+    return _omega_varpi_template(
+        n, u, segs, lambda p: [poly(p) for poly in family_d[:n + 1]],
+        lambda p: np.abs(1.0 - p * p) ** 2)
+
+
+def _omega_varpi_template(n: int, u: float, segs, derivs,
+                          weight) -> tuple[float, float]:
+    """omega and varpi from the exponent-coefficient derivatives at the
+    quadrature nodes of a mapped path.
+
+    segs: (nodes, weighted path element) arrays per segment;
+    derivs(nodes): [d_0, ..., d_n], d_k the derivative of the k-th
+    coefficient at the nodes (d_0 is not used); weight(nodes): the factor
+    of the cross terms.
+    """
+    omega = varpi = 0.0
+    for i in range(0, len(segs), _BATCH_SEGS):
+        x, dxw = (np.concatenate(a) for a in zip(*segs[i:i + _BATCH_SEGS]))
+        d = derivs(x)
+        absd = np.abs(dxw)
+        wfac = weight(x)
+        omega += 2.0 * float(np.sum(np.abs(d[n]) * absd))
         for s in range(1, n):
-            inner = np.zeros_like(p)
-            for k in range(s, n):
-                inner = inner + _polyval(family_d[k], p) * _polyval(family_d[s + n - k - 1], p)
-            omega += u ** (-s) * float(np.sum(np.abs(inner) * wfac * absdp))
-        for s in range(0, n - 1):
-            varpi += 4.0 * u ** (-s) * float(np.sum(np.abs(_polyval(family_d[s + 1], p)) * absdp))
+            inner = sum(d[k] * d[s + n - k - 1] for k in range(s, n))
+            omega += u ** (-s) * float(np.sum(np.abs(inner) * wfac * absd))
+        for s in range(n - 1):
+            varpi += 4.0 * u ** (-s) * float(np.sum(np.abs(d[s + 1]) * absd))
     return omega, varpi
-
-
-_POLY_FLOAT_CACHE: dict[int, np.ndarray] = {}
-
-
-def _polyval(poly, p):
-    key = id(poly)
-    c = _POLY_FLOAT_CACHE.get(key)
-    if c is None:
-        c = np.array([float(x) for x in poly.coeffs], dtype=float)
-        _POLY_FLOAT_CACHE[key] = c
-    out = np.zeros_like(p)
-    for ck in c[::-1]:
-        out = out * p + ck
-    return out
 
 
 def eta_bound(n: int, u: float, omega: float, varpi: float) -> float:
     return u ** (-n) * omega * math.exp(varpi / u + omega * u ** (-n)) * BOUND_SAFETY
 
 
-def _lg_bound(u: float, z: complex, n: int, endpoint: str, family: str) -> float:
-    path = plane.monotone_path(z, endpoint, "PCF+")
+def _lg_bound(u: float, z: complex, n: int, endpoint: str, variant: str,
+              family_d) -> float:
+    """eta bound of order n along the monotone path from z to the endpoint,
+    for the coefficient family whose derivatives are family_d."""
+    path = plane.monotone_path(z, endpoint, variant)
     segs, first_p = _beta_image(path)
     segs = _append_endpoint_tail(segs, first_p)
-    t = get_tables()
-    fam = {"Ebar": t.Ebar_d, "Etilde": t.Etilde_d}[family]
-    om, vp = omega_varpi(n, u, segs, fam)
+    om, vp = omega_varpi(n, u, segs, family_d)
     return eta_bound(n, u, om, vp)
 
 
@@ -171,6 +170,29 @@ def _check_pcfp_domain(z: complex, which: str) -> None:
 # homogeneous solutions, positive parameter
 # ----------------------------------------------------------------------
 
+def _pcfp_exponent(u: float, z: complex, n: int, which: str, family,
+                   family_d) -> tuple[complex, float]:
+    """Exponent of the W1 or W2 solution built on a coefficient family
+    (Ebar for w, Etilde for the derivative equation) and its eta bound."""
+    if not 1 <= n <= get_tables().s_max // 2:
+        raise OrderError(f"n={n} outside the supported order range")
+    _check_pcfp_domain(z, which)
+    xb = plane.xi_bar(z)
+    bb = plane.beta_bar(z)
+    expo = 0j
+    if which == "W1":
+        expo += u * xb
+        for s in range(1, n):
+            expo += (family[s](bb) - float(family[s](-1))) / u ** s
+        endpoint = "-inf"
+    else:
+        expo += -u * xb
+        for s in range(1, n):
+            expo += (-1) ** s * (family[s](bb) - float(family[s](1))) / u ** s
+        endpoint = "+inf"
+    return expo, _lg_bound(u, z, n, endpoint, "PCF+", family_d)
+
+
 def lg_W(u: float, z: complex, n: int, which: str) -> CertifiedValue:
     """The two exponent-form solutions of w'' = u^2(z^2+1) w.
 
@@ -179,25 +201,8 @@ def lg_W(u: float, z: complex, n: int, which: str) -> CertifiedValue:
     """
     if which not in ("W1", "W2"):
         raise ValueError("which must be 'W1' or 'W2'")
-    if not 1 <= n <= get_tables().s_max // 2:
-        raise OrderError(f"n={n} outside the supported order range")
-    z = complex(z)
-    _check_pcfp_domain(z, which)
     t = get_tables()
-    xb = plane.xi_bar(z)
-    bb = plane.beta_bar(z)
-    expo = 0j
-    if which == "W1":
-        expo += u * xb
-        for s in range(1, n):
-            expo += (t.Ebar[s](bb) - float(t.Ebar[s](-1))) / u ** s
-        endpoint = "-inf"
-    else:
-        expo += -u * xb
-        for s in range(1, n):
-            expo += (-1) ** s * (t.Ebar[s](bb) - float(t.Ebar[s](1))) / u ** s
-        endpoint = "+inf"
-    bound = _lg_bound(u, z, n, endpoint, "Ebar")
+    expo, bound = _pcfp_exponent(u, complex(z), n, which, t.Ebar, t.Ebar_d)
     return CertifiedValue(ScaledComplex.from_log_complex(expo), bound, n)
 
 
@@ -226,28 +231,12 @@ def pcf_U_pos(u: float, z: complex, n: int, sign: str = "+z") -> CertifiedValue:
 def pcf_Uprime_pos(u: float, z: complex, n: int, sign: str = "+z") -> CertifiedValue:
     """U'(u/2, +-sqrt(2u) z): derivative-equation expansion with the tilde
     coefficient family and the inverted quarter-power weight."""
-    z = complex(z)
-    which = "W2" if sign == "+z" else "W1"
     if sign not in ("+z", "-z"):
         raise ValueError("sign must be '+z' or '-z'")
-    if not 1 <= n <= get_tables().s_max // 2:
-        raise OrderError(f"n={n} outside the supported order range")
-    _check_pcfp_domain(z, which)
+    z = complex(z)
     t = get_tables()
-    xb = plane.xi_bar(z)
-    bb = plane.beta_bar(z)
-    expo = 0j
-    if which == "W1":
-        expo += u * xb
-        for s in range(1, n):
-            expo += (t.Etilde[s](bb) - float(t.Etilde[s](-1))) / u ** s
-        endpoint = "-inf"
-    else:
-        expo += -u * xb
-        for s in range(1, n):
-            expo += (-1) ** s * (t.Etilde[s](bb) - float(t.Etilde[s](1))) / u ** s
-        endpoint = "+inf"
-    bound = _lg_bound(u, z, n, endpoint, "Etilde")
+    expo, bound = _pcfp_exponent(u, z, n, "W2" if sign == "+z" else "W1",
+                                 t.Etilde, t.Etilde_d)
     log_pref = (u / 4.0) * (math.log(2.0 / u) + 1.0)
     root = (2.0 * u * (1.0 + z * z)) ** 0.25
     val = ScaledComplex.from_log(log_pref) * (-0.5 * root) * \
@@ -268,19 +257,6 @@ def chi_m(u: float, m: int) -> float:
     for s, c in enumerate(t.Ebar_odd_at_1(m)):
         acc -= (-1) ** s * float(c) / u ** (2 * s + 1)
     return acc
-
-
-def _weber_bound(u: float, z: complex, m: int, j: int, family: str) -> float:
-    endpoint = "e+ipi/4" if j == 0 else "e-ipi/4"
-    zz = z
-    path = plane.monotone_path(zz, endpoint, "WEB-")
-    segs, first_p = _beta_image(path)
-    segs = _append_endpoint_tail(segs, first_p)
-    t = get_tables()
-    fam = {"Ebar": t.Ebar_d, "Etilde": t.Etilde_d}[family]
-    n = 2 * m + 2
-    om, vp = omega_varpi(n, u, segs, fam)
-    return eta_bound(n, u, om, vp)
 
 
 def _check_webm_domain(z: complex) -> None:
@@ -306,25 +282,24 @@ def weber_neg_Wj(u: float, z: complex, m: int, j: int,
     sgn = 1.0 if j == 0 else -1.0
     cm = chi_m(u, m)
     if derivative:
-        fam_poly = t.Etilde
+        fam_poly, fam_d = t.Etilde, t.Etilde_d
         # chi-tilde equals chi termwise (exact identity on the tables)
         phase = -sgn * (cm - 5.0 * math.pi / 8.0)
         pref = ScaledComplex.from_log(math.pi * u / 8.0) * \
             (0.5 * (2.0 * u) ** 0.25 * (1.0 + z * z) ** 0.25)
-        fam = "Etilde"
     else:
-        fam_poly = t.Ebar
+        fam_poly, fam_d = t.Ebar, t.Ebar_d
         phase = -sgn * (cm - math.pi / 8.0)
         pref = ScaledComplex.from_log(math.pi * u / 8.0) * \
             (1.0 / ((2.0 * u) ** 0.25 * (1.0 + z * z) ** 0.25))
-        fam = "Ebar"
     even = sum((-1) ** s * fam_poly[2 * s](bb) / u ** (2 * s)
                for s in range(1, m + 1))
     odd = sum((-1) ** s * fam_poly[2 * s + 1](bb) / u ** (2 * s + 1)
               for s in range(m + 1))
     expo = even + sgn * 1j * (u * xb) - sgn * 1j * odd
     val = pref * cmath.exp(1j * phase) * ScaledComplex.from_log_complex(expo)
-    bound = _weber_bound(u, z, m, j, fam)
+    bound = _lg_bound(u, z, 2 * m + 2, "e+ipi/4" if j == 0 else "e-ipi/4",
+                      "WEB-", fam_d)
     return CertifiedValue(val, bound, m)
 
 
@@ -358,7 +333,8 @@ def weber_neg_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedVal
         pref = (2.0 / (u * kbar ** 2 * (1.0 + x * x))) ** 0.25
         trig = math.sin(theta)
     val = ScaledComplex.from_complex(pref * math.exp(even) * trig)
-    eta = _weber_bound(u, z if x > 0 else complex(1e-9), m, 0, "Ebar")
+    eta = _lg_bound(u, z if x > 0 else complex(1e-9), 2 * m + 2, "e+ipi/4",
+                    "WEB-", t.Ebar_d)
     # dropped |1+eta| modulus and arg(1+eta) phase each contribute <= eta
     bound = 2.0 * eta
     return CertifiedValue(val, bound, m, noncertified=("eps_tilde_phase",))

@@ -24,18 +24,10 @@ from scipy.integrate import solve_ivp
 from scipy.special import loggamma
 
 from .errors import AccuracyError, StiffnessError
+from .quadrature import gauss
 from .scaled import ScaledComplex
 
 ACC_LIMIT = 1e-8
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
 
 @dataclass(frozen=True)
 class OracleValue:
@@ -80,7 +72,7 @@ def _u_pos_integral(a, Z: complex, n: int, npanel: int) -> ScaledComplex:
     c2 = max(a.real - 0.5, 0.25)
     s_peak = (-b + math.sqrt(b * b + 4.0 * ca * c2)) / (2.0 * ca)
     s_max = s_peak * 9.0 + 12.0 / max(b, 0.5) + 6.0
-    x, w = _gauss(n)
+    x, w = gauss(n)
     v_edges = np.linspace(0.0, s_max ** 0.25, npanel + 1) ** 2
     logs, vals = [], []
     for lo, hi in zip(v_edges[:-1], v_edges[1:]):
@@ -140,7 +132,7 @@ def _u_integral_logvar(a: complex, Z: complex, n: int) -> ScaledComplex:
     wmax = 0.5 * math.log(2.0 * (800.0 + 20.0 * abs(s)) / ca)
     if Zr.real < 0:
         wmax = max(wmax, math.log(abs(Zr.real) / (0.5 * ca) + 1.0) + 2.0)
-    x, wq = _gauss(n)
+    x, wq = gauss(n)
     acc = 0j
     w_lo = w0
     while w_lo < wmax:
@@ -175,7 +167,7 @@ def _u_neg_integral(a: float, w: complex, n: int, npanel: int) -> ScaledComplex:
         disc = b * b + 4.0 * ca * c2
         s_peak = (-b + math.sqrt(disc)) / (2.0 * ca) if disc > 0 else 1.0
         s_max = max(s_peak * 9.0, 4.0) + 30.0 + 2.0 * abs(b) / ca
-        x, wq = _gauss(n)
+        x, wq = gauss(n)
         v_edges = np.linspace(0.0, s_max ** 0.25, npanel + 1) ** 2
         logs, vals = [], []
         for lo, hi in zip(v_edges[:-1], v_edges[1:]):
@@ -369,13 +361,6 @@ def oracle_U(a, z: complex, n: int = 64, npanel: int = 16) -> OracleValue:
     return _certify(v1, v2, "ode")
 
 
-def oracle_U_neg(a: float, z: complex, n: int = 80, npanel: int = 20) -> OracleValue:
-    """U(-a, z) by the cosine representation (a > 0)."""
-    v1 = _u_neg_integral(a, z, n, npanel)
-    v2 = _u_neg_integral(a, z, int(n * 1.5), npanel + 6)
-    return _certify(v2, v1, "quadrature")
-
-
 def _u_prime_from_integral(a, Z: complex, n: int, npanel: int) -> ScaledComplex:
     """U'(a,z) = -(z/2) U(a,z) - (a+1/2) U(a+1,z); differentiating the
     integral representation under the integral sign gives exactly this."""
@@ -492,7 +477,7 @@ def _u_contour_cached(a: float, y: float, T: float) -> "UContour":
 
 def _gauss_line(fn_scaled, lo: float, hi: float, n: int, npanel: int) -> ScaledComplex:
     """Sum of fn_scaled(x) * weight over Gauss panels; fn returns scaled."""
-    x, w = _gauss(n)
+    x, w = gauss(n)
     acc = ScaledComplex(0j, 0.0)
     for a_, b_ in zip(np.linspace(lo, hi, npanel + 1)[:-1],
                       np.linspace(lo, hi, npanel + 1)[1:]):
@@ -584,7 +569,7 @@ def _vertical_integral_pos(a: float, z: complex, R: int, T: float,
     come from one stable backward sweep on that line.
     """
     line = _u_neg_line_cached(a, T + abs(z.imag) + 2.0, -z.real)
-    x, w = _gauss(n)
+    x, w = gauss(n)
     acc = ScaledComplex(0j, 0.0)
     edges = np.linspace(0.0, T, npanel + 1)
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -684,7 +669,7 @@ def _inhom_01_neg(a_signed: float, z: complex, R: int, n: int, npanel: int) -> S
     j0 = -_gauss_line(lambda x: u0(complex(x, z.imag)) * complex(x, z.imag) ** R,
                       z.real, T, n, npanel + int(T))
     # int_{i inf}^z t^R U(a,-it) dt on the vertical ray
-    x, w = _gauss(n)
+    x, w = gauss(n)
     acc = ScaledComplex(0j, 0.0)
     edges = np.linspace(0.0, T, npanel + int(T) + 1)
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -699,12 +684,6 @@ def _inhom_01_neg(a_signed: float, z: complex, R: int, n: int, npanel: int) -> S
     u1z = _u_from_integral(am, -1j * z, max(n, 56), max(npanel, 12))
     wr = cmath.exp(1j * math.pi * (0.5 * am + 0.25))
     return (u1z * j0 - u0z * j1) * (1.0 / wr)
-
-
-def oracle_inhom_01_neg_conj(a_signed: float, z: float, R: int) -> OracleValue:
-    """U_R^{(0,3)}(-a, x) = conj(U_R^{(0,1)}(-a, x)) on the real axis."""
-    v = oracle_inhom(a_signed, complex(z), R, (0, 1))
-    return OracleValue(v.value.conj(), v.est_acc, v.method)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 
@@ -91,21 +92,22 @@ class RationalPoly:
                 out.append(p(a) / fact)
         return tuple(out)
 
+    @cached_property
+    def float_coeffs(self) -> tuple[float, ...]:
+        """The coefficients rounded to float, converted on first use."""
+        return tuple(float(c) for c in self.coeffs)
+
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction/int x, float/complex else."""
+        """Horner evaluation: exact for Fraction/int x; in floating point
+        for float, complex and ndarray x."""
         if isinstance(x, (Fraction, int)):
             v = Fraction(0)
             for c in reversed(self.coeffs):
                 v = v * x + c
             return v
-        if isinstance(x, float):
-            v = 0.0
-            for c in reversed(self.coeffs):
-                v = v * x + float(c)
-            return v
         v = 0.0 * x
-        for c in reversed(self.coeffs):
-            v = v * x + complex(c)
+        for c in reversed(self.float_coeffs):
+            v = v * x + c
         return v
 
     def parity(self) -> int | None:

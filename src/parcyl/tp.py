@@ -17,6 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import loggamma
@@ -25,12 +26,20 @@ from . import plane
 from .airy import AiryValue, airy, env_airy
 from .coeffs import get_tables
 from .errors import DomainError, OrderError
-from .lg import CertifiedValue, omega_varpi, _gauss
+from .lg import (CertifiedValue, _GLN, _omega_varpi_template, chi_m,
+                 omega_varpi)
+from .quadrature import gauss
 from .scaled import ScaledComplex
 
 CAUCHY_RADIUS = 0.5
 CAUCHY_NODES = 256
 DIRECT_MIN_DIST = 0.2
+
+#: rings kept by each ring cache (this one and the Scorer rings of inhom),
+#: bounded because a u sweep builds a new ring for every u: enough for all
+#: coefficient rings of one u (five orders, two variants) or all 22 Scorer
+#: radii of one (u, m, variant)
+_RING_CACHE_SIZE = 32
 
 #: empirical margin absorbing the dropped scalar identification constants;
 #: the u=10 worst case measured by scripts/calibration_sweep.py is 0.11
@@ -163,25 +172,20 @@ def tp_coeff_funcs(u: float, z: complex, m: int, variant: str = "PCF-") -> TPCoe
     return TPCoeffs(A, B, m, method, est)
 
 
-_CAUCHY_CACHE: dict = {}
-
-
+@lru_cache(maxsize=_RING_CACHE_SIZE)
 def _cauchy_ring(u: float, m: int, variant: str):
-    key = (u, m, variant)
-    if key not in _CAUCHY_CACHE:
-        th = (np.arange(CAUCHY_NODES) + 0.5) * (2.0 * math.pi / CAUCHY_NODES)
-        tk = 1.0 + CAUCHY_RADIUS * np.exp(1j * th)
-        Ak = np.empty(CAUCHY_NODES, dtype=complex)
-        Bk = np.empty(CAUCHY_NODES, dtype=complex)
-        for i, t in enumerate(tk):
-            t = complex(t)
-            if t.imag >= 0:
-                Ak[i], Bk[i] = _ab_direct(u, t, m, variant)
-            else:
-                a, b = _ab_direct(u, t.conjugate(), m, variant)
-                Ak[i], Bk[i] = a.conjugate(), b.conjugate()
-        _CAUCHY_CACHE[key] = (tk, Ak, Bk)
-    return _CAUCHY_CACHE[key]
+    th = (np.arange(CAUCHY_NODES) + 0.5) * (2.0 * math.pi / CAUCHY_NODES)
+    tk = 1.0 + CAUCHY_RADIUS * np.exp(1j * th)
+    Ak = np.empty(CAUCHY_NODES, dtype=complex)
+    Bk = np.empty(CAUCHY_NODES, dtype=complex)
+    for i, t in enumerate(tk):
+        t = complex(t)
+        if t.imag >= 0:
+            Ak[i], Bk[i] = _ab_direct(u, t, m, variant)
+        else:
+            a, b = _ab_direct(u, t.conjugate(), m, variant)
+            Ak[i], Bk[i] = a.conjugate(), b.conjugate()
+    return tk, Ak, Bk
 
 
 def _ab_cauchy(u: float, z: complex, m: int, variant: str) -> tuple[complex, complex]:
@@ -198,7 +202,7 @@ def _ab_cauchy(u: float, z: complex, m: int, variant: str) -> tuple[complex, com
 
 def _beta_image_minus(path: plane.PathPolyline):
     """Continuous beta = z/sqrt(z^2-1) image of a PCF- estimate path."""
-    x, w = _gauss()
+    x, w = gauss(_GLN)
     segs = []
     xi_nodes = []
     for zs, ze in path.segments():
@@ -217,25 +221,14 @@ def _beta_image_minus(path: plane.PathPolyline):
 def _gamma_beta_xi(n: int, u: float, xi_nodes, seq) -> tuple[float, float]:
     """omega/varpi template applied to the scalar sequences in the xi
     variable: the s-th exponent coefficient is (-1)^s a_s/(s xi^s)."""
-    def cprime(k, xi):
-        return (-1) ** (k + 1) * float(seq[k]) * xi ** (-k - 1)
-
-    gam = 0.0
-    bet = 0.0
-    for xi, dxw in xi_nodes:
-        absd = np.abs(dxw)
-        gam += 2.0 * float(np.sum(np.abs(cprime(n, xi)) * absd))
-        for s in range(1, n):
-            inner = np.zeros_like(xi)
-            for k in range(s, n):
-                inner = inner + cprime(k, xi) * cprime(s + n - k - 1, xi)
-            gam += u ** (-s) * float(np.sum(np.abs(inner) * absd))
-        for s in range(0, n - 1):
-            bet += 4.0 * u ** (-s) * float(np.sum(np.abs(cprime(s + 1, xi)) * absd))
+    coef = [(-1) ** (k + 1) * float(seq[k]) for k in range(n + 1)]
+    gam, bet = _omega_varpi_template(
+        n, u, xi_nodes,
+        lambda xi: [c * xi ** (-k - 1) for k, c in enumerate(coef)],
+        lambda xi: 1.0)
     # analytic tail of the leading term beyond the truncated far endpoint
     xi_far = max(abs(complex(xi[0])) for xi, _ in xi_nodes)
-    gam += 2.0 * float(seq[n]) / (n * xi_far ** n)
-    return gam, bet
+    return gam + 2.0 * float(seq[n]) / (n * xi_far ** n), bet
 
 
 def lambda_pm(u: float) -> ScaledComplex:
@@ -423,12 +416,10 @@ def _k_inv_stable(u: float) -> float:
 
 def weber_constants(u: float, m: int) -> WeberConstants:
     """k, 1/k, rho, phi2, chi_m and eps_m = phi2/2 + chi_m."""
-    from .lg import chi_m as chi_fn
-
     if u <= 0:
         raise DomainError("u must be positive")
     phi2 = complex(loggamma(0.5 + 0.5j * u)).imag
-    cm = chi_fn(u, m)
+    cm = chi_m(u, m)
     return WeberConstants(
         k=_k_stable(u),
         k_inv=_k_inv_stable(u),

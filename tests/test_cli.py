@@ -5,6 +5,12 @@ import math
 import subprocess
 import sys
 
+import pytest
+
+from parcyl import cli
+from parcyl.errors import ParcylError
+from parcyl.scaled import ScaledComplex
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "parcyl.cli", *args],
@@ -85,3 +91,60 @@ def test_map_artifact():
     assert code == 0  # zero bound violations
     for row in lines[1:]:
         assert row.endswith(",1")
+
+
+def run_main(capsys, *args):
+    """The CLI in this process: exit code and the JSON it printed."""
+    code = cli.main(list(args))
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _error_classes(cls=ParcylError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+def test_every_error_class_has_its_own_code(capsys):
+    classes = list(_error_classes())
+    codes = [cls.code for cls in classes]
+    assert len(set(codes)) == len(codes)
+    for cls in classes:
+        assert cli._error_exit(cls("why")) == 2
+        assert json.loads(capsys.readouterr().out) == \
+            {"error": cls.code, "detail": "why"}
+
+
+@pytest.mark.parametrize("function", ["U+", "U+'", "U-", "V-", "UR"])
+def test_eval_agrees_with_oracle(capsys, function):
+    args = ("--function", function, "--u", "20", "--z", "1.5+0.5j")
+    code, cv = run_main(capsys, "eval", *args)
+    assert code == 0
+    code, ov = run_main(capsys, "oracle", *args)
+    assert code == 0
+
+    def value(p):
+        return ScaledComplex(complex(float(p["value_mantissa_re"]),
+                                     float(p["value_mantissa_im"])),
+                             float(p["log_scale"]))
+
+    err = abs((value(cv) / value(ov)).to_complex() - 1.0)
+    assert err <= float(cv["rel_bound"]) + float(ov["est_acc"])
+
+
+@pytest.mark.parametrize("args, error", [
+    (("eval", "--function", "U+", "--u", "0", "--z", "2.0"), "DOMAIN"),
+    (("eval", "--function", "U+", "--u=-5", "--z", "2.0"), "DOMAIN"),
+    (("oracle", "--function", "U+", "--u=-5", "--z", "2.0"), "DOMAIN"),
+    (("eval", "--function", "U-", "--u", "20", "--z", "nan"), "ARGUMENT"),
+    (("eval", "--function", "W+x", "--u", "20", "--x", "inf"), "ARGUMENT"),
+    (("eval", "--function", "U+", "--u", "20"), "ARGUMENT"),
+    (("eval", "--function", "U+", "--u", "20", "--z", "2.0+abc"), "ARGUMENT"),
+    (("eval", "--function", "UR", "--u", "20", "--z", "2.0", "--pair", "0;2"),
+     "ARGUMENT"),
+    (("domain", "--tag", "Z02", "--z", "0.5+abc"), "ARGUMENT"),
+])
+def test_malformed_input_is_a_typed_error(capsys, args, error):
+    code, payload = run_main(capsys, *args)
+    assert code == 2
+    assert payload["error"] == error

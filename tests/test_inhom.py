@@ -249,3 +249,16 @@ class TestConnections:
                        - inhom.inhom_scorer(u, t, m, R, "WEB+", (0, 1)).value.to_complex())
         lap = (f(z + h) - 2 * f(z) + f(z - h)) / h ** 2
         assert abs(lap - u * u * (1 - z * z) * f(z)) < 1e-2 * max(abs(lap), 1.0)
+
+
+def test_array_evaluation_of_G_matches_scalar_calls():
+    g = lg.get_tables().G(2, "plus")[3]
+    z = np.array([0.5 + 0.3j, -1.2 + 2.0j, 2.5 - 0.7j])
+    assert g(z) == pytest.approx([g(complex(v)) for v in z], rel=1e-14)
+
+
+def test_bound_integrals_do_not_depend_on_the_batching(monkeypatch):
+    args = (20.0, -1.5 + 1.5j, 3, 1, "plus", (0, 2))
+    whole = inhom._bound_integrals(*args)
+    monkeypatch.setattr(inhom, "_BATCH_SEGS", 5)
+    assert inhom._bound_integrals(*args) == pytest.approx(whole, rel=1e-13)

@@ -3,9 +3,11 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from parcyl import lg, oracle, plane, tp
+from parcyl.coeffs import get_tables
 from parcyl.errors import DomainError, OrderError
 
 
@@ -194,3 +196,27 @@ def test_conjugate_symmetry_outputs():
         b = lg.weber_neg_Wj(u, z.conjugate(), 3, 3).value
         # j=0 and j=3 are conjugate solutions
         assert abs((a.conj() / b).to_complex() - 1) < 1e-13
+
+
+def test_omega_varpi_matches_the_per_segment_loop(monkeypatch):
+    # batches of 7 segments, so the traced path (55 vertices) crosses
+    # several batch boundaries
+    monkeypatch.setattr(lg, "_BATCH_SEGS", 7)
+    u, n = 20.0, 4
+    fam = get_tables().Ebar_d
+    segs, first_p = lg._beta_image(plane.monotone_path(-0.5 + 1.5j, "+inf", "PCF+"))
+    segs = lg._append_endpoint_tail(segs, first_p)
+
+    def ev(k, p):
+        return np.polyval([float(c) for c in reversed(fam[k].coeffs)], p)
+
+    omega = varpi = 0.0
+    for p, dpw in segs:
+        absdp = np.abs(dpw)
+        omega += 2.0 * np.sum(np.abs(ev(n, p)) * absdp)
+        for s in range(1, n):
+            inner = sum(ev(k, p) * ev(s + n - k - 1, p) for k in range(s, n))
+            omega += u ** -s * np.sum(np.abs(inner * (1.0 - p * p) ** 2) * absdp)
+        for s in range(n - 1):
+            varpi += 4.0 * u ** -s * np.sum(np.abs(ev(s + 1, p)) * absdp)
+    assert lg.omega_varpi(n, u, segs, fam) == pytest.approx((omega, varpi), rel=1e-13)
