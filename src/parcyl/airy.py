@@ -258,7 +258,10 @@ def scorer_hi_prime(z: complex) -> complex:
     return _hi_pair(z)[1]
 
 
+@lru_cache(maxsize=1)
 def _hi_pair(z: complex) -> tuple[complex, complex]:
+    """(Hi, Hi') at z; the last pair is kept, because Wi and Wi' are asked
+    for at the same point one after the other."""
     z = complex(z)
     if abs(z) <= HI_QUAD_RADIUS:
         hi, hip = _hi_quad(z)

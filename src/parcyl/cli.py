@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import inhom, lg, oracle, plane, tp
 from .coeffs import get_tables
 from .errors import (ArgumentError, DomainError, OrderError, PairError,
-                     ParcylError)
+                     ParcylError, check_inputs)
 
 FUNCTIONS = ("U+", "U+'", "U-", "V-", "U+i", "U-i", "W+x", "W-x",
              "W0", "W3", "UR", "WR")
@@ -57,10 +57,7 @@ def _error_exit(exc: ParcylError) -> int:
 
 
 def _parameter(u: float) -> float:
-    if not math.isfinite(u):
-        raise ArgumentError(f"u={u} is not finite")
-    if u <= 0:
-        raise DomainError(f"u={u} must be positive")
+    check_inputs(u)
     return u
 
 

@@ -241,6 +241,7 @@ class CoeffTables:
         self.E_d = [p.deriv() for p in self.E]
         self._g_cache: dict[tuple[int, str], list[RationalFunc]] = {}
         self._gstar_cache: dict[tuple[int, int], RationalFunc] = {}
+        self._at_1: dict[str, tuple[Fraction, ...]] = {}
 
     def G(self, R: int, variant: str, s_max: int | None = None) -> list[RationalFunc]:
         key = (R, variant)
@@ -255,22 +256,27 @@ class CoeffTables:
             self._gstar_cache[key] = analytic_part_G(s, R)
         return self._gstar_cache[key]
 
-    # values at beta = 1, used in every turning-point prefactor
+    # values at beta = 1, used in every turning-point prefactor; exact,
+    # computed on first use and kept
+    def _odd_at_1(self, name: str, m: int) -> list[Fraction]:
+        if 2 * m + 1 > self.s_max:
+            raise OrderError(f"tables too shallow for m={m}")
+        vals = self._at_1.get(name)
+        if vals is None:
+            fam = getattr(self, name)
+            vals = self._at_1[name] = tuple(
+                fam[s](Fraction(1)) for s in range(1, self.s_max + 1, 2))
+        return list(vals[: m + 1])
+
     def E_odd_at_1(self, m: int) -> list[Fraction]:
         """[E_1(1), E_3(1), ..., E_{2m+1}(1)]."""
-        if 2 * m + 1 > self.s_max:
-            raise OrderError(f"tables too shallow for m={m}")
-        return [self.E[2 * s + 1](Fraction(1)) for s in range(m + 1)]
+        return self._odd_at_1("E", m)
 
     def Ebar_odd_at_1(self, m: int) -> list[Fraction]:
-        if 2 * m + 1 > self.s_max:
-            raise OrderError(f"tables too shallow for m={m}")
-        return [self.Ebar[2 * s + 1](Fraction(1)) for s in range(m + 1)]
+        return self._odd_at_1("Ebar", m)
 
     def Etilde_odd_at_1(self, m: int) -> list[Fraction]:
-        if 2 * m + 1 > self.s_max:
-            raise OrderError(f"tables too shallow for m={m}")
-        return [self.Etilde[2 * s + 1](Fraction(1)) for s in range(m + 1)]
+        return self._odd_at_1("Etilde", m)
 
 
 @lru_cache(maxsize=4)

@@ -3,6 +3,9 @@
 Each class carries the ``code`` the CLI prints in its JSON error.
 """
 
+import cmath
+import math
+
 
 class ParcylError(Exception):
     """Base class for all package errors."""
@@ -80,3 +83,15 @@ class StiffnessError(ParcylError):
     """ODE integrator step size collapsed."""
 
     code = "STIFFNESS"
+
+
+def check_inputs(u: float, *points: complex) -> None:
+    """ArgumentError unless the parameter u and every point are finite,
+    then DomainError unless u > 0."""
+    if not math.isfinite(u):
+        raise ArgumentError(f"u={u} is not finite")
+    for z in points:
+        if not cmath.isfinite(z):
+            raise ArgumentError(f"z={z} is not finite")
+    if u <= 0:
+        raise DomainError(f"u={u} must be positive")

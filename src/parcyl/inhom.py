@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import loggamma, rgamma
@@ -18,12 +17,13 @@ from scipy.special import loggamma, rgamma
 from . import plane
 from .airy import wi, wi_prime
 from .coeffs import get_tables
-from .errors import DomainError, OrderError, PairError, PoleError
+from .errors import (DomainError, OrderError, PairError, PoleError,
+                     check_inputs)
 from .lg import (BOUND_SAFETY, CertifiedValue, _BATCH_SEGS, _GLN, chi_m,
                  weber_neg_Wj)
 from .quadrature import gauss
 from .scaled import ScaledComplex
-from .tp import (CAUCHY_NODES, _RING_CACHE_SIZE, _mod_sums, _root_A,
+from .tp import (_Geometry, _mod_sums, _point_geometry, _ring, _ring_geometry,
                  pcf_U_neg, tp_coeff_funcs)
 
 #: empirical margin for the dropped contour-remainder of the Scorer
@@ -288,42 +288,39 @@ def _weber_left_assembly(u: float, z: complex, n: int, R: int) -> CertifiedValue
 # Scorer-function expansions at the turning point
 # ----------------------------------------------------------------------
 
-def _J_m(u: float, z: complex, m: int, variant: str) -> complex:
-    """the ring integrand factor built from the modified-coefficient sums
-    and the factorial tails (upper-side conventions; Im z >= 0)."""
-    even_t, odd_t, even_p, odd_p = _mod_sums(u, z, m, variant)
-    _, zeta = plane.xi_zeta(z)
+def _scorer_factor(g: _Geometry, u: float, m: int, variant: str) -> np.ndarray:
+    """The ring integrand factor J_m at each point of the geometry, built
+    from the modified-coefficient sums and the factorial tails."""
+    even_t, odd_t, even_p, odd_p = _mod_sums(g, u, m)
+    zeta = g.zeta
+    # (zeta_c)^{3/2}, zeta_c = -zeta for WEB+, continued from the upper side;
+    # exactly-real points of (-1, 1) take the limit value
+    on_interval = (g.points.imag == 0.0) & (np.abs(g.points.real) < 1.0)
+    edge = np.abs(zeta.real) ** 1.5
     if variant == "WEB+":
         zc = -zeta
-        z32 = 1j * (zeta ** 1.5)  # (-zeta)^{3/2} continued from (-1,1)
-        if z.imag == 0.0 and -1.0 < z.real < 1.0:
-            z32 = complex((-zeta.real) ** 1.5)
+        z32 = np.where(on_interval, edge, 1j * zeta ** 1.5)
     else:
         zc = zeta
-        z32 = zeta ** 1.5
-        if z.imag == 0.0 and -1.0 < z.real < 1.0:
-            z32 = -1j * ((-zeta.real) ** 1.5)
-    s1 = sum(math.factorial(3 * k) / math.factorial(k) / (3.0 * u * u * zc ** 3) ** k
-             for k in range(m + 1))
-    s2 = sum(math.factorial(3 * k + 1) / math.factorial(k) / (3.0 * u * u * zc ** 3) ** k
-             for k in range(m + 1))
-    return -cmath.exp(even_t) * cmath.cosh(odd_t) * s1 \
-        + cmath.exp(even_p) * cmath.sinh(odd_p) * s2 / (u * z32)
+        z32 = np.where(on_interval, -1j * edge, zeta ** 1.5)
+    k = np.arange(m + 1)
+    powers = (3.0 * u * u * zc[:, None] ** 3) ** -k
+    s1 = powers @ np.array([math.factorial(3 * j) / math.factorial(j) for j in k])
+    s2 = powers @ np.array([math.factorial(3 * j + 1) / math.factorial(j) for j in k])
+    return -np.exp(even_t) * np.cosh(odd_t) * s1 \
+        + np.exp(even_p) * np.sinh(odd_p) * s2 / (u * z32)
 
 
-@lru_cache(maxsize=_RING_CACHE_SIZE)
+def _J_m(u: float, z: complex, m: int, variant: str) -> complex:
+    """J_m at one point (upper-side conventions; Im z >= 0)."""
+    return complex(_scorer_factor(_point_geometry(z, variant, m), u, m, variant)[0])
+
+
 def _scorer_ring(u: float, m: int, variant: str, r0: float):
-    th = (np.arange(CAUCHY_NODES) + 0.5) * (2.0 * math.pi / CAUCHY_NODES)
-    tk = 1.0 + r0 * np.exp(1j * th)
-    vals = np.empty(CAUCHY_NODES, dtype=complex)
-    for i, t in enumerate(tk):
-        t = complex(t)
-        tt = t if t.imag >= 0 else t.conjugate()
-        _, zeta = plane.xi_zeta(tt)
-        zc = -zeta if variant == "WEB+" else zeta
-        v = _root_A(tt) * _J_m(u, tt, m, variant) / zc
-        vals[i] = v if t.imag >= 0 else v.conjugate()
-    return tk, vals
+    """(nodes, root_A J_m / zeta_c) on the Scorer ring of radius r0."""
+    g = _ring_geometry(variant, r0)
+    zc = -g.zeta if variant == "WEB+" else g.zeta
+    return _ring(g, g.root_a * _scorer_factor(g, u, m, variant) / zc)
 
 
 def _scorer_contour(u: float, z: complex, m: int, variant: str) -> complex:
@@ -361,6 +358,7 @@ def inhom_scorer(u: float, z: complex, m: int, R: int, variant: str = "PCF-",
     For variant 'WEB+' the assembly uses the Weber connection constant
     and sign-flipped analytic parts is used.
     """
+    check_inputs(u, z)
     z = complex(z)
     if variant not in ("PCF-", "WEB+"):
         raise ValueError("variant must be 'PCF-' or 'WEB+'")
@@ -416,6 +414,7 @@ def connect_inhom(variant: str, R: int, u: float, z: complex,
 def connect_inhom_pcfm(u: float, z: complex, m: int, R: int) -> CertifiedValue:
     """U_R^{(0,2)}(-u/2, sqrt(2u) z) via the half-sum connection with the
     real part of Lambda_R(-a)."""
+    check_inputs(u, z)
     z = complex(z)
     a = u / 2.0
     u01 = inhom_scorer(u, z, m, R, "PCF-", (0, 1))

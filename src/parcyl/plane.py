@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import CutError, NoPath, TraceStalled
 
 VARIANTS = ("PCF+", "PCF-", "WEB+", "WEB-")
@@ -29,7 +31,10 @@ VARIANTS = ("PCF+", "PCF-", "WEB+", "WEB-")
 
 def canon(z: complex) -> complex:
     """Normalize signed zero: exactly-real points evaluate on the upper-side
-    conventions, so -0.0 imaginary parts must not select the lower cut side."""
+    conventions, so -0.0 imaginary parts must not select the lower cut side.
+    An array of points is normalized elementwise."""
+    if isinstance(z, np.ndarray):
+        return np.where(z.imag == 0.0, z.real + 0j, z)
     z = complex(z)
     return complex(z.real, 0.0) if z.imag == 0.0 else z
 
@@ -87,17 +92,44 @@ def beta_bar(z: complex) -> complex:
 
 def sqrt_zz_minus_1(z: complex) -> complex:
     """sqrt(z^2-1) with cut (-inf, 1], positive for z > 1 (upper side on the
-    oscillatory interval: +i sqrt(1-x^2))."""
+    oscillatory interval: +i sqrt(1-x^2)); elementwise on an array."""
     z = canon(z)
+    if isinstance(z, np.ndarray):
+        return _sqrt_zz_minus_1_nodes(z)
     return cmath.sqrt(z - 1.0) * cmath.sqrt(z + 1.0)
+
+
+def _sqrt_zz_minus_1_nodes(z: np.ndarray) -> np.ndarray:
+    """The scalar formula on an array of finite points off +-1, rounded as
+    cmath.sqrt and Python's complex product round it.  np.sqrt and numpy's
+    complex product can differ in the last bit, and the omega integrals of
+    the turning-point estimates amplify a last-bit change of beta ~1e7-fold;
+    this way a path's nodes get the values of a point-by-point loop."""
+    roots = []
+    for w in (z - 1.0, z + 1.0):
+        # cmath.sqrt's formula for normal arguments
+        ax = np.abs(w.real) / 8.0
+        ay = np.abs(w.imag)
+        s = 2.0 * np.sqrt(ax + np.hypot(ax, ay / 8.0))
+        d = ay / (2.0 * s)
+        right = w.real >= 0.0
+        roots.append((np.where(right, s, d), np.copysign(np.where(right, d, s), w.imag)))
+    (ar, ai), (br, bi) = roots
+    out = np.empty_like(z)
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
+    return out
 
 
 def xi_minus(z: complex) -> complex:
     """xi = int_1^z sqrt(t^2-1) dt, cut (-inf, 1], >= 0 on [1, inf).
 
     On the interval (-1, 1] real points are evaluated as upper-side limits
-    (xi = -i nu with nu from the arccos form).
+    (xi = -i nu with nu from the arccos form).  An array of points (the
+    Gauss nodes of a path) is evaluated elementwise.
     """
+    if isinstance(z, np.ndarray):
+        return _xi_minus_nodes(z)
     z = canon(z)
     if z.imag == 0.0 and z.real <= 1.0:
         if z.real <= -1.0:
@@ -105,6 +137,17 @@ def xi_minus(z: complex) -> complex:
         return -1j * nu_middle(z.real)
     s = sqrt_zz_minus_1(z)
     return 0.5 * z * s - 0.5 * cmath.log(z + s)
+
+
+def _xi_minus_nodes(z: np.ndarray) -> np.ndarray:
+    z = canon(z)
+    interval = (z.imag == 0.0) & (z.real <= 1.0)
+    if np.any(z.real[interval] <= -1.0):
+        raise CutError("z on the cut (-inf,-1] of zeta/xi")
+    s = sqrt_zz_minus_1(z)
+    xi = 0.5 * z * s - 0.5 * np.log(z + s)
+    xi[interval] = [-1j * nu_middle(x) for x in z.real[interval]]
+    return xi
 
 
 def nu_middle(z: complex) -> complex:

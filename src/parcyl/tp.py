@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -25,21 +24,21 @@ from scipy.special import loggamma
 from . import plane
 from .airy import AiryValue, airy, env_airy
 from .coeffs import get_tables
-from .errors import DomainError, OrderError
+from .errors import DomainError, OrderError, check_inputs
 from .lg import (CertifiedValue, _GLN, _omega_varpi_template, chi_m,
                  omega_varpi)
 from .quadrature import gauss
 from .scaled import ScaledComplex
 
 CAUCHY_RADIUS = 0.5
+#: trapezoidal nodes per ring; even, so the upper half of a ring holds one
+#: node of each conjugate pair
 CAUCHY_NODES = 256
 DIRECT_MIN_DIST = 0.2
 
-#: rings kept by each ring cache (this one and the Scorer rings of inhom),
-#: bounded because a u sweep builds a new ring for every u: enough for all
-#: coefficient rings of one u (five orders, two variants) or all 22 Scorer
-#: radii of one (u, m, variant)
-_RING_CACHE_SIZE = 32
+#: ring geometries kept: two variants times (the Cauchy radius and the 22
+#: Scorer radii 0.5, 0.55, ..., 1.55 of inhom._scorer_contour)
+_GEOMETRY_KEYS = 2 * (1 + 22)
 
 #: empirical margin absorbing the dropped scalar identification constants;
 #: the u=10 worst case measured by scripts/calibration_sweep.py is 0.11
@@ -103,31 +102,84 @@ def _root_B(z: complex, variant: str) -> complex:
     return ra * (-1j) * cmath.sqrt(z - 1.0) * cmath.sqrt(1.0 + z)
 
 
-def _mod_sums(u: float, z: complex, m: int, variant: str):
-    """The four truncated sums of modified coefficients at z (Im z >= 0):
+@dataclass(frozen=True)
+class _Geometry:
+    """The u-independent part of the coefficient functions at upper-side
+    points (Im t >= 0): zeta, the two roots, and the modified-coefficient
+    rows of the plain and the tilde sequence (columns s = 1, 2, ...)."""
+    points: np.ndarray
+    zeta: np.ndarray
+    root_a: np.ndarray
+    root_b: np.ndarray
+    plain: np.ndarray
+    tilde: np.ndarray
 
-    (even_tilde, odd_tilde, even_plain, odd_plain), where for the Weber
-    variant each coefficient carries its (-i)^s factor.
-    """
+
+def _geometry(points, variant: str, s_top: int) -> _Geometry:
+    """The one node loop: Liouville variables, roots and E_1..E_{s_top} at
+    each upper-side point; then the coefficient rows
+
+        E_s(beta) + (-1)^s seq_s xi^{-s} / s,   s = 1..s_top,
+
+    for the plain sequence a_s and the tilde sequence (both families share
+    the E_s polynomials), each column times (-i)^s for WEB+."""
     t = get_tables()
-    if 2 * m + 1 > t.s_max:
+    points = np.asarray(points, dtype=complex)
+    n = len(points)
+    xi, zeta, ra, rb = (np.empty(n, dtype=complex) for _ in range(4))
+    E = np.empty((n, s_top), dtype=complex)
+    s = range(1, s_top + 1)
+    for i, p in enumerate(points):
+        p = plane.canon(complex(p))
+        xi[i], zeta[i] = plane.xi_zeta(p)
+        beta = plane.beta_map(p, "PCF-")
+        E[i] = [t.E[k](beta) for k in s]
+        ra[i] = _root_A(p)
+        rb[i] = _root_B(p, variant)
+    xi_s = xi[:, None] ** -np.arange(1, s_top + 1)
+    fac = np.array([(-1j) ** k if variant == "WEB+" else 1.0 for k in s])
+
+    def rows(seq) -> np.ndarray:
+        return fac * (E + np.array([(-1) ** k * float(seq[k]) / k for k in s]) * xi_s)
+
+    return _Geometry(points, zeta, ra, rb, rows(t.airy.a), rows(t.airy.a_tilde))
+
+
+def _point_geometry(z: complex, variant: str, m: int) -> _Geometry:
+    """The geometry of one point (Im z >= 0), with the rows order m needs."""
+    return _geometry([z], variant, min(2 * m + 1, get_tables().s_max))
+
+
+@lru_cache(maxsize=_GEOMETRY_KEYS)
+def _ring_geometry(variant: str, radius: float) -> _Geometry:
+    """The upper half of the ring of CAUCHY_NODES trapezoidal nodes of the
+    given radius about z = 1, with rows to the full table depth.  Built on
+    first use and kept: it does not depend on u."""
+    th = (np.arange(CAUCHY_NODES // 2) + 0.5) * (2.0 * math.pi / CAUCHY_NODES)
+    return _geometry(1.0 + radius * np.exp(1j * th), variant, get_tables().s_max)
+
+
+def _ring(g: _Geometry, *values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The whole ring: the nodes and each value array of the upper half,
+    followed by their conjugates (Schwarz reflection)."""
+    return tuple(np.concatenate([v, v.conj()]) for v in (g.points, *values))
+
+
+def _mod_sums(g: _Geometry, u: float, m: int):
+    """The four truncated sums of modified coefficients at each point:
+
+    (even_tilde, odd_tilde, even_plain, odd_plain), each one row-by-weight
+    product with the weights u^{-s}, s = 1..2m+1, of one parity.
+    """
+    n = 2 * m + 1
+    if n > g.plain.shape[1]:
         raise OrderError(f"m={m} beyond generated depth")
-    z = plane.canon(z)
-    xi, _ = plane.xi_zeta(z)
-    beta = plane.beta_map(z, "PCF-")
-    fac = (lambda s: (-1j) ** s) if variant == "WEB+" else (lambda s: 1.0)
-    a, at = t.airy.a, t.airy.a_tilde
-
-    # both modified families share the E_s polynomials; only the scalar
-    # sequence differs (a_s for the plain set, a-tilde for the tilde set)
-    def coeff(s: int, seq) -> complex:
-        return fac(s) * (t.E[s](beta) + (-1) ** s * float(seq[s]) / s * xi ** (-s))
-
-    even_t = sum(coeff(2 * s, at) / u ** (2 * s) for s in range(1, m + 1))
-    odd_t = sum(coeff(2 * s + 1, at) / u ** (2 * s + 1) for s in range(m + 1))
-    even_p = sum(coeff(2 * s, a) / u ** (2 * s) for s in range(1, m + 1))
-    odd_p = sum(coeff(2 * s + 1, a) / u ** (2 * s + 1) for s in range(m + 1))
-    return even_t, odd_t, even_p, odd_p
+    s = np.arange(1, n + 1)
+    w = float(u) ** -s.astype(float)
+    even = np.where(s % 2 == 0, w, 0.0)
+    odd = w - even
+    tilde, plain = g.tilde[:, :n], g.plain[:, :n]
+    return tilde @ even, tilde @ odd, plain @ even, plain @ odd
 
 
 def _check_tp_domain(z: complex, variant: str) -> None:
@@ -139,18 +191,23 @@ def _check_tp_domain(z: complex, variant: str) -> None:
             raise DomainError("on the cut (-inf,-1]")
 
 
+def _ab(g: _Geometry, u: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A_{2m+2} and B_{2m+2} at each point of the geometry."""
+    even_t, odd_t, even_p, odd_p = _mod_sums(g, u, m)
+    A = g.root_a * np.exp(even_t) * np.cosh(odd_t)
+    B = np.exp(even_p) * np.sinh(odd_p) / (u ** (1.0 / 3.0) * g.root_b)
+    return A, B
+
+
 def _ab_direct(u: float, z: complex, m: int, variant: str) -> tuple[complex, complex]:
     """Direct assembly for |z-1| >= DIRECT_MIN_DIST, Im z >= 0."""
-    even_t, odd_t, even_p, odd_p = _mod_sums(u, z, m, variant)
-    ra = _root_A(z)
-    rb = _root_B(z, variant)
-    A = ra * cmath.exp(even_t) * cmath.cosh(odd_t)
-    B = cmath.exp(even_p) * cmath.sinh(odd_p) / (u ** (1.0 / 3.0) * rb)
-    return A, B
+    A, B = _ab(_point_geometry(z, variant, m), u, m)
+    return complex(A[0]), complex(B[0])
 
 
 def tp_coeff_funcs(u: float, z: complex, m: int, variant: str = "PCF-") -> TPCoeffs:
     """A_{2m+2}(u,z), B_{2m+2}(u,z) (Weber variant when requested)."""
+    check_inputs(u, z)
     if variant not in ("PCF-", "WEB+"):
         raise ValueError("variant must be 'PCF-' or 'WEB+'")
     z = plane.canon(z)
@@ -172,27 +229,17 @@ def tp_coeff_funcs(u: float, z: complex, m: int, variant: str = "PCF-") -> TPCoe
     return TPCoeffs(A, B, m, method, est)
 
 
-@lru_cache(maxsize=_RING_CACHE_SIZE)
 def _cauchy_ring(u: float, m: int, variant: str):
-    th = (np.arange(CAUCHY_NODES) + 0.5) * (2.0 * math.pi / CAUCHY_NODES)
-    tk = 1.0 + CAUCHY_RADIUS * np.exp(1j * th)
-    Ak = np.empty(CAUCHY_NODES, dtype=complex)
-    Bk = np.empty(CAUCHY_NODES, dtype=complex)
-    for i, t in enumerate(tk):
-        t = complex(t)
-        if t.imag >= 0:
-            Ak[i], Bk[i] = _ab_direct(u, t, m, variant)
-        else:
-            a, b = _ab_direct(u, t.conjugate(), m, variant)
-            Ak[i], Bk[i] = a.conjugate(), b.conjugate()
-    return tk, Ak, Bk
+    """(nodes, A, B) on the Cauchy ring."""
+    g = _ring_geometry(variant, CAUCHY_RADIUS)
+    return _ring(g, *_ab(g, u, m))
 
 
 def _ab_cauchy(u: float, z: complex, m: int, variant: str) -> tuple[complex, complex]:
     tk, Ak, Bk = _cauchy_ring(u, m, variant)
     w = (tk - 1.0) / (tk - z)
-    A = np.sum(Ak * w) / CAUCHY_NODES
-    B = np.sum(Bk * w) / CAUCHY_NODES
+    A = np.sum(Ak * w) / len(tk)
+    B = np.sum(Bk * w) / len(tk)
     return complex(A), complex(B)
 
 
@@ -203,18 +250,16 @@ def _ab_cauchy(u: float, z: complex, m: int, variant: str) -> tuple[complex, com
 def _beta_image_minus(path: plane.PathPolyline):
     """Continuous beta = z/sqrt(z^2-1) image of a PCF- estimate path."""
     x, w = gauss(_GLN)
+    t = 0.5 * x + 0.5
     segs = []
     xi_nodes = []
     for zs, ze in path.segments():
-        t = 0.5 * x + 0.5
         zn = zs + (ze - zs) * t
-        sq = np.array([plane.sqrt_zz_minus_1(complex(v)) for v in zn])
-        p = zn / sq
+        sq = plane.sqrt_zz_minus_1(zn)
         dp = -(ze - zs) * 0.5 / sq ** 3
-        segs.append((p, dp * w))
+        segs.append((zn / sq, dp * w))
         dxi = (ze - zs) * 0.5 * sq
-        xi = np.array([plane.xi_minus(complex(v)) for v in zn])
-        xi_nodes.append((xi, dxi * w))
+        xi_nodes.append((plane.xi_minus(zn), dxi * w))
     return segs, xi_nodes
 
 
@@ -243,8 +288,8 @@ def delta_n_pm(u: float, n: int) -> float:
     t = get_tables()
     m_terms = min((n - 1) // 2 + 1, t.s_max // 2)
     acc = 0.0
-    for s in range(m_terms):
-        acc += float(t.E[2 * s + 1](Fraction(1))) / u ** (2 * s + 1)
+    for s, c in enumerate(t.E_odd_at_1(m_terms - 1)):
+        acc += float(c) / u ** (2 * s + 1)
     val = lambda_pm(u) * ScaledComplex.from_log(-2.0 * acc)
     return abs(val.to_complex() - 1.0)
 
@@ -272,9 +317,9 @@ def _ab_est_err(u: float, z: complex, m: int, variant: str) -> float:
                 + om * math.exp(min(vp / u + om * u ** (-n), 60.0)) \
                 + gm * math.exp(min(bt / u + gm * u ** (-n), 60.0))
             e_vals.append(min(e, 1e30))
-        xi, _ = plane.xi_zeta(z)
-        sums = _mod_sums(u, z, min(m, t.s_max // 2 - 1), "PCF-")
-        re_sum = sum(abs(s) for s in sums)
+        m_env = min(m, t.s_max // 2 - 1)
+        sums = _mod_sums(_point_geometry(z, "PCF-", m_env), u, m_env)
+        re_sum = float(sum(abs(s[0]) for s in sums))
         env = math.exp(min(re_sum, 50.0))
         e_j, e_k = e_vals
         bound = u ** (-n) * env * (
@@ -311,6 +356,7 @@ def _w_ml(u: float, z: complex, m: int, l: int, variant: str = "PCF-",
 
 def pcf_U_neg(u: float, z: complex, m: int) -> CertifiedValue:
     """U(-u/2, sqrt(2u) z) for z in the turning-point domain."""
+    check_inputs(u, z)
     z = complex(z)
     if u < 5:
         raise DomainError("parameter too small for the expansion (u >= 5)")
@@ -329,6 +375,7 @@ def pcf_U_neg(u: float, z: complex, m: int) -> CertifiedValue:
 def pcf_U_rotated(u: float, z: complex, m: int, sign: str = "-i") -> CertifiedValue:
     """U(u/2, -i sqrt(2u) z) for sign='-i' (recessive at +i inf), and the
     conjugate-phase '+i' variant; both through the rotated Airy solutions."""
+    check_inputs(u, z)
     z = complex(z)
     _check_tp_domain(z, "PCF-")
     if sign not in ("-i", "+i"):
@@ -348,6 +395,7 @@ def pcf_U_rotated(u: float, z: complex, m: int, sign: str = "-i") -> CertifiedVa
 
 def pcf_V_neg(u: float, z: complex, m: int) -> CertifiedValue:
     """V(-u/2, sqrt(2u) z) via the Bi-companion assembly."""
+    check_inputs(u, z)
     z = complex(z)
     _check_tp_domain(z, "PCF-")
     t = get_tables()
@@ -436,6 +484,7 @@ def weber_W_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedValue
     '+x' is the bounded oscillatory-side form (Bi-type), '-x' carries the
     e^{pi u/2} scale (Ai-type).  The certified figure is envelope-relative.
     """
+    check_inputs(u, x)
     if u < 5:
         raise DomainError("u >= 5 required")
     if x < -1.0 + 0.05:

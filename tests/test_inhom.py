@@ -8,7 +8,8 @@ import pytest
 from scipy.special import gamma, loggamma, rgamma
 
 from parcyl import inhom, lg, oracle, plane, tp
-from parcyl.errors import DomainError, OrderError, PairError, PoleError
+from parcyl.errors import (ArgumentError, DomainError, OrderError, PairError,
+                           PoleError)
 
 
 def rel(cv, ov):
@@ -262,3 +263,17 @@ def test_bound_integrals_do_not_depend_on_the_batching(monkeypatch):
     whole = inhom._bound_integrals(*args)
     monkeypatch.setattr(inhom, "_BATCH_SEGS", 5)
     assert inhom._bound_integrals(*args) == pytest.approx(whole, rel=1e-13)
+
+
+@pytest.mark.parametrize("u,z,exc", [
+    (0.0, 1.05, DomainError), (-5.0, 1.05, DomainError),
+    (math.nan, 1.05, ArgumentError), (math.inf, 1.05, ArgumentError),
+    (20.0, complex(math.nan, 0.0), ArgumentError),
+    (20.0, complex(math.inf, 0.0), ArgumentError)])
+@pytest.mark.parametrize("entry", [
+    lambda u, z: inhom.inhom_scorer(u, z, 2, 0),
+    lambda u, z: inhom.connect_inhom_pcfm(u, z, 2, 0)],
+    ids=["inhom_scorer", "connect_inhom_pcfm"])
+def test_typed_errors_for_bad_inputs(entry, u, z, exc):
+    with pytest.raises(exc):
+        entry(u, z)

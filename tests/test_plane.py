@@ -272,3 +272,18 @@ def test_xi_bar_symmetries(z):
     v = plane.xi_bar(z)
     assert plane.xi_bar(z.conjugate()) == pytest.approx(v.conjugate(), rel=1e-12)
     assert plane.xi_bar(-z) == pytest.approx(-v, rel=1e-12)
+
+
+def test_array_evaluation_matches_the_point_loop():
+    # Gauss nodes of the PCF- estimate paths, including real nodes on the
+    # oscillatory interval and beyond z = 1
+    z = np.concatenate([np.linspace(-0.9, 0.95, 7) + 0j,
+                        np.linspace(1.3, 40.0, 7) + 0j,
+                        0.15 + 1j * np.linspace(0.2, 50.0, 7),
+                        -0.49 - 1.5j + np.linspace(0.0, 50.0, 7)])
+    sq = plane.sqrt_zz_minus_1(z)
+    assert np.array_equal(sq, [plane.sqrt_zz_minus_1(complex(v)) for v in z])
+    xi = plane.xi_minus(z)
+    assert xi == pytest.approx([plane.xi_minus(complex(v)) for v in z], rel=1e-15)
+    with pytest.raises(CutError):
+        plane.xi_minus(np.array([0.5 + 0j, -1.5 + 0j]))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from parcyl import oracle, plane, tp
-from parcyl.errors import DomainError
+from parcyl.errors import ArgumentError, DomainError
 from parcyl.scaled import ScaledComplex
 
 
@@ -244,3 +244,23 @@ class TestWeberReal:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             tp.weber_W_real(20.0, -0.96, 3)
+
+
+ENTRIES = {
+    "tp_coeff_funcs": lambda u, z: tp.tp_coeff_funcs(u, z, 3),
+    "pcf_U_neg": lambda u, z: tp.pcf_U_neg(u, z, 3),
+    "pcf_U_rotated": lambda u, z: tp.pcf_U_rotated(u, z, 3),
+    "pcf_V_neg": lambda u, z: tp.pcf_V_neg(u, z, 3),
+    "weber_W_real": lambda u, z: tp.weber_W_real(u, z.real, 3),
+}
+BAD_INPUTS = [(0.0, 1.05, DomainError), (-5.0, 1.05, DomainError),
+              (math.nan, 1.05, ArgumentError), (math.inf, 1.05, ArgumentError),
+              (20.0, complex(math.nan, 0.0), ArgumentError),
+              (20.0, complex(math.inf, 0.0), ArgumentError)]
+
+
+@pytest.mark.parametrize("u,z,exc", BAD_INPUTS)
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_typed_errors_for_bad_inputs(entry, u, z, exc):
+    with pytest.raises(exc):
+        ENTRIES[entry](u, complex(z))
