@@ -8,6 +8,7 @@ plus an independent quadrature/ODE oracle for validation.
 from .airy import AiryValue, airy, env_airy, scorer_hi, scorer_hi_prime, wi, wi_prime
 from .coeffs import (CoeffTables, gen_airy_seq, gen_E, gen_Ebar, gen_Etilde,
                      gen_G, analytic_part_G, get_tables, modified_coeff)
+from .constants import WeberConstants, chi_m, lambda_pm, weber_constants
 from .errors import (AccuracyError, ArgumentError, ConsistencyError, CutError,
                      DomainError, NoPath, OrderError, PairError, ParcylError,
                      PoleError, StiffnessError, TraceStalled,
@@ -15,7 +16,7 @@ from .errors import (AccuracyError, ArgumentError, ConsistencyError, CutError,
 from .inhom import (ConnectionConstant, alpha_R, c0_const, c3_const,
                     connect_inhom, connect_inhom_pcfm, gamma_mR, gamma_W_mR,
                     hyp_terminating, inhom_scorer, inhom_series, lambda_R)
-from .lg import (CertifiedValue, chi_m, lg_W, pcf_U_pos, pcf_Uprime_pos,
+from .lg import (CertifiedValue, lg_W, pcf_U_pos, pcf_Uprime_pos,
                  weber_neg_real, weber_neg_Wj)
 from .oracle import (OracleValue, UContour, oracle_inhom, oracle_ode,
                      oracle_U, oracle_U_prime, oracle_V_neg, weber_ode_real,
@@ -25,9 +26,8 @@ from .plane import (DomainId, PathPolyline, beta_map, domain_contains,
                     xi_bar, xi_zeta)
 from .ratpoly import RationalFunc, RationalPoly
 from .scaled import ScaledComplex
-from .tp import (TPCoeffs, WeberConstants, lambda_pm, pcf_left_extension,
-                 pcf_U_neg, pcf_U_rotated, pcf_V_neg, tp_coeff_funcs,
-                 weber_constants, weber_W_real)
+from .tp import (TPCoeffs, pcf_left_extension, pcf_U_neg, pcf_U_rotated,
+                 pcf_V_neg, tp_coeff_funcs, weber_W_real)
 
 __version__ = "0.1.0"
 

@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "special-function engine")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, oracle_cmd=False):
+    def common(sp):
         sp.add_argument("--function", required=True, choices=FUNCTIONS)
         sp.add_argument("--u", type=float, required=True)
         sp.add_argument("--z", type=str, default=None,
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.set_defaults(func=cmd_eval)
 
     so = sub.add_parser("oracle", help="independent reference value")
-    common(so, oracle_cmd=True)
+    common(so)
     so.set_defaults(func=cmd_oracle)
 
     sm = sub.add_parser("map", help="accuracy map over a grid (CSV)")

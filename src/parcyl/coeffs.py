@@ -275,9 +275,6 @@ class CoeffTables:
     def Ebar_odd_at_1(self, m: int) -> list[Fraction]:
         return self._odd_at_1("Ebar", m)
 
-    def Etilde_odd_at_1(self, m: int) -> list[Fraction]:
-        return self._odd_at_1("Etilde", m)
-
 
 @lru_cache(maxsize=4)
 def _tables_at(s_max: int) -> CoeffTables:

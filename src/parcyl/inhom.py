@@ -19,9 +19,9 @@ from .airy import wi, wi_prime
 from .coeffs import get_tables
 from .errors import (DomainError, OrderError, PairError, PoleError,
                      check_inputs)
-from .lg import (BOUND_SAFETY, CertifiedValue, _BATCH_SEGS, _GLN, chi_m,
-                 weber_neg_Wj)
-from .quadrature import gauss
+from .constants import chi_m, odd_sum_at_1
+from .lg import BOUND_SAFETY, CertifiedValue, weber_neg_Wj
+from .quadrature import polyline_nodes
 from .scaled import ScaledComplex
 from .tp import (_Geometry, _mod_sums, _point_geometry, _ring, _ring_geometry,
                  pcf_U_neg, tp_coeff_funcs)
@@ -94,8 +94,7 @@ def lambda_R(a: float, R: int, sign: str = "+a") -> ConnectionConstant:
 
 def gamma_mR(u: float, m: int, R: int) -> ConnectionConstant:
     """The turning-point connection constant for the z^2-1 equation."""
-    t = get_tables()
-    odd1 = sum(float(c) / u ** (2 * s + 1) for s, c in enumerate(t.E_odd_at_1(m)))
+    odd1 = odd_sum_at_1(u, m)
     F = hyp_terminating(R, 0.25 * u - 0.5 * R + 0.75)
     logmag = (-0.5 * u + R - 0.5) * math.log(2.0) \
         + (0.25 * u - 0.5 * R - 13.0 / 12.0) * math.log(u) \
@@ -165,33 +164,22 @@ def _series_value(u: float, z: complex, n: int, R: int, variant: str) -> complex
 def _bound_integrals(u: float, z: complex, n: int, R: int, variant: str,
                      pair: tuple[int, int]) -> float:
     """Certified error majorant along the progressive two-leg path through z."""
-    t = get_tables()
     gvariant = "minus" if variant == "minus" else "plus"
     sgn = -1.0 if variant == "minus" else 1.0  # z^2 - 1 vs z^2 + 1
-    G = t.G(R, gvariant, s_max=n + 1)
-    gn = G[n]
+    gn = get_tables().G(R, gvariant, s_max=n + 1)[n]
     gnd = gn.deriv()
 
     if variant == "minus":
-        eps = {0: "+inf", 1: "+iinf", -1: "-iinf"}
-        legs = [plane.monotone_path(z, eps[pair[0]], "PCF-"),
-                plane.monotone_path(z, eps[pair[1]], "PCF-")]
+        endpoints, path_variant = {0: "+inf", 1: "+iinf", -1: "-iinf"}, "PCF-"
     elif variant == "weber-":
-        legs = [plane.monotone_path(z, _PAIR_ENDPOINTS_WEBM[pair[0]], "WEB-"),
-                plane.monotone_path(z, _PAIR_ENDPOINTS_WEBM[pair[1]], "WEB-")]
+        endpoints, path_variant = _PAIR_ENDPOINTS_WEBM, "WEB-"
     else:
-        legs = [plane.monotone_path(z, _PAIR_ENDPOINTS_PLUS[pair[0]], "PCF+"),
-                plane.monotone_path(z, _PAIR_ENDPOINTS_PLUS[pair[1]], "PCF+")]
+        endpoints, path_variant = _PAIR_ENDPOINTS_PLUS, "PCF+"
+    legs = [plane.monotone_path(z, endpoints[j], path_variant) for j in pair]
 
-    x, w = gauss(_GLN)
-    tt = 0.5 * x + 0.5
-    ends = [seg for leg in legs for seg in leg.segments()]
     I1 = I2 = sup_g = 0.0
-    for i in range(0, len(ends), _BATCH_SEGS):
-        # one row of Gauss nodes per segment
-        zs, ze = np.array(ends[i:i + _BATCH_SEGS]).T[:, :, None]
-        zn = (zs + (ze - zs) * tt).ravel()
-        dz = (abs(ze - zs) * 0.5 * w).ravel()
+    for zn, dzw in (b for leg in legs for b in polyline_nodes(leg.vertices)):
+        dz = np.abs(dzw)
         base = np.abs(zn * zn + sgn)
         gv = gn(zn)
         comb = np.abs(gnd(zn) + zn * gv / (2.0 * (zn * zn + sgn)))
@@ -251,6 +239,9 @@ def inhom_series(u: float, z: complex, n: int, R: int, variant: str = "plus",
     parameter analogue; 'weber-': W_R^{(0,3)}(-u/2, sqrt(2u) z) (switches
     automatically to the reflection assembly for Re z < 0).
     """
+    check_inputs(u, z)
+    if not 1 <= n <= get_tables().s_max:
+        raise OrderError(f"n={n} outside the supported order range")
     z = complex(z)
     _check_n_constraint(n, R)
     if variant == "weber-" and z.real < -1e-12:
@@ -364,8 +355,8 @@ def inhom_scorer(u: float, z: complex, m: int, R: int, variant: str = "PCF-",
         raise ValueError("variant must be 'PCF-' or 'WEB+'")
     if pair not in ((-1, 1), (0, 1), (-1, 0)):
         raise PairError("pair must be one of (-1,1), (0,1), (-1,0)")
-    if m > 4:
-        raise OrderError("m <= 4 for the Scorer expansions")
+    if not 0 <= m <= 4:
+        raise OrderError("0 <= m <= 4 for the Scorer expansions")
     if variant == "PCF-" and not plane.domain_contains(z, plane.DomainId("Z")):
         raise DomainError("z outside the turning-point domain")
     if variant == "WEB+" and z.imag == 0.0 and z.real <= -1.0:

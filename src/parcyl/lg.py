@@ -21,8 +21,9 @@ import numpy as np
 
 from . import plane
 from .coeffs import get_tables
-from .errors import DomainError, OrderError
-from .quadrature import gauss
+from .constants import chi_m, weber_constants
+from .errors import DomainError, OrderError, check_inputs
+from .quadrature import polyline_nodes
 from .scaled import ScaledComplex
 
 #: discretized paths slightly shorten the true progressive chain
@@ -31,15 +32,6 @@ BOUND_SAFETY = 1.05
 #: refusal radius around the turning points +-i (no Airy variant in scope
 #: for the z^2+1 equations; the bounds blow up inside this disk)
 TP_REFUSAL = 0.15
-
-#: Gauss-Legendre nodes per path segment in the bound integrals
-_GLN = 32
-
-#: path segments whose nodes are evaluated together: traced paths run to
-#: thousands of segments, and one array over all their nodes would hold
-#: tens of MB
-_BATCH_SEGS = 128
-
 
 @dataclass(frozen=True)
 class CertifiedValue:
@@ -60,77 +52,65 @@ class CertifiedValue:
 def _beta_image(path: plane.PathPolyline):
     """Gauss nodes of the continuous beta_bar image of a z-plane path.
 
-    Tracks the sheet: crossing a cut of beta_bar (imaginary axis beyond the
-    turning points) flips the sign of the principal branch.  Returns a list
-    of (p_nodes, dp_nodes) arrays ordered from the far endpoint towards z,
-    plus the continuously-continued value at the far end.
+    Yields (p, dp w) batches from the exact endpoint +-1 towards z, the
+    first opening with the straight p-plane run from +-1 to the image of
+    the truncated far vertex.  Tracks the sheet: a segment crossing a cut
+    of beta_bar (imaginary axis beyond the turning points; at most once per
+    segment for these paths) is split there, and each crossing flips the
+    sign of the principal branch.
     """
-    x, w = gauss(_GLN)
-    segs = []
-    sign = 1.0
-    first_p = None
-    for zs, ze in path.segments():
-        # a segment crosses a beta_bar cut (imaginary axis beyond +-i) at
-        # most once for the paths constructed here
-        crossings = []
-        if (zs.real) * (ze.real) < 0 and min(abs(zs.imag), abs(ze.imag)) >= 1.0:
-            crossings = [zs.real / (zs.real - ze.real)]
-        t_edges = [0.0] + crossings + [1.0]
-        for t0, t1 in zip(t_edges[:-1], t_edges[1:]):
-            t = 0.5 * (t1 - t0) * x + 0.5 * (t0 + t1)
-            zn = zs + (ze - zs) * t
-            sq = np.sqrt((zn * zn + 1.0).astype(complex))
-            p = sign * zn / sq
-            dp = sign / sq ** 3 * (ze - zs) * 0.5 * (t1 - t0)
-            segs.append((p, dp * w))
-            if first_p is None:
-                a = zs + (ze - zs) * t0
-                first_p = sign * a / np.sqrt(complex(a * a + 1.0))
-            if t1 in crossings:
-                sign = -sign
-    return segs, first_p
+    v = np.asarray(path.vertices, dtype=complex)
+    zs, ze = v[:-1], v[1:]
+    cross = (zs.real * ze.real < 0) & (np.minimum(abs(zs.imag), abs(ze.imag)) >= 1.0)
+    sign = np.ones((len(zs), 1))
+    if cross.any():
+        # (-1)^(crossings before a segment); the part past a crossing flips
+        at = np.flatnonzero(cross)
+        sign = (-1.0) ** (np.cumsum(cross) - cross)
+        sign = np.insert(sign, at + 1, -sign[at])[:, None]
+        tc = zs.real[at] / (zs.real[at] - ze.real[at])
+        v = np.insert(v, at + 1, zs[at] + (ze[at] - zs[at]) * tc)
+    a = complex(path.vertices[0])
+    first_p = a / np.sqrt(complex(a * a + 1.0))
+    tail = next(polyline_nodes([1.0 if first_p.real >= 0 else -1.0, first_p]))
+    for zn, dzw in polyline_nodes(v):
+        sg, sign = sign[:len(zn)], sign[len(zn):]
+        sq = np.sqrt(zn * zn + 1.0)
+        batch = (sg * zn / sq, sg / sq ** 3 * dzw)
+        if tail is not None:
+            batch, tail = tuple(map(np.concatenate, zip(tail, batch))), None
+        yield batch
 
 
-def _append_endpoint_tail(segs, first_p):
-    """Prepend the straight p-plane run from the exact endpoint +-1 to the
-    image of the truncated far vertex."""
-    target = 1.0 if first_p.real >= 0 else -1.0
-    x, w = gauss(_GLN)
-    t = 0.5 * x + 0.5
-    p = target + (first_p - target) * t
-    dp = (first_p - target) * 0.5 * np.ones_like(t)
-    return [(p, dp * w)] + segs
-
-
-def omega_varpi(n: int, u: float, segs, family_d) -> tuple[float, float]:
+def omega_varpi(n: int, u: float, batches, family_d) -> tuple[float, float]:
     """The two bound integrals along the mapped path.
 
     omega = 2 int |E_n'(p) dp|
           + sum_{s=1}^{n-1} u^{-s} int | sum_{k=s}^{n-1} W(p) E_k' E_{s+n-k-1}' dp |
     varpi = 4 sum_{s=0}^{n-2} u^{-s} int |E_{s+1}'(p) dp|
 
-    family_d: list of derivative polynomials (index by subscript).
+    batches: (p, dp w) arrays as _beta_image yields them; family_d: list
+    of derivative polynomials (index by subscript).
     """
     if n >= len(family_d):
         raise OrderError(f"order n={n} beyond generated tables")
     return _omega_varpi_template(
-        n, u, segs, lambda p: [poly(p) for poly in family_d[:n + 1]],
+        n, u, batches, lambda p: [poly(p) for poly in family_d[:n + 1]],
         lambda p: np.abs(1.0 - p * p) ** 2)
 
 
-def _omega_varpi_template(n: int, u: float, segs, derivs,
+def _omega_varpi_template(n: int, u: float, batches, derivs,
                           weight) -> tuple[float, float]:
     """omega and varpi from the exponent-coefficient derivatives at the
     quadrature nodes of a mapped path.
 
-    segs: (nodes, weighted path element) arrays per segment;
+    batches: (nodes, weighted path element) arrays, taken as they come;
     derivs(nodes): [d_0, ..., d_n], d_k the derivative of the k-th
     coefficient at the nodes (d_0 is not used); weight(nodes): the factor
     of the cross terms.
     """
     omega = varpi = 0.0
-    for i in range(0, len(segs), _BATCH_SEGS):
-        x, dxw = (np.concatenate(a) for a in zip(*segs[i:i + _BATCH_SEGS]))
+    for x, dxw in batches:
         d = derivs(x)
         absd = np.abs(dxw)
         wfac = weight(x)
@@ -152,9 +132,7 @@ def _lg_bound(u: float, z: complex, n: int, endpoint: str, variant: str,
     """eta bound of order n along the monotone path from z to the endpoint,
     for the coefficient family whose derivatives are family_d."""
     path = plane.monotone_path(z, endpoint, variant)
-    segs, first_p = _beta_image(path)
-    segs = _append_endpoint_tail(segs, first_p)
-    om, vp = omega_varpi(n, u, segs, family_d)
+    om, vp = omega_varpi(n, u, _beta_image(path), family_d)
     return eta_bound(n, u, om, vp)
 
 
@@ -174,6 +152,7 @@ def _pcfp_exponent(u: float, z: complex, n: int, which: str, family,
                    family_d) -> tuple[complex, float]:
     """Exponent of the W1 or W2 solution built on a coefficient family
     (Ebar for w, Etilde for the derivative equation) and its eta bound."""
+    check_inputs(u, z)
     if not 1 <= n <= get_tables().s_max // 2:
         raise OrderError(f"n={n} outside the supported order range")
     _check_pcfp_domain(z, which)
@@ -250,15 +229,6 @@ def pcf_Uprime_pos(u: float, z: complex, n: int, sign: str = "+z") -> CertifiedV
 # negative-parameter Weber functions
 # ----------------------------------------------------------------------
 
-def chi_m(u: float, m: int) -> float:
-    """(u/4) ln(2e/u) - sum (-1)^s Ebar_{2s+1}(1) u^{-2s-1}."""
-    t = get_tables()
-    acc = (u / 4.0) * (math.log(2.0 / u) + 1.0)
-    for s, c in enumerate(t.Ebar_odd_at_1(m)):
-        acc -= (-1) ** s * float(c) / u ** (2 * s + 1)
-    return acc
-
-
 def _check_webm_domain(z: complex) -> None:
     if abs(z - 1j) < TP_REFUSAL or abs(z + 1j) < TP_REFUSAL:
         raise DomainError(f"z={z} within refusal radius of a turning point")
@@ -270,13 +240,14 @@ def _check_webm_domain(z: complex) -> None:
 def weber_neg_Wj(u: float, z: complex, m: int, j: int,
                  derivative: bool = False) -> CertifiedValue:
     """W_j(-u/2, sqrt(2u) z) for j in {0, 3} (and the derivative variant)."""
+    check_inputs(u, z)
     if j not in (0, 3):
         raise ValueError("j must be 0 or 3")
     z = complex(z)
     _check_webm_domain(z)
     t = get_tables()
-    if 2 * m + 2 > t.s_max:
-        raise OrderError(f"m={m} beyond generated depth")
+    if not 0 <= m < t.s_max // 2:
+        raise OrderError(f"m={m} outside the supported order range")
     xb = plane.xi_bar(z)
     bb = plane.beta_bar(z)
     sgn = 1.0 if j == 0 else -1.0
@@ -307,15 +278,14 @@ def weber_neg_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedVal
     """W(-u/2, +-sqrt(2u) x) for x >= 0: cosine/sine forms with the exact
     elementary phase constant; the residual phase of (1+eta) is folded into
     the certified envelope-relative bound."""
-    from .tp import weber_constants
-
+    check_inputs(u, x)
     if x < 0:
         raise DomainError("x must be >= 0; use the sign argument")
     if sign not in ("+x", "-x"):
         raise ValueError("sign must be '+x' or '-x'")
     t = get_tables()
-    if 2 * m + 2 > t.s_max:
-        raise OrderError(f"m={m} beyond generated depth")
+    if not 0 <= m < t.s_max // 2:
+        raise OrderError(f"m={m} outside the supported order range")
     z = complex(x)
     xb = plane.xi_bar(z).real
     bb = plane.beta_bar(z).real

@@ -223,12 +223,17 @@ def _series_exp(a: list[Fraction], n: int) -> list[Fraction]:
     return out
 
 
-def zeta_series(z: complex) -> complex:
+def zeta_over_w(z: complex) -> complex:
+    """zeta(z) / (z - 1) by the local series (|z - 1| < ZETA_SERIES_RADIUS)."""
     w = complex(z) - 1.0
     v = 0j
     for c in reversed(_zeta_series_coeffs()):
         v = v * w + c
-    return v * w
+    return v
+
+
+def zeta_series(z: complex) -> complex:
+    return (complex(z) - 1.0) * zeta_over_w(z)
 
 
 def zeta_closed(z: complex) -> complex:

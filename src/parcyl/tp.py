@@ -4,7 +4,7 @@ Slowly-varying coefficient functions A_{2m+2}, B_{2m+2} (evaluated directly
 away from z = 1 and through a Cauchy circle integral near it), the
 homogeneous solutions built on them for the z^2-1 equation, the rotated and
 companion solutions, the connection constants, and the real Weber functions
-with their elementary constants k(u), phi2(u), chi_m(u).
+(their elementary constants live in `constants`).
 
 Conventions: everything is evaluated with upper-half-plane branch limits
 and conjugated for Im z < 0 (the coefficient functions are real on the real
@@ -24,10 +24,10 @@ from scipy.special import loggamma
 from . import plane
 from .airy import AiryValue, airy, env_airy
 from .coeffs import get_tables
+from .constants import delta_n_pm, odd_sum_at_1
 from .errors import DomainError, OrderError, check_inputs
-from .lg import (CertifiedValue, _GLN, _omega_varpi_template, chi_m,
-                 omega_varpi)
-from .quadrature import gauss
+from .lg import CertifiedValue, _omega_varpi_template, omega_varpi
+from .quadrature import polyline_nodes
 from .scaled import ScaledComplex
 
 CAUCHY_RADIUS = 0.5
@@ -55,16 +55,6 @@ class TPCoeffs:
     est_err: float
 
 
-@dataclass(frozen=True)
-class WeberConstants:
-    k: float
-    k_inv: float
-    rho: float
-    phi2: float
-    chi_m: float
-    eps_m: float
-
-
 # ----------------------------------------------------------------------
 # branch-correct building blocks (upper half plane conventions)
 # ----------------------------------------------------------------------
@@ -73,19 +63,11 @@ def _root_A(z: complex) -> complex:
     """(zeta/(z^2-1))^{1/4}, real positive on (-1, inf)."""
     z = plane.canon(z)
     if abs(z - 1.0) < plane.ZETA_SERIES_RADIUS:
-        g = _zeta_over_w(z) / (z + 1.0)
+        g = plane.zeta_over_w(z) / (z + 1.0)
     else:
         _, zeta = plane.xi_zeta(z)
         g = zeta / (z * z - 1.0)
     return g ** 0.25
-
-
-def _zeta_over_w(z: complex) -> complex:
-    w = complex(z) - 1.0
-    acc = 0j
-    for c in reversed(plane._zeta_series_coeffs()):
-        acc = acc * w + c
-    return acc
 
 
 def _root_B(z: complex, variant: str) -> complex:
@@ -172,8 +154,6 @@ def _mod_sums(g: _Geometry, u: float, m: int):
     product with the weights u^{-s}, s = 1..2m+1, of one parity.
     """
     n = 2 * m + 1
-    if n > g.plain.shape[1]:
-        raise OrderError(f"m={m} beyond generated depth")
     s = np.arange(1, n + 1)
     w = float(u) ** -s.astype(float)
     even = np.where(s % 2 == 0, w, 0.0)
@@ -208,6 +188,8 @@ def _ab_direct(u: float, z: complex, m: int, variant: str) -> tuple[complex, com
 def tp_coeff_funcs(u: float, z: complex, m: int, variant: str = "PCF-") -> TPCoeffs:
     """A_{2m+2}(u,z), B_{2m+2}(u,z) (Weber variant when requested)."""
     check_inputs(u, z)
+    if not 0 <= m < get_tables().s_max // 2:
+        raise OrderError(f"m={m} outside the supported order range")
     if variant not in ("PCF-", "WEB+"):
         raise ValueError("variant must be 'PCF-' or 'WEB+'")
     z = plane.canon(z)
@@ -248,18 +230,13 @@ def _ab_cauchy(u: float, z: complex, m: int, variant: str) -> tuple[complex, com
 # ----------------------------------------------------------------------
 
 def _beta_image_minus(path: plane.PathPolyline):
-    """Continuous beta = z/sqrt(z^2-1) image of a PCF- estimate path."""
-    x, w = gauss(_GLN)
-    t = 0.5 * x + 0.5
-    segs = []
-    xi_nodes = []
-    for zs, ze in path.segments():
-        zn = zs + (ze - zs) * t
+    """Continuous beta = z/sqrt(z^2-1) and xi images of a PCF- estimate
+    path: lists of (beta, dbeta w) and (xi, dxi w) batches."""
+    segs, xi_nodes = [], []
+    for zn, dzw in polyline_nodes(path.vertices):
         sq = plane.sqrt_zz_minus_1(zn)
-        dp = -(ze - zs) * 0.5 / sq ** 3
-        segs.append((zn / sq, dp * w))
-        dxi = (ze - zs) * 0.5 * sq
-        xi_nodes.append((plane.xi_minus(zn), dxi * w))
+        segs.append((zn / sq, -dzw / sq ** 3))
+        xi_nodes.append((plane.xi_minus(zn), dzw * sq))
     return segs, xi_nodes
 
 
@@ -272,26 +249,9 @@ def _gamma_beta_xi(n: int, u: float, xi_nodes, seq) -> tuple[float, float]:
         lambda xi: [c * xi ** (-k - 1) for k, c in enumerate(coef)],
         lambda xi: 1.0)
     # analytic tail of the leading term beyond the truncated far endpoint
-    xi_far = max(abs(complex(xi[0])) for xi, _ in xi_nodes)
+    # (the first node of each segment lies nearest its far end)
+    xi_far = max(float(np.max(np.abs(xi[:, 0]))) for xi, _ in xi_nodes)
     return gam + 2.0 * float(seq[n]) / (n * xi_far ** n), bet
-
-
-def lambda_pm(u: float) -> ScaledComplex:
-    """lambda_{+-1}(u) = (2e/u)^{u/2} Gamma(u/2 + 1/2) / sqrt(2 pi)."""
-    lg = complex(loggamma(u / 2.0 + 0.5)).real
-    return ScaledComplex.from_log(
-        (u / 2.0) * (math.log(2.0 / u) + 1.0) + lg - 0.5 * math.log(2.0 * math.pi))
-
-
-def delta_n_pm(u: float, n: int) -> float:
-    """lambda exp{-2 sum_{s>=0} E_{2s+1}(1)/u^{2s+1}} - 1 = O(u^{-n})."""
-    t = get_tables()
-    m_terms = min((n - 1) // 2 + 1, t.s_max // 2)
-    acc = 0.0
-    for s, c in enumerate(t.E_odd_at_1(m_terms - 1)):
-        acc += float(c) / u ** (2 * s + 1)
-    val = lambda_pm(u) * ScaledComplex.from_log(-2.0 * acc)
-    return abs(val.to_complex() - 1.0)
 
 
 def _ab_est_err(u: float, z: complex, m: int, variant: str) -> float:
@@ -302,10 +262,8 @@ def _ab_est_err(u: float, z: complex, m: int, variant: str) -> float:
     n = 2 * m + 2
     t = get_tables()
     try:
-        ep_j = "+inf"
-        ep_k = "+iinf" if z.imag >= 0 else "-iinf"
-        path_j = plane.monotone_path(z, ep_j, "PCF-")
-        path_k = plane.monotone_path(z, ep_k, "PCF-")
+        path_j = plane.monotone_path(z, "+inf", "PCF-")
+        path_k = plane.monotone_path(z, "+iinf" if z.imag >= 0 else "-iinf", "PCF-")
         e_vals = []
         for path, dlt in ((path_j, 0.0), (path_k, delta_n_pm(u, n))):
             segs, xi_nodes = _beta_image_minus(path)
@@ -361,9 +319,8 @@ def pcf_U_neg(u: float, z: complex, m: int) -> CertifiedValue:
     if u < 5:
         raise DomainError("parameter too small for the expansion (u >= 5)")
     _check_tp_domain(z, "PCF-")
-    t = get_tables()
     wm, rel = _w_ml(u, z, m, 0, "PCF-")
-    odd1 = sum(float(c) / u ** (2 * s + 1) for s, c in enumerate(t.E_odd_at_1(m)))
+    odd1 = odd_sum_at_1(u, m)
     logpref = 0.5 * math.log(math.pi) + (0.75 - 0.25 * u) * math.log(2.0) \
         + (0.25 * u - 1.0 / 12.0) * math.log(u) - 0.25 * u + odd1
     val = ScaledComplex.from_log(logpref) * wm
@@ -380,11 +337,10 @@ def pcf_U_rotated(u: float, z: complex, m: int, sign: str = "-i") -> CertifiedVa
     _check_tp_domain(z, "PCF-")
     if sign not in ("-i", "+i"):
         raise ValueError("sign must be '-i' or '+i'")
-    t = get_tables()
     upper = sign == "-i"
     l = 1 if upper else -1
     wm, rel = _w_ml(u, z, m, l, "PCF-")
-    odd1 = sum(float(c) / u ** (2 * s + 1) for s, c in enumerate(t.E_odd_at_1(m)))
+    odd1 = odd_sum_at_1(u, m)
     logpref = 0.5 * math.log(math.pi) + (0.75 + 0.25 * u) * math.log(2.0) \
         - (0.25 * u + 1.0 / 12.0) * math.log(u) + 0.25 * u - odd1
     phase = (0.25 * u + 1.0 / 12.0) * math.pi if upper else \
@@ -398,9 +354,8 @@ def pcf_V_neg(u: float, z: complex, m: int) -> CertifiedValue:
     check_inputs(u, z)
     z = complex(z)
     _check_tp_domain(z, "PCF-")
-    t = get_tables()
     wm, rel = _w_ml(u, z, m, 0, "PCF-", use_bi=True)
-    odd1 = sum(float(c) / u ** (2 * s + 1) for s, c in enumerate(t.E_odd_at_1(m)))
+    odd1 = odd_sum_at_1(u, m)
     logpref = (0.25 + 0.25 * u) * math.log(2.0) \
         - (0.25 * u + 1.0 / 12.0) * math.log(u) + 0.25 * u - odd1
     val = ScaledComplex.from_log(logpref) * wm
@@ -424,7 +379,7 @@ def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> Certif
         ph1 = (-1j if upper else 1j) * cmath.exp((1j if upper else -1j) * math.pi * a)
         # 1/Gamma(1/2 - a) = cos(pi a) Gamma(a + 1/2) / pi
         lg = complex(loggamma(a + 0.5)).real
-        gfac = math.cos(math.pi * a) / math.pi * math.exp(0.0)
+        gfac = math.cos(math.pi * a) / math.pi
         ph2 = cmath.exp((1j if upper else -1j) * math.pi * (0.5 * a + 0.25))
         term1 = uneg.value * ph1
         term2 = rot.value * (ScaledComplex.from_log(
@@ -438,8 +393,7 @@ def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> Certif
         uneg = pcf_U_neg(u, w, m)
         vneg = pcf_V_neg(u, w, m)
         lg = complex(loggamma(a + 0.5)).real
-        term1 = uneg.value * (math.cos(math.pi * a) * math.exp(0.0)) * \
-            ScaledComplex.from_log(-lg)
+        term1 = uneg.value * math.cos(math.pi * a) * ScaledComplex.from_log(-lg)
         term2 = vneg.value * (-math.sin(math.pi * a))
         val = term1 + term2
         rel = max(uneg.rel_bound, vneg.rel_bound) * 3.0
@@ -448,35 +402,8 @@ def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> Certif
 
 
 # ----------------------------------------------------------------------
-# Weber constants and real Weber functions
+# real Weber functions
 # ----------------------------------------------------------------------
-
-def _k_stable(u: float) -> float:
-    if u >= 0:
-        x = math.exp(-math.pi * u / 2.0)
-        return x / (math.sqrt(1.0 + x * x) + 1.0)
-    return math.sqrt(1.0 + math.exp(math.pi * u)) - math.exp(math.pi * u / 2.0)
-
-
-def _k_inv_stable(u: float) -> float:
-    return math.exp(math.pi * u / 2.0) * (math.sqrt(1.0 + math.exp(-math.pi * u)) + 1.0)
-
-
-def weber_constants(u: float, m: int) -> WeberConstants:
-    """k, 1/k, rho, phi2, chi_m and eps_m = phi2/2 + chi_m."""
-    if u <= 0:
-        raise DomainError("u must be positive")
-    phi2 = complex(loggamma(0.5 + 0.5j * u)).imag
-    cm = chi_m(u, m)
-    return WeberConstants(
-        k=_k_stable(u),
-        k_inv=_k_inv_stable(u),
-        rho=0.5 * phi2 + math.pi / 8.0,
-        phi2=phi2,
-        chi_m=cm,
-        eps_m=0.5 * phi2 + cm,
-    )
-
 
 def weber_W_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedValue:
     """W(u/2, +-sqrt(2u) x), uniformly valid for x >= -1 + 0.05.
@@ -499,7 +426,6 @@ def weber_W_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedValue
     _, zeta = plane.xi_zeta(z)
     co = tp_coeff_funcs(u, z, m, "WEB+")
     av = airy(-u ** (2.0 / 3.0) * zeta.real)
-    k = _k_stable(u)
     logk = -math.pi * u / 2.0 - math.log(math.sqrt(1.0 + math.exp(-math.pi * u)) + 1.0)
     envai, envbi = env_airy(-u ** (2.0 / 3.0) * zeta.real)
     if sign == "+x":

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from parcyl import inhom, lg, oracle, plane, tp
+from parcyl import constants, inhom, lg, oracle, plane, tp
 from parcyl.airy import airy, env_airy
 from parcyl.scaled import ScaledComplex
 
@@ -171,7 +171,7 @@ def test_criterion_5_connection_identities():
     resids["half-sum"] = worst
 
     # real Weber conjugate assembly
-    wc = tp.weber_constants(u, 3)
+    wc = constants.weber_constants(u, 3)
     worst = 0.0
     for x in (0.5, 1.0, 2.0):
         Wp = tp.weber_W_real(u, x, 3, "+x").value.to_complex()
@@ -217,7 +217,7 @@ def test_criterion_6_constant_asymptotics():
     m = 2
     sup = 0.0
     for u in np.geomspace(20.0, 200.0, 8):
-        wc = tp.weber_constants(float(u), m)
+        wc = constants.weber_constants(float(u), m)
         sup = max(sup, abs(wc.eps_m) * float(u) ** (2 * m + 2))
     ok = 0.95 <= ratio <= 1.05 and sup < 10.0
     _report("criterion 6 (constant asymptotics)", ok,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma, loggamma, rgamma
 
-from parcyl import inhom, lg, oracle, plane, tp
+from parcyl import inhom, lg, oracle, plane, quadrature, tp
 from parcyl.errors import (ArgumentError, DomainError, OrderError, PairError,
                            PoleError)
 
@@ -259,10 +259,21 @@ def test_array_evaluation_of_G_matches_scalar_calls():
 
 
 def test_bound_integrals_do_not_depend_on_the_batching(monkeypatch):
+    # the two-segment PCF- estimate path of z = 0.5+0.1j then spans two
+    # batches, as does every segment run of the traced inhom leg
     args = (20.0, -1.5 + 1.5j, 3, 1, "plus", (0, 2))
-    whole = inhom._bound_integrals(*args)
-    monkeypatch.setattr(inhom, "_BATCH_SEGS", 5)
-    assert inhom._bound_integrals(*args) == pytest.approx(whole, rel=1e-13)
+    est_args = (20.0, 0.5 + 0.1j, 3, "PCF-")
+    whole = inhom._bound_integrals(*args), tp._ab_est_err(*est_args)
+    monkeypatch.setattr(quadrature, "BATCH_SEGMENTS", 1)
+    batched = inhom._bound_integrals(*args), tp._ab_est_err(*est_args)
+    assert batched == pytest.approx(whole, rel=1e-13)
+
+
+ENTRIES = {
+    "inhom_scorer": lambda u, z, m=2: inhom.inhom_scorer(u, z, m, 0),
+    "connect_inhom_pcfm": lambda u, z, m=2: inhom.connect_inhom_pcfm(u, z, m, 0),
+    "inhom_series": lambda u, z, n=3: inhom.inhom_series(u, z, n, 0),
+}
 
 
 @pytest.mark.parametrize("u,z,exc", [
@@ -270,10 +281,17 @@ def test_bound_integrals_do_not_depend_on_the_batching(monkeypatch):
     (math.nan, 1.05, ArgumentError), (math.inf, 1.05, ArgumentError),
     (20.0, complex(math.nan, 0.0), ArgumentError),
     (20.0, complex(math.inf, 0.0), ArgumentError)])
-@pytest.mark.parametrize("entry", [
-    lambda u, z: inhom.inhom_scorer(u, z, 2, 0),
-    lambda u, z: inhom.connect_inhom_pcfm(u, z, 2, 0)],
-    ids=["inhom_scorer", "connect_inhom_pcfm"])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_typed_errors_for_bad_inputs(entry, u, z, exc):
     with pytest.raises(exc):
-        entry(u, z)
+        ENTRIES[entry](u, z)
+
+
+# supported: m = 0..4 for the Scorer forms, n = 1..12 for the series
+@pytest.mark.parametrize("entry,order", [
+    ("inhom_scorer", -1), ("inhom_scorer", 5),
+    ("connect_inhom_pcfm", -1), ("connect_inhom_pcfm", 5),
+    ("inhom_series", 0), ("inhom_series", 13), ("inhom_series", 99)])
+def test_typed_errors_for_bad_orders(entry, order):
+    with pytest.raises(OrderError):
+        ENTRIES[entry](20.0, 2.0 if entry == "inhom_series" else 1.05, order)

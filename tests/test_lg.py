@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from parcyl import lg, oracle, plane, tp
+from parcyl import constants, lg, oracle, plane, quadrature
 from parcyl.coeffs import get_tables
-from parcyl.errors import DomainError, OrderError
+from parcyl.errors import ArgumentError, DomainError, OrderError
 
 
 def rel_to_oracle(cv, ov):
@@ -144,7 +144,7 @@ class TestWeberNeg:
     def test_real_weber_x0_phase(self):
         # at x=0 the trig argument collapses to pi/4 - eps_m
         u, m = 20.0, 3
-        wc = tp.weber_constants(u, m)
+        wc = constants.weber_constants(u, m)
         cv = lg.weber_neg_real(u, 0.0, m, "+x")
         kbar = math.sqrt(1 + math.exp(-math.pi * u)) - math.exp(-math.pi * u / 2)
         from fractions import Fraction
@@ -201,11 +201,33 @@ def test_conjugate_symmetry_outputs():
 def test_omega_varpi_matches_the_per_segment_loop(monkeypatch):
     # batches of 7 segments, so the traced path (55 vertices) crosses
     # several batch boundaries
-    monkeypatch.setattr(lg, "_BATCH_SEGS", 7)
+    monkeypatch.setattr(quadrature, "BATCH_SEGMENTS", 7)
     u, n = 20.0, 4
     fam = get_tables().Ebar_d
-    segs, first_p = lg._beta_image(plane.monotone_path(-0.5 + 1.5j, "+inf", "PCF+"))
-    segs = lg._append_endpoint_tail(segs, first_p)
+    path = plane.monotone_path(-0.5 + 1.5j, "+inf", "PCF+")
+    x, w = quadrature.gauss(quadrature.SEGMENT_NODES)
+
+    # the beta_bar image one segment at a time; a segment crossing the cut
+    # (imaginary axis beyond +-i) is split there and the sign flips
+    segs, sign, crossings = [], 1.0, 0
+    for zs, ze in path.segments():
+        t_edges = [0.0, 1.0]
+        if zs.real * ze.real < 0 and min(abs(zs.imag), abs(ze.imag)) >= 1.0:
+            t_edges.insert(1, zs.real / (zs.real - ze.real))
+        for k, (t0, t1) in enumerate(zip(t_edges[:-1], t_edges[1:])):
+            if k:
+                sign, crossings = -sign, crossings + 1
+            zn = zs + (ze - zs) * (0.5 * (t1 - t0) * x + 0.5 * (t0 + t1))
+            sq = np.sqrt(zn * zn + 1.0)
+            segs.append((sign * zn / sq,
+                         sign / sq ** 3 * (ze - zs) * 0.5 * (t1 - t0) * w))
+    assert crossings == 1
+    # the straight p-plane run from the endpoint to the far vertex's image
+    a = path.vertices[0]
+    p0 = a / np.sqrt(a * a + 1.0)
+    target = 1.0 if p0.real >= 0 else -1.0
+    segs.insert(0, (target + (p0 - target) * (0.5 * x + 0.5),
+                    (p0 - target) * 0.5 * w))
 
     def ev(k, p):
         return np.polyval([float(c) for c in reversed(fam[k].coeffs)], p)
@@ -219,4 +241,39 @@ def test_omega_varpi_matches_the_per_segment_loop(monkeypatch):
             omega += u ** -s * np.sum(np.abs(inner * (1.0 - p * p) ** 2) * absdp)
         for s in range(n - 1):
             varpi += 4.0 * u ** -s * np.sum(np.abs(ev(s + 1, p)) * absdp)
-    assert lg.omega_varpi(n, u, segs, fam) == pytest.approx((omega, varpi), rel=1e-13)
+    image = list(lg._beta_image(path))
+    # the integrals do not see the sign of p (each family has a parity), so
+    # the sheet is checked on the nodes themselves
+    np.testing.assert_allclose(np.vstack([p for p, _ in image]),
+                               np.vstack([p for p, _ in segs]), rtol=1e-13)
+    got = lg.omega_varpi(n, u, image, fam)
+    assert got == pytest.approx((omega, varpi), rel=1e-13)
+
+
+ENTRIES = {
+    "lg_W": lambda u, z, n=3: lg.lg_W(u, z, n, "W2"),
+    "pcf_U_pos": lambda u, z, n=3: lg.pcf_U_pos(u, z, n),
+    "pcf_Uprime_pos": lambda u, z, n=3: lg.pcf_Uprime_pos(u, z, n),
+    "weber_neg_Wj": lambda u, z, n=3: lg.weber_neg_Wj(u, z, n, 0),
+    "weber_neg_real": lambda u, z, n=3: lg.weber_neg_real(u, z.real, n),
+}
+BAD_INPUTS = [(0.0, 1.05, DomainError), (-5.0, 1.05, DomainError),
+              (math.nan, 1.05, ArgumentError), (math.inf, 1.05, ArgumentError),
+              (20.0, complex(math.nan, 0.0), ArgumentError),
+              (20.0, complex(math.inf, 0.0), ArgumentError)]
+
+
+@pytest.mark.parametrize("u,z,exc", BAD_INPUTS)
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_typed_errors_for_bad_inputs(entry, u, z, exc):
+    with pytest.raises(exc):
+        ENTRIES[entry](u, complex(z))
+
+
+# supported: n = 1..6 for the z^2+1 forms, m = 0..5 for the Weber forms
+@pytest.mark.parametrize("entry,order", [
+    *((e, n) for e in ("lg_W", "pcf_U_pos", "pcf_Uprime_pos") for n in (-1, 0, 7)),
+    *((e, m) for e in ("weber_neg_Wj", "weber_neg_real") for m in (-1, 6))])
+def test_typed_errors_for_bad_orders(entry, order):
+    with pytest.raises(OrderError):
+        ENTRIES[entry](20.0, 1.5 + 0j, order)

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from parcyl import oracle, plane, tp
-from parcyl.errors import ArgumentError, DomainError
+from parcyl import constants, oracle, plane, tp
+from parcyl.errors import ArgumentError, DomainError, OrderError
 from parcyl.scaled import ScaledComplex
 
 
@@ -168,23 +168,22 @@ class TestLambda:
     def test_closed_form(self):
         from scipy.special import loggamma
         u = 20.0
-        lam = tp.lambda_pm(u)
+        lam = constants.lambda_pm(u)
         expect = (u / 2) * (math.log(2 / u) + 1) + complex(loggamma(u / 2 + 0.5)).real \
             - 0.5 * math.log(2 * math.pi)
         assert lam.log_abs == pytest.approx(expect, abs=1e-12)
 
     def test_stirling_limit(self):
-        assert abs(tp.lambda_pm(200.0).to_complex() - 1.0) < 1e-3
+        assert abs(constants.lambda_pm(200.0).to_complex() - 1.0) < 1e-3
 
     def test_delta_scaling(self):
         for u in (10.0, 20.0, 40.0):
-            assert tp.delta_n_pm(u, 4) * u ** 4 < 0.01
+            assert constants.delta_n_pm(u, 4) * u ** 4 < 0.01
 
 
 class TestWeberConstants:
     def test_k_at_zero(self):
-        import parcyl.tp as _tp
-        assert _tp._k_stable(0.0) == pytest.approx(math.sqrt(2) - 1, rel=1e-15)
+        assert constants._k_stable(0.0) == pytest.approx(math.sqrt(2) - 1, rel=1e-15)
 
     def test_phi2_zero(self):
         from scipy.special import loggamma
@@ -192,7 +191,7 @@ class TestWeberConstants:
 
     def test_k_product(self):
         for u in (5.0, 20.0, 120.0):
-            wc = tp.weber_constants(u, 2)
+            wc = constants.weber_constants(u, 2)
             assert abs(wc.k * wc.k_inv - 1.0) <= 1e-14
 
     def test_eps_identity_and_scaling(self):
@@ -200,7 +199,7 @@ class TestWeberConstants:
         m = 2
         prev = None
         for u in (20.0, 40.0, 80.0, 160.0):
-            wc = tp.weber_constants(u, m)
+            wc = constants.weber_constants(u, m)
             t = complex(np.tanh(np.pi * (u + 1j) / 4.0)) ** 0.25
             assert abs(cmath.exp(1j * wc.eps_m) - t) < 1e-9
             scaled = abs(wc.eps_m) * u ** (2 * m + 2)
@@ -230,7 +229,7 @@ class TestWeberReal:
     def test_conjugate_assembly(self):
         # k^{-1/2} W(+) + i k^{1/2} W(-) = sqrt(2) e^{pi u/8} e^{i rho} W_0
         u, m = 20.0, 3
-        wc = tp.weber_constants(u, m)
+        wc = constants.weber_constants(u, m)
         for x in (0.5, 1.0, 2.0):
             Wp = tp.weber_W_real(u, x, m, "+x").value.to_complex()
             Wm = tp.weber_W_real(u, x, m, "-x").value.to_complex()
@@ -247,11 +246,11 @@ class TestWeberReal:
 
 
 ENTRIES = {
-    "tp_coeff_funcs": lambda u, z: tp.tp_coeff_funcs(u, z, 3),
-    "pcf_U_neg": lambda u, z: tp.pcf_U_neg(u, z, 3),
-    "pcf_U_rotated": lambda u, z: tp.pcf_U_rotated(u, z, 3),
-    "pcf_V_neg": lambda u, z: tp.pcf_V_neg(u, z, 3),
-    "weber_W_real": lambda u, z: tp.weber_W_real(u, z.real, 3),
+    "tp_coeff_funcs": lambda u, z, m=3: tp.tp_coeff_funcs(u, z, m),
+    "pcf_U_neg": lambda u, z, m=3: tp.pcf_U_neg(u, z, m),
+    "pcf_U_rotated": lambda u, z, m=3: tp.pcf_U_rotated(u, z, m),
+    "pcf_V_neg": lambda u, z, m=3: tp.pcf_V_neg(u, z, m),
+    "weber_W_real": lambda u, z, m=3: tp.weber_W_real(u, z.real, m),
 }
 BAD_INPUTS = [(0.0, 1.05, DomainError), (-5.0, 1.05, DomainError),
               (math.nan, 1.05, ArgumentError), (math.inf, 1.05, ArgumentError),
@@ -264,3 +263,12 @@ BAD_INPUTS = [(0.0, 1.05, DomainError), (-5.0, 1.05, DomainError),
 def test_typed_errors_for_bad_inputs(entry, u, z, exc):
     with pytest.raises(exc):
         ENTRIES[entry](u, complex(z))
+
+
+# supported: m = 0..5, direct (z = 1.5) and Cauchy (z = 1.05) zones
+@pytest.mark.parametrize("z", [1.5, 1.05])
+@pytest.mark.parametrize("m", [-1, 6])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_typed_errors_for_bad_orders(entry, m, z):
+    with pytest.raises(OrderError):
+        ENTRIES[entry](20.0, complex(z), m)
