@@ -171,10 +171,14 @@ def cmd_map(args) -> int:
         try:
             cv = lg.pcf_U_pos(u, z, args.order, "+z")
             ov = oracle.oracle_U(u / 2.0, math.sqrt(2 * u) * z)
-            actual = abs((cv.value / ov.value).to_complex() - 1.0)
-            return (z, cv, actual)
         except ParcylError:
             return (z, None, None)
+        try:
+            actual = abs((cv.value / ov.value).to_complex() - 1.0)
+        except OverflowError:
+            # the ratio exceeds the float range: a miss like any other
+            actual = math.inf
+        return (z, cv, actual)
 
     with ThreadPoolExecutor(max_workers=args.workers) as ex:
         rows = list(ex.map(work, points))

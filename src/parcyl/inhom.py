@@ -23,8 +23,8 @@ from .constants import chi_m, odd_sum_at_1
 from .lg import BOUND_SAFETY, CertifiedValue, weber_neg_Wj
 from .quadrature import polyline_nodes
 from .scaled import ScaledComplex
-from .tp import (_Geometry, _mod_sums, _point_geometry, _ring, _ring_geometry,
-                 pcf_U_neg, tp_coeff_funcs)
+from .tp import (TPCoeffs, _Geometry, _mod_sums, _point_geometry, _ring,
+                 _ring_geometry, _u_neg_from, tp_coeff_funcs)
 
 #: empirical margin for the dropped contour-remainder of the Scorer
 #: expansions; the u=10 worst case measured by scripts/calibration_sweep.py
@@ -349,6 +349,12 @@ def inhom_scorer(u: float, z: complex, m: int, R: int, variant: str = "PCF-",
     For variant 'WEB+' the assembly uses the Weber connection constant
     and sign-flipped analytic parts is used.
     """
+    z = _check_scorer_inputs(u, z, m, variant, pair)
+    return _scorer_values(u, z, m, R, variant, [pair])[0][0]
+
+
+def _check_scorer_inputs(u: float, z: complex, m: int, variant: str,
+                         pair: tuple[int, int]) -> complex:
     check_inputs(u, z)
     z = complex(z)
     if variant not in ("PCF-", "WEB+"):
@@ -361,11 +367,21 @@ def inhom_scorer(u: float, z: complex, m: int, R: int, variant: str = "PCF-",
         raise DomainError("z outside the turning-point domain")
     if variant == "WEB+" and z.imag == 0.0 and z.real <= -1.0:
         raise DomainError("on the cut (-inf,-1]")
+    return z
+
+
+def _scorer_values(u: float, z: complex, m: int, R: int, variant: str,
+                   pairs: list[tuple[int, int]]
+                   ) -> tuple[list[CertifiedValue], TPCoeffs]:
+    """inhom_scorer at one point for each pair of `pairs`, with the
+    coefficient functions, the Scorer contour and the G* sum evaluated once;
+    also returns the coefficient functions at z."""
     if z.imag < 0:
-        flipped = {(-1, 1): (-1, 1), (0, 1): (-1, 0), (-1, 0): (0, 1)}[pair]
-        v = inhom_scorer(u, z.conjugate(), m, R, variant, flipped)
-        return CertifiedValue(v.value.conj(), v.rel_bound, m, v.domain_ok,
-                              v.noncertified)
+        flipped = [{(-1, 1): (-1, 1), (0, 1): (-1, 0), (-1, 0): (0, 1)}[p]
+                   for p in pairs]
+        vals, co = _scorer_values(u, z.conjugate(), m, R, variant, flipped)
+        return [CertifiedValue(v.value.conj(), v.rel_bound, m, v.domain_ok,
+                               v.noncertified) for v in vals], co.conj()
 
     weber = variant == "WEB+"
     gamma = (gamma_W_mR(u, m, R) if weber else gamma_mR(u, m, R)).value.to_complex()
@@ -375,15 +391,18 @@ def inhom_scorer(u: float, z: complex, m: int, R: int, variant: str = "PCF-",
     # the solution pair labels recession sectors (0 <-> +inf, +-1 <-> +-i inf
     # of the z plane); the bounded Scorer companion for sectors {0,1} is the
     # e^{+2 pi i/3}-rotated one (verified against the quadrature oracle)
-    wi_key = {(0, 1): (-1, 0), (-1, 0): (0, 1), (-1, 1): (-1, 1)}[pair]
-    hom = gamma * (wi(arg, wi_key) * co.A + wi_prime(arg, wi_key) * co.B)
+    homs = []
+    for pair in pairs:
+        wi_key = {(0, 1): (-1, 0), (-1, 0): (0, 1), (-1, 1): (-1, 1)}[pair]
+        homs.append(gamma * (wi(arg, wi_key) * co.A + wi_prime(arg, wi_key) * co.B))
     contour = _scorer_contour(u, z, m, variant)
     g_part = _gstar_sum(u, z, m, R, weber) - gamma * contour / u ** (2.0 / 3.0)
-    w = hom + g_part
     scale = ScaledComplex.from_log((0.5 * R + 1.0) * math.log(2.0 * u))
     est = SCORER_MARGIN * (10.0 / u) ** (2 * m + 4) + co.est_err
     rel = est  # envelope-relative figure
-    return CertifiedValue(scale * w, rel, m, noncertified=("contour_remainder",))
+    return [CertifiedValue(scale * (hom + g_part), rel, m,
+                           noncertified=("contour_remainder",))
+            for hom in homs], co
 
 
 # ----------------------------------------------------------------------
@@ -405,14 +424,14 @@ def connect_inhom(variant: str, R: int, u: float, z: complex,
 def connect_inhom_pcfm(u: float, z: complex, m: int, R: int) -> CertifiedValue:
     """U_R^{(0,2)}(-u/2, sqrt(2u) z) via the half-sum connection with the
     real part of Lambda_R(-a)."""
-    check_inputs(u, z)
-    z = complex(z)
+    z = _check_scorer_inputs(u, z, m, "PCF-", (0, 1))
     a = u / 2.0
-    u01 = inhom_scorer(u, z, m, R, "PCF-", (0, 1))
-    u03 = inhom_scorer(u, z, m, R, "PCF-", (-1, 0))
+    (u01, u03), co = _scorer_values(u, z, m, R, "PCF-", [(0, 1), (-1, 0)])
     lam = lambda_R(a, R, "-a").value
     re_lam = ScaledComplex.from_complex(complex(lam.to_complex().real))
-    uneg = pcf_U_neg(u, z, m)
+    if u < 5:
+        raise DomainError("parameter too small for the expansion (u >= 5)")
+    uneg = _u_neg_from(u, z, m, co)
     val = (u01.value + u03.value) * 0.5 + re_lam * uneg.value
     rel = max(u01.rel_bound, u03.rel_bound, uneg.rel_bound) * 3.0
     return CertifiedValue(val, rel, m, noncertified=("contour_remainder",))

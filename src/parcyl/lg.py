@@ -303,8 +303,7 @@ def weber_neg_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedVal
         pref = (2.0 / (u * kbar ** 2 * (1.0 + x * x))) ** 0.25
         trig = math.sin(theta)
     val = ScaledComplex.from_complex(pref * math.exp(even) * trig)
-    eta = _lg_bound(u, z if x > 0 else complex(1e-9), 2 * m + 2, "e+ipi/4",
-                    "WEB-", t.Ebar_d)
+    eta = _lg_bound(u, z, 2 * m + 2, "e+ipi/4", "WEB-", t.Ebar_d)
     # dropped |1+eta| modulus and arg(1+eta) phase each contribute <= eta
     bound = 2.0 * eta
     return CertifiedValue(val, bound, m, noncertified=("eps_tilde_phase",))

@@ -42,6 +42,8 @@ def canon(z: complex) -> complex:
 BOX_RADIUS = 50.0
 #: minimum admissible distance of path vertices from turning points
 TP_CLEARANCE = 1e-3
+#: largest deviation from the traced level allowed at a chord midpoint
+CHORD_TOL = 1e-4
 
 
 # ----------------------------------------------------------------------
@@ -448,38 +450,59 @@ def trace_level_curve(start: complex, variant: str, quantity: str = "re",
     RK4 predictor on dz/ds = +-i conj(xi') / |xi'|, Newton corrector back
     onto the level set.  Terminates at |z| = BOX_RADIUS or on a cut;
     direction=0 returns the degenerate single-point polyline.
+
+    `step` is the arc-length step at unit scale: after an accepted vertex
+    the step grows by at most 1.6x up to step * max(1, |z|).  The level
+    curves bend like |z| / |z^2+1|^{3/2}, so the chord error per segment
+    stays roughly even along the arc, and a box-edge arc takes a few
+    hundred vertices instead of thousands.  A step is rejected (and
+    halved) when its vertex leaves the level set or comes near a turning
+    point, or when its chord midpoint strays more than CHORD_TOL from the
+    level, as it would where an arc turns tightly far out (near the cut
+    at large |Im z|).  Towards a cut the step is at most max(step,
+    |Re z|), so the trace stops within step/2 of the axis at any |z|.
     """
     xi_fn, fp_fn = _variant_xi(variant)
     start = complex(start)
     if direction == 0:
         return PathPolyline([start], variant, quantity)
-    tps = (1j, -1j) if variant in ("PCF+", "WEB-") else (1.0, -1.0)
+    tp_a, tp_b = (1j, -1j) if variant in ("PCF+", "WEB-") else (1.0, -1.0)
+    near_tp = 10 * TP_CLEARANCE
+    on_re = quantity == "re"
+    stop_at_cut = variant in ("PCF+", "WEB-")
 
-    def tangent(z):
-        d = fp_fn(z)
-        if abs(d) < 1e-14:
+    def tangent(z, d):
+        ad = abs(d)
+        if ad < 1e-14:
             raise TraceStalled(f"vanishing xi' near {z}")
-        t = 1j * d.conjugate() / abs(d) if quantity == "re" else d.conjugate() / abs(d)
+        t = 1j * d.conjugate() / ad if on_re else d.conjugate() / ad
         return direction * t
 
     def level(z):
         v = xi_fn(z)
-        return v.real if quantity == "re" else v.imag
+        return v.real if on_re else v.imag
 
     c0 = level(start)
+    tol = 1e-9 * max(1.0, abs(c0))
     pts = [start]
     z = start
+    dz = fp_fn(z)  # xi'(z), carried over from the corrector when it converged
     h = step
     for _ in range(max_steps):
         try:
-            k1 = tangent(z)
-            k2 = tangent(z + 0.5 * h * k1)
-            k3 = tangent(z + 0.5 * h * k2)
-            k4 = tangent(z + h * k3)
+            k1 = tangent(z, dz)
+            z2 = z + 0.5 * h * k1
+            k2 = tangent(z2, fp_fn(z2))
+            z3 = z + 0.5 * h * k2
+            k3 = tangent(z3, fp_fn(z3))
+            z4 = z + h * k3
+            k4 = tangent(z4, fp_fn(z4))
         except (CutError, ValueError):
             break
         znew = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        # Newton correction onto the level set
+        # Newton correction onto the level set; `converged` keeps xi' and the
+        # residual at the final znew, so it is not evaluated again below
+        converged = False
         for _ in range(4):
             try:
                 d = fp_fn(znew)
@@ -487,25 +510,44 @@ def trace_level_curve(start: complex, variant: str, quantity: str = "re",
             except CutError:
                 break
             if abs(q) < 1e-12:
+                converged = True
                 break
-            g = d.conjugate() if quantity == "re" else 1j * d.conjugate()
+            g = d.conjugate() if on_re else 1j * d.conjugate()
             znew = znew - q * g / abs(d) ** 2
-        if min(abs(znew - tp) for tp in tps) < 10 * TP_CLEARANCE:
+        if abs(znew - tp_a) < near_tp or abs(znew - tp_b) < near_tp:
             if h < 1e-8:
                 raise TraceStalled(f"step collapsed near turning point at {znew}")
             h *= 0.5
             continue
-        if abs(level(znew) - c0) > 1e-9 * max(1.0, abs(c0)):
+        if not converged:
+            q = level(znew) - c0
+            d = fp_fn(znew)
+        if abs(q) > tol:
             if h < 1e-8:
                 raise TraceStalled("corrector failed to hold the level set")
             h *= 0.5
             continue
-        z = znew
-        pts.append(z)
-        h = min(step, h * 1.6)
-        if abs(z) >= BOX_RADIUS:
+        try:
+            qm = level(0.5 * (z + znew)) - c0
+        except CutError:
             break
-        if variant in ("PCF+", "WEB-") and abs(z.real) < 0.5 * h and abs(z.imag) > 1.0:
+        if abs(qm) > CHORD_TOL:
+            if h < 1e-8:
+                raise TraceStalled("chord strays from the level set")
+            h *= 0.5
+            continue
+        z = znew
+        dz = d
+        pts.append(z)
+        az = abs(z)
+        h = min(step * max(1.0, az), h * 1.6)
+        if stop_at_cut:
+            # no longer than the distance to the cut, so that an arc
+            # reaching it stops within step/2 of the axis at any |z|
+            h = min(h, max(step, abs(z.real)))
+        if az >= BOX_RADIUS:
+            break
+        if stop_at_cut and abs(z.real) < 0.5 * h and abs(z.imag) > 1.0:
             break  # reached a cut
     return PathPolyline(pts, variant, quantity)
 

@@ -54,6 +54,11 @@ class TPCoeffs:
     method: str  # 'direct' or 'cauchy'
     est_err: float
 
+    def conj(self) -> "TPCoeffs":
+        """The coefficient functions at the conjugate point."""
+        return TPCoeffs(self.A.conjugate(), self.B.conjugate(), self.m,
+                        self.method, self.est_err)
+
 
 # ----------------------------------------------------------------------
 # branch-correct building blocks (upper half plane conventions)
@@ -195,8 +200,7 @@ def tp_coeff_funcs(u: float, z: complex, m: int, variant: str = "PCF-") -> TPCoe
     z = plane.canon(z)
     _check_tp_domain(z, variant)
     if z.imag < 0:
-        v = tp_coeff_funcs(u, z.conjugate(), m, variant)
-        return TPCoeffs(v.A.conjugate(), v.B.conjugate(), m, v.method, v.est_err)
+        return tp_coeff_funcs(u, z.conjugate(), m, variant).conj()
     if abs(z - 1.0) < DIRECT_MIN_DIST:
         A, B = _ab_cauchy(u, z, m, variant)
         method = "cauchy"
@@ -296,15 +300,15 @@ def _airy_at(u: float, zeta: complex, rotation: int = 0) -> AiryValue:
     return airy(u ** (2.0 / 3.0) * zeta, rotation)
 
 
-def _w_ml(u: float, z: complex, m: int, l: int, variant: str = "PCF-",
+def _w_ml(u: float, z: complex, co: TPCoeffs, l: int, variant: str = "PCF-",
           use_bi: bool = False) -> tuple[complex, float]:
     """w_{m,l} = Ai_l(u^{2/3} zeta) A + Ai_l'(u^{2/3} zeta) B (or the Bi
-    companion); returns (value, relative error estimate)."""
+    companion) from the coefficient functions `co` at z; returns (value,
+    relative error estimate)."""
     _, zeta = plane.xi_zeta(z)
     if variant == "WEB+":
         zeta = -zeta
     av = _airy_at(u, zeta, rotation=l)
-    co = tp_coeff_funcs(u, z, m, variant)
     f, fp = (av.bi, av.bi_prime) if use_bi else (av.ai, av.ai_prime)
     val = f * co.A + fp * co.B
     est_abs = abs(f * co.A) * co.est_err + abs(fp * co.B) * co.est_err
@@ -319,7 +323,13 @@ def pcf_U_neg(u: float, z: complex, m: int) -> CertifiedValue:
     if u < 5:
         raise DomainError("parameter too small for the expansion (u >= 5)")
     _check_tp_domain(z, "PCF-")
-    wm, rel = _w_ml(u, z, m, 0, "PCF-")
+    return _u_neg_from(u, z, m, tp_coeff_funcs(u, z, m, "PCF-"))
+
+
+def _u_neg_from(u: float, z: complex, m: int, co: TPCoeffs) -> CertifiedValue:
+    """pcf_U_neg at a checked (u, z) from the coefficient functions `co`
+    at z."""
+    wm, rel = _w_ml(u, z, co, 0)
     odd1 = odd_sum_at_1(u, m)
     logpref = 0.5 * math.log(math.pi) + (0.75 - 0.25 * u) * math.log(2.0) \
         + (0.25 * u - 1.0 / 12.0) * math.log(u) - 0.25 * u + odd1
@@ -339,7 +349,7 @@ def pcf_U_rotated(u: float, z: complex, m: int, sign: str = "-i") -> CertifiedVa
         raise ValueError("sign must be '-i' or '+i'")
     upper = sign == "-i"
     l = 1 if upper else -1
-    wm, rel = _w_ml(u, z, m, l, "PCF-")
+    wm, rel = _w_ml(u, z, tp_coeff_funcs(u, z, m, "PCF-"), l)
     odd1 = odd_sum_at_1(u, m)
     logpref = 0.5 * math.log(math.pi) + (0.75 + 0.25 * u) * math.log(2.0) \
         - (0.25 * u + 1.0 / 12.0) * math.log(u) + 0.25 * u - odd1
@@ -354,7 +364,7 @@ def pcf_V_neg(u: float, z: complex, m: int) -> CertifiedValue:
     check_inputs(u, z)
     z = complex(z)
     _check_tp_domain(z, "PCF-")
-    wm, rel = _w_ml(u, z, m, 0, "PCF-", use_bi=True)
+    wm, rel = _w_ml(u, z, tp_coeff_funcs(u, z, m, "PCF-"), 0, use_bi=True)
     odd1 = odd_sum_at_1(u, m)
     logpref = (0.25 + 0.25 * u) * math.log(2.0) \
         - (0.25 * u + 1.0 / 12.0) * math.log(u) + 0.25 * u - odd1

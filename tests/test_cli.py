@@ -93,6 +93,30 @@ def test_map_artifact():
         assert row.endswith(",1")
 
 
+def test_map_overflowing_ratio_is_a_miss(monkeypatch, capsys):
+    # an oracle value e^800 below the expansion makes the ratio overflow a
+    # float; the row is written as a miss instead of aborting the map
+    from parcyl import oracle
+    exact = oracle.oracle_U
+
+    def far_off(a, z):
+        ov = exact(a, z)
+        return oracle.OracleValue(ScaledComplex(ov.value.mantissa,
+                                                ov.value.log_scale - 800.0),
+                                  ov.est_acc, ov.method)
+
+    monkeypatch.setattr(cli.oracle, "oracle_U", far_off)
+    code = cli.main(["map", "--u", "15", "--order", "3",
+                     "--grid-re", "1.0:2.0:2", "--grid-im", "0.0:0.0:1",
+                     "--workers", "1"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 1
+    assert len(lines) == 3
+    for row in lines[1:]:
+        cols = row.split(",")
+        assert cols[-2] == "inf" and cols[-1] == "0"
+
+
 def run_main(capsys, *args):
     """The CLI in this process: exit code and the JSON it printed."""
     code = cli.main(list(args))

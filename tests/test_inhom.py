@@ -10,6 +10,7 @@ from scipy.special import gamma, loggamma, rgamma
 from parcyl import inhom, lg, oracle, plane, quadrature, tp
 from parcyl.errors import (ArgumentError, DomainError, OrderError, PairError,
                            PoleError)
+from parcyl.scaled import ScaledComplex
 
 
 def rel(cv, ov):
@@ -143,7 +144,7 @@ class TestGamma:
         w_m10 = inhom.inhom_scorer(u, 2.0, m, R, "PCF-", (-1, 0)).value.to_complex()
         w_01 = inhom.inhom_scorer(u, 2.0, m, R, "PCF-", (0, 1)).value.to_complex()
         gam = inhom.gamma_mR(u, m, R).value.to_complex()
-        wm0, _ = tp._w_ml(u, 2.0, m, 0, "PCF-")
+        wm0, _ = tp._w_ml(u, 2.0, tp.tp_coeff_funcs(u, 2.0, m), 0)
         resid = (w_m10 - w_01) + scale * 2j * math.pi * gam * wm0
         assert abs(resid) < 1e-5 * abs(w_01)
 
@@ -181,6 +182,16 @@ class TestScorer:
         v03 = inhom.inhom_scorer(u, 1.3, m, R, "PCF-", (-1, 0)).value
         assert abs((v01.conj() / v03).to_complex() - 1) < 1e-12
 
+    @pytest.mark.parametrize("z", [1.3 + 0.4j, 0.8 + 0.3j, 1.05 + 0.05j])
+    def test_reflection_swaps_the_pair(self, z):
+        # conjugation maps the sector +i inf onto -i inf: the (0,1)-labelled
+        # solution at conj(z) is the conjugate of the (-1,0)-labelled one at z
+        u, R, m = 20.0, 1, 2
+        lo = inhom.inhom_scorer(u, z.conjugate(), m, R, "PCF-", (0, 1)).value
+        up = inhom.inhom_scorer(u, z, m, R, "PCF-", (-1, 0)).value
+        assert lo.mantissa == up.mantissa.conjugate()
+        assert lo.log_scale == up.log_scale
+
     def test_weber_realness(self):
         for z in (0.5, 1.0, 1.8):
             v = inhom.inhom_scorer(20.0, z, 2, 0, "WEB+", (-1, 1)).value.to_complex()
@@ -207,6 +218,23 @@ class TestConnections:
             cv = inhom.connect_inhom_pcfm(20.0, z, 3, R)
             ov = oracle.oracle_inhom(-10.0, math.sqrt(40.0) * z, R, (0, 2))
             assert rel(cv, ov) < 1e-5
+
+    @pytest.mark.parametrize("z", [1.05 + 0.05j, 1.05 - 0.05j, 0.7 - 0.3j, 1.3])
+    def test_half_sum_is_assembled_from_the_public_parts(self, z):
+        # the shared coefficient functions, contour and G* sum give the
+        # same bits as the two inhom_scorer calls and pcf_U_neg
+        u, m, R = 37.7, 3, 1
+        cv = inhom.connect_inhom_pcfm(u, z, m, R)
+        u01 = inhom.inhom_scorer(u, z, m, R, "PCF-", (0, 1))
+        u03 = inhom.inhom_scorer(u, z, m, R, "PCF-", (-1, 0))
+        uneg = tp.pcf_U_neg(u, z, m)
+        lam = inhom.lambda_R(u / 2.0, R, "-a").value.to_complex().real
+        val = (u01.value + u03.value) * 0.5 + \
+            ScaledComplex.from_complex(complex(lam)) * uneg.value
+        assert cv.value.mantissa == val.mantissa
+        assert cv.value.log_scale == val.log_scale
+        assert cv.rel_bound == 3.0 * max(u01.rel_bound, u03.rel_bound,
+                                         uneg.rel_bound)
 
     def test_weber_left_real(self):
         # the reflection-assembled value is real on the real axis

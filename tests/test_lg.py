@@ -156,6 +156,16 @@ class TestWeberNeg:
             math.cos(math.pi / 4 - wc.eps_m)
         assert cv.value.to_complex().real == pytest.approx(expect, rel=1e-14)
 
+    def test_real_weber_at_x0_matches_x_near_0(self):
+        # the WEB- path and bound are evaluated at exactly x = 0
+        for sign in ("+x", "-x"):
+            at0 = lg.weber_neg_real(20.0, 0.0, 3, sign)
+            near = lg.weber_neg_real(20.0, 1e-12, 3, sign)
+            assert 0.0 < at0.rel_bound < 1e-6
+            assert at0.rel_bound == pytest.approx(near.rel_bound, rel=1e-9)
+            assert at0.value.to_complex() == pytest.approx(
+                near.value.to_complex(), rel=1e-9)
+
     def test_real_weber_vs_ode(self):
         u, m = 20.0, 3
         X = [math.sqrt(2 * u) * x for x in (0.5, 2.0)] + \

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from parcyl import plane
-from parcyl.errors import CutError, NoPath
+from parcyl import inhom, lg, plane
+from parcyl.errors import CutError, NoPath, TraceStalled
 
 
 def quad_path(f, pts, npanel=40, nnode=64):
@@ -21,6 +21,73 @@ def quad_path(f, pts, npanel=40, nnode=64):
             z = a + (b - a) * t
             total += np.sum(w * f(z)) * (b - a) * 0.5 * (hi - lo)
     return total
+
+
+# ----------------------------------------------------------------------
+# reference: the fixed-step tracer (step 0.01 everywhere on the arc) that
+# the scale-relative step replaced
+# ----------------------------------------------------------------------
+
+def trace_fixed_step(start, variant, quantity="re", direction=+1, step=0.01,
+                     max_steps=40000):
+    xi_fn, fp_fn = plane._variant_xi(variant)
+    start = complex(start)
+    if direction == 0:
+        return plane.PathPolyline([start], variant, quantity)
+    tps = (1j, -1j) if variant in ("PCF+", "WEB-") else (1.0, -1.0)
+
+    def tangent(z):
+        d = fp_fn(z)
+        if abs(d) < 1e-14:
+            raise TraceStalled(f"vanishing xi' near {z}")
+        t = 1j * d.conjugate() / abs(d) if quantity == "re" else d.conjugate() / abs(d)
+        return direction * t
+
+    def level(z):
+        v = xi_fn(z)
+        return v.real if quantity == "re" else v.imag
+
+    c0 = level(start)
+    pts = [start]
+    z = start
+    h = step
+    for _ in range(max_steps):
+        try:
+            k1 = tangent(z)
+            k2 = tangent(z + 0.5 * h * k1)
+            k3 = tangent(z + 0.5 * h * k2)
+            k4 = tangent(z + h * k3)
+        except (CutError, ValueError):
+            break
+        znew = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        for _ in range(4):
+            try:
+                d = fp_fn(znew)
+                q = level(znew) - c0
+            except CutError:
+                break
+            if abs(q) < 1e-12:
+                break
+            g = d.conjugate() if quantity == "re" else 1j * d.conjugate()
+            znew = znew - q * g / abs(d) ** 2
+        if min(abs(znew - tp) for tp in tps) < 10 * plane.TP_CLEARANCE:
+            if h < 1e-8:
+                raise TraceStalled(f"step collapsed near turning point at {znew}")
+            h *= 0.5
+            continue
+        if abs(level(znew) - c0) > 1e-9 * max(1.0, abs(c0)):
+            if h < 1e-8:
+                raise TraceStalled("corrector failed to hold the level set")
+            h *= 0.5
+            continue
+        z = znew
+        pts.append(z)
+        h = min(step, h * 1.6)
+        if abs(z) >= plane.BOX_RADIUS:
+            break
+        if variant in ("PCF+", "WEB-") and abs(z.real) < 0.5 * h and abs(z.imag) > 1.0:
+            break
+    return plane.PathPolyline(pts, variant, quantity)
 
 
 class TestXiBar:
@@ -192,6 +259,86 @@ class TestLevelCurves:
             lines = csv.strip().splitlines()
             assert lines[0] == "re,im"
             assert len(lines) > 10
+
+
+class TestScaleRelativeStep:
+    # two box-edge arcs (lower and upper half plane) and three that end on
+    # the cut, two of them high up where the step has grown to ~0.1-0.3;
+    # each traced as the fig. 2 path from that point traces it
+    ARCS = (-2.5 + 2.5j, -1.5 - 1.5j, -1 + 2j, -1 + 12j, -1 + 30j)
+
+    @staticmethod
+    def _arc(z, tracer=plane.trace_level_curve):
+        return tracer(z, "PCF+", "re", direction=plane._arc_direction(z))
+
+    @pytest.mark.parametrize("z", ARCS)
+    def test_every_vertex_holds_the_level(self, z):
+        c0 = plane.xi_bar(z).real
+        for v in self._arc(z).vertices:
+            assert abs(plane.xi_bar(v).real - c0) <= 1e-9 * max(1.0, abs(c0))
+
+    @pytest.mark.parametrize("z", ARCS)
+    def test_chords_stay_close_to_the_curve(self, z):
+        c0 = plane.xi_bar(z).real
+        verts = self._arc(z).vertices
+        worst = max(abs(plane.xi_bar(0.5 * (a + b)).real - c0)
+                    for a, b in zip(verts[:-1], verts[1:]))
+        assert worst <= plane.CHORD_TOL == 1e-4
+
+    @pytest.mark.parametrize("z", ARCS)
+    def test_ends_where_the_fixed_step_ends(self, z):
+        new, ref = self._arc(z).vertices, self._arc(z, trace_fixed_step).vertices
+        if abs(ref[-1]) >= plane.BOX_RADIUS:
+            assert plane.BOX_RADIUS <= abs(new[-1]) < plane.BOX_RADIUS + 1.0
+        else:  # on the cut: same height, within the fixed step's half-step
+            assert -0.005 < new[-1].real <= 0.0
+            assert abs(new[-1].imag - ref[-1].imag) < 1e-3
+
+    @pytest.mark.parametrize("z", [-1 + 12j, -1 + 30j, -0.5 + 45j, -0.5 - 17j,
+                                   -4 + 20j, -0.05 + 40j])
+    def test_high_cut_arcs_give_a_path(self, z):
+        # the arc meets the cut at |Im z| ~ 12-45; the path's end on the
+        # axis must not widen with the step there
+        verts = plane.monotone_path(z, "+inf", "PCF+").vertices
+        assert abs(verts[1].real) < 0.005
+        assert abs(verts[1]) > 10.0
+
+    def test_box_edge_arc_vertex_count(self):
+        # a count, not a timing: the fixed step takes ~5,240 vertices here
+        assert len(self._arc(-2.5 + 2.5j).vertices) < 1000
+        assert len(self._arc(-2.5 + 2.5j, trace_fixed_step).vertices) > 5000
+
+    # the left edge cells of the benchmark grid, whose U+, U+' and UR paths
+    # are box-edge arcs, and one UR point whose arc ends on the cut near -i
+    EDGE_CELLS = (-2.5 - 2.5j, -2.5 + 2.5j, -2.5 - 1.5j, -2.5 + 1.5j,
+                  -1.5 - 1.5j, -1.5 + 1.5j)
+    FAMILIES = {
+        "U+": lambda z: lg.pcf_U_pos(20.0, z, 3, "+z"),
+        "U+'": lambda z: lg.pcf_Uprime_pos(20.0, z, 3, "+z"),
+        "UR": lambda z: inhom.inhom_series(20.0, z, 3, 0, "plus", (0, 2)),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_bounds_match_the_fixed_step_paths(self, monkeypatch, family):
+        cases = [(self.FAMILIES[family], z) for z in self.EDGE_CELLS]
+        if family == "UR":
+            cases.append((lambda z: inhom.inhom_series(20.0, z, 3, 2, "plus", (0, 2)),
+                          0.496 - 1.512j))
+        got = [f(z).rel_bound for f, z in cases]
+        monkeypatch.setattr(plane, "trace_level_curve", trace_fixed_step)
+        ref = [f(z).rel_bound for f, z in cases]
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 2e-3 * r
+
+    def test_unit_scale_keeps_the_fixed_step(self):
+        # inside |z| <= 1 the step never exceeds the fixed one, so a curve
+        # that stays there is traced vertex for vertex as before
+        z = 0.5 + 0.3j
+        kw = dict(direction=+1, max_steps=20)
+        new = plane.trace_level_curve(z, "PCF+", "re", **kw).vertices
+        ref = trace_fixed_step(z, "PCF+", "re", **kw).vertices
+        assert max(abs(v) for v in new) < 1.0
+        assert new == ref
 
 
 class TestMonotonePaths:
