@@ -2,8 +2,11 @@
 
 Uniform asymptotic evaluation (exponent-form Liouville-Green, Airy and
 Scorer turning-point expansions) with certified truncation-error bounds,
-plus an independent quadrature/ODE oracle for validation.
+plus an independent quadrature/ODE oracle for validation.  The oracle, and
+scipy with it, is imported on first use of one of its names.
 """
+
+import importlib as _importlib
 
 from .airy import AiryValue, airy, env_airy, scorer_hi, scorer_hi_prime, wi, wi_prime
 from .coeffs import (CoeffTables, gen_airy_seq, gen_E, gen_Ebar, gen_Etilde,
@@ -18,9 +21,6 @@ from .inhom import (ConnectionConstant, alpha_R, c0_const, c3_const,
                     hyp_terminating, inhom_scorer, inhom_series, lambda_R)
 from .lg import (CertifiedValue, lg_W, pcf_U_pos, pcf_Uprime_pos,
                  weber_neg_real, weber_neg_Wj)
-from .oracle import (OracleValue, UContour, oracle_inhom, oracle_ode,
-                     oracle_U, oracle_U_prime, oracle_V_neg, weber_ode_real,
-                     weber_origin_data, weber_quad_real)
 from .plane import (DomainId, PathPolyline, beta_map, domain_contains,
                     export_boundaries, monotone_path, trace_level_curve,
                     xi_bar, xi_zeta)
@@ -31,4 +31,19 @@ from .tp import (TPCoeffs, pcf_left_extension, pcf_U_neg, pcf_U_rotated,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_ORACLE_NAMES = ("OracleValue", "UContour", "oracle_inhom", "oracle_ode",
+                 "oracle_U", "oracle_U_prime", "oracle_V_neg", "weber_ode_real",
+                 "weber_origin_data", "weber_quad_real")
+
+# the helper module gamma stays out: its name would shadow math.gamma
+# under a star import
+__all__ = sorted({name for name in dir() if not name.startswith("_")} - {"gamma"}
+                 | {"oracle", *_ORACLE_NAMES})
+
+
+def __getattr__(name: str):
+    """The oracle module and its names, imported on first access (PEP 562)."""
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = _importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,9 +12,8 @@ import cmath
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from . import inhom, lg, oracle, plane, tp
+from . import inhom, lg, plane, tp
 from .coeffs import get_tables
 from .errors import (ArgumentError, DomainError, OrderError, PairError,
                      ParcylError, check_inputs)
@@ -139,6 +138,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle  # loads scipy, which no other route needs
     u, z = _parameter(args.u), _point(args)
     a, Z = u / 2.0, math.sqrt(2.0 * u) * z
     fn = args.function
@@ -160,6 +160,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_map(args) -> int:
     """Accuracy map over a grid: asymptotic vs oracle vs certified bound."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import oracle
     u = _parameter(args.u)
     re0, re1, nre = args.grid_re
     im0, im1, nim = args.grid_im

@@ -78,12 +78,12 @@ def gen_Etilde(s_max: int) -> list[RationalPoly]:
     return fam
 
 
-def gen_E(s_max: int) -> list[RationalPoly]:
-    """E family for the z^2-1 equation; verified against E_s = (-1)^s Ebar_s."""
+def gen_E(s_max: int, ebar: list[RationalPoly]) -> list[RationalPoly]:
+    """E family for the z^2-1 equation; verified against E_s = (-1)^s Ebar_s,
+    where `ebar` is gen_Ebar(s_max)."""
     e1 = RationalPoly.make([0, Fraction(-6, 24), 0, Fraction(5, 24)])
     e2 = (_W * RationalPoly.make([-2, 0, 5])).scale(Fraction(1, 16))
     fam = _gen_lg_family(e1, e2, s_max, plus_sign=True)
-    ebar = gen_Ebar(s_max)
     for s in range(1, min(s_max + 1, len(fam))):
         if (fam[s] - ebar[s].scale(Fraction((-1) ** s))).coeffs:
             raise ConsistencyError(f"E_s != (-1)^s Ebar_s at s={s}")
@@ -234,7 +234,7 @@ class CoeffTables:
         self.s_max = s_max
         self.Ebar = gen_Ebar(s_max)
         self.Etilde = gen_Etilde(s_max)
-        self.E = gen_E(s_max)
+        self.E = gen_E(s_max, self.Ebar)
         self.airy = gen_airy_seq(max(s_max, 2))
         self.Ebar_d = [p.deriv() for p in self.Ebar]
         self.Etilde_d = [p.deriv() for p in self.Etilde]

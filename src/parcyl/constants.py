@@ -6,10 +6,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import loggamma
-
 from .coeffs import get_tables
 from .errors import DomainError
+from .gamma import binet, loggamma
 from .scaled import ScaledComplex
 
 
@@ -40,9 +39,9 @@ def chi_m(u: float, m: int) -> float:
 
 def lambda_pm(u: float) -> ScaledComplex:
     """lambda_{+-1}(u) = (2e/u)^{u/2} Gamma(u/2 + 1/2) / sqrt(2 pi)."""
-    lg = complex(loggamma(u / 2.0 + 0.5)).real
     return ScaledComplex.from_log(
-        (u / 2.0) * (math.log(2.0 / u) + 1.0) + lg - 0.5 * math.log(2.0 * math.pi))
+        (u / 2.0) * (math.log(2.0 / u) + 1.0) + math.lgamma(u / 2.0 + 0.5)
+        - 0.5 * math.log(2.0 * math.pi))
 
 
 def delta_n_pm(u: float, n: int) -> float:
@@ -63,16 +62,37 @@ def _k_inv_stable(u: float) -> float:
 
 
 def weber_constants(u: float, m: int) -> WeberConstants:
-    """k, 1/k, rho, phi2, chi_m and eps_m = phi2/2 + chi_m."""
+    """k, 1/k, rho, phi2, chi_m and eps_m = phi2/2 + chi_m.
+
+    With t = u/2 and x = 1/u^2, Stirling's formula for phi2 = Im ln Gamma(1/2
+    + it) cancels the O(u ln u) part of chi_m exactly, leaving
+
+        eps_m = (t/4) ln(1 + x) + Im mu(1/2 + it)/2
+                - sum_{s<=m} (-1)^s Ebar_{2s+1}(1) u^{-2s-1}.
+
+    Its three O(1/u) leading terms, t x/4, Im(1/(12(1/2 + it)))/2 and
+    Ebar_1(1)/u = 1/(24u), sum to x/(24 t (1 + x)); that sum is taken
+    exactly and the rest termwise, so no term of size 1/u is cancelled
+    in rounding.
+    """
     if u <= 0:
         raise DomainError("u must be positive")
-    phi2 = complex(loggamma(0.5 + 0.5j * u)).imag
-    cm = chi_m(u, m)
+    t, x = 0.5 * u, 1.0 / (u * u)
+    z = complex(0.5, t)
+    phi2 = loggamma(z).imag
+    if x < 0.25:
+        # (t/4)(ln(1 + x) - x) from its Maclaurin series
+        log_rest = -sum((-x) ** k / (k + 2) for k in range(30)) / (64.0 * t ** 3)
+    else:
+        log_rest = 0.25 * t * (math.log1p(x) - x)
+    ebar = get_tables().Ebar_odd_at_1(m)
+    eps = log_rest + x / (24.0 * t * (1.0 + x)) + 0.5 * binet(z, 1).imag \
+        - sum((-1) ** s * float(ebar[s]) / u ** (2 * s + 1) for s in range(1, m + 1))
     return WeberConstants(
         k=_k_stable(u),
         k_inv=_k_inv_stable(u),
         rho=0.5 * phi2 + math.pi / 8.0,
         phi2=phi2,
-        chi_m=cm,
-        eps_m=0.5 * phi2 + cm,
+        chi_m=chi_m(u, m),
+        eps_m=eps,
     )

@@ -12,13 +12,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma, rgamma
 
 from . import plane
 from .airy import wi, wi_prime
 from .coeffs import get_tables
 from .errors import (DomainError, OrderError, PairError, PoleError,
                      check_inputs)
+from .gamma import loggamma, rgamma
 from .constants import chi_m, odd_sum_at_1
 from .lg import BOUND_SAFETY, CertifiedValue, weber_neg_Wj
 from .quadrature import polyline_nodes
@@ -58,7 +58,7 @@ def hyp_terminating(R: int, c: complex) -> complex:
             poch *= (a + s - 1) * (b + s - 1)
             half *= 0.5
             fact *= s
-        total += poch * half / fact * complex(rgamma(complex(c) + s))
+        total += poch * half / fact * rgamma(complex(c) + s)
     return complex(total)
 
 
@@ -70,7 +70,8 @@ def lambda_R(a: float, R: int, sign: str = "+a") -> ConnectionConstant:
     if sign == "+a":
         if abs((a + 0.5) - round(a + 0.5)) < 1e-12 and round(a + 0.5) <= 0:
             raise PoleError("a + 1/2 at a nonpositive integer")
-        lg = complex(loggamma(a + 0.5))
+        # complex: on a < -1/2, Im ln Gamma carries the sign of Gamma
+        lg = loggamma(complex(a + 0.5))
         logmag = (-0.5 * a + 1.5 * R + 0.25) * math.log(2.0) \
             + 0.5 * math.log(math.pi) + lg.real
         phase = math.pi * (0.5 * a + 0.5 * R - 0.75)
@@ -105,7 +106,7 @@ def gamma_mR(u: float, m: int, R: int) -> ConnectionConstant:
 def gamma_W_mR(u: float, m: int, R: int) -> ConnectionConstant:
     """The Weber analogue, complex valued."""
     F = hyp_terminating(R, 0.75 - 0.5 * R + 0.25j * u)
-    lg = complex(loggamma(0.5 + 0.5j * u))
+    lg = loggamma(0.5 + 0.5j * u)
     logmag = (R - 1.0) * math.log(2.0) \
         + (-0.5 * R - 13.0 / 12.0) * math.log(u) + math.pi * u / 8.0 + lg.real
     phase = -0.25 * u * math.log(2.0) + chi_m(u, m) - 0.25 * math.pi * R \
@@ -117,7 +118,7 @@ def alpha_R(u: float, R: int) -> ConnectionConstant:
     """The left-half-plane Stokes constant of the negative-parameter Weber
     inhomogeneous solution."""
     F = hyp_terminating(R, 0.75 - 0.5 * R - 0.25j * u)
-    lg = complex(loggamma(0.5 - 0.5j * u))
+    lg = loggamma(0.5 - 0.5j * u)
     logmag = 0.5 * math.log(math.pi) - 0.25 * math.pi * u \
         + (1.5 * R + 0.25) * math.log(2.0) + lg.real
     phase = 0.25 * (1.0 - R) * math.pi + 0.25 * u * math.log(2.0) + lg.imag
@@ -129,7 +130,7 @@ def c0_const(u: float) -> complex:
 
 
 def c3_const(u: float) -> ScaledComplex:
-    lg = complex(loggamma(0.5 - 0.5j * u))
+    lg = loggamma(0.5 - 0.5j * u)
     return ScaledComplex.from_log(
         0.5 * math.log(2.0 * math.pi) - math.pi * u / 4.0 - lg.real,
         math.pi / 4.0 - lg.imag)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import loggamma
 
 from . import plane
 from .airy import AiryValue, airy, env_airy
@@ -39,6 +38,10 @@ DIRECT_MIN_DIST = 0.2
 #: ring geometries kept: two variants times (the Cauchy radius and the 22
 #: Scorer radii 0.5, 0.55, ..., 1.55 of inhom._scorer_contour)
 _GEOMETRY_KEYS = 2 * (1 + 22)
+
+#: largest |Re| of a sum's exponent that _ab accepts; e^709.8 is the
+#: largest float
+_EXP_LIMIT = 700.0
 
 #: empirical margin absorbing the dropped scalar identification constants;
 #: the u=10 worst case measured by scripts/calibration_sweep.py is 0.11
@@ -177,8 +180,15 @@ def _check_tp_domain(z: complex, variant: str) -> None:
 
 
 def _ab(g: _Geometry, u: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """A_{2m+2} and B_{2m+2} at each point of the geometry."""
+    """A_{2m+2} and B_{2m+2} at each point of the geometry; DomainError
+    where their exponents leave the float range."""
     even_t, odd_t, even_p, odd_p = _mod_sums(g, u, m)
+    for even, odd in ((even_t, odd_t), (even_p, odd_p)):
+        # e^even cosh(odd) and e^even sinh(odd) are at most e^{even+|odd|}
+        big = np.abs(odd.real)
+        if max(np.max(big), np.max(even.real + big)) > _EXP_LIMIT:
+            raise DomainError("coefficient functions overflow: the turning-"
+                              "point expansion does not hold here")
     A = g.root_a * np.exp(even_t) * np.cosh(odd_t)
     B = np.exp(even_p) * np.sinh(odd_p) / (u ** (1.0 / 3.0) * g.root_b)
     return A, B
@@ -316,14 +326,19 @@ def _w_ml(u: float, z: complex, co: TPCoeffs, l: int, variant: str = "PCF-",
     return val, rel
 
 
-def pcf_U_neg(u: float, z: complex, m: int) -> CertifiedValue:
-    """U(-u/2, sqrt(2u) z) for z in the turning-point domain."""
+def _neg_coeffs(u: float, z: complex, m: int) -> TPCoeffs:
+    """The checks of pcf_U_neg, then the coefficient functions at z."""
     check_inputs(u, z)
-    z = complex(z)
     if u < 5:
         raise DomainError("parameter too small for the expansion (u >= 5)")
     _check_tp_domain(z, "PCF-")
-    return _u_neg_from(u, z, m, tp_coeff_funcs(u, z, m, "PCF-"))
+    return tp_coeff_funcs(u, z, m, "PCF-")
+
+
+def pcf_U_neg(u: float, z: complex, m: int) -> CertifiedValue:
+    """U(-u/2, sqrt(2u) z) for z in the turning-point domain."""
+    z = complex(z)
+    return _u_neg_from(u, z, m, _neg_coeffs(u, z, m))
 
 
 def _u_neg_from(u: float, z: complex, m: int, co: TPCoeffs) -> CertifiedValue:
@@ -347,9 +362,14 @@ def pcf_U_rotated(u: float, z: complex, m: int, sign: str = "-i") -> CertifiedVa
     _check_tp_domain(z, "PCF-")
     if sign not in ("-i", "+i"):
         raise ValueError("sign must be '-i' or '+i'")
-    upper = sign == "-i"
-    l = 1 if upper else -1
-    wm, rel = _w_ml(u, z, tp_coeff_funcs(u, z, m, "PCF-"), l)
+    return _u_rot_from(u, z, m, tp_coeff_funcs(u, z, m, "PCF-"), sign == "-i")
+
+
+def _u_rot_from(u: float, z: complex, m: int, co: TPCoeffs,
+                upper: bool) -> CertifiedValue:
+    """pcf_U_rotated at a checked (u, z) from the coefficient functions
+    `co` at z; `upper` selects sign '-i'."""
+    wm, rel = _w_ml(u, z, co, 1 if upper else -1)
     odd1 = odd_sum_at_1(u, m)
     logpref = 0.5 * math.log(math.pi) + (0.75 + 0.25 * u) * math.log(2.0) \
         - (0.25 * u + 1.0 / 12.0) * math.log(u) + 0.25 * u - odd1
@@ -364,7 +384,13 @@ def pcf_V_neg(u: float, z: complex, m: int) -> CertifiedValue:
     check_inputs(u, z)
     z = complex(z)
     _check_tp_domain(z, "PCF-")
-    wm, rel = _w_ml(u, z, tp_coeff_funcs(u, z, m, "PCF-"), 0, use_bi=True)
+    return _v_neg_from(u, z, m, tp_coeff_funcs(u, z, m, "PCF-"))
+
+
+def _v_neg_from(u: float, z: complex, m: int, co: TPCoeffs) -> CertifiedValue:
+    """pcf_V_neg at a checked (u, z) from the coefficient functions `co`
+    at z."""
+    wm, rel = _w_ml(u, z, co, 0, use_bi=True)
     odd1 = odd_sum_at_1(u, m)
     logpref = (0.25 + 0.25 * u) * math.log(2.0) \
         - (0.25 * u + 1.0 / 12.0) * math.log(u) + 0.25 * u - odd1
@@ -380,15 +406,19 @@ def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> Certif
     z = complex(z)
     if z.real > 1e-12:
         raise DomainError("left extension expects Re z <= 0")
+    if which not in ("U", "V"):
+        raise ValueError("which must be 'U' or 'V'")
     w = -z
     a = u / 2.0
+    lg = math.lgamma(a + 0.5)
+    # one evaluation of the coefficient functions at w feeds both terms
+    co = _neg_coeffs(u, w, m)
+    uneg = _u_neg_from(u, w, m, co)
     if which == "U":
         upper = z.imag >= 0.0
-        uneg = pcf_U_neg(u, w, m)
-        rot = pcf_U_rotated(u, w, m, "+i" if upper else "-i")
+        rot = _u_rot_from(u, w, m, co, not upper)
         ph1 = (-1j if upper else 1j) * cmath.exp((1j if upper else -1j) * math.pi * a)
         # 1/Gamma(1/2 - a) = cos(pi a) Gamma(a + 1/2) / pi
-        lg = complex(loggamma(a + 0.5)).real
         gfac = math.cos(math.pi * a) / math.pi
         ph2 = cmath.exp((1j if upper else -1j) * math.pi * (0.5 * a + 0.25))
         term1 = uneg.value * ph1
@@ -399,16 +429,12 @@ def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> Certif
         rel = uneg.rel_bound * math.exp(min(term1.log_abs - lv, 50.0)) + \
             rot.rel_bound * math.exp(min(term2.log_abs - lv, 50.0))
         return CertifiedValue(val, rel, m, noncertified=("eps_U", "eps_pm1"))
-    if which == "V":
-        uneg = pcf_U_neg(u, w, m)
-        vneg = pcf_V_neg(u, w, m)
-        lg = complex(loggamma(a + 0.5)).real
-        term1 = uneg.value * math.cos(math.pi * a) * ScaledComplex.from_log(-lg)
-        term2 = vneg.value * (-math.sin(math.pi * a))
-        val = term1 + term2
-        rel = max(uneg.rel_bound, vneg.rel_bound) * 3.0
-        return CertifiedValue(val, rel, m, noncertified=("eps_U", "eps_V"))
-    raise ValueError("which must be 'U' or 'V'")
+    vneg = _v_neg_from(u, w, m, co)
+    term1 = uneg.value * math.cos(math.pi * a) * ScaledComplex.from_log(-lg)
+    term2 = vneg.value * (-math.sin(math.pi * a))
+    val = term1 + term2
+    rel = max(uneg.rel_bound, vneg.rel_bound) * 3.0
+    return CertifiedValue(val, rel, m, noncertified=("eps_U", "eps_V"))
 
 
 # ----------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_map_overflowing_ratio_is_a_miss(monkeypatch, capsys):
                                                 ov.value.log_scale - 800.0),
                                   ov.est_acc, ov.method)
 
-    monkeypatch.setattr(cli.oracle, "oracle_U", far_off)
+    monkeypatch.setattr(oracle, "oracle_U", far_off)
     code = cli.main(["map", "--u", "15", "--order", "3",
                      "--grid-re", "1.0:2.0:2", "--grid-im", "0.0:0.0:1",
                      "--workers", "1"])

@@ -53,6 +53,27 @@ class TestLambdaR:
         v = inhom.lambda_R(10.5, 3, "-a").value.to_complex()
         assert np.isfinite(v.real) and np.isfinite(v.imag)
 
+    @pytest.mark.parametrize("a", [-2.0, -1.3, -0.7, 0.7, 3.1])
+    @pytest.mark.parametrize("R", [0, 1, 2])
+    def test_plus_a_against_mpmath(self, a, R):
+        # Gamma(a + 1/2) is negative for a + 1/2 in (-1, 0) and (-3, -2): the
+        # sign rides on the phase, the log-scale stays finite
+        import mpmath
+        with mpmath.workdps(30):
+            c = 0.5 * a - 0.5 * R + 0.75
+            F = mpmath.hyp2f1(0.5 - 0.5 * R, -0.5 * R, c, 0.5) * mpmath.rgamma(c)
+            ref = complex(2 ** mpmath.mpf(-0.5 * a + 1.5 * R + 0.25)
+                          * mpmath.sqrt(mpmath.pi) * mpmath.gamma(a + 0.5)
+                          * mpmath.expjpi(0.5 * a + 0.5 * R - 0.75) * F)
+        lam = inhom.lambda_R(a, R, "+a").value
+        assert math.isfinite(lam.log_scale)
+        assert abs(lam.to_complex() - ref) <= 1e-13 * abs(ref)
+
+    def test_plus_a_pole(self):
+        for a in (-0.5, -1.5, -2.5):
+            with pytest.raises(PoleError):
+                inhom.lambda_R(a, 1, "+a")
+
     def test_defining_relation_oracle(self):
         # (0,2) = (0,1) + Lambda_R(a) U(a,.) at a real-axis point
         a, R, z = 10.0, 0, 0.5

@@ -163,6 +163,51 @@ class TestHomogeneousTP:
         ext = tp.pcf_left_extension(u, -1e-12, m, "U")
         assert abs((direct.value / ext.value).to_complex() - 1) < 2e-9
 
+    @pytest.mark.parametrize("which", ["U", "V"])
+    def test_left_extension_evaluates_the_coefficient_functions_once(
+            self, monkeypatch, which):
+        # one call at w = 0.9 - 0.1i, plus the one it makes at conj(w)
+        calls = []
+        inner = tp.tp_coeff_funcs
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(tp, "tp_coeff_funcs", counting)
+        tp.pcf_left_extension(20.0, -0.9 + 0.1j, 3, which)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("z", [-0.9 + 0.1j, -0.9 - 0.1j, -0.5 + 0.3j,
+                                   -0.7 - 0.4j, -0.3 + 0j, -1.0 + 0j])
+    def test_left_extension_matches_its_public_parts(self, z):
+        # the reflection connections assembled from the public entries, each
+        # of which evaluates the coefficient functions itself: bit for bit
+        u, m = 20.0, 3
+        a, w = u / 2.0, -z
+        upper = z.imag >= 0.0
+        uneg = tp.pcf_U_neg(u, w, m)
+        rot = tp.pcf_U_rotated(u, w, m, "+i" if upper else "-i")
+        ph1 = (-1j if upper else 1j) * cmath.exp((1j if upper else -1j) * math.pi * a)
+        ph2 = cmath.exp((1j if upper else -1j) * math.pi * (0.5 * a + 0.25))
+        term1 = uneg.value * ph1
+        term2 = rot.value * (ScaledComplex.from_log(
+            0.5 * math.log(2.0 * math.pi) + math.lgamma(a + 0.5))
+            * (math.cos(math.pi * a) / math.pi * ph2))
+        val = term1 + term2
+        lv = val.log_abs
+        rel_u = uneg.rel_bound * math.exp(min(term1.log_abs - lv, 50.0)) + \
+            rot.rel_bound * math.exp(min(term2.log_abs - lv, 50.0))
+        got = tp.pcf_left_extension(u, z, m, "U")
+        assert got.value == val and got.rel_bound == rel_u
+        vneg = tp.pcf_V_neg(u, w, m)
+        val = uneg.value * math.cos(math.pi * a) * \
+            ScaledComplex.from_log(-math.lgamma(a + 0.5)) + \
+            vneg.value * (-math.sin(math.pi * a))
+        got = tp.pcf_left_extension(u, z, m, "V")
+        assert got.value == val
+        assert got.rel_bound == max(uneg.rel_bound, vneg.rel_bound) * 3.0
+
 
 class TestLambda:
     def test_closed_form(self):
@@ -206,6 +251,22 @@ class TestWeberConstants:
             if prev is not None:
                 assert scaled < 3.0 * prev + 1e-6
             prev = scaled
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_eps_against_mpmath(self, m):
+        # eps_m = phi2/2 + chi_m is O(u^{-2m-3}); taken as that difference
+        # in floats it would be rounding noise of the two O(u ln u) terms
+        import mpmath
+        ebar = constants.get_tables().Ebar_odd_at_1(m)
+        with mpmath.workdps(60):
+            for u in np.geomspace(20.0, 160.0, 15):
+                U = mpmath.mpf(float(u))
+                chi = U / 4 * mpmath.log(2 * mpmath.e / U) - sum(
+                    (-1) ** s * mpmath.mpf(c.numerator) / c.denominator
+                    / U ** (2 * s + 1) for s, c in enumerate(ebar))
+                ref = float(mpmath.loggamma(mpmath.mpc(0.5, U / 2)).imag / 2 + chi)
+                eps = constants.weber_constants(float(u), m).eps_m
+                assert abs(eps - ref) <= 1e-3 * abs(ref), (u, eps, ref)
 
 
 class TestWeberReal:
@@ -263,6 +324,18 @@ BAD_INPUTS = [(0.0, 1.05, DomainError), (-5.0, 1.05, DomainError),
 def test_typed_errors_for_bad_inputs(entry, u, z, exc):
     with pytest.raises(exc):
         ENTRIES[entry](u, complex(z))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda z: tp.pcf_U_neg(20.0, z, 3), lambda z: tp.pcf_V_neg(20.0, z, 3),
+    lambda z: tp.pcf_U_rotated(20.0, z, 3, "+i"),
+    lambda z: tp.pcf_U_rotated(20.0, z, 3, "-i")],
+    ids=["U-", "V-", "U+i", "U-i"])
+def test_overflowing_coefficient_functions_are_a_domain_error(entry):
+    # near the far turning point z = -1 the exponents of A and B leave the
+    # float range; a typed error, and no overflow warning on the way
+    with pytest.raises(DomainError):
+        entry(-0.987 + 0.007j)
 
 
 # supported: m = 0..5, direct (z = 1.5) and Cauchy (z = 1.05) zones
