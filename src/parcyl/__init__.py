@@ -17,8 +17,8 @@ from .errors import (AccuracyError, ArgumentError, ConsistencyError, CutError,
                      PoleError, StiffnessError, TraceStalled,
                      TurningPointError)
 from .inhom import (ConnectionConstant, alpha_R, c0_const, c3_const,
-                    connect_inhom, connect_inhom_pcfm, gamma_mR, gamma_W_mR,
-                    hyp_terminating, inhom_scorer, inhom_series, lambda_R)
+                    connect_inhom_pcfm, gamma_mR, gamma_W_mR, hyp_terminating,
+                    inhom_scorer, inhom_series, lambda_R)
 from .lg import (CertifiedValue, lg_W, pcf_U_pos, pcf_Uprime_pos,
                  weber_neg_real, weber_neg_Wj)
 from .plane import (DomainId, PathPolyline, beta_map, domain_contains,

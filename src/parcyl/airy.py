@@ -9,6 +9,15 @@ Evaluation layers (radii from scripts/airy_sweep.py):
 Bi is always assembled from the rotation connection
 Bi(z) = e^{-i pi/6} Ai_1(z) + e^{i pi/6} Ai_{-1}(z), which is cancellation-
 free in every direction.
+
+Scorer Hi has two layers:
+  |z| <= 30           Gauss panel quadrature of its integral on a ray
+                      rotated towards the saddle,
+  |z| > 30            Poincare forms, with Bi added in the dominant sector.
+
+Both panel quadratures (Hi, and the integral layer of Ai) evaluate all
+their panels in one array pass: a (panels x 48) node array, summed by row.
+Values whose exponent leaves the double range raise DomainError.
 """
 
 from __future__ import annotations
@@ -20,11 +29,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DomainError
 from .quadrature import gauss
 
 MACLAURIN_RADIUS = 4.5
 ASYMPTOTIC_RADIUS = 9.5
 HI_QUAD_RADIUS = 30.0
+
+# largest real exponent a value may carry before it leaves the double range
+_EXP_LIMIT = 700.0
 
 _OM = cmath.exp(2j * math.pi / 3.0)  # e^{2 pi i/3}
 
@@ -78,14 +91,12 @@ def _quad_pair(z: complex) -> tuple[complex, complex]:
     T = max(15.0 / math.sqrt(s), 5.0)
     x, w = gauss(48)
     edges = np.linspace(0.0, math.sqrt(T), 15) ** 2
-    I0 = 0j
-    I2 = 0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        t = 0.5 * (b - a) * x + 0.5 * (a + b)
-        ww = 0.5 * (b - a) * w
-        f = np.exp(-sz * t * t) * np.cos(t ** 3 / 3.0)
-        I0 += np.sum(ww * f)
-        I2 += np.sum(ww * t * t * f)
+    a, b = edges[:-1, None], edges[1:, None]
+    t = (0.5 * (b - a) * x + 0.5 * (a + b)).ravel()
+    ww = (0.5 * (b - a) * w).ravel()
+    f = np.exp(-sz * t * t) * np.cos(t ** 3 / 3.0)
+    I0 = complex(np.sum(ww * f))
+    I2 = complex(np.sum(ww * t * t * f))
     ai = cmath.exp(-xi) / math.pi * I0
     aip = -sz * ai - cmath.exp(-xi) / (2.0 * sz * math.pi) * I2
     return ai, aip
@@ -104,6 +115,8 @@ def _asym_pair(z: complex) -> tuple[complex, complex]:
     """Poincare expansion, |arg z| <= 2pi/3 + slack; optimal truncation."""
     z = complex(z)
     xi = (2.0 / 3.0) * z ** 1.5
+    if -xi.real > _EXP_LIMIT:
+        raise DomainError("Airy value exceeds double range")
     u, v = _uk_vk()
     sa = 0j
     sb = 0j
@@ -174,8 +187,9 @@ def _hi_quad(z: complex) -> tuple[complex, complex]:
     The ray is rotated towards the saddle direction arg(z)/2 (clamped inside
     the convergence sector), which removes the catastrophic cancellation
     near the anti-Stokes directions; panel widths track the local phase
-    rate.  Accumulation is log-scaled so the dominant sector cannot
-    overflow intermediate terms.
+    rate.  Each panel is summed at its own log-scale m, and the panel sums
+    are combined with the weights exp(m - max m), so the dominant sector
+    cannot overflow intermediate terms.
     """
     z = complex(z)
     phi = max(min(cmath.phase(z) / 2.0 if z != 0 else 0.0,
@@ -185,31 +199,31 @@ def _hi_quad(z: complex) -> tuple[complex, complex]:
     c3 = max(e3.real, 0.08)
     zr = z * e1
     T = (3.0 * (760.0 + 2.0 * max(zr.real, 0.0) ** 1.5) / c3) ** (1.0 / 3.0)
-    x, w = gauss(48)
-    logs, v0, v1 = [], [], []
-    s_lo = 0.0
-    while s_lo < T:
+    ends = [0.0]
+    while ends[-1] < T:
+        s_lo = ends[-1]
         rate = abs(e3.imag) * s_lo * s_lo + abs(zr.imag) + 1.0
         ds = min(max(T / 20.0, 0.3), 10.0 / rate + 0.05)
-        s_hi = min(s_lo + ds, T)
-        t = 0.5 * (s_hi - s_lo) * x + 0.5 * (s_lo + s_hi)
-        ww = 0.5 * (s_hi - s_lo) * w
-        expo = -e3 * t ** 3 / 3.0 + zr * t
-        m = float(np.max(expo.real))
-        if m > -745.0:
-            g = np.exp(expo - m)
-            logs.append(m)
-            v0.append(complex(np.sum(ww * g)))
-            v1.append(complex(np.sum(ww * t * g)))
-        s_lo = s_hi
-    if not logs:
+        ends.append(min(s_lo + ds, T))
+    x, w = gauss(48)
+    a, b = np.array(ends[:-1])[:, None], np.array(ends[1:])[:, None]
+    t = 0.5 * (b - a) * x + 0.5 * (a + b)
+    ww = 0.5 * (b - a) * w
+    expo = -e3 * t ** 3 / 3.0 + zr * t
+    # one log-scale per panel; panels below the double range are dropped
+    m = expo.real.max(axis=1)
+    keep = m > -745.0
+    if not keep.any():
         return 0j, 0j
-    mtop = max(logs)
-    I0 = sum(v * math.exp(l - mtop) for v, l in zip(v0, logs))
-    I1 = sum(v * math.exp(l - mtop) for v, l in zip(v1, logs))
-    scale = cmath.exp(mtop) if mtop < 700 else math.inf
-    if mtop >= 700:
-        raise OverflowError("Scorer value exceeds double range")
+    t, ww, expo, m = t[keep], ww[keep], expo[keep], m[keep]
+    mtop = float(m.max())
+    if mtop >= _EXP_LIMIT:
+        raise DomainError("Scorer value exceeds double range")
+    g = np.exp(expo - m[:, None])
+    r = np.exp(m - mtop)
+    I0 = complex(r @ (ww * g).sum(axis=1))
+    I1 = complex(r @ (ww * t * g).sum(axis=1))
+    scale = cmath.exp(mtop)
     return I0 * e1 * scale / math.pi, I1 * e1 * e1 * scale / math.pi
 
 
@@ -231,17 +245,18 @@ def _hi_asym(z: complex) -> tuple[complex, complex]:
                 rot * rot * hp + 2.0 * ph * aip / rot)
     s0 = 0j
     s1 = 0j  # derivative series
-    term = 1.0 / z
+    z3 = 3.0 * z ** 3
+    t = 1.0 / z  # (3k)!/(k! (3 z^3)^k) / z, by its term ratio
     prev = math.inf
     k = 0
     while k < 40:
-        t = term * math.factorial(3 * k) / (math.factorial(k) * (3.0 * z ** 3) ** k)
         if abs(t) > prev:
             break
         s0 += t
         s1 += (3 * k + 1) * t / z
         prev = abs(t)
         k += 1
+        t = t * ((3 * k) * (3 * k - 1) * (3 * k - 2)) / (k * z3)
     hi = -s0 / math.pi
     hip = s1 / math.pi
     if abs(cmath.phase(-z)) <= 2.0 * math.pi / 3.0 - 0.25:

@@ -410,18 +410,6 @@ def _scorer_values(u: float, z: complex, m: int, R: int, variant: str,
 # assembled connections
 # ----------------------------------------------------------------------
 
-def connect_inhom(variant: str, R: int, u: float, z: complex,
-                  order: int = 3) -> CertifiedValue:
-    """Assembled left-half-plane/connection values of the distinguished
-    particular solutions: the half-sum form for the z^2-1 equation and the
-    reflection form for the negative-parameter Weber equation."""
-    if variant in ("PCF-", "minus"):
-        return connect_inhom_pcfm(u, z, order, R)
-    if variant in ("WEB-", "weber-"):
-        return _weber_left_assembly(u, complex(z), order, R)
-    raise ValueError("variant must be 'PCF-' or 'WEB-'")
-
-
 def connect_inhom_pcfm(u: float, z: complex, m: int, R: int) -> CertifiedValue:
     """U_R^{(0,2)}(-u/2, sqrt(2u) z) via the half-sum connection with the
     real part of Lambda_R(-a)."""

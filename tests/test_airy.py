@@ -1,11 +1,15 @@
-"""Airy/Scorer module: series values, connections, ODE residuals."""
+"""Airy/Scorer module: series values, connections, ODE residuals, Hi against
+mpmath, and the one-pass panel quadratures against per-panel references."""
 
 import cmath
 import importlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
+
+from parcyl.quadrature import gauss
 
 pa = importlib.import_module("parcyl.airy")
 
@@ -114,6 +118,110 @@ class TestScorer:
         z = 1.5
         lap = five_point_second_diff(f, z, 3e-3)
         assert abs(lap - z * f(z)) < 1e-9 * max(1.0, abs(f(z)))
+
+    def test_hi_against_mpmath(self):
+        # mpmath.scorerhi has no derivative option: Hi' is its numerical
+        # derivative at 30 digits
+        angles = [*np.linspace(-math.pi, math.pi, 15)[1:-1], math.pi / 3, -math.pi / 3]
+        worst_hi = worst_hip = 0.0
+        with mpmath.workdps(30):
+            for r in (0.5, 2.0, 5.0, 9.0, 15.0, 22.0, 29.5):
+                zs = [r * cmath.exp(1j * th) for th in angles] + [complex(r), complex(-r)]
+                for z in zs:
+                    hi, hip = pa.scorer_hi(z), pa.scorer_hi_prime(z)
+                    ref = complex(mpmath.scorerhi(mpmath.mpc(z)))
+                    refp = complex(mpmath.diff(mpmath.scorerhi, mpmath.mpc(z)))
+                    worst_hi = max(worst_hi, abs(hi - ref) / abs(ref))
+                    worst_hip = max(worst_hip, abs(hip - refp) / abs(refp))
+        assert worst_hi <= 2e-13
+        assert worst_hip <= 2e-13
+
+
+def _hi_quad_by_panel(z):
+    """Reference: the Hi panel quadrature summed one panel at a time."""
+    z = complex(z)
+    phi = max(min(cmath.phase(z) / 2.0 if z != 0 else 0.0,
+                  math.pi / 6.0 - 0.03), -(math.pi / 6.0 - 0.03))
+    e1 = cmath.exp(1j * phi)
+    e3 = e1 * e1 * e1
+    c3 = max(e3.real, 0.08)
+    zr = z * e1
+    T = (3.0 * (760.0 + 2.0 * max(zr.real, 0.0) ** 1.5) / c3) ** (1.0 / 3.0)
+    x, w = gauss(48)
+    logs, v0, v1 = [], [], []
+    s_lo = 0.0
+    while s_lo < T:
+        rate = abs(e3.imag) * s_lo * s_lo + abs(zr.imag) + 1.0
+        ds = min(max(T / 20.0, 0.3), 10.0 / rate + 0.05)
+        s_hi = min(s_lo + ds, T)
+        t = 0.5 * (s_hi - s_lo) * x + 0.5 * (s_lo + s_hi)
+        ww = 0.5 * (s_hi - s_lo) * w
+        expo = -e3 * t ** 3 / 3.0 + zr * t
+        m = float(np.max(expo.real))
+        if m > -745.0:
+            g = np.exp(expo - m)
+            logs.append(m)
+            v0.append(complex(np.sum(ww * g)))
+            v1.append(complex(np.sum(ww * t * g)))
+        s_lo = s_hi
+    mtop = max(logs)
+    I0 = sum(v * math.exp(l - mtop) for v, l in zip(v0, logs))
+    I1 = sum(v * math.exp(l - mtop) for v, l in zip(v1, logs))
+    scale = cmath.exp(mtop)
+    return I0 * e1 * scale / math.pi, I1 * e1 * e1 * scale / math.pi
+
+
+def _ai_quad_by_panel(z):
+    """Reference: the Ai integral layer summed one panel at a time."""
+    z = complex(z)
+    sz = cmath.sqrt(z)
+    xi = (2.0 / 3.0) * z * sz
+    s = max(sz.real, 0.2)
+    T = max(15.0 / math.sqrt(s), 5.0)
+    x, w = gauss(48)
+    edges = np.linspace(0.0, math.sqrt(T), 15) ** 2
+    I0 = 0j
+    I2 = 0j
+    for a, b in zip(edges[:-1], edges[1:]):
+        t = 0.5 * (b - a) * x + 0.5 * (a + b)
+        ww = 0.5 * (b - a) * w
+        f = np.exp(-sz * t * t) * np.cos(t ** 3 / 3.0)
+        I0 += np.sum(ww * f)
+        I2 += np.sum(ww * t * t * f)
+    ai = cmath.exp(-xi) / math.pi * I0
+    aip = -sz * ai - cmath.exp(-xi) / (2.0 * sz * math.pi) * I2
+    return ai, aip
+
+
+def _worst_rel(new, ref, zs):
+    worst = 0.0
+    for z in zs:
+        for a, b in zip(new(z), ref(z)):
+            worst = max(worst, abs(a - b) / abs(b))
+    return worst
+
+
+class TestPanelQuadratureInOnePass:
+    """The array-pass quadratures against the same rules summed per panel."""
+
+    def test_hi_quad(self):
+        rng = np.random.default_rng(7)
+        r = pa.HI_QUAD_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, 120))
+        zs = list(r * np.exp(1j * rng.uniform(-math.pi, math.pi, 120)))
+        # either side of the anti-Stokes rays, and the negative real axis
+        for rad in (1.0, 6.0, 13.0, 21.0, pa.HI_QUAD_RADIUS):
+            zs += [rad * cmath.exp(1j * (s * math.pi / 3 + d))
+                   for s in (1, -1) for d in (-0.02, 0.0, 0.02)]
+            zs.append(complex(-rad))
+        assert len(zs) >= 150
+        assert _worst_rel(pa._hi_quad, _hi_quad_by_panel, zs) <= 1e-14
+
+    def test_ai_quad(self):
+        rng = np.random.default_rng(8)
+        r = rng.uniform(pa.MACLAURIN_RADIUS, pa.ASYMPTOTIC_RADIUS, 150)
+        zs = list(r * np.exp(1j * rng.uniform(-2.4, 2.4, 150)))
+        zs += [9.5 * cmath.exp(2.4j), 9.5 * cmath.exp(-2.4j), 4.6, 9.5]
+        assert _worst_rel(pa._quad_pair, _ai_quad_by_panel, zs) <= 1e-14
 
 
 class TestEnvelope:

@@ -122,7 +122,7 @@ def test_oracle_is_reachable_from_the_package():
         parcyl.no_such_name
 
 
-#: the public names of the package before the oracle became lazy
+#: the public names of the package, the lazily loaded oracle's among them
 PUBLIC_NAMES = {
     "AccuracyError", "AiryValue", "ArgumentError", "CertifiedValue",
     "CoeffTables", "ConnectionConstant", "ConsistencyError", "CutError",
@@ -131,7 +131,7 @@ PUBLIC_NAMES = {
     "RationalPoly", "ScaledComplex", "StiffnessError", "TPCoeffs",
     "TraceStalled", "TurningPointError", "UContour", "WeberConstants",
     "airy", "alpha_R", "analytic_part_G", "beta_map", "c0_const", "c3_const",
-    "chi_m", "coeffs", "connect_inhom", "connect_inhom_pcfm", "constants",
+    "chi_m", "coeffs", "connect_inhom_pcfm", "constants",
     "domain_contains", "env_airy", "errors", "export_boundaries",
     "gamma_W_mR", "gamma_mR", "gen_E", "gen_Ebar", "gen_Etilde", "gen_G",
     "gen_airy_seq", "get_tables", "hyp_terminating", "inhom",

@@ -9,7 +9,7 @@ from scipy.special import gamma, loggamma, rgamma
 
 from parcyl import inhom, lg, oracle, plane, quadrature, tp
 from parcyl.errors import (ArgumentError, DomainError, OrderError, PairError,
-                           PoleError)
+                           ParcylError, PoleError)
 from parcyl.scaled import ScaledComplex
 
 
@@ -334,6 +334,20 @@ ENTRIES = {
 def test_typed_errors_for_bad_inputs(entry, u, z, exc):
     with pytest.raises(exc):
         ENTRIES[entry](u, z)
+
+
+# at large u the Airy and Scorer arguments u^{2/3} zeta grow until their
+# exponentials leave the double range; there the entries refuse, typed
+@pytest.mark.parametrize("u,z", [(3000.0, 1.5), (1e4, 1.5), (2000.0, 1 + 1j),
+                                 (1e4, 1.1 + 0.1j), (1e5, 0.9)])
+@pytest.mark.parametrize("entry", ["inhom_scorer", "connect_inhom_pcfm"])
+def test_scorer_entries_at_large_u_give_a_value_or_a_typed_error(entry, u, z):
+    try:
+        cv = ENTRIES[entry](u, z, 3)
+    except ParcylError:
+        return
+    assert cmath.isfinite(cv.value.mantissa) and math.isfinite(cv.value.log_scale)
+    assert math.isfinite(cv.rel_bound)
 
 
 # supported: m = 0..4 for the Scorer forms, n = 1..12 for the series
