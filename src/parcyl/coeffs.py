@@ -13,7 +13,6 @@ Everything is exact rational arithmetic; floats only appear at evaluation.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -276,15 +275,15 @@ class CoeffTables:
         return self._odd_at_1("Ebar", m)
 
 
-@lru_cache(maxsize=4)
-def _tables_at(s_max: int) -> CoeffTables:
-    return CoeffTables(s_max)
+@lru_cache(maxsize=1)
+def _default_tables() -> CoeffTables:
+    return CoeffTables(DEFAULT_S_MAX)
 
 
 def get_tables() -> CoeffTables:
-    """Process-wide tables; depth overridable via PARCYL_COEFF_DEPTH."""
-    depth = int(os.environ.get("PARCYL_COEFF_DEPTH", DEFAULT_S_MAX))
-    return _tables_at(depth)
+    """The process-wide tables, built on first use.  A plain function over
+    the cache, because perfbench's tracer times plain functions only."""
+    return _default_tables()
 
 
 def modified_coeff(s: int, z: complex, kind: str,

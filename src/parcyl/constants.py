@@ -52,7 +52,8 @@ def delta_n_pm(u: float, n: int) -> float:
 
 
 def _k_stable(u: float) -> float:
-    """k(u) = sqrt(1 + e^{-pi u}) - e^{-pi u/2}, for u >= 0."""
+    """k(u) = sqrt(1 + e^{pi u}) - e^{pi u/2} (DLMF 12.14.5 with a = u/2),
+    for u >= 0, in a form free of cancellation."""
     x = math.exp(-math.pi * u / 2.0)
     return x / (math.sqrt(1.0 + x * x) + 1.0)
 

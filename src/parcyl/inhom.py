@@ -23,7 +23,7 @@ from .constants import chi_m, odd_sum_at_1
 from .lg import BOUND_SAFETY, CertifiedValue, weber_neg_Wj
 from .quadrature import polyline_nodes
 from .scaled import ScaledComplex
-from .tp import (TPCoeffs, _Geometry, _mod_sums, _point_geometry, _ring,
+from .tp import (TPCoeffs, _Geometry, _cauchy, _exp_sums, _point_geometry,
                  _ring_geometry, _u_neg_from, tp_coeff_funcs)
 
 #: empirical margin for the dropped contour-remainder of the Scorer
@@ -283,7 +283,7 @@ def _weber_left_assembly(u: float, z: complex, n: int, R: int) -> CertifiedValue
 def _scorer_factor(g: _Geometry, u: float, m: int, variant: str) -> np.ndarray:
     """The ring integrand factor J_m at each point of the geometry, built
     from the modified-coefficient sums and the factorial tails."""
-    even_t, odd_t, even_p, odd_p = _mod_sums(g, u, m)
+    cosh_t, sinh_p = _exp_sums(g, u, m)
     zeta = g.zeta
     # (zeta_c)^{3/2}, zeta_c = -zeta for WEB+, continued from the upper side;
     # exactly-real points of (-1, 1) take the limit value
@@ -299,8 +299,7 @@ def _scorer_factor(g: _Geometry, u: float, m: int, variant: str) -> np.ndarray:
     powers = (3.0 * u * u * zc[:, None] ** 3) ** -k
     s1 = powers @ np.array([math.factorial(3 * j) / math.factorial(j) for j in k])
     s2 = powers @ np.array([math.factorial(3 * j + 1) / math.factorial(j) for j in k])
-    return -np.exp(even_t) * np.cosh(odd_t) * s1 \
-        + np.exp(even_p) * np.sinh(odd_p) * s2 / (u * z32)
+    return -cosh_t * s1 + sinh_p * s2 / (u * z32)
 
 
 def _J_m(u: float, z: complex, m: int, variant: str) -> complex:
@@ -308,27 +307,15 @@ def _J_m(u: float, z: complex, m: int, variant: str) -> complex:
     return complex(_scorer_factor(_point_geometry(z, variant, m), u, m, variant)[0])
 
 
-def _scorer_ring(u: float, m: int, variant: str, r0: float):
-    """(nodes, root_A J_m / zeta_c) on the Scorer ring of radius r0."""
-    g = _ring_geometry(variant, r0)
-    zc = -g.zeta if variant == "WEB+" else g.zeta
-    return _ring(g, g.root_a * _scorer_factor(g, u, m, variant) / zc)
-
-
 def _scorer_contour(u: float, z: complex, m: int, variant: str) -> complex:
-    """(1/2 pi i) contour integral of root_A J_m / (zeta (t - z)) dt on a
-    ring around the turning point enclosing z.
-
-    The radius grows with |z-1| (snapped to a grid so rings are shared) but
-    stays below 2 and clear of the second turning point.
-    """
-    d = abs(z - 1.0)
-    if d > 1.15:
+    """(1/2 pi i) contour integral of root_A J_m / (zeta_c (t - z)) dt on
+    the ring about the turning point, which encloses every |z-1| <= 1.15."""
+    if abs(z - 1.0) > 1.15:
         raise DomainError("Scorer form provided for |z-1| <= 1.15; use the "
                           "elementary series farther out")
-    r0 = min(max(0.5, 0.05 * math.ceil((d + 0.4) / 0.05)), 1.55)
-    tk, vals = _scorer_ring(u, m, variant, r0)
-    return complex(np.sum(vals * (tk - 1.0) / (tk - z)) / len(tk))
+    g = _ring_geometry(variant)
+    zc = -g.zeta if variant == "WEB+" else g.zeta
+    return _cauchy(g, z, g.root_a * _scorer_factor(g, u, m, variant) / zc)[0]
 
 
 def _gstar_sum(u: float, z: complex, m: int, R: int, weber: bool) -> complex:
@@ -414,12 +401,11 @@ def connect_inhom_pcfm(u: float, z: complex, m: int, R: int) -> CertifiedValue:
     """U_R^{(0,2)}(-u/2, sqrt(2u) z) via the half-sum connection with the
     real part of Lambda_R(-a)."""
     z = _check_scorer_inputs(u, z, m, "PCF-", (0, 1))
-    a = u / 2.0
-    (u01, u03), co = _scorer_values(u, z, m, R, "PCF-", [(0, 1), (-1, 0)])
-    lam = lambda_R(a, R, "-a").value
-    re_lam = ScaledComplex.from_complex(complex(lam.to_complex().real))
     if u < 5:
         raise DomainError("parameter too small for the expansion (u >= 5)")
+    (u01, u03), co = _scorer_values(u, z, m, R, "PCF-", [(0, 1), (-1, 0)])
+    lam = lambda_R(u / 2.0, R, "-a").value
+    re_lam = ScaledComplex.from_complex(complex(lam.to_complex().real))
     uneg = _u_neg_from(u, z, m, co)
     val = (u01.value + u03.value) * 0.5 + re_lam * uneg.value
     rel = max(u01.rel_bound, u03.rel_bound, uneg.rel_bound) * 3.0

@@ -29,18 +29,20 @@ from .lg import CertifiedValue, _omega_varpi_template, omega_varpi
 from .quadrature import polyline_nodes
 from .scaled import ScaledComplex
 
+#: radius of the circle about z = 1 on which the Cauchy-zone error estimate
+#: of A and B is taken (not the radius of the ring they are summed on)
 CAUCHY_RADIUS = 0.5
-#: trapezoidal nodes per ring; even, so the upper half of a ring holds one
-#: node of each conjugate pair
+#: radius of the one trapezoidal ring about z = 1 that carries every Cauchy
+#: integral (A, B and the Scorer contour): it encloses the Scorer zone
+#: |z-1| <= 1.15 and stays clear of the second turning point z = -1
+RING_RADIUS = 1.4
+#: trapezoidal nodes on the ring; even, so its upper half holds one node of
+#: each conjugate pair
 CAUCHY_NODES = 256
 DIRECT_MIN_DIST = 0.2
 
-#: ring geometries kept: two variants times (the Cauchy radius and the 22
-#: Scorer radii 0.5, 0.55, ..., 1.55 of inhom._scorer_contour)
-_GEOMETRY_KEYS = 2 * (1 + 22)
-
-#: largest |Re| of a sum's exponent that _ab accepts; e^709.8 is the
-#: largest float
+#: largest |Re| of a sum's exponent that _exp_sums accepts; e^709.8 is
+#: the largest float
 _EXP_LIMIT = 700.0
 
 #: empirical margin absorbing the dropped scalar identification constants;
@@ -140,19 +142,27 @@ def _point_geometry(z: complex, variant: str, m: int) -> _Geometry:
     return _geometry([z], variant, min(2 * m + 1, get_tables().s_max))
 
 
-@lru_cache(maxsize=_GEOMETRY_KEYS)
-def _ring_geometry(variant: str, radius: float) -> _Geometry:
-    """The upper half of the ring of CAUCHY_NODES trapezoidal nodes of the
-    given radius about z = 1, with rows to the full table depth.  Built on
-    first use and kept: it does not depend on u."""
+@lru_cache(maxsize=2)
+def _ring_geometry(variant: str) -> _Geometry:
+    """The upper half of the ring, with rows to the full table depth.  Built
+    on first use and kept: it does not depend on u."""
     th = (np.arange(CAUCHY_NODES // 2) + 0.5) * (2.0 * math.pi / CAUCHY_NODES)
-    return _geometry(1.0 + radius * np.exp(1j * th), variant, get_tables().s_max)
+    return _geometry(1.0 + RING_RADIUS * np.exp(1j * th), variant,
+                     get_tables().s_max)
 
 
-def _ring(g: _Geometry, *values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The whole ring: the nodes and each value array of the upper half,
-    followed by their conjugates (Schwarz reflection)."""
-    return tuple(np.concatenate([v, v.conj()]) for v in (g.points, *values))
+def _cauchy(g: _Geometry, z: complex, *values: np.ndarray) -> tuple[complex, ...]:
+    """(1/2 pi i) times the ring integral of f(t)/(t - z) dt for each array
+    of values f at the upper-half nodes t of `g`: the trapezoidal sum over
+    the upper half plus its Schwarz reflection f(conj t) = conj f(t),
+
+        (v @ w + conj(v @ wbar)) / N,  w = (t-1)/(t-z), wbar = (t-1)/(t-conj z).
+    """
+    t = g.points
+    w = (t - 1.0) / (t - z)
+    wbar = (t - 1.0) / (t - z.conjugate())
+    n = 2 * len(t)
+    return tuple(complex(v @ w + np.conj(v @ wbar)) / n for v in values)
 
 
 def _mod_sums(g: _Geometry, u: float, m: int):
@@ -179,9 +189,10 @@ def _check_tp_domain(z: complex, variant: str) -> None:
             raise DomainError("on the cut (-inf,-1]")
 
 
-def _ab(g: _Geometry, u: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """A_{2m+2} and B_{2m+2} at each point of the geometry; DomainError
-    where their exponents leave the float range."""
+def _exp_sums(g: _Geometry, u: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """e^even cosh(odd) of the tilde sums and e^even sinh(odd) of the plain
+    sums at each point of the geometry; DomainError where their exponents
+    leave the float range."""
     even_t, odd_t, even_p, odd_p = _mod_sums(g, u, m)
     for even, odd in ((even_t, odd_t), (even_p, odd_p)):
         # e^even cosh(odd) and e^even sinh(odd) are at most e^{even+|odd|}
@@ -189,9 +200,13 @@ def _ab(g: _Geometry, u: float, m: int) -> tuple[np.ndarray, np.ndarray]:
         if max(np.max(big), np.max(even.real + big)) > _EXP_LIMIT:
             raise DomainError("coefficient functions overflow: the turning-"
                               "point expansion does not hold here")
-    A = g.root_a * np.exp(even_t) * np.cosh(odd_t)
-    B = np.exp(even_p) * np.sinh(odd_p) / (u ** (1.0 / 3.0) * g.root_b)
-    return A, B
+    return np.exp(even_t) * np.cosh(odd_t), np.exp(even_p) * np.sinh(odd_p)
+
+
+def _ab(g: _Geometry, u: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A_{2m+2} and B_{2m+2} at each point of the geometry."""
+    cosh_t, sinh_p = _exp_sums(g, u, m)
+    return g.root_a * cosh_t, sinh_p / (u ** (1.0 / 3.0) * g.root_b)
 
 
 def _ab_direct(u: float, z: complex, m: int, variant: str) -> tuple[complex, complex]:
@@ -225,18 +240,9 @@ def tp_coeff_funcs(u: float, z: complex, m: int, variant: str = "PCF-") -> TPCoe
     return TPCoeffs(A, B, m, method, est)
 
 
-def _cauchy_ring(u: float, m: int, variant: str):
-    """(nodes, A, B) on the Cauchy ring."""
-    g = _ring_geometry(variant, CAUCHY_RADIUS)
-    return _ring(g, *_ab(g, u, m))
-
-
 def _ab_cauchy(u: float, z: complex, m: int, variant: str) -> tuple[complex, complex]:
-    tk, Ak, Bk = _cauchy_ring(u, m, variant)
-    w = (tk - 1.0) / (tk - z)
-    A = np.sum(Ak * w) / len(tk)
-    B = np.sum(Bk * w) / len(tk)
-    return complex(A), complex(B)
+    g = _ring_geometry(variant)
+    return _cauchy(g, z, *_ab(g, u, m))
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +329,9 @@ def _w_ml(u: float, z: complex, co: TPCoeffs, l: int, variant: str = "PCF-",
     val = f * co.A + fp * co.B
     est_abs = abs(f * co.A) * co.est_err + abs(fp * co.B) * co.est_err
     rel = est_abs / abs(val) if val != 0 else math.inf
+    if not math.isfinite(rel):
+        raise DomainError("no finite error estimate: the turning-point "
+                          "expansion does not hold here")
     return val, rel
 
 

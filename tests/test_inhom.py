@@ -342,6 +342,19 @@ def test_typed_errors_for_bad_inputs(entry, u, z, exc):
                                  (1e4, 1.1 + 0.1j), (1e5, 0.9)])
 @pytest.mark.parametrize("entry", ["inhom_scorer", "connect_inhom_pcfm"])
 def test_scorer_entries_at_large_u_give_a_value_or_a_typed_error(entry, u, z):
+    _assert_value_or_typed_error(entry, u, z)
+
+
+# at small u the exponents of the Scorer integrand on the ring can leave
+# the double range; they are checked before they are used
+@pytest.mark.parametrize("u,z", [(0.5, 2.1), (0.5, 1 + 0.9j), (1.0, 2.1),
+                                 (1.0, 0.2j)])
+@pytest.mark.parametrize("entry", ["inhom_scorer", "connect_inhom_pcfm"])
+def test_scorer_entries_at_small_u_give_a_value_or_a_typed_error(entry, u, z):
+    _assert_value_or_typed_error(entry, u, z)
+
+
+def _assert_value_or_typed_error(entry, u, z):
     try:
         cv = ENTRIES[entry](u, z, 3)
     except ParcylError:

@@ -1,7 +1,9 @@
-"""Cauchy and Scorer rings: geometry built once per (variant, radius), the
-u-dependent part assembled per call."""
+"""The one Cauchy ring about z = 1: geometry built once per variant, the
+u-dependent part assembled per call, and every Cauchy integral (A, B and the
+Scorer contour) summed on it."""
 
 import cmath
+import functools
 import inspect
 import math
 
@@ -58,13 +60,8 @@ def _scorer_ref(u, z, m, variant):
 
 
 def _per_node(fn, nodes, *args):
-    """fn at each node's upper-side representative, conjugated back."""
-    out = []
-    for t in nodes:
-        t = complex(t)
-        v = np.array(fn(args[0], t if t.imag >= 0 else t.conjugate(), *args[1:]))
-        out.append(v if t.imag >= 0 else v.conj())
-    return np.array(out)
+    """fn at each (upper-half) node."""
+    return np.array([fn(args[0], complex(t), *args[1:]) for t in nodes])
 
 
 def _assert_close(got, ref):
@@ -73,37 +70,71 @@ def _assert_close(got, ref):
 
 
 # ----------------------------------------------------------------------
-# assembled rings against the reference, node by node
+# ring values against the reference, node by node
 # ----------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _full_ring(variant, radius, nodes=tp.CAUCHY_NODES):
+    """The upper half of a trapezoidal ring of `nodes` nodes about z = 1,
+    built with tp._geometry at any radius."""
+    th = (np.arange(nodes // 2) + 0.5) * (2.0 * math.pi / nodes)
+    return tp._geometry(1.0 + radius * np.exp(1j * th), variant,
+                        get_tables().s_max)
+
+
+def _scorer_values(g, u, m, variant):
+    """root_A J_m / zeta_c at the nodes of `g`, as _scorer_contour sums it."""
+    zc = -g.zeta if variant == "WEB+" else g.zeta
+    return g.root_a * inhom._scorer_factor(g, u, m, variant) / zc
+
 
 @pytest.mark.parametrize("variant", ["PCF-", "WEB+"])
 @pytest.mark.parametrize("u", [10.0, 37.3, 300.0])
 def test_cauchy_ring_matches_the_per_node_loop(u, variant):
+    g = tp._ring_geometry(variant)
+    assert len(g.points) == tp.CAUCHY_NODES // 2
+    assert np.allclose(np.abs(g.points - 1.0), tp.RING_RADIUS, rtol=1e-15, atol=0.0)
     for m in range(5):
-        tk, Ak, Bk = tp._cauchy_ring(u, m, variant)
-        assert len(tk) == tp.CAUCHY_NODES
-        ref = _per_node(_ab_ref, tk, u, m, variant)
+        Ak, Bk = tp._ab(g, u, m)
+        ref = _per_node(_ab_ref, g.points, u, m, variant)
         _assert_close(Ak, ref[:, 0])
         _assert_close(Bk, ref[:, 1])
+
+
+def _assert_scorer_matches_the_per_node_loop(g, variant):
+    for u in (10.0, 37.3, 300.0):
+        for m in range(5):
+            _assert_close(_scorer_values(g, u, m, variant),
+                          _per_node(_scorer_ref, g.points, u, m, variant))
 
 
 @pytest.mark.parametrize("variant", ["PCF-", "WEB+"])
 @pytest.mark.parametrize("r0", [0.5, 0.8, 1.2, 1.55])
 def test_scorer_ring_matches_the_per_node_loop(r0, variant):
-    for u in (10.0, 37.3, 300.0):
-        for m in range(5):
-            tk, vals = inhom._scorer_ring(u, m, variant, r0)
-            assert np.allclose(np.abs(tk - 1.0), r0, rtol=1e-15, atol=0.0)
-            _assert_close(vals, _per_node(_scorer_ref, tk, u, m, variant))
+    # the Scorer factor is an array expression over any geometry: rings of
+    # the radii the Scorer contour once used, built with tp._geometry
+    g = _full_ring(variant, r0)
+    assert np.allclose(np.abs(g.points - 1.0), r0, rtol=1e-15, atol=0.0)
+    _assert_scorer_matches_the_per_node_loop(g, variant)
+
+
+@pytest.mark.parametrize("variant", ["PCF-", "WEB+"])
+def test_scorer_on_the_one_ring_matches_the_per_node_loop(variant):
+    _assert_scorer_matches_the_per_node_loop(tp._ring_geometry(variant), variant)
 
 
 def test_ring_nodes_come_in_conjugate_pairs():
-    tk, Ak, Bk = tp._cauchy_ring(20.0, 3, "PCF-")
-    half = len(tk) // 2
-    assert np.all(tk[:half].imag > 0)
-    assert np.array_equal(tk[half:], tk[:half].conj())
-    assert np.array_equal(Ak[half:], Ak[:half].conj())
-    assert np.array_equal(Bk[half:], Bk[:half].conj())
+    # the ring holds its upper half only; _cauchy adds the conjugate half by
+    # Schwarz reflection, so it must equal the plain trapezoidal sum over
+    # the whole ring with the lower half written out
+    g = tp._ring_geometry("PCF-")
+    assert np.all(g.points.imag > 0)
+    tk = np.concatenate([g.points, g.points.conj()])
+    assert len(set(np.round(np.angle(tk - 1.0), 12))) == tp.CAUCHY_NODES
+    Ak, Bk = tp._ab(g, 20.0, 3)
+    for z in (1.05 + 0.05j, 0.9 - 0.1j, 1.1 + 0j, 1.3 + 0.7j):
+        for c, ref in zip(tp._cauchy(g, z, Ak, Bk), _ring_sum(g, z, Ak, Bk)):
+            assert abs(c - ref) <= 1e-14 * abs(ref)
 
 
 def test_direct_path_matches_the_scalar_loop():
@@ -115,21 +146,91 @@ def test_direct_path_matches_the_scalar_loop():
 
 
 # ----------------------------------------------------------------------
-# memory: geometry keyed on (variant, radius) only
+# the one ring against the two ring families it replaced, and against a
+# much finer ring
+# ----------------------------------------------------------------------
+
+def _ring_sum(g, z, *values):
+    """The trapezoidal Cauchy sum over the whole ring, lower half appended."""
+    tk = np.concatenate([g.points, g.points.conj()])
+    w = (tk - 1.0) / (tk - z)
+    return tuple(complex(np.sum(np.concatenate([v, v.conj()]) * w)) / len(tk)
+                 for v in values)
+
+
+def _snapped_scorer_radius(z):
+    """The ring radius the Scorer contour used before the one ring:
+    |z-1| + 0.4 snapped up to the grid 0.5, 0.55, ..., 1.55."""
+    return min(max(0.5, 0.05 * math.ceil((abs(z - 1.0) + 0.4) / 0.05)), 1.55)
+
+
+def _points(rng, n, dmax):
+    """n seeded points of the closed upper half plane with |z-1| < dmax."""
+    d = dmax * np.sqrt(rng.uniform(0.0, 1.0, n))
+    return 1.0 + d * np.exp(1j * rng.uniform(0.0, math.pi, n))
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+@pytest.mark.parametrize("variant", ["PCF-", "WEB+"])
+def test_one_ring_agrees_with_the_rings_it_replaced(variant):
+    rng = np.random.default_rng(2017)
+    old_cauchy = _full_ring(variant, tp.CAUCHY_RADIUS)
+    worst_ab = worst_scorer = 0.0
+    us = rng.uniform(20.0, 300.0, 250)
+    ms = rng.integers(0, 5, 250)
+    for u, m, z in zip(us, ms, _points(rng, 250, tp.DIRECT_MIN_DIST)):
+        got = tp._ab_cauchy(u, z, m, variant)
+        ref = _ring_sum(old_cauchy, z, *tp._ab(old_cauchy, u, m))
+        worst_ab = max(worst_ab, *map(_rel, got, ref))
+    for u, m, z in zip(us, ms, _points(rng, 250, 1.15)):
+        old = _full_ring(variant, _snapped_scorer_radius(z))
+        ref, = _ring_sum(old, z, _scorer_values(old, u, m, variant))
+        worst_scorer = max(worst_scorer,
+                           _rel(inhom._scorer_contour(u, z, m, variant), ref))
+    assert worst_ab <= 1e-14 and worst_scorer <= 1e-14, (worst_ab, worst_scorer)
+
+
+@pytest.mark.parametrize("variant", ["PCF-", "WEB+"])
+def test_one_ring_is_converged_at_small_u(variant):
+    # reference: 4096 nodes on rings well inside the float range at u = 5
+    # (radius 1.0 for A, B; 1.3, enclosing the Scorer zone, for the
+    # contour); the top orders converge slowest
+    ref_ab = _full_ring(variant, 1.0, 4096)
+    ref_scorer = _full_ring(variant, 1.3, 4096)
+    worst_ab = worst_scorer = 0.0
+    for u in (5.0, 6.0, 8.0):
+        for m in range(get_tables().s_max // 2):
+            for z in (1.0 + 0j, 1.1 + 0.1j, 0.85 + 0.05j, 1.15 + 0j, 1.0 + 0.19j):
+                got = tp._ab_cauchy(u, z, m, variant)
+                ref = _ring_sum(ref_ab, z, *tp._ab(ref_ab, u, m))
+                worst_ab = max(worst_ab, *map(_rel, got, ref))
+        for m in range(5):
+            for z in (1.0 + 0j, 1.05 + 0.02j, 1.3 + 0.4j, 0.4 + 0.6j, 2.1 + 0j,
+                      1.0 + 1.1j):
+                got = inhom._scorer_contour(u, z, m, variant)
+                ref, = _ring_sum(ref_scorer, z,
+                                 _scorer_values(ref_scorer, u, m, variant))
+                worst_scorer = max(worst_scorer, _rel(got, ref))
+    assert worst_ab <= 1e-6 and worst_scorer <= 1e-12, (worst_ab, worst_scorer)
+
+
+# ----------------------------------------------------------------------
+# memory: geometry keyed on the variant only
 # ----------------------------------------------------------------------
 
 def test_geometry_cache_stays_finite_over_a_u_sweep():
     tp._ring_geometry.cache_clear()
     zs = (1.05 + 0.05j, 1.3 + 0.4j, 0.6 - 0.2j, 1.9 + 0.3j)
-    keys = {("PCF-", tp.CAUCHY_RADIUS), ("WEB+", tp.CAUCHY_RADIUS)}
     for i, u in enumerate(np.linspace(10.0, 300.0, 1000)):
         variant = ("PCF-", "WEB+")[i % 2]
         z = zs[i % len(zs)]
         tp._ab_cauchy(u, 1.05 + 0.05j, 3, variant)
         inhom._scorer_contour(u, z, 2, variant)
-        keys.add((variant, min(max(0.5, 0.05 * math.ceil((abs(z - 1) + 0.4) / 0.05)), 1.55)))
     info = tp._ring_geometry.cache_info()
-    assert info.currsize == info.misses == len(keys) <= tp._GEOMETRY_KEYS
+    assert info.currsize == info.misses <= 2
 
 
 def test_no_cache_is_keyed_on_u():

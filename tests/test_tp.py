@@ -333,9 +333,12 @@ def test_typed_errors_for_bad_inputs(entry, u, z, exc):
     ids=["U-", "V-", "U+i", "U-i"])
 def test_overflowing_coefficient_functions_are_a_domain_error(entry):
     # near the far turning point z = -1 the exponents of A and B leave the
-    # float range; a typed error, and no overflow warning on the way
-    with pytest.raises(DomainError):
-        entry(-0.987 + 0.007j)
+    # float range, or A and B stay finite but the value's estimate does not
+    # (an underflowed A, or exponents near 600); a typed error, and no
+    # overflow warning on the way
+    for z in (-0.987 + 0.007j, -0.99, -0.97, -0.95, -0.93 + 0.03j, -0.93 - 0.03j):
+        with pytest.raises(DomainError):
+            entry(complex(z))
 
 
 # supported: m = 0..5, direct (z = 1.5) and Cauchy (z = 1.05) zones
