@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from numbers import Integral
 
 from .errors import ConsistencyError, OrderError, TurningPointError
 from .plane import beta_map, xi_zeta
@@ -126,10 +127,15 @@ def gen_airy_seq(s_max: int) -> AirySeq:
     return AirySeq(s_max)
 
 
+def check_forcing_degree(R: int) -> None:
+    """OrderError unless the forcing degree R is an integer in [0, R_MAX]."""
+    if not isinstance(R, Integral) or not 0 <= R <= R_MAX:
+        raise OrderError(f"forcing degree R={R} outside [0, {R_MAX}]")
+
+
 def gen_G(s_max: int, R: int, variant: str) -> list[RationalFunc]:
     """G_{0,R}..G_{s_max,R} for variant 'plus' ((z^2+1) poles) or 'minus'."""
-    if R < 0 or R > R_MAX:
-        raise OrderError(f"forcing degree R={R} outside [0, {R_MAX}]")
+    check_forcing_degree(R)
     sign = +1 if variant == "plus" else -1
     num = RationalPoly.make([0] * R + [-1])  # -z^R
     g = [RationalFunc(num, 1, sign)]

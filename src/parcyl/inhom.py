@@ -15,7 +15,7 @@ import numpy as np
 
 from . import plane
 from .airy import wi, wi_prime
-from .coeffs import get_tables
+from .coeffs import check_forcing_degree, get_tables
 from .errors import (DomainError, OrderError, PairError, PoleError,
                      check_inputs)
 from .gamma import loggamma, rgamma
@@ -45,8 +45,7 @@ class ConnectionConstant:
 def hyp_terminating(R: int, c: complex) -> complex:
     """F(1/2 - R/2, -R/2; c; 1/2) / Gamma-normalized: exactly floor(R/2)+1
     nonzero terms; entire in c through the 1/Gamma(c+s) scaling."""
-    if R < 0:
-        raise ValueError("R must be a nonnegative integer")
+    check_forcing_degree(R)
     a = 0.5 - 0.5 * R
     b = -0.5 * R
     total = 0j
@@ -244,6 +243,7 @@ def inhom_series(u: float, z: complex, n: int, R: int, variant: str = "plus",
     if not 1 <= n <= get_tables().s_max:
         raise OrderError(f"n={n} outside the supported order range")
     z = complex(z)
+    check_forcing_degree(R)
     _check_n_constraint(n, R)
     if variant == "weber-" and z.real < -1e-12:
         return _weber_left_assembly(u, z, n, R)
@@ -337,14 +337,17 @@ def inhom_scorer(u: float, z: complex, m: int, R: int, variant: str = "PCF-",
     For variant 'WEB+' the assembly uses the Weber connection constant
     and sign-flipped analytic parts is used.
     """
-    z = _check_scorer_inputs(u, z, m, variant, pair)
+    z = _check_scorer_inputs(u, z, m, R, variant, pair)
     return _scorer_values(u, z, m, R, variant, [pair])[0][0]
 
 
-def _check_scorer_inputs(u: float, z: complex, m: int, variant: str,
+def _check_scorer_inputs(u: float, z: complex, m: int, R: int, variant: str,
                          pair: tuple[int, int]) -> complex:
     check_inputs(u, z)
     z = complex(z)
+    if u < 5:
+        raise DomainError("parameter too small for the expansion (u >= 5)")
+    check_forcing_degree(R)
     if variant not in ("PCF-", "WEB+"):
         raise ValueError("variant must be 'PCF-' or 'WEB+'")
     if pair not in ((-1, 1), (0, 1), (-1, 0)):
@@ -400,9 +403,7 @@ def _scorer_values(u: float, z: complex, m: int, R: int, variant: str,
 def connect_inhom_pcfm(u: float, z: complex, m: int, R: int) -> CertifiedValue:
     """U_R^{(0,2)}(-u/2, sqrt(2u) z) via the half-sum connection with the
     real part of Lambda_R(-a)."""
-    z = _check_scorer_inputs(u, z, m, "PCF-", (0, 1))
-    if u < 5:
-        raise DomainError("parameter too small for the expansion (u >= 5)")
+    z = _check_scorer_inputs(u, z, m, R, "PCF-", (0, 1))
     (u01, u03), co = _scorer_values(u, z, m, R, "PCF-", [(0, 1), (-1, 0)])
     lam = lambda_R(u / 2.0, R, "-a").value
     re_lam = ScaledComplex.from_complex(complex(lam.to_complex().real))

@@ -92,35 +92,55 @@ def omega_varpi(n: int, u: float, batches, family_d) -> tuple[float, float]:
     batches: (p, dp w) arrays as _beta_image yields them; family_d: list
     of derivative polynomials (index by subscript).
     """
+    om, vp = _family_moments(n, batches, family_d)
+    return _at_u(om, u), _at_u(vp, u)
+
+
+def _family_moments(n: int, batches, family_d) -> tuple[tuple, tuple]:
+    """The u-free moments of omega_varpi for a coefficient family."""
     if n >= len(family_d):
         raise OrderError(f"order n={n} beyond generated tables")
-    return _omega_varpi_template(
-        n, u, batches, lambda p: [poly(p) for poly in family_d[:n + 1]],
+    return _omega_varpi_moments(
+        n, batches, lambda p: [poly(p) for poly in family_d[:n + 1]],
         lambda p: np.abs(1.0 - p * p) ** 2)
 
 
-def _omega_varpi_template(n: int, u: float, batches, derivs,
-                          weight) -> tuple[float, float]:
-    """omega and varpi from the exponent-coefficient derivatives at the
-    quadrature nodes of a mapped path.
+def _omega_varpi_moments(n: int, batches, derivs, weight) -> tuple[tuple, tuple]:
+    """The coefficients of omega and varpi as polynomials in 1/u, from the
+    exponent-coefficient derivatives at the quadrature nodes of a mapped
+    path: omega = sum_s u^{-s} om[s], varpi = sum_s u^{-s} vp[s] with
+
+        om[0] = 2 int |d_n|,  om[s] = int |sum_{k=s}^{n-1} d_k d_{s+n-k-1}| W,
+        vp[s] = 4 int |d_{s+1}|,
+
+    s = 1..n-1 for om and s = 0..n-2 for vp.  None of them depends on u.
 
     batches: (nodes, weighted path element) arrays, taken as they come;
     derivs(nodes): [d_0, ..., d_n], d_k the derivative of the k-th
     coefficient at the nodes (d_0 is not used); weight(nodes): the factor
-    of the cross terms.
+    W of the cross terms.
     """
-    omega = varpi = 0.0
+    om = [0.0] * n
+    vp = [0.0] * (n - 1)
     for x, dxw in batches:
         d = derivs(x)
         absd = np.abs(dxw)
         wfac = weight(x)
-        omega += 2.0 * float(np.sum(np.abs(d[n]) * absd))
+        om[0] += 2.0 * float(np.sum(np.abs(d[n]) * absd))
         for s in range(1, n):
             inner = sum(d[k] * d[s + n - k - 1] for k in range(s, n))
-            omega += u ** (-s) * float(np.sum(np.abs(inner) * wfac * absd))
+            om[s] += float(np.sum(np.abs(inner) * wfac * absd))
         for s in range(n - 1):
-            varpi += 4.0 * u ** (-s) * float(np.sum(np.abs(d[s + 1]) * absd))
-    return omega, varpi
+            vp[s] += 4.0 * float(np.sum(np.abs(d[s + 1]) * absd))
+    return tuple(om), tuple(vp)
+
+
+def _at_u(moments, u: float) -> float:
+    """sum_s u^{-s} moments[s], summed in order of s."""
+    total = 0.0
+    for s, c in enumerate(moments):
+        total += u ** (-s) * c
+    return total
 
 
 def eta_bound(n: int, u: float, omega: float, varpi: float) -> float:

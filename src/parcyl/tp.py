@@ -25,7 +25,10 @@ from .airy import AiryValue, airy, env_airy
 from .coeffs import get_tables
 from .constants import delta_n_pm, odd_sum_at_1
 from .errors import DomainError, OrderError, check_inputs
-from .lg import CertifiedValue, _omega_varpi_template, omega_varpi
+from .lg import CertifiedValue, _at_u, _family_moments, _omega_varpi_moments
+# not called here; perfbench's tracing self-test checks that the wrapped
+# omega_varpi is rebound in this namespace
+from .lg import omega_varpi  # noqa: F401
 from .quadrature import polyline_nodes
 from .scaled import ScaledComplex
 
@@ -44,6 +47,11 @@ DIRECT_MIN_DIST = 0.2
 #: largest |Re| of a sum's exponent that _exp_sums accepts; e^709.8 is
 #: the largest float
 _EXP_LIMIT = 700.0
+
+#: points each per-point cache of u-free data keeps (_point_geometry,
+#: _est_moments): a sweep in u over a few dozen fixed points always hits,
+#: and an entry is a few kB
+_POINT_CACHE_SIZE = 128
 
 #: empirical margin absorbing the dropped scalar identification constants;
 #: the u=10 worst case measured by scripts/calibration_sweep.py is 0.11
@@ -116,7 +124,7 @@ def _geometry(points, variant: str, s_top: int) -> _Geometry:
     for the plain sequence a_s and the tilde sequence (both families share
     the E_s polynomials), each column times (-i)^s for WEB+."""
     t = get_tables()
-    points = np.asarray(points, dtype=complex)
+    points = np.array(points, dtype=complex)
     n = len(points)
     xi, zeta, ra, rb = (np.empty(n, dtype=complex) for _ in range(4))
     E = np.empty((n, s_top), dtype=complex)
@@ -134,11 +142,17 @@ def _geometry(points, variant: str, s_top: int) -> _Geometry:
     def rows(seq) -> np.ndarray:
         return fac * (E + np.array([(-1) ** k * float(seq[k]) / k for k in s]) * xi_s)
 
-    return _Geometry(points, zeta, ra, rb, rows(t.airy.a), rows(t.airy.a_tilde))
+    g = _Geometry(points, zeta, ra, rb, rows(t.airy.a), rows(t.airy.a_tilde))
+    # geometries are cached and shared: no caller may write into them
+    for arr in vars(g).values():
+        arr.setflags(write=False)
+    return g
 
 
+@lru_cache(maxsize=_POINT_CACHE_SIZE)
 def _point_geometry(z: complex, variant: str, m: int) -> _Geometry:
-    """The geometry of one point (Im z >= 0), with the rows order m needs."""
+    """The geometry of one point (Im z >= 0), with the rows order m needs.
+    Kept per point: it does not depend on u."""
     return _geometry([z], variant, min(2 * m + 1, get_tables().s_max))
 
 
@@ -229,12 +243,12 @@ def tp_coeff_funcs(u: float, z: complex, m: int, variant: str = "PCF-") -> TPCoe
     if abs(z - 1.0) < DIRECT_MIN_DIST:
         A, B = _ab_cauchy(u, z, m, variant)
         method = "cauchy"
-        est = _ab_est_err(u, complex(1.0 + CAUCHY_RADIUS), m, variant) * \
+        est = _ab_est_err(u, complex(1.0 + CAUCHY_RADIUS), m) * \
             CAUCHY_RADIUS / (CAUCHY_RADIUS - abs(z - 1.0))
     else:
         A, B = _ab_direct(u, z, m, variant)
         method = "direct"
-        est = _ab_est_err(u, z, m, variant)
+        est = _ab_est_err(u, z, m)
     if z.imag == 0.0 and z.real > -1.0:
         A, B = complex(A.real), complex(B.real)
     return TPCoeffs(A, B, m, method, est)
@@ -260,44 +274,55 @@ def _beta_image_minus(path: plane.PathPolyline):
     return segs, xi_nodes
 
 
-def _gamma_beta_xi(n: int, u: float, xi_nodes, seq) -> tuple[float, float]:
-    """omega/varpi template applied to the scalar sequences in the xi
-    variable: the s-th exponent coefficient is (-1)^s a_s/(s xi^s)."""
+def _gamma_beta_xi(n: int, xi_nodes, seq) -> tuple[tuple, tuple, float]:
+    """omega/varpi moments of the scalar sequences in the xi variable, where
+    the s-th exponent coefficient is (-1)^s a_s/(s xi^s), and the analytic
+    tail that Gamma adds to the leading term beyond the truncated far
+    endpoint."""
     coef = [(-1) ** (k + 1) * float(seq[k]) for k in range(n + 1)]
-    gam, bet = _omega_varpi_template(
-        n, u, xi_nodes,
+    gam, bet = _omega_varpi_moments(
+        n, xi_nodes,
         lambda xi: [c * xi ** (-k - 1) for k, c in enumerate(coef)],
         lambda xi: 1.0)
-    # analytic tail of the leading term beyond the truncated far endpoint
-    # (the first node of each segment lies nearest its far end)
+    # the first node of each segment lies nearest its far end
     xi_far = max(float(np.max(np.abs(xi[:, 0]))) for xi, _ in xi_nodes)
-    return gam + 2.0 * float(seq[n]) / (n * xi_far ** n), bet
+    return gam, bet, 2.0 * float(seq[n]) / (n * xi_far ** n)
 
 
-def _ab_est_err(u: float, z: complex, m: int, variant: str) -> float:
+@lru_cache(maxsize=_POINT_CACHE_SIZE)
+def _est_moments(z: complex, m: int) -> tuple[tuple, _Geometry]:
+    """The u-free part of _ab_est_err at z: for each estimate path (to +inf,
+    then to +-i inf on the side of z) the omega, varpi, Gamma and B moments
+    and the Gamma tail; and the geometry of z for the envelope."""
+    n = 2 * m + 2
+    t = get_tables()
+    paths = []
+    for end in ("+inf", "+iinf" if z.imag >= 0 else "-iinf"):
+        segs, xi_nodes = _beta_image_minus(plane.monotone_path(z, end, "PCF-"))
+        paths.append((*_family_moments(n, segs, t.E_d),
+                      *_gamma_beta_xi(n, xi_nodes, t.airy.a)))
+    return tuple(paths), _point_geometry(z, "PCF-", m)
+
+
+def _ab_est_err(u: float, z: complex, m: int) -> float:
     """Majorant for the dropped error terms of A and B, combined
     into one conservative relative figure; the scalar constants dropped in
     the identifications are absorbed by the calibrated parameter-decay
     margin."""
     n = 2 * m + 2
-    t = get_tables()
     try:
-        path_j = plane.monotone_path(z, "+inf", "PCF-")
-        path_k = plane.monotone_path(z, "+iinf" if z.imag >= 0 else "-iinf", "PCF-")
+        paths, g = _est_moments(z, m)
         e_vals = []
-        for path, dlt in ((path_j, 0.0), (path_k, delta_n_pm(u, n))):
-            segs, xi_nodes = _beta_image_minus(path)
-            om, vp = omega_varpi(n, u, segs, t.E_d)
-            gm, bt = _gamma_beta_xi(n, u, xi_nodes, t.airy.a)
+        for (om, vp, gm, bt, tail), dlt in zip(paths, (0.0, delta_n_pm(u, n))):
+            om, vp = _at_u(om, u), _at_u(vp, u)
+            gm, bt = _at_u(gm, u) + tail, _at_u(bt, u)
             # the raw majorants blow up near the second turning point; the
             # clamp only ever loosens an already-useless estimate
             e = u ** n * dlt \
                 + om * math.exp(min(vp / u + om * u ** (-n), 60.0)) \
                 + gm * math.exp(min(bt / u + gm * u ** (-n), 60.0))
             e_vals.append(min(e, 1e30))
-        m_env = min(m, t.s_max // 2 - 1)
-        sums = _mod_sums(_point_geometry(z, "PCF-", m_env), u, m_env)
-        re_sum = float(sum(abs(s[0]) for s in sums))
+        re_sum = float(sum(abs(s[0]) for s in _mod_sums(g, u, m)))
         env = math.exp(min(re_sum, 50.0))
         e_j, e_k = e_vals
         bound = u ** (-n) * env * (
@@ -336,7 +361,8 @@ def _w_ml(u: float, z: complex, co: TPCoeffs, l: int, variant: str = "PCF-",
 
 
 def _neg_coeffs(u: float, z: complex, m: int) -> TPCoeffs:
-    """The checks of pcf_U_neg, then the coefficient functions at z."""
+    """The checks of the PCF- entries (U-, V-, U+-i), then the coefficient
+    functions at z."""
     check_inputs(u, z)
     if u < 5:
         raise DomainError("parameter too small for the expansion (u >= 5)")
@@ -366,12 +392,10 @@ def _u_neg_from(u: float, z: complex, m: int, co: TPCoeffs) -> CertifiedValue:
 def pcf_U_rotated(u: float, z: complex, m: int, sign: str = "-i") -> CertifiedValue:
     """U(u/2, -i sqrt(2u) z) for sign='-i' (recessive at +i inf), and the
     conjugate-phase '+i' variant; both through the rotated Airy solutions."""
-    check_inputs(u, z)
-    z = complex(z)
-    _check_tp_domain(z, "PCF-")
     if sign not in ("-i", "+i"):
         raise ValueError("sign must be '-i' or '+i'")
-    return _u_rot_from(u, z, m, tp_coeff_funcs(u, z, m, "PCF-"), sign == "-i")
+    z = complex(z)
+    return _u_rot_from(u, z, m, _neg_coeffs(u, z, m), sign == "-i")
 
 
 def _u_rot_from(u: float, z: complex, m: int, co: TPCoeffs,
@@ -390,10 +414,8 @@ def _u_rot_from(u: float, z: complex, m: int, co: TPCoeffs,
 
 def pcf_V_neg(u: float, z: complex, m: int) -> CertifiedValue:
     """V(-u/2, sqrt(2u) z) via the Bi-companion assembly."""
-    check_inputs(u, z)
     z = complex(z)
-    _check_tp_domain(z, "PCF-")
-    return _v_neg_from(u, z, m, tp_coeff_funcs(u, z, m, "PCF-"))
+    return _v_neg_from(u, z, m, _neg_coeffs(u, z, m))
 
 
 def _v_neg_from(u: float, z: complex, m: int, co: TPCoeffs) -> CertifiedValue:

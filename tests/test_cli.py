@@ -167,6 +167,7 @@ def test_eval_agrees_with_oracle(capsys, function):
     (("eval", "--function", "UR", "--u", "20", "--z", "2.0", "--pair", "0;2"),
      "ARGUMENT"),
     (("domain", "--tag", "Z02", "--z", "0.5+abc"), "ARGUMENT"),
+    (("eval", "--function", "V-", "--u", "2", "--z", "1.5"), "DOMAIN"),
 ])
 def test_malformed_input_is_a_typed_error(capsys, args, error):
     code, payload = run_main(capsys, *args)

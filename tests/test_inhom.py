@@ -311,17 +311,21 @@ def test_bound_integrals_do_not_depend_on_the_batching(monkeypatch):
     # the two-segment PCF- estimate path of z = 0.5+0.1j then spans two
     # batches, as does every segment run of the traced inhom leg
     args = (20.0, -1.5 + 1.5j, 3, 1, "plus", (0, 2))
-    est_args = (20.0, 0.5 + 0.1j, 3, "PCF-")
+    est_args = (20.0, 0.5 + 0.1j, 3)
     whole = inhom._bound_integrals(*args), tp._ab_est_err(*est_args)
     monkeypatch.setattr(quadrature, "BATCH_SEGMENTS", 1)
+    # the estimate's u-free moments are cached per point: rebuild them, and
+    # leave no entry of the one-segment batching behind
+    tp._est_moments.cache_clear()
     batched = inhom._bound_integrals(*args), tp._ab_est_err(*est_args)
+    tp._est_moments.cache_clear()
     assert batched == pytest.approx(whole, rel=1e-13)
 
 
 ENTRIES = {
-    "inhom_scorer": lambda u, z, m=2: inhom.inhom_scorer(u, z, m, 0),
-    "connect_inhom_pcfm": lambda u, z, m=2: inhom.connect_inhom_pcfm(u, z, m, 0),
-    "inhom_series": lambda u, z, n=3: inhom.inhom_series(u, z, n, 0),
+    "inhom_scorer": lambda u, z, m=2, R=0: inhom.inhom_scorer(u, z, m, R),
+    "connect_inhom_pcfm": lambda u, z, m=2, R=0: inhom.connect_inhom_pcfm(u, z, m, R),
+    "inhom_series": lambda u, z, n=3, R=0: inhom.inhom_series(u, z, n, R),
 }
 
 
@@ -333,6 +337,16 @@ ENTRIES = {
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_typed_errors_for_bad_inputs(entry, u, z, exc):
     with pytest.raises(exc):
+        ENTRIES[entry](u, z)
+
+
+# the Scorer forms need u >= 5: below it inhom_scorer answered 2.6e19 as
+# its relative figure at (1, 2.1)
+@pytest.mark.parametrize("u", [1.0, 2.0, 4.9])
+@pytest.mark.parametrize("z", [1.05, 2.1])
+@pytest.mark.parametrize("entry", ["inhom_scorer", "connect_inhom_pcfm"])
+def test_small_u_is_a_domain_error(entry, z, u):
+    with pytest.raises(DomainError):
         ENTRIES[entry](u, z)
 
 
@@ -371,3 +385,14 @@ def _assert_value_or_typed_error(entry, u, z):
 def test_typed_errors_for_bad_orders(entry, order):
     with pytest.raises(OrderError):
         ENTRIES[entry](20.0, 2.0 if entry == "inhom_series" else 1.05, order)
+
+
+# supported: integer forcing degrees R = 0..R_MAX
+@pytest.mark.parametrize("R", [-1, 1.5, 17])
+@pytest.mark.parametrize("entry", [*sorted(ENTRIES), "hyp_terminating"])
+def test_typed_errors_for_bad_forcing_degrees(entry, R):
+    with pytest.raises(OrderError, match="forcing degree"):
+        if entry == "hyp_terminating":
+            inhom.hyp_terminating(R, 2.5)
+        else:
+            ENTRIES[entry](20.0, 2.0 if entry == "inhom_series" else 1.05, R=R)

@@ -1,17 +1,23 @@
-"""The one Cauchy ring about z = 1: geometry built once per variant, the
-u-dependent part assembled per call, and every Cauchy integral (A, B and the
-Scorer contour) summed on it."""
+"""u-free data built once and reused: the one Cauchy ring about z = 1
+(geometry built once per variant, the u-dependent part assembled per call,
+and every Cauchy integral, A, B and the Scorer contour, summed on it), and
+the per-point caches of the direct geometry and of the turning-point error
+estimate's moments."""
 
 import cmath
 import functools
+import importlib
 import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
-from parcyl import inhom, plane, tp
+import parcyl
+from parcyl import constants, inhom, plane, quadrature, tp
 from parcyl.coeffs import get_tables
+from parcyl.errors import DomainError
 
 RTOL = 1e-12
 
@@ -234,7 +240,139 @@ def test_geometry_cache_stays_finite_over_a_u_sweep():
 
 
 def test_no_cache_is_keyed_on_u():
-    for mod in (tp, inhom):
+    # every module-level cache of the package is bounded and none is keyed
+    # on u (a sweep in u would grow it by one entry per call)
+    names = [m.name for m in pkgutil.iter_modules(parcyl.__path__)]
+    assert {"tp", "inhom", "airy", "quadrature"} <= set(names)
+    for modname in names:
+        mod = importlib.import_module(f"parcyl.{modname}")
         for name, fn in vars(mod).items():
             if callable(fn) and hasattr(fn, "cache_info"):
                 assert "u" not in inspect.signature(fn).parameters, name
+                assert fn.cache_parameters()["maxsize"] is not None, name
+
+
+# ----------------------------------------------------------------------
+# per-point caches: the direct geometry and the error estimate's moments
+# ----------------------------------------------------------------------
+
+def _omega_varpi_ref(n, u, batches, derivs, weight):
+    """The omega/varpi template summed at one u, batch by batch, as the
+    turning-point estimate once did on every call."""
+    omega = varpi = 0.0
+    for x, dxw in batches:
+        d = derivs(x)
+        absd = np.abs(dxw)
+        wfac = weight(x)
+        omega += 2.0 * float(np.sum(np.abs(d[n]) * absd))
+        for s in range(1, n):
+            inner = sum(d[k] * d[s + n - k - 1] for k in range(s, n))
+            omega += u ** (-s) * float(np.sum(np.abs(inner) * wfac * absd))
+        for s in range(n - 1):
+            varpi += 4.0 * u ** (-s) * float(np.sum(np.abs(d[s + 1]) * absd))
+    return omega, varpi
+
+
+def _ab_est_err_ref(u, z, m):
+    """tp._ab_est_err rebuilt from scratch at every u: both estimate paths,
+    their beta and xi images, every integral and the envelope geometry."""
+    n = 2 * m + 2
+    t = get_tables()
+    try:
+        path_j = plane.monotone_path(z, "+inf", "PCF-")
+        path_k = plane.monotone_path(z, "+iinf" if z.imag >= 0 else "-iinf", "PCF-")
+        e_vals = []
+        for path, dlt in ((path_j, 0.0), (path_k, constants.delta_n_pm(u, n))):
+            segs, xi_nodes = tp._beta_image_minus(path)
+            om, vp = _omega_varpi_ref(
+                n, u, segs, lambda p: [poly(p) for poly in t.E_d[:n + 1]],
+                lambda p: np.abs(1.0 - p * p) ** 2)
+            coef = [(-1) ** (k + 1) * float(t.airy.a[k]) for k in range(n + 1)]
+            gm, bt = _omega_varpi_ref(
+                n, u, xi_nodes,
+                lambda xi: [c * xi ** (-k - 1) for k, c in enumerate(coef)],
+                lambda xi: 1.0)
+            xi_far = max(float(np.max(np.abs(xi[:, 0]))) for xi, _ in xi_nodes)
+            gm = gm + 2.0 * float(t.airy.a[n]) / (n * xi_far ** n)
+            e = u ** n * dlt \
+                + om * math.exp(min(vp / u + om * u ** (-n), 60.0)) \
+                + gm * math.exp(min(bt / u + gm * u ** (-n), 60.0))
+            e_vals.append(min(e, 1e30))
+        g = tp._geometry([z], "PCF-", min(2 * m + 1, t.s_max))
+        sums = tp._mod_sums(g, u, m)
+        re_sum = float(sum(abs(s[0]) for s in sums))
+        env = math.exp(min(re_sum, 50.0))
+        e_j, e_k = e_vals
+        bound = u ** (-n) * env * (
+            e_j * (1.0 + e_j / (2.0 * u ** n)) ** 2
+            + e_k * (1.0 + e_k / (2.0 * u ** n)) ** 2)
+        return bound + tp.EPS_CONST_MARGIN * u ** (-n)
+    except (plane.NoPath, DomainError, ValueError):
+        return tp.EPS_CONST_MARGIN * u ** (-n) * 10.0
+
+
+#: the Cauchy-zone estimate point; direct points in both half planes; real
+#: points; points of Z within TP_CLEARANCE of -1, where no estimate path
+#: exists and the estimate falls back to its constant
+EST_POINTS = (1.0 + tp.CAUCHY_RADIUS, 1.5 + 0.5j, 0.4 + 0.6j, -0.5 + 0.3j,
+              1.3 - 0.4j, 2.5 - 1.0j, -0.3 - 0.8j, 0.4, 2.0, -0.9,
+              -0.9 + 0.1j, -0.9999, -0.99999, -0.9995 - 0.0001j)
+
+
+def _single_batch(z):
+    ends = ("+inf", "+iinf" if z.imag >= 0 else "-iinf")
+    try:
+        paths = [plane.monotone_path(z, end, "PCF-") for end in ends]
+    except plane.NoPath:
+        return True
+    return all(len(p.vertices) - 1 <= quadrature.BATCH_SEGMENTS for p in paths)
+
+
+# on a path of one batch the moments are the reference's products summed in
+# the reference's order, so the figure is bit-identical.  Over several
+# batches each power's sum is reordered; a last-bit change of a sum is
+# then amplified by the estimate's exponents (up to 60 per path and 50 for
+# the envelope), so the figure agrees to 1e-13 instead
+@pytest.mark.parametrize("batch_segments", [quadrature.BATCH_SEGMENTS, 1])
+def test_cached_estimate_matches_the_rebuilt_one(monkeypatch, batch_segments):
+    monkeypatch.setattr(quadrature, "BATCH_SEGMENTS", batch_segments)
+    tp._est_moments.cache_clear()
+    rng = np.random.default_rng(1505)
+    fallbacks = 0
+    for z in map(complex, EST_POINTS):
+        single = _single_batch(z)
+        for m in range(6):
+            for u in rng.uniform(5.0, 300.0, 4):
+                got, ref = tp._ab_est_err(u, z, m), _ab_est_err_ref(u, z, m)
+                if single:
+                    assert got == ref, (z, m, u)
+                else:
+                    assert abs(got - ref) <= 1e-13 * ref, (z, m, u, got / ref - 1)
+                fallbacks += ref == tp.EPS_CONST_MARGIN * u ** (-2 * m - 2) * 10.0
+    assert fallbacks == 3 * 6 * 4
+    tp._est_moments.cache_clear()
+
+
+def test_point_caches_stay_bounded_over_a_sweep():
+    tp._point_geometry.cache_clear()
+    tp._est_moments.cache_clear()
+    rng = np.random.default_rng(2024)
+    # 300 direct points of the right half plane, each met about three times
+    pts = 1.0 + rng.uniform(0.3, 1.5, 300) * np.exp(1j * rng.uniform(-1.2, 1.2, 300))
+    for u, z, variant in zip(rng.uniform(5.0, 300.0, 1000), rng.choice(pts, 1000),
+                             rng.choice(["PCF-", "WEB+"], 1000)):
+        tp.tp_coeff_funcs(u, z, 3, variant)
+    for cache in (tp._point_geometry, tp._est_moments):
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize and info.hits > 0, info
+
+
+def test_cached_geometry_is_read_only():
+    co = tp.tp_coeff_funcs(20.0, 1.5 + 0.5j, 3)
+    geoms = (tp._ring_geometry("PCF-"), tp._point_geometry(1.5 + 0.5j, "PCF-", 3),
+             tp._est_moments(1.5 + 0.5j, 3)[1])
+    for g in geoms:
+        for name in ("points", "zeta", "root_a", "root_b", "plain", "tilde"):
+            with pytest.raises(ValueError):
+                getattr(g, name)[0] = 0.0
+    assert tp.tp_coeff_funcs(20.0, 1.5 + 0.5j, 3) == co

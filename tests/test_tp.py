@@ -326,6 +326,16 @@ def test_typed_errors_for_bad_inputs(entry, u, z, exc):
         ENTRIES[entry](u, complex(z))
 
 
+# the turning-point expansions need u >= 5: below it V- answered 6.4e93
+# as its relative figure at (2, 1.5)
+@pytest.mark.parametrize("u", [1.0, 2.0, 4.9])
+@pytest.mark.parametrize("z", [1.5, 1.05])
+@pytest.mark.parametrize("entry", sorted(set(ENTRIES) - {"tp_coeff_funcs"}))
+def test_small_u_is_a_domain_error(entry, z, u):
+    with pytest.raises(DomainError):
+        ENTRIES[entry](u, complex(z))
+
+
 @pytest.mark.parametrize("entry", [
     lambda z: tp.pcf_U_neg(20.0, z, 3), lambda z: tp.pcf_V_neg(20.0, z, 3),
     lambda z: tp.pcf_U_rotated(20.0, z, 3, "+i"),
