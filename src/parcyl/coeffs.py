@@ -8,7 +8,8 @@ Families:
   G_{s,R}, Gbar_{s,R} -- rational coefficients of the inhomogeneous series,
   G*_{s,R} -- analytic parts of G_{s,R} at z = 1.
 
-Everything is exact rational arithmetic; floats only appear at evaluation.
+Everything is exact rational arithmetic on the integer numerators and
+common denominators of `RationalPoly`; floats only appear at evaluation.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def gen_E(s_max: int, ebar: list[RationalPoly]) -> list[RationalPoly]:
     e2 = (_W * RationalPoly.make([-2, 0, 5])).scale(Fraction(1, 16))
     fam = _gen_lg_family(e1, e2, s_max, plus_sign=True)
     for s in range(1, min(s_max + 1, len(fam))):
-        if (fam[s] - ebar[s].scale(Fraction((-1) ** s))).coeffs:
+        if not (fam[s] - ebar[s].scale((-1) ** s)).is_zero():
             raise ConsistencyError(f"E_s != (-1)^s Ebar_s at s={s}")
     _check_parity(fam, "E")
     return fam
@@ -135,44 +136,55 @@ def check_forcing_degree(R: int) -> None:
 
 def gen_G(s_max: int, R: int, variant: str) -> list[RationalFunc]:
     """G_{0,R}..G_{s_max,R} for variant 'plus' ((z^2+1) poles) or 'minus'."""
+    return _gen_G(s_max, R, variant)[0]
+
+
+def _gen_G(s_max: int, R: int, variant: str
+           ) -> tuple[list[RationalFunc], list[RationalFunc]]:
+    """G_{0,R}..G_{s_max,R} and their derivatives; each G_s' is a step of
+    the recursion G_{s+1} = G_s'' / (z^2 +- 1)."""
     check_forcing_degree(R)
     sign = +1 if variant == "plus" else -1
     num = RationalPoly.make([0] * R + [-1])  # -z^R
-    g = [RationalFunc(num, 1, sign)]
-    for _ in range(s_max):
-        g.append(g[-1].recurse())
+    g, g_d = [RationalFunc(num, 1, sign)], []
+    for s in range(s_max + 1):
+        g_d.append(g[s].deriv())
+        if s < s_max:
+            d2 = g_d[s].deriv()
+            g.append(RationalFunc(d2.numerator, d2.pole_power + 1, sign))
     for s, gs in enumerate(g):
         if gs.pole_power != 3 * s + 1:
             raise ConsistencyError("pole order must grow by 3 per step")
         if gs.decay_order() > R - 2 - 4 * s:
             raise ConsistencyError("G_{s,R} decay order too slow")
-    return g
+    return g, g_d
 
 
 def analytic_part_G(s: int, R: int) -> RationalFunc:
     """G*_{s,R}: G_{s,R} minus its principal part at z = 1 (minus variant).
 
-    Returned as M(z)/(z+1)^{3s+1}, exact, with the z=1 pole removed by exact
-    polynomial division (stable arbitrarily close to the turning point).
+    Returned as M(z)/(z+1)^{3s+1}, exact, with the z=1 pole removed in
+    exact integer arithmetic (stable arbitrarily close to the turning point).
     """
     g = get_tables().G(R, "minus")[s]
     k = g.pole_power
-    n = g.numerator
-    # principal part coefficients: N(z)/(z+1)^k about z=1, Taylor to order k-1
-    # G = N / ((z-1)^k (z+1)^k); PP_j = H^{(j)}(1)/j! with H = N/(z+1)^k
-    # Build H-series at z=1 via series division.
-    num_ser = list(n.shift_eval_series(Fraction(1), k))
-    den_ser = _binom_series_at_one(k)
-    h_ser = _series_div(num_ser, den_ser, k)
-    # G* numerator: N(z) - sum_j h_j (z-1)^j (z+1)^k, divisible by (z-1)^k
-    zp1k = _pow_poly(RationalPoly.make([1, 1]), k)
-    acc = n
-    zm1j = RationalPoly.make([1])
+    # In t = z - 1, G = N(1+t) / (t^k (2+t)^k).  Dividing N(1+t) by (2+t)^k
+    # as a power series for k steps leaves N(1+t) - P(t) (2+t)^k, where P is
+    # the Taylor polynomial of H = N(1+t)/(2+t)^k (P(t)/t^k is the principal
+    # part); its k low coefficients vanish, and the rest are M(1+t).  The
+    # numerators are scaled by 2^(k^2) so every step divides exactly.
+    nt = g.numerator.taylor_shift(1)
+    b = [comb(k, i) << (k - i) for i in range(k + 1)]  # (2+t)^k
+    num = [c << (k * k) for c in nt.nums]
+    num += [0] * (2 * k - len(num))
     for j in range(k):
-        acc = acc - (zm1j * zp1k).scale(h_ser[j])
-        zm1j = zm1j * RationalPoly.make([-1, 1])
-    m = _exact_div(acc, _pow_poly(RationalPoly.make([-1, 1]), k))
-    return RationalFunc(m, 0, +1) if k == 0 else _OnePlusPow(m, k)
+        c, rem = divmod(num[j], b[0])
+        if rem:
+            raise ConsistencyError("inexact series division in analytic part")
+        for i, bi in enumerate(b):
+            num[j + i] -= c * bi
+    m = RationalPoly._of(num[k:], nt.den << (k * k)).taylor_shift(-1)
+    return _OnePlusPow(m, k)
 
 
 class _OnePlusPow(RationalFunc):
@@ -192,46 +204,6 @@ class _OnePlusPow(RationalFunc):
         return _OnePlusPow(num, k + 1)
 
 
-def _pow_poly(p: RationalPoly, k: int) -> RationalPoly:
-    out = RationalPoly.make([1])
-    for _ in range(k):
-        out = out * p
-    return out
-
-
-def _binom_series_at_one(k: int) -> list[Fraction]:
-    """Taylor coefficients of (z+1)^k at z=1: sum C(k,j) 2^{k-j} (z-1)^j."""
-    return [Fraction(comb(k, j) * 2 ** (k - j)) for j in range(k + 1)]
-
-
-def _series_div(num: list[Fraction], den: list[Fraction], nterms: int) -> list[Fraction]:
-    out = []
-    num = list(num) + [Fraction(0)] * nterms
-    for j in range(nterms):
-        c = num[j] / den[0]
-        out.append(c)
-        for i in range(len(den)):
-            if j + i < len(num):
-                num[j + i] -= c * den[i]
-    return out
-
-
-def _exact_div(p: RationalPoly, q: RationalPoly) -> RationalPoly:
-    """Exact polynomial division p/q (remainder must vanish)."""
-    rem = list(p.coeffs)
-    qc = q.coeffs
-    dq = len(qc) - 1
-    out = [Fraction(0)] * max(len(rem) - dq, 0)
-    for i in range(len(rem) - 1, dq - 1, -1):
-        c = rem[i] / qc[-1]
-        out[i - dq] = c
-        for j, b in enumerate(qc):
-            rem[i - dq + j] -= c * b
-    if any(r != 0 for r in rem):
-        raise ConsistencyError("inexact polynomial division in analytic part")
-    return RationalPoly(tuple(out))
-
-
 class CoeffTables:
     """Immutable bundle of all generated tables for a given depth."""
 
@@ -244,16 +216,28 @@ class CoeffTables:
         self.Ebar_d = [p.deriv() for p in self.Ebar]
         self.Etilde_d = [p.deriv() for p in self.Etilde]
         self.E_d = [p.deriv() for p in self.E]
-        self._g_cache: dict[tuple[int, str], list[RationalFunc]] = {}
+        self._g_cache: dict[tuple[int, str], tuple[list[RationalFunc],
+                                                   list[RationalFunc]]] = {}
         self._gstar_cache: dict[tuple[int, int], RationalFunc] = {}
-        self._at_1: dict[str, tuple[Fraction, ...]] = {}
+        # exact values at beta = 1, used in every turning-point prefactor, and
+        # the float values at beta = -1 and 1 of the W1/W2 exponents
+        fams = {"Ebar": self.Ebar, "Etilde": self.Etilde, "E": self.E}
+        self.at_1 = {name: tuple(p(1) for p in fam) for name, fam in fams.items()}
+        self.ends = {name: tuple((float(p(-1)), float(p(1))) for p in fam)
+                     for name, fam in fams.items()}
 
     def G(self, R: int, variant: str, s_max: int | None = None) -> list[RationalFunc]:
+        """G_{0,R}..; built with the derivatives `G_d` once per (R, variant)."""
         key = (R, variant)
         need = (s_max if s_max is not None else self.s_max) + 1
-        if key not in self._g_cache or len(self._g_cache[key]) < need + 1:
-            self._g_cache[key] = gen_G(max(need, self.s_max + 1), R, variant)
-        return self._g_cache[key]
+        if key not in self._g_cache or len(self._g_cache[key][0]) < need + 1:
+            self._g_cache[key] = _gen_G(max(need, self.s_max + 1), R, variant)
+        return self._g_cache[key][0]
+
+    def G_d(self, R: int, variant: str, s_max: int | None = None) -> list[RationalFunc]:
+        """G_{0,R}'.., the derivatives of the entries of `G`."""
+        self.G(R, variant, s_max)
+        return self._g_cache[(R, variant)][1]
 
     def G_star(self, s: int, R: int) -> RationalFunc:
         key = (s, R)
@@ -261,17 +245,10 @@ class CoeffTables:
             self._gstar_cache[key] = analytic_part_G(s, R)
         return self._gstar_cache[key]
 
-    # values at beta = 1, used in every turning-point prefactor; exact,
-    # computed on first use and kept
     def _odd_at_1(self, name: str, m: int) -> list[Fraction]:
         if 2 * m + 1 > self.s_max:
             raise OrderError(f"tables too shallow for m={m}")
-        vals = self._at_1.get(name)
-        if vals is None:
-            fam = getattr(self, name)
-            vals = self._at_1[name] = tuple(
-                fam[s](Fraction(1)) for s in range(1, self.s_max + 1, 2))
-        return list(vals[: m + 1])
+        return list(self.at_1[name][1:2 * m + 2:2])
 
     def E_odd_at_1(self, m: int) -> list[Fraction]:
         """[E_1(1), E_3(1), ..., E_{2m+1}(1)]."""

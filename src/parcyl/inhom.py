@@ -166,8 +166,9 @@ def _bound_integrals(u: float, z: complex, n: int, R: int, variant: str,
     """Certified error majorant along the progressive two-leg path through z."""
     gvariant = "minus" if variant == "minus" else "plus"
     sgn = -1.0 if variant == "minus" else 1.0  # z^2 - 1 vs z^2 + 1
-    gn = get_tables().G(R, gvariant, s_max=n + 1)[n]
-    gnd = gn.deriv()
+    t = get_tables()
+    gn = t.G(R, gvariant, s_max=n + 1)[n]
+    gnd = t.G_d(R, gvariant, s_max=n + 1)[n]
 
     if variant == "minus":
         endpoints, path_variant = {0: "+inf", 1: "+iinf", -1: "-iinf"}, "PCF-"

@@ -168,26 +168,30 @@ def _check_pcfp_domain(z: complex, which: str) -> None:
 # homogeneous solutions, positive parameter
 # ----------------------------------------------------------------------
 
-def _pcfp_exponent(u: float, z: complex, n: int, which: str, family,
-                   family_d) -> tuple[complex, float]:
-    """Exponent of the W1 or W2 solution built on a coefficient family
-    (Ebar for w, Etilde for the derivative equation) and its eta bound."""
+def _pcfp_exponent(u: float, z: complex, n: int, which: str,
+                   name: str) -> tuple[complex, float]:
+    """Exponent of the W1 or W2 solution built on the coefficient family
+    `name` (Ebar for w, Etilde for the derivative equation) and its eta
+    bound."""
     check_inputs(u, z)
-    if not 1 <= n <= get_tables().s_max // 2:
+    t = get_tables()
+    if not 1 <= n <= t.s_max // 2:
         raise OrderError(f"n={n} outside the supported order range")
     _check_pcfp_domain(z, which)
+    family, family_d = getattr(t, name), getattr(t, name + "_d")
+    ends = t.ends[name]
     xb = plane.xi_bar(z)
     bb = plane.beta_bar(z)
     expo = 0j
     if which == "W1":
         expo += u * xb
         for s in range(1, n):
-            expo += (family[s](bb) - float(family[s](-1))) / u ** s
+            expo += (family[s](bb) - ends[s][0]) / u ** s
         endpoint = "-inf"
     else:
         expo += -u * xb
         for s in range(1, n):
-            expo += (-1) ** s * (family[s](bb) - float(family[s](1))) / u ** s
+            expo += (-1) ** s * (family[s](bb) - ends[s][1]) / u ** s
         endpoint = "+inf"
     return expo, _lg_bound(u, z, n, endpoint, "PCF+", family_d)
 
@@ -200,8 +204,7 @@ def lg_W(u: float, z: complex, n: int, which: str) -> CertifiedValue:
     """
     if which not in ("W1", "W2"):
         raise ValueError("which must be 'W1' or 'W2'")
-    t = get_tables()
-    expo, bound = _pcfp_exponent(u, complex(z), n, which, t.Ebar, t.Ebar_d)
+    expo, bound = _pcfp_exponent(u, complex(z), n, which, "Ebar")
     return CertifiedValue(ScaledComplex.from_log_complex(expo), bound, n)
 
 
@@ -233,9 +236,8 @@ def pcf_Uprime_pos(u: float, z: complex, n: int, sign: str = "+z") -> CertifiedV
     if sign not in ("+z", "-z"):
         raise ValueError("sign must be '+z' or '-z'")
     z = complex(z)
-    t = get_tables()
     expo, bound = _pcfp_exponent(u, z, n, "W2" if sign == "+z" else "W1",
-                                 t.Etilde, t.Etilde_d)
+                                 "Etilde")
     log_pref = (u / 4.0) * (math.log(2.0 / u) + 1.0)
     root = (2.0 * u * (1.0 + z * z)) ** 0.25
     val = ScaledComplex.from_log(log_pref) * (-0.5 * root) * \

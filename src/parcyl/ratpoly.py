@@ -2,7 +2,10 @@
 
 All expansion coefficients are generated by repeated differentiation and
 termwise integration; doing this in floating point compounds rounding, so
-everything here is `fractions.Fraction` until the final evaluation.
+the tables stay exact until the final evaluation.  A polynomial is stored
+as a tuple of Python ``int`` numerators over one common ``int``
+denominator, in lowest terms, so the generating arithmetic runs on plain
+integers; ``coeffs`` gives the coefficients as ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -10,101 +13,137 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence
 
 
-def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
+def _canon(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Trailing zeros dropped, then numerators and den > 0 divided by their gcd."""
+    n = len(nums)
+    while n and not nums[n - 1]:
         n -= 1
-    return tuple(coeffs[:n])
+    if not n:
+        return (), 1
+    g = gcd(den, *nums[:n])
+    if g == 1:
+        return tuple(nums[:n]), den
+    return tuple(c // g for c in nums[:n]), den // g
 
 
 @dataclass(frozen=True)
 class RationalPoly:
-    """Univariate polynomial, exact rational coefficients, ascending degree."""
+    """Univariate polynomial with exact rational coefficients, ascending
+    degree: ``nums[i] / den`` is the coefficient of x^i.  The form is
+    canonical (no trailing zero numerator, den > 0, gcd 1; the zero
+    polynomial is ``((), 1)``), so equality and hashing are those of the
+    polynomial."""
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     @staticmethod
     def make(coeffs: Sequence) -> "RationalPoly":
-        return RationalPoly(_trim([Fraction(c) for c in coeffs]))
+        fr = [Fraction(c) for c in coeffs]
+        den = lcm(1, *(c.denominator for c in fr))
+        return RationalPoly._of([c.numerator * (den // c.denominator) for c in fr], den)
+
+    @staticmethod
+    def _of(nums: list[int], den: int) -> "RationalPoly":
+        return RationalPoly(*_canon(nums, den))
 
     @staticmethod
     def zero() -> "RationalPoly":
         return RationalPoly(())
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The exact coefficients, built on each access."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
+
+    def _combine(self, other: "RationalPoly", sign: int) -> "RationalPoly":
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        a, b = self.nums, other.nums
+        if len(a) < len(b):
+            a, b, fa, fb = b, a, fb, fa
+        out = [c * fa for c in a]
+        for i, c in enumerate(b):
+            out[i] += c * fb
+        return RationalPoly._of(out, den)
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return RationalPoly(_trim(out))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        return self + other.scale(Fraction(-1))
+        return self._combine(other, -1)
 
     def __mul__(self, other: "RationalPoly") -> "RationalPoly":
         if self.is_zero() or other.is_zero():
             return RationalPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPoly(_trim(out))
+        b = other.nums
+        out = [0] * (len(self.nums) + len(b) - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, c in enumerate(b):
+                    out[i + j] += a * c
+        return RationalPoly._of(out, self.den * other.den)
 
     def scale(self, k) -> "RationalPoly":
         k = Fraction(k)
-        return RationalPoly(_trim([c * k for c in self.coeffs]))
+        return RationalPoly._of([c * k.numerator for c in self.nums],
+                                self.den * k.denominator)
 
     def deriv(self) -> "RationalPoly":
-        return RationalPoly(_trim([c * i for i, c in enumerate(self.coeffs)][1:]))
+        return RationalPoly._of([c * i for i, c in enumerate(self.nums)][1:], self.den)
 
     def antideriv(self) -> "RationalPoly":
         """Antiderivative with zero constant term."""
-        return RationalPoly(
-            _trim([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
-        )
+        m = lcm(1, *range(1, len(self.nums) + 1))
+        return RationalPoly._of(
+            [0] + [c * (m // (i + 1)) for i, c in enumerate(self.nums)], self.den * m)
+
+    def taylor_shift(self, a) -> "RationalPoly":
+        """The polynomial t -> self(a + t), for rational a."""
+        p, q = Fraction(a).as_integer_ratio()
+        n = self.degree
+        # C(x) = q^n self(x/q) has integer coefficients; shift it by p
+        # (Ruffini-Horner), then self(p/q + t) = C(p + q t) / q^n
+        c = [x * q ** (n - i) for i, x in enumerate(self.nums)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                c[j] += p * c[j + 1]
+        return RationalPoly._of([x * q ** k for k, x in enumerate(c)],
+                                self.den * q ** max(n, 0))
 
     def shift_eval_series(self, a: Fraction, nterms: int) -> tuple[Fraction, ...]:
         """Taylor coefficients of self at x = a, up to order nterms-1."""
-        out = []
-        p = self
-        fact = Fraction(1)
-        for k in range(nterms):
-            if k > 0:
-                fact *= k
-                p = p.deriv()
-            if k == 0:
-                out.append(self(a))
-            else:
-                out.append(p(a) / fact)
-        return tuple(out)
+        c = self.taylor_shift(a).coeffs
+        return (c + (Fraction(0),) * nterms)[:nterms]
 
     @cached_property
     def float_coeffs(self) -> tuple[float, ...]:
-        """The coefficients rounded to float, converted on first use."""
-        return tuple(float(c) for c in self.coeffs)
+        """The coefficients rounded to float, converted on first use.  Integer
+        true division is correctly rounded, so each equals float(coeffs[i])."""
+        return tuple(c / self.den for c in self.nums)
 
     def __call__(self, x):
-        """Horner evaluation: exact for Fraction/int x; in floating point
-        for float, complex and ndarray x."""
+        """Horner evaluation: exact (a Fraction) for Fraction/int x; in
+        floating point for float, complex and ndarray x."""
         if isinstance(x, (Fraction, int)):
-            v = Fraction(0)
-            for c in reversed(self.coeffs):
-                v = v * x + c
-            return v
+            p, q = Fraction(x).as_integer_ratio()
+            v, qk = 0, 1
+            for c in reversed(self.nums):
+                v = v * p + c * qk
+                qk *= q
+            # qk = q^(degree + 1); v carries q^degree
+            return Fraction(v * q, self.den * qk)
         v = 0.0 * x
         for c in reversed(self.float_coeffs):
             v = v * x + c
@@ -112,8 +151,8 @@ class RationalPoly:
 
     def parity(self) -> int | None:
         """0 if even, 1 if odd, None if mixed."""
-        even = all(c == 0 for i, c in enumerate(self.coeffs) if i % 2 == 1)
-        odd = all(c == 0 for i, c in enumerate(self.coeffs) if i % 2 == 0)
+        even = not any(self.nums[1::2])
+        odd = not any(self.nums[0::2])
         if even and not self.is_zero():
             return 0
         if odd:
@@ -139,18 +178,13 @@ class RationalFunc:
 
     @property
     def _base(self) -> RationalPoly:
-        return RationalPoly.make([self.sign, 0, 1])  # z^2 + sign
+        return RationalPoly((self.sign, 0, 1))  # z^2 + sign
 
     def deriv(self) -> "RationalFunc":
         # d/dz [N / B^k] = (N' B - k B' N) / B^{k+1}
         n, k, base = self.numerator, self.pole_power, self._base
         num = n.deriv() * base - n * base.deriv().scale(k)
         return RationalFunc(num, k + 1, self.sign)
-
-    def recurse(self) -> "RationalFunc":
-        """G'' / (z^2 + sign): one step of the generation recursion."""
-        g2 = self.deriv().deriv()
-        return RationalFunc(g2.numerator, g2.pole_power + 1, self.sign)
 
     def __call__(self, z):
         base = z * z + self.sign

@@ -308,29 +308,30 @@ def _ab_est_err(u: float, z: complex, m: int) -> float:
     """Majorant for the dropped error terms of A and B, combined
     into one conservative relative figure; the scalar constants dropped in
     the identifications are absorbed by the calibrated parameter-decay
-    margin."""
+    margin.  DomainError where no estimate path leaves z (within
+    plane.TP_CLEARANCE of -1)."""
     n = 2 * m + 2
     try:
         paths, g = _est_moments(z, m)
-        e_vals = []
-        for (om, vp, gm, bt, tail), dlt in zip(paths, (0.0, delta_n_pm(u, n))):
-            om, vp = _at_u(om, u), _at_u(vp, u)
-            gm, bt = _at_u(gm, u) + tail, _at_u(bt, u)
-            # the raw majorants blow up near the second turning point; the
-            # clamp only ever loosens an already-useless estimate
-            e = u ** n * dlt \
-                + om * math.exp(min(vp / u + om * u ** (-n), 60.0)) \
-                + gm * math.exp(min(bt / u + gm * u ** (-n), 60.0))
-            e_vals.append(min(e, 1e30))
-        re_sum = float(sum(abs(s[0]) for s in _mod_sums(g, u, m)))
-        env = math.exp(min(re_sum, 50.0))
-        e_j, e_k = e_vals
-        bound = u ** (-n) * env * (
-            e_j * (1.0 + e_j / (2.0 * u ** n)) ** 2
-            + e_k * (1.0 + e_k / (2.0 * u ** n)) ** 2)
-        return bound + EPS_CONST_MARGIN * u ** (-n)
-    except (plane.NoPath, DomainError, ValueError):
-        return EPS_CONST_MARGIN * u ** (-n) * 10.0
+    except (plane.NoPath, ValueError) as exc:
+        raise DomainError(f"no error estimate at z={z}: {exc}") from exc
+    e_vals = []
+    for (om, vp, gm, bt, tail), dlt in zip(paths, (0.0, delta_n_pm(u, n))):
+        om, vp = _at_u(om, u), _at_u(vp, u)
+        gm, bt = _at_u(gm, u) + tail, _at_u(bt, u)
+        # the raw majorants blow up near the second turning point; the
+        # clamp only ever loosens an already-useless estimate
+        e = u ** n * dlt \
+            + om * math.exp(min(vp / u + om * u ** (-n), 60.0)) \
+            + gm * math.exp(min(bt / u + gm * u ** (-n), 60.0))
+        e_vals.append(min(e, 1e30))
+    re_sum = float(sum(abs(s[0]) for s in _mod_sums(g, u, m)))
+    env = math.exp(min(re_sum, 50.0))
+    e_j, e_k = e_vals
+    bound = u ** (-n) * env * (
+        e_j * (1.0 + e_j / (2.0 * u ** n)) ** 2
+        + e_k * (1.0 + e_k / (2.0 * u ** n)) ** 2)
+    return bound + EPS_CONST_MARGIN * u ** (-n)
 
 
 # ----------------------------------------------------------------------

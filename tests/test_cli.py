@@ -4,12 +4,15 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from parcyl import cli
 from parcyl.errors import ParcylError
 from parcyl.scaled import ScaledComplex
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args):
@@ -72,6 +75,24 @@ def test_coeff_dump():
     assert rows[0]["s"] == 1
     # Ebar_1 = b(6 - 5 b^2)/24
     assert rows[0]["coefficients"] == ["0", "1/4", "0", "-5/24"]
+    # the scalar sequences and both variants of G_{s,2}, byte for byte as
+    # recorded when the tables were built on Fraction coefficients
+    for args, name in ((("airy",), "airy"),
+                       (("G", "--R", "2", "--variant", "plus"), "G_R2_plus"),
+                       (("G", "--R", "2", "--variant", "minus"), "G_R2_minus")):
+        code, out = run_cli("coeff-dump", "--family", *args)
+        assert code == 0
+        assert out.encode() == (DATA / f"coeff_dump_{name}.json").read_bytes(), name
+
+
+@pytest.mark.parametrize("order", ["0", "3"])
+def test_estimate_without_a_path_is_refused(order):
+    # within plane.TP_CLEARANCE of -1 no estimate path leaves z: exit 2,
+    # not a value with a constant stand-in for its estimate
+    code, out = run_cli("eval", "--function=U-", "--u=20",
+                        "--z=-0.9995-0.0001j", "--order", order)
+    assert code == 2
+    assert json.loads(out)["error"] == "DOMAIN"
 
 
 def test_oracle_subcommand():

@@ -1,13 +1,21 @@
 """Exact-arithmetic identities of the coefficient tables (zero tolerance)."""
 
+import hashlib
+import random
 from fractions import Fraction as F
+from math import factorial, gcd
 
 import pytest
 
 from parcyl.coeffs import gen_Ebar, gen_G, get_tables, modified_coeff
 from parcyl.errors import OrderError, TurningPointError
+from parcyl.ratpoly import RationalPoly
 
 S_MAX = 12
+
+#: sha256 of `_table_lines`, recorded when the tables were built on one
+#: Fraction per coefficient; any change to an exact coefficient moves it
+TABLE_DIGEST = "0a84054e06c48f27451e8329c54158fe33a6497703abad782439acd6669400ae"
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +150,138 @@ def test_airy_seq_matches_poincare_constants(tables):
     assert d30 < 1e-12
     # the residual decays at least like xi^{-8}
     assert d60 < d30 / 2 ** 7
+
+
+def _table_lines(t):
+    """str() of every coefficient of Ebar/Etilde/E (s <= 12), of G(R, v) for
+    R <= 16 and both variants, and of G*(s, R) for s <= 4, R <= 16."""
+    for name in ("Ebar", "Etilde", "E"):
+        for s in range(1, 13):
+            yield f"{name} {s}: " + " ".join(map(str, getattr(t, name)[s].coeffs))
+    for R in range(17):
+        for v in ("plus", "minus"):
+            for s, g in enumerate(t.G(R, v)):
+                yield (f"G {R} {v} {s} {g.pole_power}: "
+                       + " ".join(map(str, g.numerator.coeffs)))
+    for s in range(5):
+        for R in range(17):
+            g = t.G_star(s, R)
+            yield f"G* {s} {R} {g.pole_power}: " + " ".join(map(str, g.numerator.coeffs))
+
+
+def test_tables_digest(tables):
+    h = hashlib.sha256()
+    for line in _table_lines(tables):
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == TABLE_DIGEST
+
+
+def test_derivative_and_endpoint_tables(tables):
+    for R in (0, 3):
+        for v in ("plus", "minus"):
+            g, g_d = tables.G(R, v), tables.G_d(R, v)
+            assert len(g_d) == len(g)
+            assert all(d == gs.deriv() for gs, d in zip(g, g_d))
+    for name in ("Ebar", "Etilde", "E"):
+        fam = getattr(tables, name)
+        assert tables.ends[name] == tuple((float(p(F(-1))), float(p(F(1))))
+                                          for p in fam)
+        assert tables.at_1[name] == tuple(p(F(1)) for p in fam)
+
+
+# ----------------------------------------------------------------------
+# the integer-backed RationalPoly against plain Fraction arithmetic
+# ----------------------------------------------------------------------
+
+def _trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = list(a) + [F(0)] * (n - len(a)), list(b) + [F(0)] * (n - len(b))
+    return _trim(x + sign * y for x, y in zip(a, b))
+
+
+def _ref_eval(a, x):
+    v = F(0)
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _random_coeffs(rng):
+    out = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if kind < 0.2:
+            out.append(F(0))
+        elif kind < 0.3:
+            out.append(F(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** 30)))
+        else:
+            out.append(F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4)))
+    return out
+
+
+def _canonical(p):
+    return (not p.nums or p.nums[-1] != 0) and p.den > 0 \
+        and gcd(p.den, *p.nums) == 1
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ratpoly_matches_fraction_arithmetic(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        ca, cb = _random_coeffs(rng), _random_coeffs(rng)
+        a, b = RationalPoly.make(ca), RationalPoly.make(cb)
+        ra, rb = _trim(ca), _trim(cb)
+        k = F(rng.randint(-50, 50), rng.randint(1, 50))
+        x = F(rng.randint(-30, 30), rng.randint(1, 30))
+        results = {
+            "make": (a, ra),
+            "add": (a + b, _ref_add(ra, rb)),
+            "sub": (a - b, _ref_add(ra, rb, -1)),
+            "mul": (a * b, _ref_mul(ra, rb)),
+            "scale": (a.scale(k), _trim(c * k for c in ra)),
+            "deriv": (a.deriv(), _trim(c * i for i, c in enumerate(ra))[1:]),
+            "antideriv": (a.antideriv(),
+                          _trim([F(0)] + [c / (i + 1) for i, c in enumerate(ra)])),
+        }
+        for op, (got, ref) in results.items():
+            assert got.coeffs == ref, op
+            assert _canonical(got), op
+            same = RationalPoly.make(ref)
+            assert got == same and hash(got) == hash(same), op
+            assert got.float_coeffs == tuple(map(float, ref)), op
+        assert a(x) == _ref_eval(ra, x) and a(x.numerator) == _ref_eval(ra, x.numerator)
+        assert isinstance(a(3), F)
+        assert a.degree == len(ra) - 1
+        # Taylor coefficients at x are the derivatives over k!
+        series, d = a.shift_eval_series(x, len(ra) + 2), ra
+        for j in range(len(ra) + 2):
+            assert series[j] == _ref_eval(d, x) / factorial(j)
+            d = _trim(c * i for i, c in enumerate(d))[1:]
+
+
+def test_ratpoly_parity():
+    rng = random.Random(11)
+    for _ in range(50):
+        c = [F(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(rng.randint(1, 9))]
+        even = RationalPoly.make([x if i % 2 == 0 else 0 for i, x in enumerate(c)])
+        odd = RationalPoly.make([x if i % 2 == 1 else 0 for i, x in enumerate(c)])
+        assert even.parity() == 0
+        if len(c) > 1:
+            assert odd.parity() == 1
+            assert (even + odd).parity() is None
+    assert RationalPoly.zero().parity() == 1

@@ -307,13 +307,13 @@ def _ab_est_err_ref(u, z, m):
             e_j * (1.0 + e_j / (2.0 * u ** n)) ** 2
             + e_k * (1.0 + e_k / (2.0 * u ** n)) ** 2)
         return bound + tp.EPS_CONST_MARGIN * u ** (-n)
-    except (plane.NoPath, DomainError, ValueError):
-        return tp.EPS_CONST_MARGIN * u ** (-n) * 10.0
+    except (plane.NoPath, ValueError) as exc:
+        raise DomainError("no error estimate") from exc
 
 
 #: the Cauchy-zone estimate point; direct points in both half planes; real
 #: points; points of Z within TP_CLEARANCE of -1, where no estimate path
-#: exists and the estimate falls back to its constant
+#: exists and the estimate is refused
 EST_POINTS = (1.0 + tp.CAUCHY_RADIUS, 1.5 + 0.5j, 0.4 + 0.6j, -0.5 + 0.3j,
               1.3 - 0.4j, 2.5 - 1.0j, -0.3 - 0.8j, 0.4, 2.0, -0.9,
               -0.9 + 0.1j, -0.9999, -0.99999, -0.9995 - 0.0001j)
@@ -338,18 +338,24 @@ def test_cached_estimate_matches_the_rebuilt_one(monkeypatch, batch_segments):
     monkeypatch.setattr(quadrature, "BATCH_SEGMENTS", batch_segments)
     tp._est_moments.cache_clear()
     rng = np.random.default_rng(1505)
-    fallbacks = 0
+    refusals = 0
     for z in map(complex, EST_POINTS):
         single = _single_batch(z)
         for m in range(6):
             for u in rng.uniform(5.0, 300.0, 4):
-                got, ref = tp._ab_est_err(u, z, m), _ab_est_err_ref(u, z, m)
+                try:
+                    ref = _ab_est_err_ref(u, z, m)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        tp._ab_est_err(u, z, m)
+                    refusals += 1
+                    continue
+                got = tp._ab_est_err(u, z, m)
                 if single:
                     assert got == ref, (z, m, u)
                 else:
                     assert abs(got - ref) <= 1e-13 * ref, (z, m, u, got / ref - 1)
-                fallbacks += ref == tp.EPS_CONST_MARGIN * u ** (-2 * m - 2) * 10.0
-    assert fallbacks == 3 * 6 * 4
+    assert refusals == 3 * 6 * 4
     tp._est_moments.cache_clear()
 
 
