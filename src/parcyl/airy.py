@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_points
 from .quadrature import gauss
 
 MACLAURIN_RADIUS = 4.5
@@ -156,6 +156,7 @@ def _ai_pair(z: complex) -> tuple[complex, complex]:
 
 def airy(z: complex, rotation: int = 0) -> AiryValue:
     """Ai_l, Bi and derivatives; Ai_l(z) := Ai(z e^{-2 pi i l/3})."""
+    check_points(z)
     z = complex(z)
     if rotation not in (0, 1, -1):
         raise ValueError("rotation must be 0 or +-1")

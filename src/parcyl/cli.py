@@ -71,7 +71,9 @@ def _complex(arg: str | float) -> complex:
 
 
 def _point(args) -> complex:
-    """The --z argument, or --x on the real axis."""
+    """The --z argument, or --x on the real axis; not both."""
+    if args.z is not None and args.x is not None:
+        raise ArgumentError("give one of --z and --x, not both")
     arg = args.z if args.z is not None else args.x
     if arg is None:
         raise ArgumentError("one of --z or --x is required")
@@ -93,10 +95,10 @@ def _dispatch(args, u: float, z: complex) -> object:
         return tp.pcf_U_rotated(u, z, order, "+i")
     if fn == "U-i":
         return tp.pcf_U_rotated(u, z, order, "-i")
-    if fn == "W+x":
-        return tp.weber_W_real(u, z.real, order, "+x")
-    if fn == "W-x":
-        return tp.weber_W_real(u, z.real, order, "-x")
+    if fn in ("W+x", "W-x"):
+        if z.imag != 0.0:
+            raise ArgumentError(f"{fn} takes a real argument, not z={z}")
+        return tp.weber_W_real(u, z.real, order, "+x" if fn == "W+x" else "-x")
     if fn == "W0":
         return lg.weber_neg_Wj(u, z, order, 0)
     if fn == "W3":

@@ -1,4 +1,4 @@
-"""Exact generation of all expansion coefficients.
+"""Exact generation of all expansion coefficients, and their float view.
 
 Families:
   Ebar_s  -- LG coefficients for the z^2+1 equation (positive parameter),
@@ -9,11 +9,13 @@ Families:
   G*_{s,R} -- analytic parts of G_{s,R} at z = 1.
 
 Everything is exact rational arithmetic on the integer numerators and
-common denominators of `RationalPoly`; floats only appear at evaluation.
+common denominators of `RationalPoly`.  The expansions read only the float
+view: `FloatRows`, rounded once by `CoeffTables`, and `evaluate`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -134,6 +136,12 @@ def check_forcing_degree(R: int) -> None:
         raise OrderError(f"forcing degree R={R} outside [0, {R_MAX}]")
 
 
+def check_order(k: int, lo: int, hi: int) -> None:
+    """OrderError unless the expansion order k is an integer in [lo, hi]."""
+    if not isinstance(k, Integral) or not lo <= k <= hi:
+        raise OrderError(f"order {k!r} outside the supported range [{lo}, {hi}]")
+
+
 def gen_G(s_max: int, R: int, variant: str) -> list[RationalFunc]:
     """G_{0,R}..G_{s_max,R} for variant 'plus' ((z^2+1) poles) or 'minus'."""
     return _gen_G(s_max, R, variant)[0]
@@ -144,14 +152,14 @@ def _gen_G(s_max: int, R: int, variant: str
     """G_{0,R}..G_{s_max,R} and their derivatives; each G_s' is a step of
     the recursion G_{s+1} = G_s'' / (z^2 +- 1)."""
     check_forcing_degree(R)
-    sign = +1 if variant == "plus" else -1
+    base = RationalPoly((+1 if variant == "plus" else -1, 0, 1))  # z^2 +- 1
     num = RationalPoly.make([0] * R + [-1])  # -z^R
-    g, g_d = [RationalFunc(num, 1, sign)], []
+    g, g_d = [RationalFunc(num, 1, base)], []
     for s in range(s_max + 1):
         g_d.append(g[s].deriv())
         if s < s_max:
             d2 = g_d[s].deriv()
-            g.append(RationalFunc(d2.numerator, d2.pole_power + 1, sign))
+            g.append(RationalFunc(d2.numerator, d2.pole_power + 1, base))
     for s, gs in enumerate(g):
         if gs.pole_power != 3 * s + 1:
             raise ConsistencyError("pole order must grow by 3 per step")
@@ -184,28 +192,55 @@ def analytic_part_G(s: int, R: int) -> RationalFunc:
         for i, bi in enumerate(b):
             num[j + i] -= c * bi
     m = RationalPoly._of(num[k:], nt.den << (k * k)).taylor_shift(-1)
-    return _OnePlusPow(m, k)
+    return RationalFunc(m, k, RationalPoly((1, 1)))
 
 
-class _OnePlusPow(RationalFunc):
-    """M(z)/(z+1)^k -- analytic at z=1, pole only at z=-1."""
+@dataclass(frozen=True)
+class FloatRows:
+    """The float view of a list of exact polynomials or rational functions:
+    row k holds the coefficients of entry k, ascending, each correctly
+    rounded.  For rational functions (poles given) entry k is row k over
+    base(x)**poles[k], base(x) = x*x + shift (G, G') or x + shift (G*)."""
 
-    def __init__(self, numerator: RationalPoly, power: int):
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "pole_power", power)
-        object.__setattr__(self, "sign", +1)
+    coeffs: tuple[tuple[float, ...], ...]
+    poles: tuple[int, ...] = ()
+    square: bool = True
+    shift: int = 0
 
-    def __call__(self, z):
-        return self.numerator(z) / (z + 1) ** self.pole_power
 
-    def deriv(self):
-        n, k = self.numerator, self.pole_power
-        num = n.deriv() * RationalPoly.make([1, 1]) - n.scale(k)
-        return _OnePlusPow(num, k + 1)
+def _row(p: RationalPoly) -> tuple[float, ...]:
+    # int true division is correctly rounded: each equals float(Fraction)
+    return tuple(c / p.den for c in p.nums)
+
+
+def _func_rows(funcs: list[RationalFunc]) -> FloatRows:
+    """The float view of rational functions that share one base."""
+    base = funcs[0].base
+    return FloatRows(tuple(_row(f.numerator) for f in funcs),
+                     tuple(f.pole_power for f in funcs), base.degree == 2,
+                     base.nums[0])
+
+
+def evaluate(rows: FloatRows, x, lo: int, hi: int) -> list:
+    """Rows lo..hi-1 of a float view at x, a scalar or an array of nodes:
+    Horner's rule on each row, then for rational-function rows the division
+    by base(x)**pole."""
+    out = []
+    for k in range(lo, hi):
+        v = 0.0 * x
+        for c in reversed(rows.coeffs[k]):
+            v = v * x + c
+        if rows.poles:
+            v = v / ((x * x if rows.square else x) + rows.shift) ** rows.poles[k]
+        out.append(v)
+    return out
 
 
 class CoeffTables:
-    """Immutable bundle of all generated tables for a given depth."""
+    """Immutable bundle of all generated tables for a given depth: the exact
+    `Ebar`, `Etilde`, `E`, `airy`, `G` and `G_star`, and their float
+    view `rows`, `ends`, `odd_at_1`, `seq`, `G_rows` and `G_star_rows`,
+    which is all the expansions read."""
 
     def __init__(self, s_max: int = DEFAULT_S_MAX):
         self.s_max = s_max
@@ -213,31 +248,42 @@ class CoeffTables:
         self.Etilde = gen_Etilde(s_max)
         self.E = gen_E(s_max, self.Ebar)
         self.airy = gen_airy_seq(max(s_max, 2))
-        self.Ebar_d = [p.deriv() for p in self.Ebar]
-        self.Etilde_d = [p.deriv() for p in self.Etilde]
-        self.E_d = [p.deriv() for p in self.E]
-        self._g_cache: dict[tuple[int, str], tuple[list[RationalFunc],
-                                                   list[RationalFunc]]] = {}
+        # G and the float view of G and G' per (R, variant)
+        self._g_cache: dict[tuple[int, str], tuple] = {}
         self._gstar_cache: dict[tuple[int, int], RationalFunc] = {}
-        # exact values at beta = 1, used in every turning-point prefactor, and
-        # the float values at beta = -1 and 1 of the W1/W2 exponents
+        self._gstar_rows: dict[int, FloatRows] = {}
         fams = {"Ebar": self.Ebar, "Etilde": self.Etilde, "E": self.E}
-        self.at_1 = {name: tuple(p(1) for p in fam) for name, fam in fams.items()}
+        #: each family and its derivatives ("Ebar_d", ...), indexed by s
+        self.rows: dict[str, FloatRows] = {}
+        for name, fam in fams.items():
+            self.rows[name] = FloatRows(tuple(map(_row, fam)))
+            self.rows[name + "_d"] = FloatRows(tuple(_row(p.deriv()) for p in fam))
+        #: (family(-1), family(1)) for each s, the ends of the W1/W2 exponents
         self.ends = {name: tuple((float(p(-1)), float(p(1))) for p in fam)
                      for name, fam in fams.items()}
+        #: E_{2s+1}(1) and Ebar_{2s+1}(1) for s = 0, 1, ..., of every
+        #: turning-point prefactor and Weber constant
+        self.odd_at_1 = {name: tuple(e[1] for e in self.ends[name][1::2])
+                         for name in ("E", "Ebar")}
+        #: a_s and atilde_s, indexed by s
+        self.seq = {"a": tuple(map(float, self.airy.a)),
+                    "a_tilde": tuple(map(float, self.airy.a_tilde))}
 
     def G(self, R: int, variant: str, s_max: int | None = None) -> list[RationalFunc]:
-        """G_{0,R}..; built with the derivatives `G_d` once per (R, variant)."""
+        """G_{0,R}..; built with the float view `G_rows` of them and of
+        their derivatives once per (R, variant)."""
         key = (R, variant)
         need = (s_max if s_max is not None else self.s_max) + 1
         if key not in self._g_cache or len(self._g_cache[key][0]) < need + 1:
-            self._g_cache[key] = _gen_G(max(need, self.s_max + 1), R, variant)
+            g, g_d = _gen_G(max(need, self.s_max + 1), R, variant)
+            self._g_cache[key] = (g, _func_rows(g), _func_rows(g_d))
         return self._g_cache[key][0]
 
-    def G_d(self, R: int, variant: str, s_max: int | None = None) -> list[RationalFunc]:
-        """G_{0,R}'.., the derivatives of the entries of `G`."""
+    def G_rows(self, R: int, variant: str, s_max: int | None = None
+               ) -> tuple[FloatRows, FloatRows]:
+        """The float view of `G` and of its derivatives G_{0,R}'.."""
         self.G(R, variant, s_max)
-        return self._g_cache[(R, variant)][1]
+        return self._g_cache[(R, variant)][1:]
 
     def G_star(self, s: int, R: int) -> RationalFunc:
         key = (s, R)
@@ -245,17 +291,13 @@ class CoeffTables:
             self._gstar_cache[key] = analytic_part_G(s, R)
         return self._gstar_cache[key]
 
-    def _odd_at_1(self, name: str, m: int) -> list[Fraction]:
-        if 2 * m + 1 > self.s_max:
-            raise OrderError(f"tables too shallow for m={m}")
-        return list(self.at_1[name][1:2 * m + 2:2])
-
-    def E_odd_at_1(self, m: int) -> list[Fraction]:
-        """[E_1(1), E_3(1), ..., E_{2m+1}(1)]."""
-        return self._odd_at_1("E", m)
-
-    def Ebar_odd_at_1(self, m: int) -> list[Fraction]:
-        return self._odd_at_1("Ebar", m)
+    def G_star_rows(self, R: int, m: int) -> FloatRows:
+        """The float view of G*_{0,R}..G*_{m,R} (or deeper)."""
+        rows = self._gstar_rows.get(R)
+        if rows is None or len(rows.coeffs) <= m:
+            rows = self._gstar_rows[R] = _func_rows(
+                [self.G_star(s, R) for s in range(m + 1)])
+        return rows
 
 
 @lru_cache(maxsize=1)
@@ -285,13 +327,13 @@ def modified_coeff(s: int, z: complex, kind: str,
     if abs(xi) < 1e-8:
         raise TurningPointError("modified coefficient singular: |xi| < 1e-8")
     t = get_tables()
-    if s > t.s_max:
-        raise OrderError(f"s={s} beyond generated depth {t.s_max}")
+    check_order(s, 1, t.s_max)
     # both kinds share the E_s polynomials; the scalar sequence differs
     if kind == "E":
-        seq = t.airy.a[s]
+        seq = t.seq["a"][s]
     elif kind == "Etilde":
-        seq = t.airy.a_tilde[s]
+        seq = t.seq["a_tilde"][s]
     else:
         raise ValueError("kind must be 'E' or 'Etilde'")
-    return t.E[s](complex(beta)) + (-1) ** s * float(seq) / s * complex(xi) ** (-s)
+    return evaluate(t.rows["E"], complex(beta), s, s + 1)[0] \
+        + (-1) ** s * seq / s * complex(xi) ** (-s)

@@ -6,8 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coeffs import get_tables
-from .errors import DomainError
+from .coeffs import check_order, get_tables
+from .errors import check_inputs
 from .gamma import binet, loggamma
 from .scaled import ScaledComplex
 
@@ -22,23 +22,31 @@ class WeberConstants:
     eps_m: float
 
 
+def _odd_at_1(name: str, u: float, m: int) -> tuple[float, ...]:
+    """The checked (u, m), then name_{2s+1}(1) for s = 0..m."""
+    check_inputs(u)
+    odd = get_tables().odd_at_1[name]
+    check_order(m, 0, len(odd) - 1)
+    return odd[:m + 1]
+
+
 def odd_sum_at_1(u: float, m: int) -> float:
     """sum_{s=0}^{m} E_{2s+1}(1) / u^{2s+1}."""
-    return sum(float(c) / u ** (2 * s + 1)
-               for s, c in enumerate(get_tables().E_odd_at_1(m)))
+    return sum(c / u ** (2 * s + 1) for s, c in enumerate(_odd_at_1("E", u, m)))
 
 
 def chi_m(u: float, m: int) -> float:
     """(u/4) ln(2e/u) - sum (-1)^s Ebar_{2s+1}(1) u^{-2s-1}."""
-    t = get_tables()
+    odd = _odd_at_1("Ebar", u, m)
     acc = (u / 4.0) * (math.log(2.0 / u) + 1.0)
-    for s, c in enumerate(t.Ebar_odd_at_1(m)):
-        acc -= (-1) ** s * float(c) / u ** (2 * s + 1)
+    for s, c in enumerate(odd):
+        acc -= (-1) ** s * c / u ** (2 * s + 1)
     return acc
 
 
 def lambda_pm(u: float) -> ScaledComplex:
     """lambda_{+-1}(u) = (2e/u)^{u/2} Gamma(u/2 + 1/2) / sqrt(2 pi)."""
+    check_inputs(u)
     return ScaledComplex.from_log(
         (u / 2.0) * (math.log(2.0 / u) + 1.0) + math.lgamma(u / 2.0 + 0.5)
         - 0.5 * math.log(2.0 * math.pi))
@@ -76,8 +84,7 @@ def weber_constants(u: float, m: int) -> WeberConstants:
     exactly and the rest termwise, so no term of size 1/u is cancelled
     in rounding.
     """
-    if u <= 0:
-        raise DomainError("u must be positive")
+    ebar = _odd_at_1("Ebar", u, m)
     t, x = 0.5 * u, 1.0 / (u * u)
     z = complex(0.5, t)
     phi2 = loggamma(z).imag
@@ -86,9 +93,8 @@ def weber_constants(u: float, m: int) -> WeberConstants:
         log_rest = -sum((-x) ** k / (k + 2) for k in range(30)) / (64.0 * t ** 3)
     else:
         log_rest = 0.25 * t * (math.log1p(x) - x)
-    ebar = get_tables().Ebar_odd_at_1(m)
     eps = log_rest + x / (24.0 * t * (1.0 + x)) + 0.5 * binet(z, 1).imag \
-        - sum((-1) ** s * float(ebar[s]) / u ** (2 * s + 1) for s in range(1, m + 1))
+        - sum((-1) ** s * ebar[s] / u ** (2 * s + 1) for s in range(1, m + 1))
     return WeberConstants(
         k=_k_stable(u),
         k_inv=_k_inv_stable(u),

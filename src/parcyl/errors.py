@@ -5,6 +5,7 @@ Each class carries the ``code`` the CLI prints in its JSON error.
 
 import cmath
 import math
+from numbers import Complex, Real
 
 
 class ParcylError(Exception):
@@ -85,13 +86,24 @@ class StiffnessError(ParcylError):
     code = "STIFFNESS"
 
 
-def check_inputs(u: float, *points: complex) -> None:
-    """ArgumentError unless the parameter u and every point are finite,
-    then DomainError unless u > 0."""
-    if not math.isfinite(u):
-        raise ArgumentError(f"u={u} is not finite")
+def check_real(*values: float) -> None:
+    """ArgumentError unless every value is a finite real number."""
+    for x in values:
+        if not isinstance(x, Real) or not math.isfinite(x):
+            raise ArgumentError(f"{x!r} is not a finite real number")
+
+
+def check_points(*points: complex) -> None:
+    """ArgumentError unless every point is a finite (complex) number."""
     for z in points:
-        if not cmath.isfinite(z):
-            raise ArgumentError(f"z={z} is not finite")
+        if not isinstance(z, Complex) or not cmath.isfinite(z):
+            raise ArgumentError(f"z={z!r} is not a finite number")
+
+
+def check_inputs(u: float, *points: complex) -> None:
+    """ArgumentError unless the parameter u is a finite real number and
+    every point a finite number, then DomainError unless u > 0."""
+    check_real(u)
+    check_points(*points)
     if u <= 0:
         raise DomainError(f"u={u} must be positive")

@@ -15,9 +15,10 @@ import numpy as np
 
 from . import plane
 from .airy import wi, wi_prime
-from .coeffs import check_forcing_degree, get_tables
+from .coeffs import (FloatRows, check_forcing_degree, check_order, evaluate,
+                     get_tables)
 from .errors import (DomainError, OrderError, PairError, PoleError,
-                     check_inputs)
+                     check_inputs, check_points, check_real)
 from .gamma import loggamma, rgamma
 from .constants import chi_m, odd_sum_at_1
 from .lg import BOUND_SAFETY, CertifiedValue, weber_neg_Wj
@@ -46,6 +47,7 @@ def hyp_terminating(R: int, c: complex) -> complex:
     """F(1/2 - R/2, -R/2; c; 1/2) / Gamma-normalized: exactly floor(R/2)+1
     nonzero terms; entire in c through the 1/Gamma(c+s) scaling."""
     check_forcing_degree(R)
+    check_points(c)
     a = 0.5 - 0.5 * R
     b = -0.5 * R
     total = 0j
@@ -63,6 +65,7 @@ def hyp_terminating(R: int, c: complex) -> complex:
 
 def lambda_R(a: float, R: int, sign: str = "+a") -> ConnectionConstant:
     """Lambda_R(a) or Lambda_R(-a); PoleError at the excluded parameters."""
+    check_real(a)
     if sign not in ("+a", "-a"):
         raise ValueError("sign must be '+a' or '-a'")
     F = hyp_terminating(R, 0.5 * a - 0.5 * R + 0.75)
@@ -104,6 +107,7 @@ def gamma_mR(u: float, m: int, R: int) -> ConnectionConstant:
 
 def gamma_W_mR(u: float, m: int, R: int) -> ConnectionConstant:
     """The Weber analogue, complex valued."""
+    check_inputs(u)
     F = hyp_terminating(R, 0.75 - 0.5 * R + 0.25j * u)
     lg = loggamma(0.5 + 0.5j * u)
     logmag = (R - 1.0) * math.log(2.0) \
@@ -116,6 +120,7 @@ def gamma_W_mR(u: float, m: int, R: int) -> ConnectionConstant:
 def alpha_R(u: float, R: int) -> ConnectionConstant:
     """The left-half-plane Stokes constant of the negative-parameter Weber
     inhomogeneous solution."""
+    check_inputs(u)
     F = hyp_terminating(R, 0.75 - 0.5 * R - 0.25j * u)
     lg = loggamma(0.5 - 0.5j * u)
     logmag = 0.5 * math.log(math.pi) - 0.25 * math.pi * u \
@@ -125,10 +130,12 @@ def alpha_R(u: float, R: int) -> ConnectionConstant:
 
 
 def c0_const(u: float) -> complex:
+    check_inputs(u)
     return -1j * math.exp(-math.pi * u / 2.0)
 
 
 def c3_const(u: float) -> ScaledComplex:
+    check_inputs(u)
     lg = loggamma(0.5 - 0.5j * u)
     return ScaledComplex.from_log(
         0.5 * math.log(2.0 * math.pi) - math.pi * u / 4.0 - lg.real,
@@ -148,14 +155,15 @@ def _check_n_constraint(n: int, R: int) -> None:
         raise OrderError(f"n={n} violates n > R/4 - 3/8 for R={R}")
 
 
-def _series_value(u: float, z: complex, n: int, R: int, variant: str) -> complex:
-    t = get_tables()
-    gvariant = "minus" if variant == "minus" else "plus"
-    G = t.G(R, gvariant, s_max=n)
+def _series_sum(rows: FloatRows, u: float, z: complex, n: int,
+                weber: bool) -> complex:
+    """sum_{s<n} c_s F_s(z) / u^{2s+2} over the rows F_s of G or G*, with
+    c_s = (-1)^{s+1} for the Weber equations and 1 otherwise."""
+    vals = evaluate(rows, complex(z), 0, n)
     acc = 0j
     for s in range(n):
-        term = G[s](complex(z)) / u ** (2 * s)
-        if variant == "weber-":
+        term = vals[s] / u ** (2 * s)
+        if weber:
             term *= (-1) ** (s + 1)
         acc += term
     return acc / u ** 2
@@ -166,9 +174,7 @@ def _bound_integrals(u: float, z: complex, n: int, R: int, variant: str,
     """Certified error majorant along the progressive two-leg path through z."""
     gvariant = "minus" if variant == "minus" else "plus"
     sgn = -1.0 if variant == "minus" else 1.0  # z^2 - 1 vs z^2 + 1
-    t = get_tables()
-    gn = t.G(R, gvariant, s_max=n + 1)[n]
-    gnd = t.G_d(R, gvariant, s_max=n + 1)[n]
+    g, g_d = get_tables().G_rows(R, gvariant, s_max=n + 1)
 
     if variant == "minus":
         endpoints, path_variant = {0: "+inf", 1: "+iinf", -1: "-iinf"}, "PCF-"
@@ -182,8 +188,9 @@ def _bound_integrals(u: float, z: complex, n: int, R: int, variant: str,
     for zn, dzw in (b for leg in legs for b in polyline_nodes(leg.vertices)):
         dz = np.abs(dzw)
         base = np.abs(zn * zn + sgn)
-        gv = gn(zn)
-        comb = np.abs(gnd(zn) + zn * gv / (2.0 * (zn * zn + sgn)))
+        [gv] = evaluate(g, zn, n, n + 1)
+        [gdv] = evaluate(g_d, zn, n, n + 1)
+        comb = np.abs(gdv + zn * gv / (2.0 * (zn * zn + sgn)))
         I1 += float(np.sum(base ** 0.25 * comb * dz))
         # 4 |Phi f^{1/2}|: numerator |2-3t^2| for the z^2+1 equations,
         # |3t^2+2| for the z^2-1 one
@@ -198,7 +205,8 @@ def _bound_integrals(u: float, z: complex, n: int, R: int, variant: str,
     if denom <= 0:
         raise DomainError("bound integral too large: path passes too close "
                           "to a turning point")
-    bound = u ** (-2 * n - 2) * (abs(gn(complex(z))) + I1 / (2.0 * wz)) \
+    [gz] = evaluate(g, complex(z), n, n + 1)
+    bound = u ** (-2 * n - 2) * (abs(gz) + I1 / (2.0 * wz)) \
         + Lbar / (8.0 * u ** (2 * n + 3) * wz) / denom * I2
     return bound * BOUND_SAFETY
 
@@ -241,15 +249,15 @@ def inhom_series(u: float, z: complex, n: int, R: int, variant: str = "plus",
     automatically to the reflection assembly for Re z < 0).
     """
     check_inputs(u, z)
-    if not 1 <= n <= get_tables().s_max:
-        raise OrderError(f"n={n} outside the supported order range")
+    check_order(n, 1, get_tables().s_max)
     z = complex(z)
     check_forcing_degree(R)
     _check_n_constraint(n, R)
     if variant == "weber-" and z.real < -1e-12:
         return _weber_left_assembly(u, z, n, R)
     _check_pair_domain(z, variant, pair)
-    w = _series_value(u, z, n, R, variant)
+    g = get_tables().G_rows(R, "minus" if variant == "minus" else "plus", s_max=n)[0]
+    w = _series_sum(g, u, z, n, variant == "weber-")
     bound = _bound_integrals(u, z, n, R, variant, pair)
     scale = ScaledComplex.from_log((0.5 * R + 1.0) * math.log(2.0 * u))
     rel = bound / abs(w) if w != 0 else math.inf
@@ -319,17 +327,6 @@ def _scorer_contour(u: float, z: complex, m: int, variant: str) -> complex:
     return _cauchy(g, z, g.root_a * _scorer_factor(g, u, m, variant) / zc)[0]
 
 
-def _gstar_sum(u: float, z: complex, m: int, R: int, weber: bool) -> complex:
-    t = get_tables()
-    acc = 0j
-    for s in range(m + 1):
-        term = t.G_star(s, R)(complex(z)) / u ** (2 * s)
-        if weber:
-            term *= (-1) ** (s + 1)
-        acc += term
-    return acc / u ** 2
-
-
 def inhom_scorer(u: float, z: complex, m: int, R: int, variant: str = "PCF-",
                  pair: tuple[int, int] = (-1, 1)) -> CertifiedValue:
     """Turning-point expansion of the scaled particular solution
@@ -353,8 +350,7 @@ def _check_scorer_inputs(u: float, z: complex, m: int, R: int, variant: str,
         raise ValueError("variant must be 'PCF-' or 'WEB+'")
     if pair not in ((-1, 1), (0, 1), (-1, 0)):
         raise PairError("pair must be one of (-1,1), (0,1), (-1,0)")
-    if not 0 <= m <= 4:
-        raise OrderError("0 <= m <= 4 for the Scorer expansions")
+    check_order(m, 0, 4)
     if variant == "PCF-" and not plane.domain_contains(z, plane.DomainId("Z")):
         raise DomainError("z outside the turning-point domain")
     if variant == "WEB+" and z.imag == 0.0 and z.real <= -1.0:
@@ -388,7 +384,8 @@ def _scorer_values(u: float, z: complex, m: int, R: int, variant: str,
         wi_key = {(0, 1): (-1, 0), (-1, 0): (0, 1), (-1, 1): (-1, 1)}[pair]
         homs.append(gamma * (wi(arg, wi_key) * co.A + wi_prime(arg, wi_key) * co.B))
     contour = _scorer_contour(u, z, m, variant)
-    g_part = _gstar_sum(u, z, m, R, weber) - gamma * contour / u ** (2.0 / 3.0)
+    g_part = _series_sum(get_tables().G_star_rows(R, m), u, z, m + 1, weber) \
+        - gamma * contour / u ** (2.0 / 3.0)
     scale = ScaledComplex.from_log((0.5 * R + 1.0) * math.log(2.0 * u))
     est = SCORER_MARGIN * (10.0 / u) ** (2 * m + 4) + co.est_err
     rel = est  # envelope-relative figure

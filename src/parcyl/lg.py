@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import plane
-from .coeffs import get_tables
+from .coeffs import FloatRows, check_order, evaluate, get_tables
 from .constants import chi_m, weber_constants
-from .errors import DomainError, OrderError, check_inputs
+from .errors import DomainError, OrderError, check_inputs, check_real
 from .quadrature import polyline_nodes
 from .scaled import ScaledComplex
 
@@ -89,19 +89,19 @@ def omega_varpi(n: int, u: float, batches, family_d) -> tuple[float, float]:
           + sum_{s=1}^{n-1} u^{-s} int | sum_{k=s}^{n-1} W(p) E_k' E_{s+n-k-1}' dp |
     varpi = 4 sum_{s=0}^{n-2} u^{-s} int |E_{s+1}'(p) dp|
 
-    batches: (p, dp w) arrays as _beta_image yields them; family_d: list
-    of derivative polynomials (index by subscript).
+    batches: (p, dp w) arrays as _beta_image yields them; family_d: the
+    float rows of the derivatives (index by subscript).
     """
     om, vp = _family_moments(n, batches, family_d)
     return _at_u(om, u), _at_u(vp, u)
 
 
-def _family_moments(n: int, batches, family_d) -> tuple[tuple, tuple]:
+def _family_moments(n: int, batches, family_d: FloatRows) -> tuple[tuple, tuple]:
     """The u-free moments of omega_varpi for a coefficient family."""
-    if n >= len(family_d):
+    if n >= len(family_d.coeffs):
         raise OrderError(f"order n={n} beyond generated tables")
     return _omega_varpi_moments(
-        n, batches, lambda p: [poly(p) for poly in family_d[:n + 1]],
+        n, batches, lambda p: evaluate(family_d, p, 0, n + 1),
         lambda p: np.abs(1.0 - p * p) ** 2)
 
 
@@ -175,25 +175,23 @@ def _pcfp_exponent(u: float, z: complex, n: int, which: str,
     bound."""
     check_inputs(u, z)
     t = get_tables()
-    if not 1 <= n <= t.s_max // 2:
-        raise OrderError(f"n={n} outside the supported order range")
+    check_order(n, 1, t.s_max // 2)
     _check_pcfp_domain(z, which)
-    family, family_d = getattr(t, name), getattr(t, name + "_d")
     ends = t.ends[name]
     xb = plane.xi_bar(z)
-    bb = plane.beta_bar(z)
+    e = evaluate(t.rows[name], plane.beta_bar(z), 0, n)
     expo = 0j
     if which == "W1":
         expo += u * xb
         for s in range(1, n):
-            expo += (family[s](bb) - ends[s][0]) / u ** s
+            expo += (e[s] - ends[s][0]) / u ** s
         endpoint = "-inf"
     else:
         expo += -u * xb
         for s in range(1, n):
-            expo += (-1) ** s * (family[s](bb) - ends[s][1]) / u ** s
+            expo += (-1) ** s * (e[s] - ends[s][1]) / u ** s
         endpoint = "+inf"
-    return expo, _lg_bound(u, z, n, endpoint, "PCF+", family_d)
+    return expo, _lg_bound(u, z, n, endpoint, "PCF+", t.rows[name + "_d"])
 
 
 def lg_W(u: float, z: complex, n: int, which: str) -> CertifiedValue:
@@ -251,6 +249,16 @@ def pcf_Uprime_pos(u: float, z: complex, n: int, sign: str = "+z") -> CertifiedV
 # negative-parameter Weber functions
 # ----------------------------------------------------------------------
 
+def _weber_sums(rows: FloatRows, bb, u: float, m: int) -> tuple:
+    """The even and odd exponent sums of the Weber forms, sum_{s=1}^{m} and
+    sum_{s=0}^{m} of (-1)^s F_{2s}(bb) u^{-2s} and (-1)^s F_{2s+1}(bb)
+    u^{-2s-1}, for the family F whose float rows are `rows`."""
+    e = evaluate(rows, bb, 0, 2 * m + 2)
+    even = sum((-1) ** s * e[2 * s] / u ** (2 * s) for s in range(1, m + 1))
+    odd = sum((-1) ** s * e[2 * s + 1] / u ** (2 * s + 1) for s in range(m + 1))
+    return even, odd
+
+
 def _check_webm_domain(z: complex) -> None:
     if abs(z - 1j) < TP_REFUSAL or abs(z + 1j) < TP_REFUSAL:
         raise DomainError(f"z={z} within refusal radius of a turning point")
@@ -268,31 +276,27 @@ def weber_neg_Wj(u: float, z: complex, m: int, j: int,
     z = complex(z)
     _check_webm_domain(z)
     t = get_tables()
-    if not 0 <= m < t.s_max // 2:
-        raise OrderError(f"m={m} outside the supported order range")
+    check_order(m, 0, t.s_max // 2 - 1)
     xb = plane.xi_bar(z)
     bb = plane.beta_bar(z)
     sgn = 1.0 if j == 0 else -1.0
     cm = chi_m(u, m)
     if derivative:
-        fam_poly, fam_d = t.Etilde, t.Etilde_d
+        fam = "Etilde"
         # chi-tilde equals chi termwise (exact identity on the tables)
         phase = -sgn * (cm - 5.0 * math.pi / 8.0)
         pref = ScaledComplex.from_log(math.pi * u / 8.0) * \
             (0.5 * (2.0 * u) ** 0.25 * (1.0 + z * z) ** 0.25)
     else:
-        fam_poly, fam_d = t.Ebar, t.Ebar_d
+        fam = "Ebar"
         phase = -sgn * (cm - math.pi / 8.0)
         pref = ScaledComplex.from_log(math.pi * u / 8.0) * \
             (1.0 / ((2.0 * u) ** 0.25 * (1.0 + z * z) ** 0.25))
-    even = sum((-1) ** s * fam_poly[2 * s](bb) / u ** (2 * s)
-               for s in range(1, m + 1))
-    odd = sum((-1) ** s * fam_poly[2 * s + 1](bb) / u ** (2 * s + 1)
-              for s in range(m + 1))
+    even, odd = _weber_sums(t.rows[fam], bb, u, m)
     expo = even + sgn * 1j * (u * xb) - sgn * 1j * odd
     val = pref * cmath.exp(1j * phase) * ScaledComplex.from_log_complex(expo)
     bound = _lg_bound(u, z, 2 * m + 2, "e+ipi/4" if j == 0 else "e-ipi/4",
-                      "WEB-", fam_d)
+                      "WEB-", t.rows[fam + "_d"])
     return CertifiedValue(val, bound, m)
 
 
@@ -301,22 +305,19 @@ def weber_neg_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedVal
     elementary phase constant; the residual phase of (1+eta) is folded into
     the certified envelope-relative bound."""
     check_inputs(u, x)
+    check_real(x)
     if x < 0:
         raise DomainError("x must be >= 0; use the sign argument")
     if sign not in ("+x", "-x"):
         raise ValueError("sign must be '+x' or '-x'")
     t = get_tables()
-    if not 0 <= m < t.s_max // 2:
-        raise OrderError(f"m={m} outside the supported order range")
+    check_order(m, 0, t.s_max // 2 - 1)
     z = complex(x)
     xb = plane.xi_bar(z).real
     bb = plane.beta_bar(z).real
     kbar = math.sqrt(1.0 + math.exp(-math.pi * u)) - math.exp(-math.pi * u / 2.0)
     wc = weber_constants(u, m)
-    even = sum((-1) ** s * float(t.Ebar[2 * s](bb)) / u ** (2 * s)
-               for s in range(1, m + 1))
-    odd = sum((-1) ** s * float(t.Ebar[2 * s + 1](bb)) / u ** (2 * s + 1)
-              for s in range(m + 1))
+    even, odd = _weber_sums(t.rows["Ebar"], bb, u, m)
     theta = u * xb + math.pi / 4.0 - odd - wc.eps_m
     if sign == "+x":
         pref = (2.0 * kbar ** 2 / (u * (1.0 + x * x))) ** 0.25
@@ -325,7 +326,7 @@ def weber_neg_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedVal
         pref = (2.0 / (u * kbar ** 2 * (1.0 + x * x))) ** 0.25
         trig = math.sin(theta)
     val = ScaledComplex.from_complex(pref * math.exp(even) * trig)
-    eta = _lg_bound(u, z, 2 * m + 2, "e+ipi/4", "WEB-", t.Ebar_d)
+    eta = _lg_bound(u, z, 2 * m + 2, "e+ipi/4", "WEB-", t.rows["Ebar_d"])
     # dropped |1+eta| modulus and arg(1+eta) phase each contribute <= eta
     bound = 2.0 * eta
     return CertifiedValue(val, bound, m, noncertified=("eps_tilde_phase",))

@@ -1,18 +1,19 @@
-"""Exact rational polynomials and rational functions.
+"""Exact rational polynomials and rational functions: build-time arithmetic.
 
 All expansion coefficients are generated by repeated differentiation and
 termwise integration; doing this in floating point compounds rounding, so
-the tables stay exact until the final evaluation.  A polynomial is stored
-as a tuple of Python ``int`` numerators over one common ``int``
-denominator, in lowest terms, so the generating arithmetic runs on plain
-integers; ``coeffs`` gives the coefficients as ``fractions.Fraction``.
+the tables are built exactly.  A polynomial is stored as a tuple of Python
+``int`` numerators over one common ``int`` denominator, in lowest terms, so
+the generating arithmetic runs on plain integers; ``coeffs`` gives the
+coefficients as ``fractions.Fraction``.  Evaluation is exact too (at an int
+or a Fraction); the float rows the expansions evaluate at run time are
+``coeffs``'s float view of these tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
 
@@ -127,27 +128,19 @@ class RationalPoly:
         c = self.taylor_shift(a).coeffs
         return (c + (Fraction(0),) * nterms)[:nterms]
 
-    @cached_property
-    def float_coeffs(self) -> tuple[float, ...]:
-        """The coefficients rounded to float, converted on first use.  Integer
-        true division is correctly rounded, so each equals float(coeffs[i])."""
-        return tuple(c / self.den for c in self.nums)
-
-    def __call__(self, x):
-        """Horner evaluation: exact (a Fraction) for Fraction/int x; in
-        floating point for float, complex and ndarray x."""
-        if isinstance(x, (Fraction, int)):
-            p, q = Fraction(x).as_integer_ratio()
-            v, qk = 0, 1
-            for c in reversed(self.nums):
-                v = v * p + c * qk
-                qk *= q
-            # qk = q^(degree + 1); v carries q^degree
-            return Fraction(v * q, self.den * qk)
-        v = 0.0 * x
-        for c in reversed(self.float_coeffs):
-            v = v * x + c
-        return v
+    def __call__(self, x) -> Fraction:
+        """Exact Horner evaluation at an int or a Fraction; TypeError for
+        anything else (float rows are ``coeffs.FloatRows``)."""
+        if not isinstance(x, (Fraction, int)):
+            raise TypeError(f"exact evaluation needs an int or a Fraction, "
+                            f"not {type(x).__name__}")
+        p, q = Fraction(x).as_integer_ratio()
+        v, qk = 0, 1
+        for c in reversed(self.nums):
+            v = v * p + c * qk
+            qk *= q
+        # qk = q^(degree + 1); v carries q^degree
+        return Fraction(v * q, self.den * qk)
 
     def parity(self) -> int | None:
         """0 if even, 1 if odd, None if mixed."""
@@ -162,34 +155,28 @@ class RationalPoly:
 
 @dataclass(frozen=True)
 class RationalFunc:
-    """numerator(z) / (z^2 + sign)^pole_power with sign = +1 or -1.
+    """numerator(z) / base(z)^pole_power.
 
-    Shape of every inhomogeneous-series coefficient G_{s,R}: the recursion
-    G_{s+1} = G_s'' / (z^2 +- 1) raises the pole order by exactly 3.
+    The shape of every inhomogeneous-series coefficient G_{s,R}, with base
+    z^2 +- 1 (the recursion G_{s+1} = G_s'' / (z^2 +- 1) raises the pole
+    order by exactly 3), and of its analytic part G*_{s,R} at z = 1, with
+    base z + 1.
     """
 
     numerator: RationalPoly
     pole_power: int
-    sign: int  # +1 -> denominator (z^2+1)^k, -1 -> (z^2-1)^k
-
-    def __post_init__(self):
-        if self.sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    @property
-    def _base(self) -> RationalPoly:
-        return RationalPoly((self.sign, 0, 1))  # z^2 + sign
+    base: RationalPoly
 
     def deriv(self) -> "RationalFunc":
         # d/dz [N / B^k] = (N' B - k B' N) / B^{k+1}
-        n, k, base = self.numerator, self.pole_power, self._base
+        n, k, base = self.numerator, self.pole_power, self.base
         num = n.deriv() * base - n * base.deriv().scale(k)
-        return RationalFunc(num, k + 1, self.sign)
+        return RationalFunc(num, k + 1, base)
 
-    def __call__(self, z):
-        base = z * z + self.sign
-        return self.numerator(z) / base ** self.pole_power
+    def __call__(self, z) -> Fraction:
+        """Exact value at an int or a Fraction z; TypeError otherwise."""
+        return self.numerator(z) / self.base(z) ** self.pole_power
 
     def decay_order(self) -> int:
         """Exponent d with f(z) = O(z^d) as z -> infinity."""
-        return self.numerator.degree - 2 * self.pole_power
+        return self.numerator.degree - self.base.degree * self.pole_power

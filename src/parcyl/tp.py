@@ -22,9 +22,9 @@ import numpy as np
 
 from . import plane
 from .airy import AiryValue, airy, env_airy
-from .coeffs import get_tables
+from .coeffs import check_order, evaluate, get_tables
 from .constants import delta_n_pm, odd_sum_at_1
-from .errors import DomainError, OrderError, check_inputs
+from .errors import DomainError, check_inputs, check_real
 from .lg import CertifiedValue, _at_u, _family_moments, _omega_varpi_moments
 # not called here; perfbench's tracing self-test checks that the wrapped
 # omega_varpi is rebound in this namespace
@@ -132,17 +132,16 @@ def _geometry(points, variant: str, s_top: int) -> _Geometry:
     for i, p in enumerate(points):
         p = plane.canon(complex(p))
         xi[i], zeta[i] = plane.xi_zeta(p)
-        beta = plane.beta_map(p, "PCF-")
-        E[i] = [t.E[k](beta) for k in s]
+        E[i] = evaluate(t.rows["E"], plane.beta_map(p, "PCF-"), 1, s_top + 1)
         ra[i] = _root_A(p)
         rb[i] = _root_B(p, variant)
     xi_s = xi[:, None] ** -np.arange(1, s_top + 1)
     fac = np.array([(-1j) ** k if variant == "WEB+" else 1.0 for k in s])
 
     def rows(seq) -> np.ndarray:
-        return fac * (E + np.array([(-1) ** k * float(seq[k]) / k for k in s]) * xi_s)
+        return fac * (E + np.array([(-1) ** k * seq[k] / k for k in s]) * xi_s)
 
-    g = _Geometry(points, zeta, ra, rb, rows(t.airy.a), rows(t.airy.a_tilde))
+    g = _Geometry(points, zeta, ra, rb, rows(t.seq["a"]), rows(t.seq["a_tilde"]))
     # geometries are cached and shared: no caller may write into them
     for arr in vars(g).values():
         arr.setflags(write=False)
@@ -232,8 +231,7 @@ def _ab_direct(u: float, z: complex, m: int, variant: str) -> tuple[complex, com
 def tp_coeff_funcs(u: float, z: complex, m: int, variant: str = "PCF-") -> TPCoeffs:
     """A_{2m+2}(u,z), B_{2m+2}(u,z) (Weber variant when requested)."""
     check_inputs(u, z)
-    if not 0 <= m < get_tables().s_max // 2:
-        raise OrderError(f"m={m} outside the supported order range")
+    check_order(m, 0, get_tables().s_max // 2 - 1)
     if variant not in ("PCF-", "WEB+"):
         raise ValueError("variant must be 'PCF-' or 'WEB+'")
     z = plane.canon(z)
@@ -279,14 +277,14 @@ def _gamma_beta_xi(n: int, xi_nodes, seq) -> tuple[tuple, tuple, float]:
     the s-th exponent coefficient is (-1)^s a_s/(s xi^s), and the analytic
     tail that Gamma adds to the leading term beyond the truncated far
     endpoint."""
-    coef = [(-1) ** (k + 1) * float(seq[k]) for k in range(n + 1)]
+    coef = [(-1) ** (k + 1) * seq[k] for k in range(n + 1)]
     gam, bet = _omega_varpi_moments(
         n, xi_nodes,
         lambda xi: [c * xi ** (-k - 1) for k, c in enumerate(coef)],
         lambda xi: 1.0)
     # the first node of each segment lies nearest its far end
     xi_far = max(float(np.max(np.abs(xi[:, 0]))) for xi, _ in xi_nodes)
-    return gam, bet, 2.0 * float(seq[n]) / (n * xi_far ** n)
+    return gam, bet, 2.0 * seq[n] / (n * xi_far ** n)
 
 
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
@@ -299,8 +297,8 @@ def _est_moments(z: complex, m: int) -> tuple[tuple, _Geometry]:
     paths = []
     for end in ("+inf", "+iinf" if z.imag >= 0 else "-iinf"):
         segs, xi_nodes = _beta_image_minus(plane.monotone_path(z, end, "PCF-"))
-        paths.append((*_family_moments(n, segs, t.E_d),
-                      *_gamma_beta_xi(n, xi_nodes, t.airy.a)))
+        paths.append((*_family_moments(n, segs, t.rows["E_d"]),
+                      *_gamma_beta_xi(n, xi_nodes, t.seq["a"])))
     return tuple(paths), _point_geometry(z, "PCF-", m)
 
 
@@ -480,6 +478,7 @@ def weber_W_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedValue
     e^{pi u/2} scale (Ai-type).  The certified figure is envelope-relative.
     """
     check_inputs(u, x)
+    check_real(x)
     if u < 5:
         raise DomainError("u >= 5 required")
     if x < -1.0 + 0.05:

@@ -9,9 +9,18 @@ import mpmath
 import numpy as np
 import pytest
 
+from parcyl.errors import ArgumentError
 from parcyl.quadrature import gauss
 
 pa = importlib.import_module("parcyl.airy")
+
+
+@pytest.mark.parametrize("z", [complex("nan"), math.inf, complex(1.0, -math.inf),
+                               "1.5"])
+def test_airy_refuses_a_non_finite_argument(z):
+    # a NaN used to recurse through the sector rotations without end
+    with pytest.raises(ArgumentError):
+        pa.airy(z)
 
 
 def five_point_second_diff(f, z, h):

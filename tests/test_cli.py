@@ -189,6 +189,10 @@ def test_eval_agrees_with_oracle(capsys, function):
      "ARGUMENT"),
     (("domain", "--tag", "Z02", "--z", "0.5+abc"), "ARGUMENT"),
     (("eval", "--function", "V-", "--u", "2", "--z", "1.5"), "DOMAIN"),
+    (("eval", "--function", "W+x", "--u", "20", "--z", "1+1j"), "ARGUMENT"),
+    (("eval", "--function", "W-x", "--u", "20", "--z", "1+1j"), "ARGUMENT"),
+    (("eval", "--function", "W+x", "--u", "20", "--z", "1", "--x", "5"),
+     "ARGUMENT"),
 ])
 def test_malformed_input_is_a_typed_error(capsys, args, error):
     code, payload = run_main(capsys, *args)

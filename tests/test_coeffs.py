@@ -1,4 +1,5 @@
-"""Exact-arithmetic identities of the coefficient tables (zero tolerance)."""
+"""Exact-arithmetic identities of the coefficient tables (zero tolerance),
+and their float view against exact evaluation."""
 
 import hashlib
 import random
@@ -7,7 +8,10 @@ from math import factorial, gcd
 
 import pytest
 
-from parcyl.coeffs import gen_Ebar, gen_G, get_tables, modified_coeff
+import numpy as np
+
+from parcyl.coeffs import (FloatRows, evaluate, gen_Ebar, gen_G, get_tables,
+                           modified_coeff)
 from parcyl.errors import OrderError, TurningPointError
 from parcyl.ratpoly import RationalPoly
 
@@ -109,7 +113,8 @@ def test_modified_coeff_assembly(tables):
     xi, _ = xi_zeta(z)
     val = modified_coeff(1, z, "E")
     beta = beta_map(z, "PCF-")
-    expect = tables.E[1](complex(beta)) - float(tables.airy.a[1]) / xi
+    expect = evaluate(tables.rows["E"], complex(beta), 1, 2)[0] \
+        - float(tables.airy.a[1]) / xi
     assert val == pytest.approx(expect, rel=1e-14)
     # real on the real axis beyond the turning point
     assert abs(modified_coeff(2, 3.0, "E").imag) < 1e-14
@@ -118,8 +123,9 @@ def test_modified_coeff_assembly(tables):
 def test_modified_coeff_guard():
     with pytest.raises(TurningPointError):
         modified_coeff(1, 1.0 + 1e-12, "E")
-    with pytest.raises(OrderError):
-        modified_coeff(99, 2.0, "E")
+    for s in (0, 99, 2.5):
+        with pytest.raises(OrderError):
+            modified_coeff(s, 2.0, "E")
 
 
 def test_generation_depth_guard():
@@ -179,14 +185,106 @@ def test_tables_digest(tables):
 def test_derivative_and_endpoint_tables(tables):
     for R in (0, 3):
         for v in ("plus", "minus"):
-            g, g_d = tables.G(R, v), tables.G_d(R, v)
-            assert len(g_d) == len(g)
-            assert all(d == gs.deriv() for gs, d in zip(g, g_d))
+            # G' is kept only as the float view of each G_s.deriv()
+            g, g_d = tables.G(R, v), tables.G_rows(R, v)[1]
+            derivs = [gs.deriv() for gs in g]
+            assert g_d.coeffs == tuple(tuple(map(float, d.numerator.coeffs))
+                                       for d in derivs)
+            assert g_d.poles == tuple(d.pole_power for d in derivs)
     for name in ("Ebar", "Etilde", "E"):
         fam = getattr(tables, name)
         assert tables.ends[name] == tuple((float(p(F(-1))), float(p(F(1))))
                                           for p in fam)
-        assert tables.at_1[name] == tuple(p(F(1)) for p in fam)
+    for name in ("Ebar", "E"):
+        fam = getattr(tables, name)
+        assert tables.odd_at_1[name] == tuple(float(fam[s](F(1)))
+                                              for s in range(1, S_MAX + 1, 2))
+
+
+# ----------------------------------------------------------------------
+# the float view of the tables
+# ----------------------------------------------------------------------
+
+def _exact_views(t):
+    """(float rows, exact entries, base) of every family of the view; base
+    is None for polynomial rows, else the exact base of the poles."""
+    for name in ("Ebar", "Etilde", "E"):
+        fam = getattr(t, name)
+        yield t.rows[name], fam, None
+        yield t.rows[name + "_d"], [p.deriv() for p in fam], None
+    for R in (0, 5, 16):
+        for v in ("plus", "minus"):
+            g, g_d = t.G_rows(R, v)
+            sign = 1 if v == "plus" else -1
+            yield g, t.G(R, v), lambda x, sign=sign: x * x + sign
+            yield g_d, [gs.deriv() for gs in t.G(R, v)], \
+                lambda x, sign=sign: x * x + sign
+        yield t.G_star_rows(R, 4), [t.G_star(s, R) for s in range(5)], lambda x: x + 1
+
+
+def test_float_view_rounds_every_coefficient(tables):
+    for rows, exact, base in _exact_views(tables):
+        assert len(rows.coeffs) == len(exact)
+        for k, e in enumerate(exact):
+            num = e if base is None else e.numerator
+            assert rows.coeffs[k] == tuple(map(float, num.coeffs))
+            if base is not None:
+                assert rows.poles[k] == e.pole_power
+    assert tables.seq == {"a": tuple(map(float, tables.airy.a)),
+                          "a_tilde": tuple(map(float, tables.airy.a_tilde))}
+
+
+def _gauss_eval(coeffs, x):
+    """Exact value of the polynomial at the complex float x, as a pair of
+    Fractions, and sum |c_k| |x|^k."""
+    a, b = F(x.real), F(x.imag)
+    vr = vi = F(0)
+    for c in reversed(coeffs):
+        vr, vi = vr * a - vi * b + c, vr * b + vi * a
+    return complex(vr, vi), sum(abs(c) * abs(x) ** k for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_float_view_matches_exact_complex_evaluation(tables, seed):
+    rng = random.Random(seed)
+    eps = 2.0 ** -52
+    xs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4)]
+    for rows, exact, base in _exact_views(tables):
+        # at each scalar node, and at all of them as one array
+        n = len(exact)
+        arr = evaluate(rows, np.array(xs), 0, n)
+        for i, x in enumerate(xs):
+            got = evaluate(rows, x, 0, n)
+            for k, e in enumerate(exact):
+                num = e if base is None else e.numerator
+                ref, size = _gauss_eval(num.coeffs, x)
+                tol = 4 * eps * float(size)
+                if base is not None:
+                    # the numerator to a few ulps of its size, then one
+                    # rounding per multiplication of the power
+                    den = complex(base(x)) ** e.pole_power
+                    ref /= den
+                    tol = tol / abs(den) + 4 * e.pole_power * eps * abs(ref)
+                assert abs(got[k] - ref) <= tol, (k, x)
+                assert abs(arr[k][i] - ref) <= tol, (k, x)
+
+
+def test_float_view_rows_by_range(tables):
+    rows = tables.rows["Ebar"]
+    x = 0.3 + 0.2j
+    assert evaluate(rows, x, 3, 7) == evaluate(rows, x, 0, 13)[3:7]
+    assert evaluate(rows, x, 5, 5) == []
+    assert evaluate(FloatRows(((1.0, 2.0),)), 3.0, 0, 1) == [7.0]
+    assert evaluate(FloatRows(((1.0,),), (2,), False, 1), 3.0, 0, 1) == [1 / 16]
+
+
+def test_exact_tables_refuse_float_input(tables):
+    p = tables.Ebar[3]
+    for f in (p, tables.G(2, "plus")[1], tables.G_star(1, 2)):
+        for x in (0.5, 0.5 + 1j, np.array([0.5, 1.0]), np.float64(0.5)):
+            with pytest.raises(TypeError):
+                f(x)
+        assert isinstance(f(F(1, 3)), F) and isinstance(f(2), F)
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +361,6 @@ def test_ratpoly_matches_fraction_arithmetic(seed):
             assert _canonical(got), op
             same = RationalPoly.make(ref)
             assert got == same and hash(got) == hash(same), op
-            assert got.float_coeffs == tuple(map(float, ref)), op
         assert a(x) == _ref_eval(ra, x) and a(x.numerator) == _ref_eval(ra, x.numerator)
         assert isinstance(a(3), F)
         assert a.degree == len(ra) - 1

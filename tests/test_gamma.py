@@ -84,6 +84,50 @@ def test_rgamma_vanishes_at_the_poles():
     assert gamma.rgamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
 
 
+#: calls whose upward shift never ended (a NaN never reaches |z| >= 10,
+#: and at Re z <= -2^53 the step w += 1 leaves w unchanged), and calls that
+#: answered nan or raised ZeroDivisionError; each with the typed error due
+STUCK_CALLS = [
+    ("inhom.lambda_R(nan, 2)", "ArgumentError"),
+    ("inhom.lambda_R(-1e20, 2)", "DomainError"),
+    ("inhom.hyp_terminating(2, nan)", "ArgumentError"),
+    ("constants.weber_constants(nan, 2)", "ArgumentError"),
+    ("inhom.gamma_mR(nan, 2, 2)", "ArgumentError"),
+    ("inhom.alpha_R(nan, 2)", "ArgumentError"),
+    ("inhom.c3_const(nan)", "ArgumentError"),
+    ("gamma.loggamma(complex(nan, 1.0))", "ArgumentError"),
+    ("gamma.binet(-1e20)", "DomainError"),
+    ("gamma.rgamma(-1e6 + 0.5)", "DomainError"),
+    ("gamma.rgamma(1000j)", "DomainError"),
+    ("inhom.gamma_mR(0.0, 2, 2)", "DomainError"),
+]
+
+
+def test_gamma_shifts_end_in_a_typed_error():
+    # in a child process with a timeout, since a regression would hang
+    code = ("import json\nfrom math import nan\n"
+            "from parcyl import constants, gamma, inhom\nout = []\n"
+            f"for call, _ in {STUCK_CALLS!r}:\n"
+            "    try:\n        eval(call)\n        out.append('value')\n"
+            "    except Exception as exc:\n        out.append(type(exc).__name__)\n"
+            "print(json.dumps(out))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [exc for _, exc in STUCK_CALLS]
+
+
+def test_gamma_keeps_the_arguments_near_its_shift_limit():
+    # the last argument the bounded shift still reaches, against mpmath
+    x = -gamma.SHIFT_LIMIT + gamma.SHIFT_RADIUS + 0.5
+    with mpmath.workdps(30):
+        ref = complex(mpmath.loggamma(x))
+    got = gamma.loggamma(complex(x))
+    assert abs(got - ref) <= 1e-15 * abs(ref)
+    with pytest.raises(parcyl.DomainError):
+        gamma.loggamma(complex(x - 1.0))
+
+
 # ----------------------------------------------------------------------
 # import hygiene
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import gamma, loggamma, rgamma
 
 from parcyl import inhom, lg, oracle, plane, quadrature, tp
+from parcyl.coeffs import evaluate
 from parcyl.errors import (ArgumentError, DomainError, OrderError, PairError,
                            ParcylError, PoleError)
 from parcyl.scaled import ScaledComplex
@@ -224,10 +225,9 @@ class TestScorer:
         u, R, m = 20.0, 0, 4
         z = 2.0
         scorer = inhom.inhom_scorer(u, z, m, R, "WEB+", (-1, 1)).value.to_complex()
-        t = inhom.get_tables()
-        G = t.G(R, "minus")
+        G = evaluate(inhom.get_tables().G_rows(R, "minus")[0], complex(z), 0, m + 2)
         # the formal series of w'' = u^2(1-z^2) w + z^R carries (-1)^{s+1}
-        series = sum((-1) ** (s + 1) * G[s](complex(z)) / u ** (2 * s)
+        series = sum((-1) ** (s + 1) * G[s] / u ** (2 * s)
                      for s in range(m + 2)) / u ** 2
         series *= (2 * u) ** (R / 2 + 1)
         assert scorer == pytest.approx(series.real, rel=2e-6)
@@ -302,9 +302,10 @@ class TestConnections:
 
 
 def test_array_evaluation_of_G_matches_scalar_calls():
-    g = lg.get_tables().G(2, "plus")[3]
+    g = lg.get_tables().G_rows(2, "plus")[0]
     z = np.array([0.5 + 0.3j, -1.2 + 2.0j, 2.5 - 0.7j])
-    assert g(z) == pytest.approx([g(complex(v)) for v in z], rel=1e-14)
+    assert evaluate(g, z, 3, 4)[0] == pytest.approx(
+        [evaluate(g, complex(v), 3, 4)[0] for v in z], rel=1e-14)
 
 
 def test_bound_integrals_do_not_depend_on_the_batching(monkeypatch):
@@ -333,7 +334,9 @@ ENTRIES = {
     (0.0, 1.05, DomainError), (-5.0, 1.05, DomainError),
     (math.nan, 1.05, ArgumentError), (math.inf, 1.05, ArgumentError),
     (20.0, complex(math.nan, 0.0), ArgumentError),
-    (20.0, complex(math.inf, 0.0), ArgumentError)])
+    (20.0, complex(math.inf, 0.0), ArgumentError),
+    (20.0 + 1j, 1.05, ArgumentError), ("20", 1.05, ArgumentError),
+    (20.0, "1.05", ArgumentError)])
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_typed_errors_for_bad_inputs(entry, u, z, exc):
     with pytest.raises(exc):
@@ -379,9 +382,11 @@ def _assert_value_or_typed_error(entry, u, z):
 
 # supported: m = 0..4 for the Scorer forms, n = 1..12 for the series
 @pytest.mark.parametrize("entry,order", [
-    ("inhom_scorer", -1), ("inhom_scorer", 5),
+    ("inhom_scorer", -1), ("inhom_scorer", 5), ("inhom_scorer", 2.5),
     ("connect_inhom_pcfm", -1), ("connect_inhom_pcfm", 5),
-    ("inhom_series", 0), ("inhom_series", 13), ("inhom_series", 99)])
+    ("connect_inhom_pcfm", 2.5),
+    ("inhom_series", 0), ("inhom_series", 13), ("inhom_series", 99),
+    ("inhom_series", 2.5)])
 def test_typed_errors_for_bad_orders(entry, order):
     with pytest.raises(OrderError):
         ENTRIES[entry](20.0, 2.0 if entry == "inhom_series" else 1.05, order)

@@ -213,7 +213,8 @@ def test_omega_varpi_matches_the_per_segment_loop(monkeypatch):
     # several batch boundaries
     monkeypatch.setattr(quadrature, "BATCH_SEGMENTS", 7)
     u, n = 20.0, 4
-    fam = get_tables().Ebar_d
+    t = get_tables()
+    fam = t.rows["Ebar_d"]
     path = plane.monotone_path(-0.5 + 1.5j, "+inf", "PCF+")
     x, w = quadrature.gauss(quadrature.SEGMENT_NODES)
 
@@ -240,7 +241,7 @@ def test_omega_varpi_matches_the_per_segment_loop(monkeypatch):
                     (p0 - target) * 0.5 * w))
 
     def ev(k, p):
-        return np.polyval([float(c) for c in reversed(fam[k].coeffs)], p)
+        return np.polyval([float(c) for c in reversed(t.Ebar[k].deriv().coeffs)], p)
 
     omega = varpi = 0.0
     for p, dpw in segs:
@@ -270,7 +271,8 @@ ENTRIES = {
 BAD_INPUTS = [(0.0, 1.05, DomainError), (-5.0, 1.05, DomainError),
               (math.nan, 1.05, ArgumentError), (math.inf, 1.05, ArgumentError),
               (20.0, complex(math.nan, 0.0), ArgumentError),
-              (20.0, complex(math.inf, 0.0), ArgumentError)]
+              (20.0, complex(math.inf, 0.0), ArgumentError),
+              (20.0 + 1j, 1.05, ArgumentError), ("20", 1.05, ArgumentError)]
 
 
 @pytest.mark.parametrize("u,z,exc", BAD_INPUTS)
@@ -280,10 +282,16 @@ def test_typed_errors_for_bad_inputs(entry, u, z, exc):
         ENTRIES[entry](u, complex(z))
 
 
+@pytest.mark.parametrize("x", [1 + 1j, complex(1.0, 0.0), "1"])
+def test_real_weber_takes_only_a_real_number(x):
+    with pytest.raises(ArgumentError):
+        lg.weber_neg_real(20.0, x, 3)
+
+
 # supported: n = 1..6 for the z^2+1 forms, m = 0..5 for the Weber forms
 @pytest.mark.parametrize("entry,order", [
-    *((e, n) for e in ("lg_W", "pcf_U_pos", "pcf_Uprime_pos") for n in (-1, 0, 7)),
-    *((e, m) for e in ("weber_neg_Wj", "weber_neg_real") for m in (-1, 6))])
+    *((e, n) for e in ("lg_W", "pcf_U_pos", "pcf_Uprime_pos") for n in (-1, 0, 7, 2.5)),
+    *((e, m) for e in ("weber_neg_Wj", "weber_neg_real") for m in (-1, 6, 2.5))])
 def test_typed_errors_for_bad_orders(entry, order):
     with pytest.raises(OrderError):
         ENTRIES[entry](20.0, 1.5 + 0j, order)

@@ -16,7 +16,7 @@ import pytest
 
 import parcyl
 from parcyl import constants, inhom, plane, quadrature, tp
-from parcyl.coeffs import get_tables
+from parcyl.coeffs import evaluate, get_tables
 from parcyl.errors import DomainError
 
 RTOL = 1e-12
@@ -33,7 +33,8 @@ def _mod_sums_ref(u, z, m, variant):
     fac = (lambda s: (-1j) ** s) if variant == "WEB+" else (lambda s: 1.0)
 
     def coeff(s, seq):
-        return fac(s) * (t.E[s](beta) + (-1) ** s * float(seq[s]) / s * xi ** (-s))
+        return fac(s) * (evaluate(t.rows["E"], beta, s, s + 1)[0]
+                         + (-1) ** s * float(seq[s]) / s * xi ** (-s))
 
     a, at = t.airy.a, t.airy.a_tilde
     return (sum(coeff(2 * s, at) / u ** (2 * s) for s in range(1, m + 1)),
@@ -285,7 +286,7 @@ def _ab_est_err_ref(u, z, m):
         for path, dlt in ((path_j, 0.0), (path_k, constants.delta_n_pm(u, n))):
             segs, xi_nodes = tp._beta_image_minus(path)
             om, vp = _omega_varpi_ref(
-                n, u, segs, lambda p: [poly(p) for poly in t.E_d[:n + 1]],
+                n, u, segs, lambda p: evaluate(t.rows["E_d"], p, 0, n + 1),
                 lambda p: np.abs(1.0 - p * p) ** 2)
             coef = [(-1) ** (k + 1) * float(t.airy.a[k]) for k in range(n + 1)]
             gm, bt = _omega_varpi_ref(

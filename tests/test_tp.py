@@ -257,7 +257,8 @@ class TestWeberConstants:
         # eps_m = phi2/2 + chi_m is O(u^{-2m-3}); taken as that difference
         # in floats it would be rounding noise of the two O(u ln u) terms
         import mpmath
-        ebar = constants.get_tables().Ebar_odd_at_1(m)
+        t = constants.get_tables()
+        ebar = [t.Ebar[2 * s + 1](1) for s in range(m + 1)]
         with mpmath.workdps(60):
             for u in np.geomspace(20.0, 160.0, 15):
                 U = mpmath.mpf(float(u))
@@ -316,7 +317,8 @@ ENTRIES = {
 BAD_INPUTS = [(0.0, 1.05, DomainError), (-5.0, 1.05, DomainError),
               (math.nan, 1.05, ArgumentError), (math.inf, 1.05, ArgumentError),
               (20.0, complex(math.nan, 0.0), ArgumentError),
-              (20.0, complex(math.inf, 0.0), ArgumentError)]
+              (20.0, complex(math.inf, 0.0), ArgumentError),
+              (20.0 + 1j, 1.05, ArgumentError), ("20", 1.05, ArgumentError)]
 
 
 @pytest.mark.parametrize("u,z,exc", BAD_INPUTS)
@@ -324,6 +326,12 @@ BAD_INPUTS = [(0.0, 1.05, DomainError), (-5.0, 1.05, DomainError),
 def test_typed_errors_for_bad_inputs(entry, u, z, exc):
     with pytest.raises(exc):
         ENTRIES[entry](u, complex(z))
+
+
+@pytest.mark.parametrize("x", [1 + 1j, complex(1.0, 0.0), "1"])
+def test_real_weber_takes_only_a_real_number(x):
+    with pytest.raises(ArgumentError):
+        tp.weber_W_real(20.0, x, 3)
 
 
 # the turning-point expansions need u >= 5: below it V- answered 6.4e93
@@ -353,7 +361,7 @@ def test_overflowing_coefficient_functions_are_a_domain_error(entry):
 
 # supported: m = 0..5, direct (z = 1.5) and Cauchy (z = 1.05) zones
 @pytest.mark.parametrize("z", [1.5, 1.05])
-@pytest.mark.parametrize("m", [-1, 6])
+@pytest.mark.parametrize("m", [-1, 6, 2.5])
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_typed_errors_for_bad_orders(entry, m, z):
     with pytest.raises(OrderError):
