@@ -118,10 +118,13 @@ def _asym_pair(z: complex) -> tuple[complex, complex]:
     if -xi.real > _EXP_LIMIT:
         raise DomainError("Airy value exceeds double range")
     u, v = _uk_vk()
+    # beyond this k, xi^k leaves the double range and the terms are below
+    # e^-600 of the first, too small to change either sum
+    nterms = min(len(u), int(_EXP_LIMIT / max(math.log(abs(xi)), 1.0)) + 1)
     sa = 0j
     sb = 0j
     prev = math.inf
-    for k in range(len(u)):
+    for k in range(nterms):
         t = u[k] * (-1) ** k / xi ** k
         if abs(t) > prev:
             break

@@ -162,44 +162,36 @@ def cmd_oracle(args) -> int:
 
 def cmd_map(args) -> int:
     """Accuracy map over a grid: asymptotic vs oracle vs certified bound."""
-    from concurrent.futures import ThreadPoolExecutor
-
     from . import oracle
     u = _parameter(args.u)
     re0, re1, nre = args.grid_re
     im0, im1, nim = args.grid_im
-    points = [complex(re0 + (re1 - re0) * i / max(nre - 1, 1),
-                      im0 + (im1 - im0) * j / max(nim - 1, 1))
-              for i in range(int(nre)) for j in range(int(nim))]
-
-    def work(z):
-        try:
-            cv = lg.pcf_U_pos(u, z, args.order, "+z")
-            ov = oracle.oracle_U(u / 2.0, math.sqrt(2 * u) * z)
-        except ParcylError:
-            return (z, None, None)
-        try:
-            actual = abs((cv.value / ov.value).to_complex() - 1.0)
-        except OverflowError:
-            # the ratio exceeds the float range: a miss like any other
-            actual = math.inf
-        return (z, cv, actual)
-
-    with ThreadPoolExecutor(max_workers=args.workers) as ex:
-        rows = list(ex.map(work, points))
+    if nre < 1 or nim < 1:
+        raise ArgumentError("each grid needs at least one point")
     print("u,re_z,im_z,order,mantissa_re,mantissa_im,log_scale,bound,actual_err,ok")
     bad = 0
-    for z, cv, actual in rows:
-        if cv is None:
-            continue
-        v = cv.value
-        ok = actual <= cv.rel_bound
-        bad += (not ok)
-        print(",".join(_fmt(t) for t in (args.u, z.real, z.imag)) +
-              f",{cv.order}," +
-              ",".join(_fmt(t) for t in (v.mantissa.real, v.mantissa.imag,
-                                         v.log_scale, cv.rel_bound, actual))
-              + f",{int(ok)}")
+    for i in range(nre):
+        for j in range(nim):
+            z = complex(re0 + (re1 - re0) * i / max(nre - 1, 1),
+                        im0 + (im1 - im0) * j / max(nim - 1, 1))
+            try:
+                cv = lg.pcf_U_pos(u, z, args.order, "+z")
+                ov = oracle.oracle_U(u / 2.0, math.sqrt(2 * u) * z)
+            except ParcylError:
+                continue
+            try:
+                actual = abs((cv.value / ov.value).to_complex() - 1.0)
+            except OverflowError:
+                # the ratio exceeds the float range: a miss like any other
+                actual = math.inf
+            v = cv.value
+            ok = actual <= cv.rel_bound
+            bad += (not ok)
+            print(",".join(_fmt(t) for t in (args.u, z.real, z.imag)) +
+                  f",{cv.order}," +
+                  ",".join(_fmt(t) for t in (v.mantissa.real, v.mantissa.imag,
+                                             v.log_scale, cv.rel_bound, actual))
+                  + f",{int(ok)}")
     return 0 if bad == 0 else 1
 
 
@@ -273,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--order", type=int, default=3)
     sm.add_argument("--grid-re", type=_grid, default=(0.5, 3.0, 6))
     sm.add_argument("--grid-im", type=_grid, default=(0.0, 0.0, 1))
-    sm.add_argument("--workers", type=int, default=4)
     sm.set_defaults(func=cmd_map)
 
     sd = sub.add_parser("domain", help="validity-domain membership")

@@ -15,7 +15,6 @@ from .scaled import ScaledComplex
 @dataclass(frozen=True)
 class WeberConstants:
     k: float
-    k_inv: float
     rho: float
     phi2: float
     chi_m: float
@@ -66,12 +65,8 @@ def _k_stable(u: float) -> float:
     return x / (math.sqrt(1.0 + x * x) + 1.0)
 
 
-def _k_inv_stable(u: float) -> float:
-    return math.exp(math.pi * u / 2.0) * (math.sqrt(1.0 + math.exp(-math.pi * u)) + 1.0)
-
-
 def weber_constants(u: float, m: int) -> WeberConstants:
-    """k, 1/k, rho, phi2, chi_m and eps_m = phi2/2 + chi_m.
+    """k, rho, phi2, chi_m and eps_m = phi2/2 + chi_m.
 
     With t = u/2 and x = 1/u^2, Stirling's formula for phi2 = Im ln Gamma(1/2
     + it) cancels the O(u ln u) part of chi_m exactly, leaving
@@ -97,7 +92,6 @@ def weber_constants(u: float, m: int) -> WeberConstants:
         - sum((-1) ** s * ebar[s] / u ** (2 * s + 1) for s in range(1, m + 1))
     return WeberConstants(
         k=_k_stable(u),
-        k_inv=_k_inv_stable(u),
         rho=0.5 * phi2 + math.pi / 8.0,
         phi2=phi2,
         chi_m=chi_m(u, m),

@@ -100,10 +100,18 @@ def check_points(*points: complex) -> None:
             raise ArgumentError(f"z={z!r} is not a finite number")
 
 
+#: largest parameter u taken.  On a scan of 14 points (|z| up to 200) at
+#: the highest orders, every entry answered or raised a typed error up to
+#: ten times this; from 1e12 the inhomogeneous series overflow
+U_MAX = 1e8
+
+
 def check_inputs(u: float, *points: complex) -> None:
     """ArgumentError unless the parameter u is a finite real number and
-    every point a finite number, then DomainError unless u > 0."""
+    every point a finite number, then DomainError unless 0 < u <= U_MAX."""
     check_real(u)
     check_points(*points)
     if u <= 0:
         raise DomainError(f"u={u} must be positive")
+    if u > U_MAX:
+        raise DomainError(f"u={u} is above U_MAX = {U_MAX:g}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -56,30 +57,27 @@ def _log_gamma(z) -> complex:
 
 
 # ----------------------------------------------------------------------
-# U(a, z): quadrature of the integral representations
+# quadrature: one panel rule, one rotated ray
 # ----------------------------------------------------------------------
 
-def _u_pos_integral(a, Z: complex, n: int, npanel: int) -> ScaledComplex:
-    """Gamma(a+1/2) e^{Z^2/4} U(a,Z) = int_0^inf t^{a-1/2} e^{-t^2/2 - Zt} dt
-    on the rotated ray t = e^{i alpha} v^2 (substitution kills the endpoint
-    singularity).  Well conditioned for Re Z >= 0."""
-    Z = complex(Z)
-    a = complex(a)
-    alpha = -max(min(cmath.phase(Z) if Z != 0 else 0.0, 0.75), -0.75)
-    ea = cmath.exp(1j * alpha)
-    ca = math.cos(2 * alpha)
-    b = (Z * ea).real
-    c2 = max(a.real - 0.5, 0.25)
-    s_peak = (-b + math.sqrt(b * b + 4.0 * ca * c2)) / (2.0 * ca)
-    s_max = s_peak * 9.0 + 12.0 / max(b, 0.5) + 6.0
+def _panels(edges, n: int):
+    """Nodes and weights of the n-point Gauss rule on each panel [lo, hi]
+    between consecutive edges."""
     x, w = gauss(n)
-    v_edges = np.linspace(0.0, s_max ** 0.25, npanel + 1) ** 2
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        yield 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+
+
+def _ray_integral(a, c: complex, ea: complex, s_max: float, n: int,
+                  npanel: int) -> ScaledComplex:
+    """int_0^inf t^{a-1/2} e^{-t^2/2 + ct} dt on the ray t = ea v^2, v^2 up
+    to s_max (the substitution kills the endpoint singularity).  Each Gauss
+    panel in v is summed relative to its own peak, panels below e^-745 are
+    dropped, and the rest are recombined on the largest peak."""
     logs, vals = [], []
-    for lo, hi in zip(v_edges[:-1], v_edges[1:]):
-        v = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        ww = 0.5 * (hi - lo) * w
+    for v, ww in _panels(np.linspace(0.0, s_max ** 0.25, npanel + 1) ** 2, n):
         t = ea * v * v
-        logf = (a - 0.5) * np.log(t) - 0.5 * t * t - Z * t + np.log(2.0 * v * ea)
+        logf = (a - 0.5) * np.log(t) - 0.5 * t * t + c * t + np.log(2.0 * v * ea)
         m = float(np.max(logf.real))
         if m < -745.0:
             continue
@@ -90,6 +88,25 @@ def _u_pos_integral(a, Z: complex, n: int, npanel: int) -> ScaledComplex:
     mtop = max(logs)
     total = sum(v * math.exp(l - mtop) for v, l in zip(vals, logs))
     return ScaledComplex.from_complex(total) * ScaledComplex.from_log(mtop)
+
+
+# ----------------------------------------------------------------------
+# U(a, z): quadrature of the integral representations
+# ----------------------------------------------------------------------
+
+def _u_pos_integral(a, Z: complex, n: int, npanel: int) -> ScaledComplex:
+    """Gamma(a+1/2) e^{Z^2/4} U(a,Z) = int_0^inf t^{a-1/2} e^{-t^2/2 - Zt} dt
+    on a ray turned against arg Z.  Well conditioned for Re Z >= 0."""
+    Z = complex(Z)
+    a = complex(a)
+    alpha = -max(min(cmath.phase(Z) if Z != 0 else 0.0, 0.75), -0.75)
+    ea = cmath.exp(1j * alpha)
+    ca = math.cos(2 * alpha)
+    b = (Z * ea).real
+    c2 = max(a.real - 0.5, 0.25)
+    s_peak = (-b + math.sqrt(b * b + 4.0 * ca * c2)) / (2.0 * ca)
+    s_max = s_peak * 9.0 + 12.0 / max(b, 0.5) + 6.0
+    return _ray_integral(a, -Z, ea, s_max, n, npanel)
 
 
 def _u_from_integral(a, Z: complex, n: int, npanel: int) -> ScaledComplex:
@@ -132,20 +149,16 @@ def _u_integral_logvar(a: complex, Z: complex, n: int) -> ScaledComplex:
     wmax = 0.5 * math.log(2.0 * (800.0 + 20.0 * abs(s)) / ca)
     if Zr.real < 0:
         wmax = max(wmax, math.log(abs(Zr.real) / (0.5 * ca) + 1.0) + 2.0)
-    x, wq = gauss(n)
-    acc = 0j
-    w_lo = w0
-    while w_lo < wmax:
+    edges = [w0]
+    while edges[-1] < wmax:
+        w_lo = edges[-1]
         phase_rate = abs(math.sin(2 * alpha)) * math.exp(2 * w_lo) \
             + abs(Zr.imag) * math.exp(w_lo) + abs(a.imag) + 1.0
-        dw = min(1.0, 12.0 / phase_rate)
-        w_hi = min(w_lo + dw, wmax)
-        t = 0.5 * (w_hi - w_lo) * x + 0.5 * (w_hi + w_lo)
-        ww = 0.5 * (w_hi - w_lo) * wq
+        edges.append(min(w_lo + min(1.0, 12.0 / phase_rate), wmax))
+    acc = 0j
+    for t, ww in _panels(edges, n):
         q = np.exp(t)
-        g = np.exp(s * t - (ea * ea) * q * q / 2.0 - Zr * q)
-        acc += np.sum(ww * g)
-        w_lo = w_hi
+        acc += np.sum(ww * np.exp(s * t - (ea * ea) * q * q / 2.0 - Zr * q))
     return ScaledComplex.from_complex(complex((head + acc) * ea ** s))
 
 
@@ -157,33 +170,18 @@ def _u_neg_integral(a: float, w: complex, n: int, npanel: int) -> ScaledComplex:
     def ray(sgn: int) -> ScaledComplex:
         # rotate the ray so the exponent i sgn w t points as far into the
         # left half plane as the sector allows
-        ideal = math.pi - cmath.phase(1j * sgn * w) if w != 0 else 0.0
+        c = 1j * sgn * w
+        ideal = math.pi - cmath.phase(c) if w != 0 else 0.0
         ideal = (ideal + math.pi) % (2.0 * math.pi) - math.pi
         alpha = max(min(ideal, math.pi / 4.0 - 0.12), -(math.pi / 4.0 - 0.12))
         ea = cmath.exp(1j * alpha)
         ca = math.cos(2 * alpha)
-        b = -(1j * sgn * w * ea).real
+        b = -(c * ea).real
         c2 = max(a - 0.5, 0.25)
         disc = b * b + 4.0 * ca * c2
         s_peak = (-b + math.sqrt(disc)) / (2.0 * ca) if disc > 0 else 1.0
         s_max = max(s_peak * 9.0, 4.0) + 30.0 + 2.0 * abs(b) / ca
-        x, wq = gauss(n)
-        v_edges = np.linspace(0.0, s_max ** 0.25, npanel + 1) ** 2
-        logs, vals = [], []
-        for lo, hi in zip(v_edges[:-1], v_edges[1:]):
-            v = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-            ww = 0.5 * (hi - lo) * wq
-            t = ea * v * v
-            logf = (a - 0.5) * np.log(t) - 0.5 * t * t + 1j * sgn * w * t \
-                + np.log(2.0 * v * ea)
-            m = float(np.max(logf.real))
-            if m < -745.0:
-                continue
-            vals.append(complex(np.sum(ww * np.exp(logf - m))))
-            logs.append(m)
-        mtop = max(logs)
-        total = sum(v * math.exp(l - mtop) for v, l in zip(vals, logs))
-        return ScaledComplex.from_complex(total) * ScaledComplex.from_log(mtop)
+        return _ray_integral(a, c, ea, s_max, n, npanel)
 
     phase = cmath.exp(1j * (math.pi / 4.0 - math.pi * a / 2.0))
     comb = ray(+1) * (0.5 * phase) + ray(-1) * (0.5 * phase.conjugate())
@@ -207,10 +205,62 @@ def _u_origin_data(a) -> tuple[ScaledComplex, ScaledComplex]:
 # renormalized ODE continuation
 # ----------------------------------------------------------------------
 
+def _sweep(accel, edges, y: ScaledComplex, d: ScaledComplex, rtol: float,
+           e: complex = 1.0, dense: bool = False):
+    """Integrate y'' = accel(s, y, r) with DOP853 in the real parameter s,
+    one chunk per pair of consecutive edges, from (y, d) at edges[0]; d is
+    y' in z, and z moves by e ds.
+
+    Each chunk starts from the state divided by its size e^l, l = log
+    max(|y|, |y'|), so no chunk overflows; accel gets the divided y and
+    r = e^-l, the factor a forcing term needs.  Returns y and y' at
+    edges[-1], and with `dense` the chunks (s0, s1, solution, l) that
+    `_chunk_value` reads.
+    """
+    chunks = []
+    for s0, s1 in zip(edges[:-1], edges[1:]):
+        log0 = max(y.log_abs, d.log_abs)
+        if not math.isfinite(log0):
+            log0 = 0.0
+        resc = ScaledComplex.from_log(-log0)
+        yv = (y * resc).to_complex()
+        pv = ((d * resc) * e).to_complex()
+        r = math.exp(-log0)
+
+        def rhs(s, v):
+            dd = accel(s, v[0] + 1j * v[1], r)
+            return [v[2], v[3], dd.real, dd.imag]
+
+        sol = solve_ivp(rhs, (s0, s1), [yv.real, yv.imag, pv.real, pv.imag],
+                        method="DOP853", rtol=rtol, atol=1e-18,
+                        dense_output=dense)
+        if not sol.success:
+            raise StiffnessError(sol.message)
+        if dense:
+            chunks.append((s0, s1, sol, log0))
+        f = sol.y[:, -1]
+        scale = ScaledComplex.from_log(log0)
+        y = ScaledComplex.from_complex(f[0] + 1j * f[1]) * scale
+        d = (ScaledComplex.from_complex(f[2] + 1j * f[3]) / e) * scale
+    return y, d, chunks
+
+
+def _chunk_value(chunks, x: float) -> ScaledComplex:
+    """y(x) from the dense chunks of a leftward `_sweep`."""
+    x = float(x)
+    for xr, xl, sol, log0 in chunks:
+        if xl - 1e-12 <= x <= xr + 1e-12:
+            v = sol.sol(min(max(x, xl), xr))
+            return ScaledComplex.from_complex(v[0] + 1j * v[1]) * \
+                ScaledComplex.from_log(log0)
+    raise ValueError("outside the swept line")
+
+
 def ode_polyline(q_fn, forcing_fn, vertices, y0: ScaledComplex, d0: ScaledComplex,
                  rtol: float = 1e-12) -> tuple[ScaledComplex, ScaledComplex]:
     """Integrate y'' = q(z) y + h(z) along a polyline; returns scaled
-    (y, y') at the last vertex.  State is renormalized between segments."""
+    (y, y') at the last vertex.  State is renormalized between chunks of
+    length at most 4 on each segment."""
     y, d = y0, d0
     for zs, ze in zip(vertices[:-1], vertices[1:]):
         seg = ze - zs
@@ -219,30 +269,14 @@ def ode_polyline(q_fn, forcing_fn, vertices, y0: ScaledComplex, d0: ScaledComple
             continue
         e = seg / L
         nchunk = max(1, int(L / 4.0))
-        for ci in range(nchunk):
-            s0, s1 = L * ci / nchunk, L * (ci + 1) / nchunk
-            log0 = max(y.log_abs, d.log_abs)
-            if not math.isfinite(log0):
-                log0 = 0.0
-            resc = ScaledComplex.from_log(-log0)
-            yv = (y * resc).to_complex()
-            pv = ((d * resc) * e).to_complex()
 
-            def rhs(s, v):
-                z = zs + e * s
-                y1 = v[0] + 1j * v[1]
-                p1 = v[2] + 1j * v[3]
-                f = forcing_fn(z) * math.exp(-log0) if forcing_fn is not None else 0.0
-                dd = (q_fn(z) * y1 + f) * e * e
-                return [p1.real, p1.imag, dd.real, dd.imag]
+        def accel(s, y1, r, zs=zs, e=e):
+            z = zs + e * s
+            f = forcing_fn(z) * r if forcing_fn is not None else 0.0
+            return (q_fn(z) * y1 + f) * e * e
 
-            sol = solve_ivp(rhs, (s0, s1), [yv.real, yv.imag, pv.real, pv.imag],
-                            method="DOP853", rtol=rtol, atol=1e-18)
-            if not sol.success:
-                raise StiffnessError(sol.message)
-            f = sol.y[:, -1]
-            y = ScaledComplex.from_complex(f[0] + 1j * f[1]) * ScaledComplex.from_log(log0)
-            d = (ScaledComplex.from_complex(f[2] + 1j * f[3]) / e) * ScaledComplex.from_log(log0)
+        y, d, _ = _sweep(accel, [L * i / nchunk for i in range(nchunk + 1)],
+                         y, d, rtol, e)
     return y, d
 
 
@@ -291,11 +325,12 @@ def oracle_ode(variant: str, a: float, R, z_path, boundary_spec="origin",
     return _certify(v1, v2, "ode")
 
 
-def _u_ode_continue(a, z_target: complex, rtol: float) -> ScaledComplex:
+def _u_ode_continue(a, z_target: complex,
+                    rtol: float) -> tuple[ScaledComplex, ScaledComplex]:
+    """(U, U') at z_target, continued from the exact origin data."""
     y0, d0 = _u_origin_data(a)
     q = lambda z: z * z / 4.0 + complex(a)
-    y, _ = ode_polyline(q, None, [0.0, z_target], y0, d0, rtol)
-    return y
+    return ode_polyline(q, None, [0.0, z_target], y0, d0, rtol)
 
 
 def _u_neg_recessive(am: float, x: float, rtol: float) -> ScaledComplex:
@@ -325,23 +360,24 @@ def oracle_U(a, z: complex, n: int = 64, npanel: int = 16) -> OracleValue:
     ar = complex(a).real
     if ar <= -0.25:
         am = float(-complex(a).real)
-        if abs(z.imag) <= 1e-12 and z.real > 2.0 * math.sqrt(am) + 0.5:
-            # deep recessive zone: the cosine representation cancels away;
-            # use the self-normalized backward sweep instead
-            v1 = _u_neg_recessive(am, z.real, 1e-12)
-            v2 = _u_neg_recessive(am, z.real, 1e-10)
-            return _certify(v1, v2, "ode")
-        if abs(z.imag) <= 0.05 * abs(z) + 0.1:
+        x0 = 2.0 * math.sqrt(am)
+        on_axis = abs(z.imag) <= 1e-12
+        # deep in the recessive zone of the real axis the cosine
+        # representation cancels away; there, and where it fails just past
+        # the turning point, the self-normalized backward sweep is used
+        deep = on_axis and z.real > x0 + 0.5
+        if abs(z.imag) <= 0.05 * abs(z) + 0.1 and not deep:
             try:
                 v1 = _u_neg_integral(am, z, n, npanel)
                 v2 = _u_neg_integral(am, z, int(n * 1.5), npanel + 6)
                 return _certify(v2, v1, "quadrature")
             except AccuracyError:
-                if abs(z.imag) > 1e-12 or z.real <= 2.0 * math.sqrt(am) + 0.25:
+                if not on_axis or z.real <= x0 + 0.25:
                     raise
-                v1 = _u_neg_recessive(am, z.real, 1e-12)
-                v2 = _u_neg_recessive(am, z.real, 1e-10)
-                return _certify(v1, v2, "ode")
+        if on_axis:
+            v1 = _u_neg_recessive(am, z.real, 1e-12)
+            v2 = _u_neg_recessive(am, z.real, 1e-10)
+            return _certify(v1, v2, "ode")
         # off the real axis the cosine representation cancels badly; use the
         # rotated-argument connection instead
         ph = cmath.exp(1j * math.pi * (0.5 * am - 0.25))
@@ -356,8 +392,8 @@ def oracle_U(a, z: complex, n: int = 64, npanel: int = 16) -> OracleValue:
         v1 = _u_from_integral(a, z, n, npanel)
         v2 = _u_from_integral(a, z, int(n * 1.5), npanel + 6)
         return _certify(v2, v1, "quadrature")
-    v1 = _u_ode_continue(a, z, 1e-12)
-    v2 = _u_ode_continue(a, z, 1e-10)
+    v1, _ = _u_ode_continue(a, z, 1e-12)
+    v2, _ = _u_ode_continue(a, z, 1e-10)
     return _certify(v1, v2, "ode")
 
 
@@ -374,10 +410,8 @@ def oracle_U_prime(a, z: complex, n: int = 64, npanel: int = 16) -> OracleValue:
     if complex(a).real <= -0.25:
         raise AccuracyError("derivative oracle needs Re a > -1/4")
     if z.real < 0:
-        y0, d0 = _u_origin_data(a)
-        q = lambda w: w * w / 4.0 + complex(a)
-        _, d1 = ode_polyline(q, None, [0.0, z], y0, d0, 1e-12)
-        _, d2 = ode_polyline(q, None, [0.0, z], y0, d0, 1e-10)
+        _, d1 = _u_ode_continue(a, z, 1e-12)
+        _, d2 = _u_ode_continue(a, z, 1e-10)
         return _certify(d1, d2, "ode")
     v1 = _u_prime_from_integral(a, z, n, npanel)
     v2 = _u_prime_from_integral(a, z, int(n * 1.5), npanel + 6)
@@ -395,7 +429,7 @@ def oracle_V_neg(a: float, z: complex) -> OracleValue:
 
 
 # ----------------------------------------------------------------------
-# U(a, .) along a horizontal contour: one stable sweep, dense evaluation
+# U(+-a, .) along a horizontal line: one stable sweep, dense evaluation
 # ----------------------------------------------------------------------
 
 class UContour:
@@ -412,174 +446,14 @@ class UContour:
         self.y = float(y)
         self.T = float(T)
         seedz = complex(T, y)
-        self._seed = _u_from_integral(a, seedz, 96, 22)
-        dseed = _u_prime_from_integral(a, seedz, 96, 22)
-        self._chunks = []  # (x_right, x_left, sol, log0)
-        q = lambda x: ((x + 1j * y) ** 2 / 4.0 + self.a)
-        yv, dv = self._seed, dseed
-        edges = np.linspace(T, -T, nchunks + 1)
-        for xr, xl in zip(edges[:-1], edges[1:]):
-            log0 = max(yv.log_abs, dv.log_abs)
-            if not math.isfinite(log0):
-                log0 = 0.0
-            resc = ScaledComplex.from_log(-log0)
-            y0 = (yv * resc).to_complex()
-            d0 = (dv * resc).to_complex()
-
-            def rhs(x, v):
-                y1 = v[0] + 1j * v[1]
-                p1 = v[2] + 1j * v[3]
-                dd = q(x) * y1
-                return [p1.real, p1.imag, dd.real, dd.imag]
-
-            sol = solve_ivp(rhs, (xr, xl), [y0.real, y0.imag, d0.real, d0.imag],
-                            method="DOP853", rtol=rtol, atol=1e-18,
-                            dense_output=True)
-            if not sol.success:
-                raise StiffnessError(sol.message)
-            self._chunks.append((xr, xl, sol, log0))
-            f = sol.y[:, -1]
-            yv = ScaledComplex.from_complex(f[0] + 1j * f[1]) * ScaledComplex.from_log(log0)
-            dv = ScaledComplex.from_complex(f[2] + 1j * f[3]) * ScaledComplex.from_log(log0)
+        q = lambda x: ((x + 1j * self.y) ** 2 / 4.0 + self.a)
+        _, _, self._chunks = _sweep(
+            lambda x, u, r: q(x) * u, np.linspace(T, -T, nchunks + 1),
+            _u_from_integral(a, seedz, 96, 22),
+            _u_prime_from_integral(a, seedz, 96, 22), rtol, dense=True)
 
     def __call__(self, x: float) -> ScaledComplex:
-        x = float(x)
-        if x > self.T or x < -self.T:
-            raise ValueError("outside swept contour")
-        for xr, xl, sol, log0 in self._chunks:
-            if xl - 1e-12 <= x <= xr + 1e-12:
-                v = sol.sol(min(max(x, xl), xr))
-                return ScaledComplex.from_complex(v[0] + 1j * v[1]) * \
-                    ScaledComplex.from_log(log0)
-        raise ValueError("contour lookup failed")
-
-
-# ----------------------------------------------------------------------
-# variation-of-parameters oracle
-# ----------------------------------------------------------------------
-
-def _tail_start(a: float, z: complex) -> float:
-    t = max(abs(z) + 8.0, math.sqrt(max(4.0 * abs(a), 1.0)) + 10.0, 14.0)
-    return 4.0 * math.ceil(t / 4.0)  # quantized so contour sweeps can be shared
-
-
-_UCONTOUR_CACHE: dict = {}
-
-
-def _u_contour_cached(a: float, y: float, T: float) -> "UContour":
-    key = (float(a), round(float(y), 12), float(T))
-    if key not in _UCONTOUR_CACHE:
-        if len(_UCONTOUR_CACHE) > 64:
-            _UCONTOUR_CACHE.clear()
-        _UCONTOUR_CACHE[key] = UContour(a, y, T)
-    return _UCONTOUR_CACHE[key]
-
-
-def _gauss_line(fn_scaled, lo: float, hi: float, n: int, npanel: int) -> ScaledComplex:
-    """Sum of fn_scaled(x) * weight over Gauss panels; fn returns scaled."""
-    x, w = gauss(n)
-    acc = ScaledComplex(0j, 0.0)
-    for a_, b_ in zip(np.linspace(lo, hi, npanel + 1)[:-1],
-                      np.linspace(lo, hi, npanel + 1)[1:]):
-        t = 0.5 * (b_ - a_) * x + 0.5 * (a_ + b_)
-        ww = 0.5 * (b_ - a_) * w
-        for ti, wi_ in zip(t, ww):
-            acc = acc + fn_scaled(float(ti)) * float(wi_)
-    return acc
-
-
-def oracle_inhom(a: float, z: complex, R: int, pair: tuple[int, int] = (0, 2),
-                 fast: bool = False) -> OracleValue:
-    """U_R^{(j,k)}(a, z) by variation of parameters (pairs (0,2) and (0,1);
-    either sign of the parameter, passed as the signed value a)."""
-    z = complex(z)
-    if pair == (0, 2):
-        f = _inhom_02_neg if a < 0 else _inhom_02_pos
-        v1 = f(a, z, R, 48, 12)
-        if fast:
-            return OracleValue(v1, 1e-9, "vop")
-        v2 = f(a, z, R, 72, 18)
-        return _certify(v2, v1, "vop")
-    if pair == (0, 1):
-        f = _inhom_01_neg if a < 0 else _inhom_01_pos
-        v1 = f(a, z, R, 48, 12)
-        if fast:
-            return OracleValue(v1, 1e-9, "vop")
-        v2 = f(a, z, R, 72, 18)
-        return _certify(v2, v1, "vop")
-    raise ValueError("oracle supports pairs (0,2) and (0,1)")
-
-
-def _inhom_02_pos(a: float, z: complex, R: int, n: int, npanel: int) -> ScaledComplex:
-    """-Gamma(a+1/2)/sqrt(2pi) [U(a,z) J- + U(a,-z) J+], J+- the half-line
-    moments of U against t^R."""
-    T = _tail_start(a, z)
-    line = _u_contour_cached(a, z.imag, T)
-    mline = line if z.imag == 0.0 else _u_contour_cached(a, -z.imag, T)
-
-    jp = _gauss_line(lambda x: line(x) * complex(x, z.imag) ** R,
-                     z.real, T, n, npanel)
-    jm = _gauss_line(lambda x: mline(-x) * complex(x, z.imag) ** R,
-                     -T, z.real, n, npanel)
-    uz = line(z.real)
-    umz = mline(-z.real)
-    pref = ScaledComplex.from_log_complex(_log_gamma(a + 0.5)) * \
-        (-1.0 / math.sqrt(2.0 * math.pi))
-    return pref * (uz * jm + umz * jp)
-
-
-def _inhom_02_neg(a_signed: float, z: complex, R: int, n: int, npanel: int) -> ScaledComplex:
-    """Negative-parameter variant, real z (one stable line sweep)."""
-    if abs(z.imag) > 1e-12:
-        raise AccuracyError("negative-parameter (0,2) oracle supports real z")
-    am = -a_signed
-    T = _tail_start(am, z)
-    line = _u_neg_line_cached(am, T)
-
-    jp = _gauss_line(lambda x: line(x) * complex(x) ** R,
-                     z.real, T, n, npanel + int(T))
-    jm = _gauss_line(lambda x: line(-x) * complex(x) ** R,
-                     -T, z.real, n, npanel + int(T))
-    uz = line(z.real)
-    umz = line(-z.real)
-    pref = ScaledComplex.from_log_complex(_log_gamma(a_signed + 0.5)) * \
-        (-1.0 / math.sqrt(2.0 * math.pi))
-    return pref * (uz * jm + umz * jp)
-
-
-def _inhom_01_pos(a: float, z: complex, R: int, n: int, npanel: int) -> ScaledComplex:
-    """e^{i pi(a/2-1/4)} [U(-a,-iz) int_inf^z t^R U(a,t) dt
-    - U(a,z) int_{i inf}^z t^R U(-a,-it) dt]."""
-    T = _tail_start(a, z)
-    line = _u_contour_cached(a, z.imag, T)
-    i1 = -_gauss_line(lambda x: line(x) * complex(x, z.imag) ** R,
-                      z.real, T, n, npanel)
-    i2 = -_vertical_integral_pos(a, z, R, T, n, npanel)
-    phase = cmath.exp(1j * math.pi * (0.5 * a - 0.25))
-    um = _u_neg_integral(a, -1j * z, max(n, 64), max(npanel, 16))
-    uz = line(z.real)
-    return (um * i1 - uz * i2) * phase
-
-
-def _vertical_integral_pos(a: float, z: complex, R: int, T: float,
-                           n: int, npanel: int) -> ScaledComplex:
-    """int from z up to z+iT of t^R U(-a,-it) dt (tail beyond is Gaussian).
-
-    The integrand walks the horizontal line Im w = -Re z (w = -it); values
-    come from one stable backward sweep on that line.
-    """
-    line = _u_neg_line_cached(a, T + abs(z.imag) + 2.0, -z.real)
-    x, w = gauss(n)
-    acc = ScaledComplex(0j, 0.0)
-    edges = np.linspace(0.0, T, npanel + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        s = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        ww = 0.5 * (hi - lo) * w
-        for si, wi_ in zip(s, ww):
-            t = z + 1j * float(si)
-            u = line(float(si) + z.imag)
-            acc = acc + u * (1j * float(wi_) * t ** R)
-    return acc
+        return _chunk_value(self._chunks, x)
 
 
 class UNegLine:
@@ -595,61 +469,128 @@ class UNegLine:
         self.y = float(y)
         q = lambda x: (x + 1j * self.y) ** 2 / 4.0 - am
         x1 = self.T + 4.0
-        yv = ScaledComplex.from_complex(1.0)
-        dv = ScaledComplex.from_complex(-cmath.sqrt(q(x1)))
-        self._chunks = []
-        edges = np.linspace(x1, -self.T, nchunks + 1)
-        for xr, xl in zip(edges[:-1], edges[1:]):
-            log0 = max(yv.log_abs, dv.log_abs)
-            if not math.isfinite(log0):
-                log0 = 0.0
-            resc = ScaledComplex.from_log(-log0)
-            y0 = (yv * resc).to_complex()
-            d0 = (dv * resc).to_complex()
-
-            def rhs(x, v):
-                y1 = v[0] + 1j * v[1]
-                dd = q(x) * y1
-                return [v[2], v[3], dd.real, dd.imag]
-
-            sol = solve_ivp(rhs, (xr, xl), [y0.real, y0.imag, d0.real, d0.imag],
-                            method="DOP853", rtol=rtol, atol=1e-18,
-                            dense_output=True)
-            if not sol.success:
-                raise StiffnessError(sol.message)
-            self._chunks.append((xr, xl, sol, log0))
-            yv = ScaledComplex.from_complex(sol.y[0, -1] + 1j * sol.y[1, -1]) \
-                * ScaledComplex.from_log(log0)
-            dv = ScaledComplex.from_complex(sol.y[2, -1] + 1j * sol.y[3, -1]) \
-                * ScaledComplex.from_log(log0)
+        _, _, self._chunks = _sweep(
+            lambda x, u, r: q(x) * u, np.linspace(x1, -self.T, nchunks + 1),
+            ScaledComplex.from_complex(1.0),
+            ScaledComplex.from_complex(-cmath.sqrt(q(x1))), rtol, dense=True)
         if abs(self.y) < 1e-12:
             anchor, _ = _u_origin_data(-am)
         else:
             anchor = _u_neg_integral(am, 1j * self.y, 96, 22)
-        self._norm = anchor / self._raw(0.0)
-
-    def _raw(self, x: float) -> ScaledComplex:
-        for xr, xl, sol, log0 in self._chunks:
-            if xl - 1e-12 <= x <= xr + 1e-12:
-                v = sol.sol(min(max(x, xl), xr))
-                return ScaledComplex.from_complex(complex(v[0] + 1j * v[1])) * \
-                    ScaledComplex.from_log(log0)
-        raise ValueError("outside swept range")
+        self._norm = anchor / _chunk_value(self._chunks, 0.0)
 
     def __call__(self, x: float) -> ScaledComplex:
-        return self._raw(float(x)) * self._norm
+        return _chunk_value(self._chunks, x) * self._norm
 
 
-_UNEG_CACHE: dict = {}
+# the line sweeps shared between calls (and between the two resolutions of
+# one call): keyed by the exact ordinate y, since a line at a nearby y
+# would give the values of a slightly different point
+@lru_cache(maxsize=64)
+def _u_contour_cached(a: float, y: float, T: float) -> UContour:
+    return UContour(a, y, T)
 
 
+@lru_cache(maxsize=16)
 def _u_neg_line_cached(am: float, T: float, y: float = 0.0) -> UNegLine:
-    key = (float(am), float(T), round(float(y), 12))
-    if key not in _UNEG_CACHE:
-        if len(_UNEG_CACHE) > 16:
-            _UNEG_CACHE.clear()
-        _UNEG_CACHE[key] = UNegLine(am, T, y)
-    return _UNEG_CACHE[key]
+    return UNegLine(am, T, y)
+
+
+# ----------------------------------------------------------------------
+# variation-of-parameters oracle
+# ----------------------------------------------------------------------
+
+def _tail_start(a: float, z: complex) -> float:
+    t = max(abs(z) + 8.0, math.sqrt(max(4.0 * abs(a), 1.0)) + 10.0, 14.0)
+    return 4.0 * math.ceil(t / 4.0)  # quantized so contour sweeps can be shared
+
+
+def _gauss_line(term, lo: float, hi: float, n: int, npanel: int) -> ScaledComplex:
+    """Sum of the scaled term(x, w) over the nodes x and weights w of
+    npanel equal Gauss panels on [lo, hi]."""
+    acc = ScaledComplex(0j, 0.0)
+    for x, w in _panels(np.linspace(lo, hi, npanel + 1), n):
+        for xi, wi in zip(x, w):
+            acc = acc + term(float(xi), float(wi))
+    return acc
+
+
+def _moment(u_at, y: float, R: int, lo: float, hi: float, n: int,
+            npanel: int) -> ScaledComplex:
+    """int_lo^hi (x + iy)^R u_at(x) dx along the line Im t = y."""
+    return _gauss_line(lambda x, w: u_at(x) * complex(x, y) ** R * w,
+                       lo, hi, n, npanel)
+
+
+def _vertical_moment(u_at, z: complex, R: int, T: float, n: int,
+                     npanel: int) -> ScaledComplex:
+    """int from z up to z + iT of t^R u_at(s) dt, t = z + is (the tail
+    beyond is Gaussian)."""
+    return _gauss_line(lambda s, w: u_at(s) * (1j * w * (z + 1j * s) ** R),
+                       0.0, T, n, npanel)
+
+
+def oracle_inhom(a: float, z: complex, R: int, pair: tuple[int, int] = (0, 2),
+                 fast: bool = False) -> OracleValue:
+    """U_R^{(j,k)}(a, z) by variation of parameters (pairs (0,2) and (0,1);
+    either sign of the parameter, passed as the signed value a)."""
+    z = complex(z)
+    if pair not in _VOP_ROUTES:
+        raise ValueError("oracle supports pairs (0,2) and (0,1)")
+    pos, neg = _VOP_ROUTES[pair]
+    f = neg if a < 0 else pos
+    v1 = f(a, z, R, 48, 12)
+    if fast:
+        return OracleValue(v1, 1e-9, "vop")
+    v2 = f(a, z, R, 72, 18)
+    return _certify(v2, v1, "vop")
+
+
+def _inhom_02_pos(a: float, z: complex, R: int, n: int, npanel: int) -> ScaledComplex:
+    """-Gamma(a+1/2)/sqrt(2pi) [U(a,z) J- + U(a,-z) J+], J+- the half-line
+    moments of U against t^R."""
+    T = _tail_start(a, z)
+    line = _u_contour_cached(a, z.imag, T)
+    mline = line if z.imag == 0.0 else _u_contour_cached(a, -z.imag, T)
+    jp = _moment(line, z.imag, R, z.real, T, n, npanel)
+    jm = _moment(lambda x: mline(-x), z.imag, R, -T, z.real, n, npanel)
+    uz = line(z.real)
+    umz = mline(-z.real)
+    pref = ScaledComplex.from_log_complex(_log_gamma(a + 0.5)) * \
+        (-1.0 / math.sqrt(2.0 * math.pi))
+    return pref * (uz * jm + umz * jp)
+
+
+def _inhom_02_neg(a_signed: float, z: complex, R: int, n: int, npanel: int) -> ScaledComplex:
+    """Negative-parameter variant, real z (one stable line sweep)."""
+    if abs(z.imag) > 1e-12:
+        raise AccuracyError("negative-parameter (0,2) oracle supports real z")
+    am = -a_signed
+    T = _tail_start(am, z)
+    line = _u_neg_line_cached(am, T)
+    jp = _moment(line, 0.0, R, z.real, T, n, npanel + int(T))
+    jm = _moment(lambda x: line(-x), 0.0, R, -T, z.real, n, npanel + int(T))
+    uz = line(z.real)
+    umz = line(-z.real)
+    pref = ScaledComplex.from_log_complex(_log_gamma(a_signed + 0.5)) * \
+        (-1.0 / math.sqrt(2.0 * math.pi))
+    return pref * (uz * jm + umz * jp)
+
+
+def _inhom_01_pos(a: float, z: complex, R: int, n: int, npanel: int) -> ScaledComplex:
+    """e^{i pi(a/2-1/4)} [U(-a,-iz) int_inf^z t^R U(a,t) dt
+    - U(a,z) int_{i inf}^z t^R U(-a,-it) dt]."""
+    T = _tail_start(a, z)
+    line = _u_contour_cached(a, z.imag, T)
+    i1 = -_moment(line, z.imag, R, z.real, T, n, npanel)
+    # on the vertical ray w = -it walks the horizontal line Im w = -Re z,
+    # whose values come from one stable backward sweep
+    wline = _u_neg_line_cached(a, T + abs(z.imag) + 2.0, -z.real)
+    i2 = -_vertical_moment(lambda s: wline(s + z.imag), z, R, T, n, npanel)
+    phase = cmath.exp(1j * math.pi * (0.5 * a - 0.25))
+    um = _u_neg_integral(a, -1j * z, max(n, 64), max(npanel, 16))
+    uz = line(z.real)
+    return (um * i1 - uz * i2) * phase
 
 
 def _inhom_01_neg(a_signed: float, z: complex, R: int, n: int, npanel: int) -> ScaledComplex:
@@ -661,29 +602,21 @@ def _inhom_01_neg(a_signed: float, z: complex, R: int, n: int, npanel: int) -> S
     am = -a_signed
     T = _tail_start(am, z)
     line = _u_neg_line_cached(am, T)
-
-    def u0(t: complex) -> ScaledComplex:
-        return line(t.real)
-
     # int_{+inf}^z t^R U(-a,t) dt along the real axis
-    j0 = -_gauss_line(lambda x: u0(complex(x, z.imag)) * complex(x, z.imag) ** R,
-                      z.real, T, n, npanel + int(T))
+    j0 = -_moment(line, z.imag, R, z.real, T, n, npanel + int(T))
     # int_{i inf}^z t^R U(a,-it) dt on the vertical ray
-    x, w = gauss(n)
-    acc = ScaledComplex(0j, 0.0)
-    edges = np.linspace(0.0, T, npanel + int(T) + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        s = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        ww = 0.5 * (hi - lo) * w
-        for si, wi_ in zip(s, ww):
-            t = z + 1j * float(si)
-            u = _u_from_integral(am, -1j * t, max(n // 2, 40), max(npanel - 2, 10))
-            acc = acc + u * (1j * float(wi_) * t ** R)
-    j1 = -acc
-    u0z = u0(z)
+    j1 = -_vertical_moment(
+        lambda s: _u_from_integral(am, -1j * (z + 1j * s), max(n // 2, 40),
+                                   max(npanel - 2, 10)),
+        z, R, T, n, npanel + int(T))
+    u0z = line(z.real)
     u1z = _u_from_integral(am, -1j * z, max(n, 56), max(npanel, 12))
     wr = cmath.exp(1j * math.pi * (0.5 * am + 0.25))
     return (u1z * j0 - u0z * j1) * (1.0 / wr)
+
+
+_VOP_ROUTES = {(0, 2): (_inhom_02_pos, _inhom_02_neg),
+               (0, 1): (_inhom_01_pos, _inhom_01_neg)}
 
 
 # ----------------------------------------------------------------------
@@ -709,14 +642,10 @@ def weber_origin_data(a_signed: float) -> tuple[float, float]:
     """
     u = 2.0 * a_signed
     k = _k_stable(u)
-    phi2 = _log_gamma(0.5 + 0.5j * u).imag
-    rho = 0.5 * phi2 + math.pi / 8.0
-    log_u0 = 0.5 * math.log(math.pi) - (0.5j * a_signed + 0.25) * math.log(2.0) \
-        - _log_gamma(0.75 + 0.5j * a_signed)
-    log_u0p = 0.5 * math.log(math.pi) - (0.5j * a_signed - 0.25) * math.log(2.0) \
-        - _log_gamma(0.25 + 0.5j * a_signed)
-    w0 = cmath.exp(log_u0)
-    w0p = -cmath.exp(log_u0p) * cmath.exp(-1j * math.pi / 4.0)
+    rho = 0.5 * _log_gamma(0.5 + 0.5j * u).imag + math.pi / 8.0
+    u0, u0p = _u_origin_data(1j * a_signed)
+    w0 = u0.to_complex()
+    w0p = u0p.to_complex() * cmath.exp(-1j * math.pi / 4.0)
     pre = math.sqrt(2.0) * math.exp(math.pi * a_signed / 4.0) * cmath.exp(1j * rho)
     W = (pre * w0 / complex(1.0 / math.sqrt(k), math.sqrt(k))).real
     Wp = (pre * w0p / complex(1.0 / math.sqrt(k), -math.sqrt(k))).real
@@ -732,12 +661,11 @@ def weber_quad_real(a_signed: float, x: float,
     rho = 0.5 * _log_gamma(0.5 + 0.5j * u).imag + math.pi / 8.0
     ia = 1j * a_signed
     Z = x * cmath.exp(-1j * math.pi / 4.0)
-    uv = _u_from_integral(ia, Z, n, npanel).to_complex() if x > 0 else \
-        cmath.exp(0.5 * math.log(math.pi) - (0.5 * ia + 0.25) * math.log(2.0)
-                  - _log_gamma(0.75 + 0.5 * ia))
-    upv = _u_prime_from_integral(ia, Z, n, npanel).to_complex() if x > 0 else \
-        -cmath.exp(0.5 * math.log(math.pi) - (0.5 * ia - 0.25) * math.log(2.0)
-                   - _log_gamma(0.25 + 0.5 * ia))
+    if x > 0:
+        uv = _u_from_integral(ia, Z, n, npanel).to_complex()
+        upv = _u_prime_from_integral(ia, Z, n, npanel).to_complex()
+    else:
+        uv, upv = (v.to_complex() for v in _u_origin_data(ia))
     pre = math.sqrt(2.0 * k) * math.exp(math.pi * a_signed / 4.0)
     ph = cmath.exp(1j * rho)
     W = pre * (ph * uv).real

@@ -433,6 +433,7 @@ def _v_neg_from(u: float, z: complex, m: int, co: TPCoeffs) -> CertifiedValue:
 def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> CertifiedValue:
     """U(-u/2, sqrt(2u) z) or V(-u/2, sqrt(2u) z) for Re z <= 0 with -z in
     the turning-point domain, through the reflection connections."""
+    check_inputs(u, z)
     z = complex(z)
     if z.real > 1e-12:
         raise DomainError("left extension expects Re z <= 0")

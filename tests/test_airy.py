@@ -23,6 +23,19 @@ def test_airy_refuses_a_non_finite_argument(z):
         pa.airy(z)
 
 
+def test_asymptotic_layer_far_out_on_the_anti_stokes_ray():
+    # |xi| = 2.4e8: xi^k overflowed from k = 37 on, though the terms
+    # there are e^-600 below the first; the phase of e^-xi carries |xi|
+    # ulps, about 5e-8
+    z = 5e5 * cmath.exp(1j * math.pi / 3.0)
+    v = pa.airy(z)
+    with mpmath.workdps(30):
+        ai = complex(mpmath.airyai(z))
+        aip = complex(mpmath.airyai(z, derivative=1))
+    assert abs(v.ai / ai - 1.0) < 1e-6
+    assert abs(v.ai_prime / aip - 1.0) < 1e-6
+
+
 def five_point_second_diff(f, z, h):
     return (-f(z + 2 * h) + 16 * f(z + h) - 30 * f(z)
             + 16 * f(z - h) - f(z - 2 * h)) / (12 * h * h)

@@ -105,8 +105,7 @@ def test_oracle_subcommand():
 
 def test_map_artifact():
     code, out = run_cli("map", "--u", "15", "--order", "3",
-                        "--grid-re", "0.5:2.0:3", "--grid-im", "0.0:0.4:2",
-                        "--workers", "2")
+                        "--grid-re", "0.5:2.0:3", "--grid-im", "0.0:0.4:2")
     lines = out.strip().splitlines()
     assert lines[0].startswith("u,re_z,im_z,order")
     assert code == 0  # zero bound violations
@@ -128,8 +127,7 @@ def test_map_overflowing_ratio_is_a_miss(monkeypatch, capsys):
 
     monkeypatch.setattr(oracle, "oracle_U", far_off)
     code = cli.main(["map", "--u", "15", "--order", "3",
-                     "--grid-re", "1.0:2.0:2", "--grid-im", "0.0:0.0:1",
-                     "--workers", "1"])
+                     "--grid-re", "1.0:2.0:2", "--grid-im", "0.0:0.0:1"])
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 1
     assert len(lines) == 3
@@ -193,8 +191,24 @@ def test_eval_agrees_with_oracle(capsys, function):
     (("eval", "--function", "W-x", "--u", "20", "--z", "1+1j"), "ARGUMENT"),
     (("eval", "--function", "W+x", "--u", "20", "--z", "1", "--x", "5"),
      "ARGUMENT"),
+    (("map", "--u", "15", "--grid-re", "1:2:0"), "ARGUMENT"),
+    (("map", "--u", "15", "--grid-im", "0:0:-1"), "ARGUMENT"),
 ])
 def test_malformed_input_is_a_typed_error(capsys, args, error):
     code, payload = run_main(capsys, *args)
     assert code == 2
     assert payload["error"] == error
+
+
+@pytest.mark.parametrize("cmd", ["eval", "oracle"])
+def test_parameter_above_u_max_is_a_domain_error(capsys, cmd):
+    code, payload = run_main(capsys, cmd, "--function=U+", "--u=1e308",
+                             "--z=1.5")
+    assert code == 2
+    assert payload["error"] == "DOMAIN"
+
+
+def test_parameter_above_u_max_in_a_fresh_process():
+    code, out = run_cli("eval", "--function=U+", "--u=1e308", "--z=1.5")
+    assert code == 2
+    assert json.loads(out)["error"] == "DOMAIN"

@@ -171,3 +171,85 @@ class TestOdeOracle:
         with pytest.raises(StiffnessError):
             oracle.oracle_ode("PCF-", 10.0, None, [0.0, 0.99, 2.0],
                               (oracle._u_origin_data(-10.0)))
+
+
+def _ode_polyline_value():
+    # forced sweep over two segments, from the exact origin data
+    q = lambda z: z * z / 4.0 + 10.0
+    y0, d0 = oracle._u_origin_data(10.0)
+    y, _ = oracle.ode_polyline(q, lambda z: z ** 2, [0.0, -2.0, -2.0 + 1.0j],
+                               y0, d0)
+    return y, 0.0
+
+
+def _value(ov):
+    return ov.value, ov.est_acc
+
+
+#: every route of the oracle: mantissa, log_scale and est_acc as 17-digit
+#: strings, recorded before its sweeps, panel rules and line caches were
+#: merged into one implementation each
+PINNED = [
+    ("U a>0 quadrature", lambda: _value(oracle.oracle_U(10.0, 1.5 + 0.5j)),
+     "-0.13570054785336716", "-2.1732634670934847", "-12.999718357582678",
+     "6.2353986727886325e-16"),
+    ("U complex a", lambda: _value(oracle.oracle_U(3.0 + 2.0j, 1.5)),
+     "-1.1178701597741236", "-1.9474060242297293", "-4.1432332120812703",
+     "8.4488812248355191e-16"),
+    ("U Re z<0", lambda: _value(oracle.oracle_U(10.0, -2.0 + 0.5j)),
+     "-0.095599665758468025", "-1.2659126819719051", "-1.2814600751217373",
+     "2.4974584935938457e-11"),
+    ("U a<0 recessive", lambda: _value(oracle.oracle_U(-10.0, 12.0)),
+     "1.4091674655733586", "-8.6286621308850074e-16", "-13.033884421937231",
+     "3.946330478901025e-10"),
+    ("U a<0 cosine", lambda: _value(oracle.oracle_U(-10.0, 3.0 + 0.1j)),
+     "1.5264698642603733", "-0.21296328288760277", "5.8363962634500997",
+     "1.156065787503087e-15"),
+    ("U a<0 off axis", lambda: _value(oracle.oracle_U(-10.0, 2.0 + 2.0j)),
+     "-0.5703510823105209", "0.88247395624010638", "11.659165144282024",
+     "4.7074214656720222e-11"),
+    ("U' quadrature", lambda: _value(oracle.oracle_U_prime(10.0, 1.5)),
+     "-2.3983988024985976", "0", "-11.927490336760643",
+     "1.8516866230781655e-16"),
+    ("U' Re z<0", lambda: _value(oracle.oracle_U_prime(10.0, -1.5 + 0.3j)),
+     "-1.2315492825606977", "1.8343429402436975", "-2.2814600751217373",
+     "2.4753303253372594e-11"),
+    ("V-", lambda: _value(oracle.oracle_V_neg(10.0, 1.5 + 0.5j)),
+     "1.2015265884000026", "-1.0840936056025643", "-7.2814600751217373",
+     "2.0937468130691363e-11"),
+    ("inhom (0,2) a>0",
+     lambda: _value(oracle.oracle_inhom(10.0, 1.0 + 0.3j, 2, (0, 2))),
+     "-1.0463969127129238", "-0.54758420684304476", "-2.2861855145740808",
+     "1.186151646095641e-14"),
+    ("inhom (0,1) a>0",
+     lambda: _value(oracle.oracle_inhom(10.0, 1.0 + 0.3j, 1, (0, 1))),
+     "-0.63443176568977133", "-0.89005289350804784", "-1.6395461884198284",
+     "6.0928780779167268e-12"),
+    ("inhom (0,2) a<0",
+     lambda: _value(oracle.oracle_inhom(-10.0, 1.0, 2, (0, 2))),
+     "-1.3056637047053166", "-1.9721522630525295e-31", "3.1929362690310743",
+     "3.741377883712555e-15"),
+    ("inhom (0,1) a<0",
+     lambda: _value(oracle.oracle_inhom(-3.0, 1.0, 0, (0, 1))),
+     "1.7332681936034975", "-0.90785976996994311", "-0.3873209074160715",
+     "4.0849691567551895e-12"),
+    ("UContour", lambda: (oracle.UContour(10.0, 0.5, 16.0)(5.0), 0.0),
+     "-1.1481021264571223", "-2.298530841342556", "-25.795064778820844", "0"),
+    ("UContour on the axis",
+     lambda: (oracle.UContour(10.0, 0.0, 16.0)(5.0), 0.0),
+     "2.5724100833551073", "0", "-25.835245708841338", "0"),
+    ("UNegLine", lambda: (oracle.UNegLine(10.0, 16.0)(3.0), 0.0),
+     "1.9198855258345466", "-1.1755908319713053e-15", "5.5688441963732629",
+     "0"),
+    ("ode_polyline", _ode_polyline_value,
+     "-2.2181487934229089", "0.4225708101539688", "1.0063533223079242", "0"),
+]
+
+
+@pytest.mark.parametrize("case", PINNED, ids=[c[0] for c in PINNED])
+def test_pinned_values(case):
+    _, compute, *expected = case
+    v, est = compute()
+    got = [f"{x:.17g}" for x in (v.mantissa.real, v.mantissa.imag,
+                                 v.log_scale, est)]
+    assert got == expected

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from parcyl import constants, oracle, plane, tp
-from parcyl.errors import ArgumentError, DomainError, OrderError
+from parcyl import constants, inhom, lg, oracle, plane, tp
+from parcyl.errors import (U_MAX, ArgumentError, DomainError, OrderError,
+                           ParcylError)
 from parcyl.scaled import ScaledComplex
 
 
@@ -234,11 +235,6 @@ class TestWeberConstants:
         from scipy.special import loggamma
         assert complex(loggamma(0.5)).imag == 0.0
 
-    def test_k_product(self):
-        for u in (5.0, 20.0, 120.0):
-            wc = constants.weber_constants(u, 2)
-            assert abs(wc.k * wc.k_inv - 1.0) <= 1e-14
-
     def test_eps_identity_and_scaling(self):
         # e^{i eps_m} against the tanh-quarter form; |eps| = O(u^{-2m-2})
         m = 2
@@ -366,3 +362,51 @@ def test_overflowing_coefficient_functions_are_a_domain_error(entry):
 def test_typed_errors_for_bad_orders(entry, m, z):
     with pytest.raises(OrderError):
         ENTRIES[entry](20.0, complex(z), m)
+
+
+# weber_constants used to form 1/k = e^{pi u/2}(...) as well, which
+# overflowed for every u above ~452
+@pytest.mark.parametrize("u", [500.0, 2000.0])
+@pytest.mark.parametrize("m", range(6))
+def test_weber_neg_real_at_large_u(u, m):
+    cv = lg.weber_neg_real(u, 1.5, m)
+    assert math.isfinite(cv.value.log_scale) and math.isfinite(cv.rel_bound)
+
+
+# each at its highest order
+LARGE_U_ENTRIES = {
+    "pcf_U_pos": lambda u: lg.pcf_U_pos(u, 1.5, 6),
+    "pcf_U_neg": lambda u: tp.pcf_U_neg(u, 1.5, 5),
+    "pcf_left_extension": lambda u: tp.pcf_left_extension(u, -1.5, 5),
+    "weber_W_real": lambda u: tp.weber_W_real(u, 1.5, 5),
+    "inhom_scorer": lambda u: inhom.inhom_scorer(u, 1.1, 4, 0),
+    "gamma_W_mR": lambda u: inhom.gamma_W_mR(u, 5, 0),
+    "lambda_pm": lambda u: constants.lambda_pm(u),
+    "delta_n_pm": lambda u: constants.delta_n_pm(u, 4),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LARGE_U_ENTRIES))
+def test_parameter_up_to_u_max_gives_a_value_or_a_typed_error(entry):
+    try:
+        LARGE_U_ENTRIES[entry](U_MAX)
+    except ParcylError:
+        pass
+
+
+@pytest.mark.parametrize("entry", sorted(LARGE_U_ENTRIES))
+def test_parameter_above_u_max_is_a_domain_error(entry):
+    with pytest.raises(DomainError):
+        LARGE_U_ENTRIES[entry](1e308)
+
+
+# far from the origin the Airy argument u^{2/3} zeta reaches |xi| ~ 1e8,
+# where xi^k of the asymptotic series used to overflow below U_MAX
+@pytest.mark.parametrize("u,z", [(1e4, 200.0), (1e6, 20 + 5j), (1e7, 5.0),
+                                 (1e8, 2 + 0.5j)])
+@pytest.mark.parametrize("entry", ["pcf_U_neg", "pcf_V_neg", "weber_W_real"])
+def test_far_airy_arguments_give_a_value_or_a_typed_error(entry, u, z):
+    try:
+        ENTRIES[entry](u, z)
+    except ParcylError:
+        pass
