@@ -281,6 +281,7 @@ def scorer_hi_prime(z: complex) -> complex:
 def _hi_pair(z: complex) -> tuple[complex, complex]:
     """(Hi, Hi') at z; the last pair is kept, because Wi and Wi' are asked
     for at the same point one after the other."""
+    check_points(z)
     z = complex(z)
     if abs(z) <= HI_QUAD_RADIUS:
         hi, hip = _hi_quad(z)

@@ -130,10 +130,11 @@ def gen_airy_seq(s_max: int) -> AirySeq:
     return AirySeq(s_max)
 
 
-def check_forcing_degree(R: int) -> None:
-    """OrderError unless the forcing degree R is an integer in [0, R_MAX]."""
-    if not isinstance(R, Integral) or not 0 <= R <= R_MAX:
-        raise OrderError(f"forcing degree R={R} outside [0, {R_MAX}]")
+def check_forcing_degree(R: int, hi: float = R_MAX) -> None:
+    """OrderError unless the forcing degree R is an integer in [0, hi]
+    (the tables go up to R_MAX)."""
+    if not isinstance(R, Integral) or not 0 <= R <= hi:
+        raise OrderError(f"forcing degree R={R} outside [0, {hi}]")
 
 
 def check_order(k: int, lo: int, hi: int) -> None:

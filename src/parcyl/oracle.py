@@ -24,7 +24,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import loggamma
 
-from .errors import AccuracyError, StiffnessError
+from .coeffs import check_forcing_degree
+from .errors import AccuracyError, DomainError, StiffnessError
 from .quadrature import gauss
 from .scaled import ScaledComplex
 
@@ -213,9 +214,9 @@ def _sweep(accel, edges, y: ScaledComplex, d: ScaledComplex, rtol: float,
 
     Each chunk starts from the state divided by its size e^l, l = log
     max(|y|, |y'|), so no chunk overflows; accel gets the divided y and
-    r = e^-l, the factor a forcing term needs.  Returns y and y' at
-    edges[-1], and with `dense` the chunks (s0, s1, solution, l) that
-    `_chunk_value` reads.
+    r = e^-l, the factor a forcing term needs, or None where e^-l is past
+    the float range.  Returns y and y' at edges[-1], and with `dense` the
+    chunks (s0, s1, solution, l) that `_chunk_value` reads.
     """
     chunks = []
     for s0, s1 in zip(edges[:-1], edges[1:]):
@@ -225,11 +226,17 @@ def _sweep(accel, edges, y: ScaledComplex, d: ScaledComplex, rtol: float,
         resc = ScaledComplex.from_log(-log0)
         yv = (y * resc).to_complex()
         pv = ((d * resc) * e).to_complex()
-        r = math.exp(-log0)
+        try:
+            r = math.exp(-log0)
+        except OverflowError:
+            r = None  # only a forcing term reads it
 
+        # the state and time as Python floats: the same IEEE operations as
+        # on numpy scalars, without their per-operation overhead
         def rhs(s, v):
-            dd = accel(s, v[0] + 1j * v[1], r)
-            return [v[2], v[3], dd.real, dd.imag]
+            v0, v1, v2, v3 = v.tolist()
+            dd = accel(float(s), v0 + 1j * v1, r)
+            return [v2, v3, dd.real, dd.imag]
 
         sol = solve_ivp(rhs, (s0, s1), [yv.real, yv.imag, pv.real, pv.imag],
                         method="DOP853", rtol=rtol, atol=1e-18,
@@ -272,6 +279,9 @@ def ode_polyline(q_fn, forcing_fn, vertices, y0: ScaledComplex, d0: ScaledComple
 
         def accel(s, y1, r, zs=zs, e=e):
             z = zs + e * s
+            if forcing_fn is not None and r is None:
+                raise AccuracyError("forced sweep: the state is too small "
+                                    "to carry the forcing term")
             f = forcing_fn(z) * r if forcing_fn is not None else 0.0
             return (q_fn(z) * y1 + f) * e * e
 
@@ -536,7 +546,10 @@ def oracle_inhom(a: float, z: complex, R: int, pair: tuple[int, int] = (0, 2),
     either sign of the parameter, passed as the signed value a)."""
     z = complex(z)
     if pair not in _VOP_ROUTES:
-        raise ValueError("oracle supports pairs (0,2) and (0,1)")
+        raise DomainError(f"no oracle route for the pair {pair}; it has "
+                          "(0,2) and (0,1)")
+    # no table limit here, but t^R needs R a nonnegative integer
+    check_forcing_degree(R, math.inf)
     pos, neg = _VOP_ROUTES[pair]
     f = neg if a < 0 else pos
     v1 = f(a, z, R, 48, 12)
@@ -551,7 +564,9 @@ def _inhom_02_pos(a: float, z: complex, R: int, n: int, npanel: int) -> ScaledCo
     moments of U against t^R."""
     T = _tail_start(a, z)
     line = _u_contour_cached(a, z.imag, T)
-    mline = line if z.imag == 0.0 else _u_contour_cached(a, -z.imag, T)
+    # the line Im t = -y mirrors it: U(a, conj t) = conj U(a, t) for real
+    # a, and a sweep at -y gives the conjugate of this one float for float
+    mline = line if z.imag == 0.0 else (lambda x: line(x).conj())
     jp = _moment(line, z.imag, R, z.real, T, n, npanel)
     jm = _moment(lambda x: mline(-x), z.imag, R, -T, z.real, n, npanel)
     uz = line(z.real)
@@ -684,7 +699,9 @@ def weber_ode_real(a_signed: float, x_targets, rtol: float = 1e-12) -> dict:
     out = {0.0: (W0, W0p)}
 
     def rhs(x, v):
-        return [v[1], (a_signed - x * x / 4.0) * v[0]]
+        v0, v1 = v.tolist()
+        x = float(x)
+        return [v1, (a_signed - x * x / 4.0) * v0]
 
     def sweep(x_from, seed, targets):
         yv, dv = seed

@@ -23,6 +23,14 @@ def test_airy_refuses_a_non_finite_argument(z):
         pa.airy(z)
 
 
+@pytest.mark.parametrize("f", [pa.scorer_hi, pa.scorer_hi_prime])
+@pytest.mark.parametrize("z", [complex(1.0, math.inf), complex("nan"),
+                               -math.inf])
+def test_scorer_refuses_a_non_finite_argument(f, z):
+    with pytest.raises(ArgumentError):
+        f(z)
+
+
 def test_asymptotic_layer_far_out_on_the_anti_stokes_ray():
     # |xi| = 2.4e8: xi^k overflowed from k = 37 on, though the terms
     # there are e^-600 below the first; the phase of e^-xi carries |xi|

@@ -200,6 +200,17 @@ def test_malformed_input_is_a_typed_error(capsys, args, error):
     assert payload["error"] == error
 
 
+@pytest.mark.parametrize("args, error", [
+    # a line sweep seeded near e^-900
+    (("--u", "20", "--z", "8"), None),
+    (("--u", "20", "--z", "1.5", "--pair", "1,2"), "DOMAIN"),
+    (("--u", "20", "--z", "1.5", "--R=-1"), "ORDER"),
+])
+def test_oracle_inhom_answers_or_refuses_in_json(capsys, args, error):
+    code, payload = run_main(capsys, "oracle", "--function", "UR", *args)
+    assert (code, payload.get("error")) == ((2, error) if error else (0, None))
+
+
 @pytest.mark.parametrize("cmd", ["eval", "oracle"])
 def test_parameter_above_u_max_is_a_domain_error(capsys, cmd):
     code, payload = run_main(capsys, cmd, "--function=U+", "--u=1e308",

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from parcyl import oracle
-from parcyl.errors import AccuracyError
+from parcyl import inhom, oracle
+from parcyl.coeffs import R_MAX
+from parcyl.errors import AccuracyError, DomainError, OrderError
 from parcyl.scaled import ScaledComplex
 
 
@@ -171,6 +172,56 @@ class TestOdeOracle:
         with pytest.raises(StiffnessError):
             oracle.oracle_ode("PCF-", 10.0, None, [0.0, 0.99, 2.0],
                               (oracle._u_origin_data(-10.0)))
+
+
+class TestMirroredLines:
+    # (a, y, T); y = 15.76 and T = 32 are the line of a verify op at u = 20
+    @pytest.mark.parametrize("a, y, T", [(10.0, 0.5, 16.0), (3.5, 2.3, 16.0),
+                                         (10.0, 15.76, 32.0)])
+    def test_line_at_minus_y_is_the_conjugate(self, a, y, T):
+        up, down = oracle.UContour(a, y, T), oracle.UContour(a, -y, T)
+        for x in (-T, -0.7 * T, -1.3, 0.0, 2.0 / 3.0, 0.45 * T, T):
+            v, w = up(x), down(x)
+            assert (w.mantissa, w.log_scale) == (v.mantissa.conjugate(),
+                                                 v.log_scale)
+
+    def test_one_sweep_per_mirrored_pair(self):
+        oracle._u_contour_cached.cache_clear()
+        oracle.oracle_inhom(10.0, 1.0 + 0.3j, 2, (0, 2))
+        assert oracle._u_contour_cached.cache_info().misses == 1
+
+
+class TestOracleRefusals:
+    def test_far_seed_does_not_overflow(self):
+        # the sweep's seed at T = 60 is about e^-900, so e^-l is past the
+        # float range; the homogeneous line sweep never needs it
+        z = 8.0
+        ov = oracle.oracle_inhom(10.0, math.sqrt(40.0) * z, 0, (0, 2))
+        cv = inhom.inhom_series(20.0, z, 3, 0, "plus", (0, 2))
+        err = abs((cv.value / ov.value).to_complex() - 1.0)
+        assert err <= cv.rel_bound + ov.est_acc
+
+    def test_forced_sweep_of_a_tiny_state(self):
+        q = lambda z: z * z / 4.0 + 10.0
+        y0 = ScaledComplex.from_log(-900.0)
+        d0 = y0 * -3.0
+        y, _ = oracle.ode_polyline(q, None, [0.0, 1.0], y0, d0)
+        assert y.log_scale < -899.0
+        with pytest.raises(AccuracyError):
+            oracle.ode_polyline(q, lambda z: z ** 2, [0.0, 1.0], y0, d0)
+
+    def test_unknown_pair(self):
+        with pytest.raises(DomainError, match="no oracle route"):
+            oracle.oracle_inhom(10.0, 1.0, 0, (1, 2))
+
+    @pytest.mark.parametrize("R", [-1, 1.5])
+    def test_forcing_degree_is_a_nonnegative_integer(self, R):
+        with pytest.raises(OrderError):
+            oracle.oracle_inhom(10.0, 1.5, R, (0, 2))
+
+    def test_no_table_limit_on_the_forcing_degree(self):
+        ov = oracle.oracle_inhom(10.0, 1.0 + 0.3j, R_MAX + 1, (0, 2))
+        assert ov.est_acc < oracle.ACC_LIMIT
 
 
 def _ode_polyline_value():
