@@ -5,18 +5,28 @@ variation-of-parameters formulas and gamma-function data at the origin;
 none of the asymptotic machinery is used, so acceptance comparisons are
 non-circular.
 
-Methods: rotated-ray quadrature of the two integral representations of U,
-renormalized adaptive Runge-Kutta continuation of the defining equations
-(always run from the recessive towards the dominant side), and
-variation-of-parameters quadrature for the inhomogeneous solutions.
-Every value carries a two-resolution accuracy estimate and is refused if
-that estimate exceeds 1e-8.
+Methods: quadrature of the two integral representations of U on one
+polyline helper (`_path_integral`): a ray turned against arg z for
+Re z >= 0, and for Re z < 0 a leg from 0 to the saddle of the integrand
+and a ray on from it (Gil, Segura & Temme, ACM TOMS 32, 2006, carried to
+complex argument); renormalized adaptive Runge-Kutta sweeps of the
+defining equations (always run from the recessive towards the dominant
+side) along lines; and variation-of-parameters quadrature for the
+inhomogeneous solutions.
+
+Every value carries an accuracy estimate and is refused if it exceeds
+ACC_LIMIT = 1e-8.  A quadrature's estimate is the larger of its distance
+to a second resolution and its rounding floor, which counts the size of
+every exponent and the cancellation int |f| / |int f|; a sum of two
+oracle values (U' from U, U- off the axis and V- from U at +-iz) takes
+sum |term_k| est_k / |sum term_k|, which sees their cancellation.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +40,7 @@ from .quadrature import gauss
 from .scaled import ScaledComplex
 
 ACC_LIMIT = 1e-8
+EPS = sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class OracleValue:
@@ -42,15 +53,40 @@ class OracleValue:
 
 
 def _certify(best: ScaledComplex, other: ScaledComplex, method: str,
-             limit: float = ACC_LIMIT) -> OracleValue:
+             floor: float = 0.0) -> OracleValue:
+    """best, with the larger of its relative distance to a second
+    resolution and the rounding floor as its estimate."""
     if best.is_zero() and other.is_zero():
         return OracleValue(best, 0.0, method)
     denom = max(best.abs().log_abs, other.abs().log_abs)
     diff = (best - other).abs()
     est = math.exp(min(diff.log_abs - denom, 50.0)) if not diff.is_zero() else 0.0
-    if est > limit:
-        raise AccuracyError(f"oracle self-estimate {est:.3g} above {limit:.1g}")
-    return OracleValue(best, est, method)
+    return _checked(best, max(est, floor), method)
+
+
+def _checked(value: ScaledComplex, est: float, method: str) -> OracleValue:
+    """The value with its estimate, refused above ACC_LIMIT."""
+    if est > ACC_LIMIT:
+        raise AccuracyError(f"oracle self-estimate {est:.3g} above {ACC_LIMIT:.1g}")
+    return OracleValue(value, est, method)
+
+
+def _sum(terms) -> tuple[ScaledComplex, float]:
+    """The sum of (value, relative error) terms, and its relative error
+    sum |term_k| err_k / |sum term_k|, which sees their cancellation."""
+    total = ScaledComplex(0j, 0.0)
+    for v, _ in terms:
+        total = total + v
+    if total.is_zero():
+        raise AccuracyError("oracle terms cancel to zero")
+    err = sum(math.exp(min(v.log_abs - total.log_abs, 50.0)) * e
+              for v, e in terms if not v.is_zero())
+    return total, err
+
+
+def _combine(terms, method: str) -> OracleValue:
+    """The sum of (value, est_acc) terms, refused above ACC_LIMIT."""
+    return _checked(*_sum(terms), method)
 
 
 def _log_gamma(z) -> complex:
@@ -58,7 +94,7 @@ def _log_gamma(z) -> complex:
 
 
 # ----------------------------------------------------------------------
-# quadrature: one panel rule, one rotated ray
+# quadrature: one panel rule, one polyline
 # ----------------------------------------------------------------------
 
 def _panels(edges, n: int):
@@ -69,33 +105,55 @@ def _panels(edges, n: int):
         yield 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
-def _ray_integral(a, c: complex, ea: complex, s_max: float, n: int,
-                  npanel: int) -> ScaledComplex:
-    """int_0^inf t^{a-1/2} e^{-t^2/2 + ct} dt on the ray t = ea v^2, v^2 up
-    to s_max (the substitution kills the endpoint singularity).  Each Gauss
-    panel in v is summed relative to its own peak, panels below e^-745 are
-    dropped, and the rest are recombined on the largest peak."""
-    logs, vals = [], []
-    for v, ww in _panels(np.linspace(0.0, s_max ** 0.25, npanel + 1) ** 2, n):
-        t = ea * v * v
-        logf = (a - 0.5) * np.log(t) - 0.5 * t * t + c * t + np.log(2.0 * v * ea)
+def _path_integral(a, c: complex, ea: complex, s_max: float, n: int,
+                   npanel: int, tail=()) -> tuple[ScaledComplex, float]:
+    """int t^{a-1/2} e^{-t^2/2 + ct} dt on the polyline from 0 through
+    ea s_max and then each vertex of `tail`.  The first leg is t = ea v^2,
+    v^2 up to s_max (the substitution kills the endpoint singularity); each
+    further leg gets npanel equal Gauss panels.  Each panel is summed
+    relative to its own peak, panels below e^-745 are dropped, and the rest
+    are recombined on the largest peak.
+
+    Returns the integral and its rounding error in units of eps, relative
+    to it: each node's exponent is rounded to eps times the sum of its
+    terms' sizes, Phi(t) = |(a-1/2) log t| + |t|^2/2 + |ct|, and its
+    exponential to eps, so the sum is off by at most
+    eps int |f| (Phi + 1) |dt|, which also counts any cancellation."""
+    def legs():
+        for v, ww in _panels(np.linspace(0.0, s_max ** 0.25, npanel + 1) ** 2, n):
+            yield ea * v * v, ww, np.log(2.0 * v * ea)
+        start = ea * s_max
+        for end in tail:
+            for s, ww in _panels(np.linspace(0.0, 1.0, npanel + 1), n):
+                yield start + (end - start) * s, ww, cmath.log(end - start)
+            start = end
+
+    logs, vals, errs = [], [], []
+    for t, ww, log_dt in legs():
+        log_t = np.log(t)
+        logf = (a - 0.5) * log_t - 0.5 * t * t + c * t + log_dt
         m = float(np.max(logf.real))
         if m < -745.0:
             continue
         vals.append(complex(np.sum(ww * np.exp(logf - m))))
+        size = np.abs((a - 0.5) * log_t) + 0.5 * np.abs(t) ** 2 + np.abs(c * t)
+        errs.append(float(np.sum(ww * np.exp(logf.real - m) * (size + 1.0))))
         logs.append(m)
     if not vals:
-        return ScaledComplex(0j, 0.0)
+        return ScaledComplex(0j, 0.0), math.inf
     mtop = max(logs)
     total = sum(v * math.exp(l - mtop) for v, l in zip(vals, logs))
-    return ScaledComplex.from_complex(total) * ScaledComplex.from_log(mtop)
+    err = sum(e * math.exp(l - mtop) for e, l in zip(errs, logs))
+    return (ScaledComplex.from_complex(total) * ScaledComplex.from_log(mtop),
+            err / abs(total) if total else math.inf)
 
 
 # ----------------------------------------------------------------------
 # U(a, z): quadrature of the integral representations
 # ----------------------------------------------------------------------
 
-def _u_pos_integral(a, Z: complex, n: int, npanel: int) -> ScaledComplex:
+def _u_pos_integral(a, Z: complex, n: int,
+                    npanel: int) -> tuple[ScaledComplex, float]:
     """Gamma(a+1/2) e^{Z^2/4} U(a,Z) = int_0^inf t^{a-1/2} e^{-t^2/2 - Zt} dt
     on a ray turned against arg Z.  Well conditioned for Re Z >= 0."""
     Z = complex(Z)
@@ -107,21 +165,69 @@ def _u_pos_integral(a, Z: complex, n: int, npanel: int) -> ScaledComplex:
     c2 = max(a.real - 0.5, 0.25)
     s_peak = (-b + math.sqrt(b * b + 4.0 * ca * c2)) / (2.0 * ca)
     s_max = s_peak * 9.0 + 12.0 / max(b, 0.5) + 6.0
-    return _ray_integral(a, -Z, ea, s_max, n, npanel)
+    return _path_integral(a, -Z, ea, s_max, n, npanel)
+
+
+def _u_saddle_integral(a: complex, Z: complex, n: int,
+                       npanel: int) -> tuple[ScaledComplex, float]:
+    """The same integral for Re Z < 0, where a ray from 0 cancels: on the
+    path from 0 to the saddle t_s of phi(t) = (a-1/2) log t - t^2/2 - Zt,
+    the root of t^2 + Zt - (a-1/2) with the larger real part (so
+    Re t_s > Re(-Z)/2 > 0), then on a ray into |arg t| < pi/4 long enough
+    that Re phi has fallen 40 below its peak and is still falling."""
+    root = cmath.sqrt(Z * Z + 4.0 * (a - 0.5))
+    ts = max((-Z + root) / 2.0, (-Z - root) / 2.0, key=lambda t: t.real)
+    # steepest descent: phi''(t_s) d^2 < 0, turned into the sector
+    alpha = -0.5 * cmath.phase(1.0 + (a - 0.5) / (ts * ts))
+    alpha = max(min(alpha, math.pi / 4.0 - 0.12), -(math.pi / 4.0 - 0.12))
+    d = cmath.exp(1j * alpha)
+    peak = ((a - 0.5) * cmath.log(ts) - 0.5 * ts * ts - Z * ts).real
+    s = 0.5
+    for _ in range(100):
+        end = ts + s * d
+        re_phi = ((a - 0.5) * cmath.log(end) - 0.5 * end * end - Z * end).real
+        falling = (((a - 0.5) / end - end - Z) * d).real < 0.0
+        if re_phi < peak - 40.0 and falling:
+            break
+        peak = max(peak, re_phi)
+        s *= 1.25
+    else:
+        raise AccuracyError(f"no decaying ray from the saddle {ts}")
+    return _path_integral(a, -Z, ts / abs(ts), abs(ts), n, npanel, (end,))
+
+
+def _u_quad(a, Z: complex, n: int, npanel: int) -> tuple[ScaledComplex, float]:
+    """U(a, Z) by quadrature, and its integral's rounding error in units
+    of eps, relative to it."""
+    a = complex(a)
+    Z = complex(Z)
+    if Z.real < 0:
+        integral, err = _u_saddle_integral(a, Z, n, npanel)
+    elif abs(a.imag) > 1e-12:
+        integral, err = _u_integral_logvar(a, Z, n)
+    else:
+        integral, err = _u_pos_integral(a, Z, n, npanel)
+    pref = ScaledComplex.from_log_complex(-Z * Z / 4.0 - _log_gamma(a + 0.5))
+    return pref * integral, err
 
 
 def _u_from_integral(a, Z: complex, n: int, npanel: int) -> ScaledComplex:
-    a = complex(a)
-    if abs(a.imag) > 1e-12:
-        integral = _u_integral_logvar(a, Z, n)
-    else:
-        integral = _u_pos_integral(a, Z, n, npanel)
-    pref = ScaledComplex.from_log_complex(-Z * Z / 4.0 - _log_gamma(a + 0.5))
-    return pref * integral
+    return _u_quad(a, Z, n, npanel)[0]
 
 
-def _u_integral_logvar(a: complex, Z: complex, n: int) -> ScaledComplex:
-    """int_0^inf t^{a-1/2} e^{-t^2/2 - Zt} dt for complex a (Re a > -1/2).
+def _rounding_floor(a, Z: complex, err: float) -> float:
+    """Relative rounding error of U(a, Z) = e^{-Z^2/4 - lnGamma(a+1/2)} I
+    when the integral I is off by eps err relative: the prefactor's
+    exponent carries the rounding of Z^2 and of the sum, and the ulp of
+    lnGamma."""
+    lg = abs(_log_gamma(complex(a) + 0.5))
+    return EPS * (err + abs(Z) ** 2 / 2.0 + 2.0 * lg)
+
+
+def _u_integral_logvar(a: complex, Z: complex,
+                       n: int) -> tuple[ScaledComplex, float]:
+    """int_0^inf t^{a-1/2} e^{-t^2/2 - Zt} dt for complex a (Re a > -1/2),
+    and its rounding error as `_path_integral` counts it.
 
     Substituting t = e^{i alpha} e^w makes the t^{Im a} oscillation uniform
     in w; the head below w0 is summed analytically from the Taylor series of
@@ -139,8 +245,10 @@ def _u_integral_logvar(a: complex, Z: complex, n: int) -> ScaledComplex:
     s = a + 0.5
     head = 0j
     qpow = q0 ** complex(s)
+    head_abs = 0.0
     for k, ck in enumerate(c):
         head += ck * qpow / (s + k)
+        head_abs += abs(ck * qpow / (s + k))
         qpow *= q0
         if abs(ck * qpow) < 1e-25 * max(abs(head), 1e-30) and k > 6:
             break
@@ -157,18 +265,26 @@ def _u_integral_logvar(a: complex, Z: complex, n: int) -> ScaledComplex:
             + abs(Zr.imag) * math.exp(w_lo) + abs(a.imag) + 1.0
         edges.append(min(w_lo + min(1.0, 12.0 / phase_rate), wmax))
     acc = 0j
+    err = head_abs * (abs(s * w0) + 1.0)
     for t, ww in _panels(edges, n):
         q = np.exp(t)
-        acc += np.sum(ww * np.exp(s * t - (ea * ea) * q * q / 2.0 - Zr * q))
-    return ScaledComplex.from_complex(complex((head + acc) * ea ** s))
+        g = np.exp(s * t - (ea * ea) * q * q / 2.0 - Zr * q)
+        acc += np.sum(ww * g)
+        err += float(np.sum(ww * np.abs(g) * (np.abs(s * t) + 0.5 * q * q
+                                              + abs(Zr) * q + 1.0)))
+    return (ScaledComplex.from_complex(complex((head + acc) * ea ** s)),
+            err / abs(head + acc) if head + acc else math.inf)
 
 
-def _u_neg_integral(a: float, w: complex, n: int, npanel: int) -> ScaledComplex:
+def _u_neg_integral(a: float, w: complex, n: int,
+                    npanel: int) -> tuple[ScaledComplex, float]:
     """U(-a, w) from the cosine representation, split into the two complex
-    exponentials and each rotated onto a damped ray."""
+    exponentials and each rotated onto a damped ray; with its rounding
+    error in units of eps, relative to it (near the turning point the two
+    rays cancel)."""
     w = complex(w)
 
-    def ray(sgn: int) -> ScaledComplex:
+    def ray(sgn: int) -> tuple[ScaledComplex, float]:
         # rotate the ray so the exponent i sgn w t points as far into the
         # left half plane as the sector allows
         c = 1j * sgn * w
@@ -182,12 +298,15 @@ def _u_neg_integral(a: float, w: complex, n: int, npanel: int) -> ScaledComplex:
         disc = b * b + 4.0 * ca * c2
         s_peak = (-b + math.sqrt(disc)) / (2.0 * ca) if disc > 0 else 1.0
         s_max = max(s_peak * 9.0, 4.0) + 30.0 + 2.0 * abs(b) / ca
-        return _ray_integral(a, c, ea, s_max, n, npanel)
+        return _path_integral(a, c, ea, s_max, n, npanel)
 
     phase = cmath.exp(1j * (math.pi / 4.0 - math.pi * a / 2.0))
-    comb = ray(+1) * (0.5 * phase) + ray(-1) * (0.5 * phase.conjugate())
+    (up, e_up), (down, e_down) = ray(+1), ray(-1)
+    comb, err = _sum([(up * (0.5 * phase), e_up),
+                      (down * (0.5 * phase.conjugate()), e_down)])
     pref = ScaledComplex.from_log_complex(w * w / 4.0) * math.sqrt(2.0 / math.pi)
-    return pref * comb
+    # the prefactor's exponent carries the rounding of w^2
+    return pref * comb, err + abs(w) ** 2 / 4.0 + 1.0
 
 
 def _u_origin_data(a) -> tuple[ScaledComplex, ScaledComplex]:
@@ -335,14 +454,6 @@ def oracle_ode(variant: str, a: float, R, z_path, boundary_spec="origin",
     return _certify(v1, v2, "ode")
 
 
-def _u_ode_continue(a, z_target: complex,
-                    rtol: float) -> tuple[ScaledComplex, ScaledComplex]:
-    """(U, U') at z_target, continued from the exact origin data."""
-    y0, d0 = _u_origin_data(a)
-    q = lambda z: z * z / 4.0 + complex(a)
-    return ode_polyline(q, None, [0.0, z_target], y0, d0, rtol)
-
-
 def _u_neg_recessive(am: float, x: float, rtol: float) -> ScaledComplex:
     """U(-am, x) for real x beyond the turning point 2 sqrt(am).
 
@@ -378,9 +489,9 @@ def oracle_U(a, z: complex, n: int = 64, npanel: int = 16) -> OracleValue:
         deep = on_axis and z.real > x0 + 0.5
         if abs(z.imag) <= 0.05 * abs(z) + 0.1 and not deep:
             try:
-                v1 = _u_neg_integral(am, z, n, npanel)
-                v2 = _u_neg_integral(am, z, int(n * 1.5), npanel + 6)
-                return _certify(v2, v1, "quadrature")
+                v1, _ = _u_neg_integral(am, z, n, npanel)
+                v2, err = _u_neg_integral(am, z, int(n * 1.5), npanel + 6)
+                return _certify(v2, v1, "quadrature", floor=EPS * err)
             except AccuracyError:
                 if not on_axis or z.real <= x0 + 0.25:
                     raise
@@ -391,20 +502,15 @@ def oracle_U(a, z: complex, n: int = 64, npanel: int = 16) -> OracleValue:
         # off the real axis the cosine representation cancels badly; use the
         # rotated-argument connection instead
         ph = cmath.exp(1j * math.pi * (0.5 * am - 0.25))
-        up = oracle_U(am, 1j * z, n, npanel)
-        um = oracle_U(am, -1j * z, n, npanel)
         pref = ScaledComplex.from_log_complex(_log_gamma(am + 0.5)) * \
             (1.0 / math.sqrt(2.0 * math.pi))
-        val = pref * (up.value * ph + um.value * ph.conjugate())
-        return OracleValue(val, max(up.est_acc, um.est_acc, 1e-14) * 4.0,
-                           "quadrature")
-    if z.real >= 0:
-        v1 = _u_from_integral(a, z, n, npanel)
-        v2 = _u_from_integral(a, z, int(n * 1.5), npanel + 6)
-        return _certify(v2, v1, "quadrature")
-    v1, _ = _u_ode_continue(a, z, 1e-12)
-    v2, _ = _u_ode_continue(a, z, 1e-10)
-    return _certify(v1, v2, "ode")
+        return _combine([(pref * ov.value * p, ov.est_acc) for ov, p in (
+            (oracle_U(am, 1j * z, n, npanel), ph),
+            (oracle_U(am, -1j * z, n, npanel), ph.conjugate()))],
+            "quadrature")
+    v1, _ = _u_quad(a, z, n, npanel)
+    v2, err = _u_quad(a, z, int(n * 1.5), npanel + 6)
+    return _certify(v2, v1, "quadrature", floor=_rounding_floor(a, z, err))
 
 
 def _u_prime_from_integral(a, Z: complex, n: int, npanel: int) -> ScaledComplex:
@@ -419,23 +525,21 @@ def oracle_U_prime(a, z: complex, n: int = 64, npanel: int = 16) -> OracleValue:
     z = complex(z)
     if complex(a).real <= -0.25:
         raise AccuracyError("derivative oracle needs Re a > -1/4")
-    if z.real < 0:
-        _, d1 = _u_ode_continue(a, z, 1e-12)
-        _, d2 = _u_ode_continue(a, z, 1e-10)
-        return _certify(d1, d2, "ode")
-    v1 = _u_prime_from_integral(a, z, n, npanel)
-    v2 = _u_prime_from_integral(a, z, int(n * 1.5), npanel + 6)
-    return _certify(v2, v1, "quadrature")
+    # the identity of `_u_prime_from_integral` on two certified values
+    return _combine([(ov.value * c, ov.est_acc) for ov, c in (
+        (oracle_U(a, z, n, npanel), -z / 2.0),
+        (oracle_U(complex(a) + 1.0, z, n, npanel), -(complex(a) + 0.5)))],
+        "quadrature")
 
 
 def oracle_V_neg(a: float, z: complex) -> OracleValue:
     """V(-a, z) assembled from rotated U values (their standard connection):
     V(-a,z) = (2 pi)^{-1/2} { e^{(a/2+1/4) pi i} U(a, iz) + conj-phase U(a,-iz) }."""
-    ph = cmath.exp(1j * math.pi * (0.5 * a + 0.25))
-    up = oracle_U(a, 1j * z, n=96, npanel=22)
-    um = oracle_U(a, -1j * z, n=96, npanel=22)
-    val = (up.value * ph + um.value * ph.conjugate()) * (1.0 / math.sqrt(2.0 * math.pi))
-    return OracleValue(val, max(up.est_acc, um.est_acc), "quadrature")
+    ph = cmath.exp(1j * math.pi * (0.5 * a + 0.25)) / math.sqrt(2.0 * math.pi)
+    return _combine([(ov.value * p, ov.est_acc) for ov, p in (
+        (oracle_U(a, 1j * z, n=96, npanel=22), ph),
+        (oracle_U(a, -1j * z, n=96, npanel=22), ph.conjugate()))],
+        "quadrature")
 
 
 # ----------------------------------------------------------------------
@@ -486,7 +590,7 @@ class UNegLine:
         if abs(self.y) < 1e-12:
             anchor, _ = _u_origin_data(-am)
         else:
-            anchor = _u_neg_integral(am, 1j * self.y, 96, 22)
+            anchor, _ = _u_neg_integral(am, 1j * self.y, 96, 22)
         self._norm = anchor / _chunk_value(self._chunks, 0.0)
 
     def __call__(self, x: float) -> ScaledComplex:
@@ -603,7 +707,7 @@ def _inhom_01_pos(a: float, z: complex, R: int, n: int, npanel: int) -> ScaledCo
     wline = _u_neg_line_cached(a, T + abs(z.imag) + 2.0, -z.real)
     i2 = -_vertical_moment(lambda s: wline(s + z.imag), z, R, T, n, npanel)
     phase = cmath.exp(1j * math.pi * (0.5 * a - 0.25))
-    um = _u_neg_integral(a, -1j * z, max(n, 64), max(npanel, 16))
+    um, _ = _u_neg_integral(a, -1j * z, max(n, 64), max(npanel, 16))
     uz = line(z.real)
     return (um * i1 - uz * i2) * phase
 

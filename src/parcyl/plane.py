@@ -592,6 +592,10 @@ def _pcfp_path(z: complex, endpoint: str) -> PathPolyline:
         if z.real >= 0 or abs(z.imag) < 1.0 - TP_CLEARANCE:
             far = complex(BOX_RADIUS, z.imag)
             return PathPolyline([far, z], "PCF+", "re")
+        if xi_bar(z).real > 0:
+            # between the critical curve Re xi_bar = 0 and the cut the arc
+            # puts the value on the wrong sheet
+            raise NoPath("point between the left critical curve and the cut")
         # fig. 2: level-curve arc from z to the cut, then a horizontal ray
         arc = trace_level_curve(z, "PCF+", "re", direction=_arc_direction(z))
         cut_pt = arc.vertices[-1]

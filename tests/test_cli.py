@@ -103,6 +103,25 @@ def test_oracle_subcommand():
     assert float(payload["est_acc"]) < 1e-8
 
 
+@pytest.mark.parametrize("function", ["U+", "U+'"])
+def test_oracle_left_half_plane_is_quadrature(function):
+    # Re Z < 0: the saddle-path quadrature, not an ODE continuation
+    code, out = run_cli("oracle", "--function", function, "--u", "20",
+                        "--z=-2-2j")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["method"] == "quadrature"
+    assert float(payload["est_acc"]) < 1e-8
+
+
+def test_region_between_critical_curve_and_cut_is_no_path():
+    # U+ there has no progressive path yet: exit 2 with a JSON error
+    code, out = run_cli("eval", "--function", "U+", "--u", "20",
+                        "--z=-0.5-2.5j")
+    assert code == 2
+    assert json.loads(out)["error"] == "NO_PATH"
+
+
 def test_map_artifact():
     code, out = run_cli("map", "--u", "15", "--order", "3",
                         "--grid-re", "0.5:2.0:3", "--grid-im", "0.0:0.4:2")

@@ -215,7 +215,13 @@ def test_omega_varpi_matches_the_per_segment_loop(monkeypatch):
     u, n = 20.0, 4
     t = get_tables()
     fam = t.rows["Ebar_d"]
-    path = plane.monotone_path(-0.5 + 1.5j, "+inf", "PCF+")
+    # the fig. 2 path from a point between the critical curve and the cut,
+    # built from its traced arc (`monotone_path` refuses such points): its
+    # horizontal ray crosses the cut
+    z = -0.5 + 1.5j
+    arc = plane.trace_level_curve(z, "PCF+", "re", direction=plane._arc_direction(z))
+    far = complex(plane.BOX_RADIUS, arc.vertices[-1].imag)
+    path = plane.PathPolyline([far] + arc.vertices[::-1], "PCF+", "re")
     x, w = quadrature.gauss(quadrature.SEGMENT_NODES)
 
     # the beta_bar image one segment at a time; a segment crossing the cut

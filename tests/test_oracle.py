@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from parcyl import inhom, oracle
@@ -224,6 +225,93 @@ class TestOracleRefusals:
         assert ov.est_acc < oracle.ACC_LIMIT
 
 
+def _mp_u(a, Z, derivative=False):
+    """U(a, Z), or U'(a, Z) by U' = -(Z/2) U(a, Z) - (a+1/2) U(a+1, Z),
+    from mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        Z = mpmath.mpc(Z.real, Z.imag)
+        if not derivative:
+            return mpmath.pcfu(a, Z)
+        return -Z / 2 * mpmath.pcfu(a, Z) - (a + 0.5) * mpmath.pcfu(a + 1, Z)
+
+
+def _mp_err(ov, ref):
+    with mpmath.workdps(40):
+        v = mpmath.mpc(ov.value.mantissa.real, ov.value.mantissa.imag) * \
+            mpmath.exp(ov.value.log_scale)
+        return float(abs(v / ref - 1))
+
+
+def _left_lattice():
+    # Re Z < 0, with points near the saddles' meeting points +-2i sqrt(a)
+    for a in (5.0, 10.0, 50.0, 150.0):
+        r = 2.0 * math.sqrt(a)
+        for x in (-0.3, -0.5 * r, -1.2 * r):
+            for y in (0.0, 0.5 * r, -0.9 * r, r, -r, 1.1 * r, -1.5 * r):
+                yield a, complex(x, y)
+
+
+class TestSaddlePath:
+    @pytest.mark.parametrize("a, Z", list(_left_lattice()))
+    def test_left_half_plane_within_its_estimate(self, a, Z):
+        for fn, derivative in ((oracle.oracle_U, False),
+                               (oracle.oracle_U_prime, True)):
+            try:
+                ov = fn(a, Z)
+            except AccuracyError:
+                continue
+            assert ov.method == "quadrature"
+            assert _mp_err(ov, _mp_u(a, Z, derivative)) <= ov.est_acc
+
+    def test_most_of_the_lattice_answers(self):
+        answered = 0
+        for a, Z in _left_lattice():
+            try:
+                oracle.oracle_U(a, Z)
+                answered += 1
+            except AccuracyError:
+                pass
+        assert answered >= 80  # of 84; points by the meeting saddles refuse
+
+    @pytest.mark.parametrize("fn", [oracle.oracle_U, oracle.oracle_U_prime])
+    def test_no_ode_in_the_left_half_plane(self, monkeypatch, fn):
+        def no_ode(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+        monkeypatch.setattr(oracle, "solve_ivp", no_ode)
+        for Z in (-2.0 + 0.5j, -15.8 - 15.8j, -1.0):
+            assert fn(10.0, Z).method == "quadrature"
+
+    def test_cancelling_two_term_sums_refuse_or_are_right(self):
+        # U- off the axis and V- at a verify input (u = 172.04): U at one of
+        # +-iZ cancels near the meeting saddles.  The ODE continuation gave
+        # U- an estimate of 1.9e-8, above ACC_LIMIT yet not refused, and a
+        # true error of 1.3e-7
+        u, z = 172.04, 1.074 + 0.067j
+        a, Z = u / 2.0, math.sqrt(2.0 * u) * z
+        with mpmath.workdps(40):
+            zm = mpmath.mpc(Z.real, Z.imag)
+            ph = mpmath.exp(1j * mpmath.pi * (a / 2 + 0.25))
+            refs = {"U-": mpmath.pcfu(-a, zm),
+                    "V-": (ph * mpmath.pcfu(a, 1j * zm)
+                           + mpmath.conj(ph) * mpmath.pcfu(a, -1j * zm))
+                    / mpmath.sqrt(2 * mpmath.pi)}
+        for name, fn in (("U-", lambda: oracle.oracle_U(-a, Z)),
+                         ("V-", lambda: oracle.oracle_V_neg(a, Z))):
+            try:
+                ov = fn()
+            except AccuracyError:
+                continue
+            assert _mp_err(ov, refs[name]) <= ov.est_acc, name
+
+    def test_combined_estimate_sees_cancellation(self):
+        one = ScaledComplex.from_complex(1.0)
+        ov = oracle._combine([(one, 1e-12), (one * -0.999, 1e-12)], "quadrature")
+        assert ov.est_acc == pytest.approx(1.999e-12 / 0.001)
+        with pytest.raises(AccuracyError):
+            oracle._combine([(one, 1e-12), (one * (-1.0 + 1e-6), 1e-12)],
+                            "quadrature")
+
+
 def _ode_polyline_value():
     # forced sweep over two segments, from the exact origin data
     q = lambda z: z * z / 4.0 + 10.0
@@ -239,35 +327,37 @@ def _value(ov):
 
 #: every route of the oracle: mantissa, log_scale and est_acc as 17-digit
 #: strings, recorded before its sweeps, panel rules and line caches were
-#: merged into one implementation each
+#: merged into one implementation each.  U and U' at Re z < 0, U a<0 off
+#: axis and V- were re-pinned when the saddle-path quadrature replaced the
+#: ODE continuation, and every U estimate gained its rounding floor
 PINNED = [
     ("U a>0 quadrature", lambda: _value(oracle.oracle_U(10.0, 1.5 + 0.5j)),
      "-0.13570054785336716", "-2.1732634670934847", "-12.999718357582678",
-     "6.2353986727886325e-16"),
+     "1.378153463881072e-14"),
     ("U complex a", lambda: _value(oracle.oracle_U(3.0 + 2.0j, 1.5)),
      "-1.1178701597741236", "-1.9474060242297293", "-4.1432332120812703",
-     "8.4488812248355191e-16"),
+     "3.1607457336739129e-15"),
     ("U Re z<0", lambda: _value(oracle.oracle_U(10.0, -2.0 + 0.5j)),
-     "-0.095599665758468025", "-1.2659126819719051", "-1.2814600751217373",
-     "2.4974584935938457e-11"),
+     "-0.12351693470391312", "-1.6355878740693659", "-1.537669021094894",
+     "1.4022054877446624e-14"),
     ("U a<0 recessive", lambda: _value(oracle.oracle_U(-10.0, 12.0)),
      "1.4091674655733586", "-8.6286621308850074e-16", "-13.033884421937231",
      "3.946330478901025e-10"),
     ("U a<0 cosine", lambda: _value(oracle.oracle_U(-10.0, 3.0 + 0.1j)),
      "1.5264698642603733", "-0.21296328288760277", "5.8363962634500997",
-     "1.156065787503087e-15"),
+     "1.542928817223893e-14"),
     ("U a<0 off axis", lambda: _value(oracle.oracle_U(-10.0, 2.0 + 2.0j)),
-     "-0.5703510823105209", "0.88247395624010638", "11.659165144282024",
-     "4.7074214656720222e-11"),
+     "-0.99094343817248609", "1.5332341840255204", "11.106759792185162",
+     "1.5428244194382144e-14"),
     ("U' quadrature", lambda: _value(oracle.oracle_U_prime(10.0, 1.5)),
      "-2.3983988024985976", "0", "-11.927490336760643",
-     "1.8516866230781655e-16"),
+     "1.1303208311142403e-14"),
     ("U' Re z<0", lambda: _value(oracle.oracle_U_prime(10.0, -1.5 + 0.3j)),
-     "-1.2315492825606977", "1.8343429402436975", "-2.2814600751217373",
-     "2.4753303253372594e-11"),
+     "-1.0179992930482584", "1.5162688516161313", "-2.0910263427011415",
+     "2.0724605464719177e-14"),
     ("V-", lambda: _value(oracle.oracle_V_neg(10.0, 1.5 + 0.5j)),
-     "1.2015265884000026", "-1.0840936056025643", "-7.2814600751217373",
-     "2.0937468130691363e-11"),
+     "1.215032898660342", "-1.0962798566014191", "-7.2926383233462797",
+     "4.9595343830620056e-14"),
     ("inhom (0,2) a>0",
      lambda: _value(oracle.oracle_inhom(10.0, 1.0 + 0.3j, 2, (0, 2))),
      "-1.0463969127129238", "-0.54758420684304476", "-2.2861855145740808",

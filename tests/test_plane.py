@@ -297,11 +297,13 @@ class TestScaleRelativeStep:
     @pytest.mark.parametrize("z", [-1 + 12j, -1 + 30j, -0.5 + 45j, -0.5 - 17j,
                                    -4 + 20j, -0.05 + 40j])
     def test_high_cut_arcs_give_a_path(self, z):
-        # the arc meets the cut at |Im z| ~ 12-45; the path's end on the
-        # axis must not widen with the step there
-        verts = plane.monotone_path(z, "+inf", "PCF+").vertices
-        assert abs(verts[1].real) < 0.005
-        assert abs(verts[1]) > 10.0
+        # the arc meets the cut at |Im z| ~ 12-45; its end on the axis must
+        # not widen with the step there.  These points lie between the
+        # critical curve and the cut, where `monotone_path` refuses, so the
+        # arc is traced directly.
+        end = self._arc(z).vertices[-1]
+        assert abs(end.real) < 0.005
+        assert abs(end) > 10.0
 
     def test_box_edge_arc_vertex_count(self):
         # a count, not a timing: the fixed step takes ~5,240 vertices here
@@ -309,7 +311,7 @@ class TestScaleRelativeStep:
         assert len(self._arc(-2.5 + 2.5j, trace_fixed_step).vertices) > 5000
 
     # the left edge cells of the benchmark grid, whose U+, U+' and UR paths
-    # are box-edge arcs, and one UR point whose arc ends on the cut near -i
+    # are box-edge arcs, and one UR point whose -inf path mirrors such an arc
     EDGE_CELLS = (-2.5 - 2.5j, -2.5 + 2.5j, -2.5 - 1.5j, -2.5 + 1.5j,
                   -1.5 - 1.5j, -1.5 + 1.5j)
     FAMILIES = {
@@ -323,12 +325,23 @@ class TestScaleRelativeStep:
         cases = [(self.FAMILIES[family], z) for z in self.EDGE_CELLS]
         if family == "UR":
             cases.append((lambda z: inhom.inhom_series(20.0, z, 3, 2, "plus", (0, 2)),
-                          0.496 - 1.512j))
+                          2.496 - 1.512j))
         got = [f(z).rel_bound for f, z in cases]
         monkeypatch.setattr(plane, "trace_level_curve", trace_fixed_step)
         ref = [f(z).rel_bound for f, z in cases]
         for g, r in zip(got, ref):
             assert abs(g - r) <= 2e-3 * r
+
+    # U+, U+' and UR values whose (mirrored) point lies between the left
+    # critical curve and the cut: U+ and U+' were off by ~1 against mpmath,
+    # and UR at 0.49-1.51i by ~1 against the oracle
+    @pytest.mark.parametrize("family, z", [("U+", -0.49 - 2.52j),
+                                           ("U+'", -1.49 - 2.52j),
+                                           ("UR", 0.49 - 1.51j),
+                                           ("UR", 1.49 + 2.49j)])
+    def test_region_between_critical_curve_and_cut_refused(self, family, z):
+        with pytest.raises(NoPath):
+            self.FAMILIES[family](z)
 
     def test_unit_scale_keeps_the_fixed_step(self):
         # inside |z| <= 1 the step never exceeds the fixed one, so a curve
@@ -360,11 +373,22 @@ class TestMonotonePaths:
         self._check_monotone(p, "re", plane.xi_bar)
 
     def test_fig2_arc(self):
-        # second-quadrant point above the critical curve: level arc + ray
-        z = -1 + 2j
+        # second-quadrant point left of the critical curve: level arc + ray
+        z = -2 + 1.5j
         p = plane.monotone_path(z, "+inf", "PCF+")
         assert p.vertices[-1] == z
         assert len(p.vertices) > 3
+
+    @pytest.mark.parametrize("z", [-1 + 2j, -0.5 - 2.5j, -1.5 - 2.5j,
+                                   -0.5 + 1.5j, -1 + 12j])
+    def test_region_between_critical_curve_and_cut_refused(self, z):
+        # there the arc to the cut puts U+ on the wrong sheet (err ~ 1
+        # against mpmath), so no path is offered until one exists
+        assert plane.xi_bar(z).real > 0
+        with pytest.raises(NoPath):
+            plane.monotone_path(z, "+inf", "PCF+")
+        with pytest.raises(NoPath):
+            plane.monotone_path(-z, "-inf", "PCF+")
 
     def test_excluded_boundary(self):
         curve = plane.trace_level_curve(1j + 0.02 * cmath.exp(5j * math.pi / 6),
