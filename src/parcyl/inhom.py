@@ -24,7 +24,7 @@ from .constants import chi_m, odd_sum_at_1
 from .lg import BOUND_SAFETY, CertifiedValue, weber_neg_Wj
 from .quadrature import polyline_nodes
 from .scaled import ScaledComplex
-from .tp import (TPCoeffs, _Geometry, _cauchy, _exp_sums, _point_geometry,
+from .tp import (TPCoeffs, _Geometry, _cauchy, _connected, _exp_sums,
                  _ring_geometry, _u_neg_from, tp_coeff_funcs)
 
 #: empirical margin for the dropped contour-remainder of the Scorer
@@ -64,7 +64,8 @@ def hyp_terminating(R: int, c: complex) -> complex:
 
 
 def lambda_R(a: float, R: int, sign: str = "+a") -> ConnectionConstant:
-    """Lambda_R(a) or Lambda_R(-a); PoleError at the excluded parameters."""
+    """Lambda_R(a) or Lambda_R(-a); PoleError at the excluded parameters,
+    which for Lambda_R(-a) are a = N + 1/2 exactly, with N - R even."""
     check_real(a)
     if sign not in ("+a", "-a"):
         raise ValueError("sign must be '+a' or '-a'")
@@ -79,17 +80,17 @@ def lambda_R(a: float, R: int, sign: str = "+a") -> ConnectionConstant:
         phase = math.pi * (0.5 * a + 0.5 * R - 0.75)
         val = ScaledComplex.from_log(logmag, phase) * cmath.exp(1j * lg.imag)
         return ConnectionConstant(val * F, "Lambda(+a)")
-    # -a branch: the trigonometric prefactor, with the removable case
-    # handled exactly: tan(pi a) + (-1)^R sec(pi a) = -(cos(pi t) + mu)/sin(pi t)
-    # near a = N + 1/2, t = a - N - 1/2, mu = (-1)^{R-N}
+    # -a branch: with t = a - (N + 1/2), exact in binary, and
+    # mu = (-1)^{R-N}, tan(pi a) + (-1)^R sec(pi a) = -(cos(pi t) + mu)/sin(pi t),
+    # which is tan(pi t/2) for mu = -1 and -cot(pi t/2) for mu = +1
     N = round(a - 0.5)
     t = a - (N + 0.5)
-    if abs(t) < 1e-9:
-        if (N - R) % 2 == 0:
-            raise PoleError("Lambda_R(-a) undefined at a = N + 1/2, N-R even")
+    if (N - R) % 2:
         trig = math.tan(math.pi * t / 2.0)
+    elif t == 0.0:
+        raise PoleError("Lambda_R(-a) undefined at a = N + 1/2, N-R even")
     else:
-        trig = math.tan(math.pi * a) + (-1) ** R / math.cos(math.pi * a)
+        trig = -1.0 / math.tan(math.pi * t / 2.0)
     logmag = (-0.5 * a + 1.5 * R - 0.25) * math.log(2.0) + math.log(math.pi)
     val = ScaledComplex.from_log(logmag) * (-(trig + 1j))
     return ConnectionConstant(val * F, "Lambda(-a)")
@@ -275,14 +276,10 @@ def _weber_left_assembly(u: float, z: complex, n: int, R: int) -> CertifiedValue
     c_minus = ((-1) ** (R + 1) + 1j * e)
     w0 = weber_neg_Wj(u, zr, min(n, 5), 0)
     w3 = weber_neg_Wj(u, zr, min(n, 5), 3)
-    term0 = al * c_plus * w0.value
-    term3 = al.conj() * c_minus * w3.value
-    val = base.value * float((-1) ** R) + term0 + term3
-    lv = val.log_abs
-    rel = base.rel_bound * math.exp(min(base.value.log_abs - lv, 50.0)) \
-        + w0.rel_bound * math.exp(min(term0.log_abs - lv, 50.0)) \
-        + w3.rel_bound * math.exp(min(term3.log_abs - lv, 50.0))
-    return CertifiedValue(val, rel, n, noncertified=("reflection_terms",))
+    return _connected([(base.value * float((-1) ** R), base.rel_bound),
+                       (al * c_plus * w0.value, w0.rel_bound),
+                       (al.conj() * c_minus * w3.value, w3.rel_bound)],
+                      n, ("reflection_terms",))
 
 
 # ----------------------------------------------------------------------
@@ -309,11 +306,6 @@ def _scorer_factor(g: _Geometry, u: float, m: int, variant: str) -> np.ndarray:
     s1 = powers @ np.array([math.factorial(3 * j) / math.factorial(j) for j in k])
     s2 = powers @ np.array([math.factorial(3 * j + 1) / math.factorial(j) for j in k])
     return -cosh_t * s1 + sinh_p * s2 / (u * z32)
-
-
-def _J_m(u: float, z: complex, m: int, variant: str) -> complex:
-    """J_m at one point (upper-side conventions; Im z >= 0)."""
-    return complex(_scorer_factor(_point_geometry(z, variant, m), u, m, variant)[0])
 
 
 def _scorer_contour(u: float, z: complex, m: int, variant: str) -> complex:
@@ -406,6 +398,7 @@ def connect_inhom_pcfm(u: float, z: complex, m: int, R: int) -> CertifiedValue:
     lam = lambda_R(u / 2.0, R, "-a").value
     re_lam = ScaledComplex.from_complex(complex(lam.to_complex().real))
     uneg = _u_neg_from(u, z, m, co)
-    val = (u01.value + u03.value) * 0.5 + re_lam * uneg.value
-    rel = max(u01.rel_bound, u03.rel_bound, uneg.rel_bound) * 3.0
-    return CertifiedValue(val, rel, m, noncertified=("contour_remainder",))
+    return _connected([(u01.value * 0.5, u01.rel_bound),
+                       (u03.value * 0.5, u03.rel_bound),
+                       (re_lam * uneg.value, uneg.rel_bound)],
+                      m, ("contour_remainder",))

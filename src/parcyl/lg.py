@@ -50,33 +50,18 @@ class CertifiedValue:
 # ----------------------------------------------------------------------
 
 def _beta_image(path: plane.PathPolyline):
-    """Gauss nodes of the continuous beta_bar image of a z-plane path.
-
-    Yields (p, dp w) batches from the exact endpoint +-1 towards z, the
+    """Gauss nodes of the beta_bar image of a z-plane path, on the principal
+    branch: (p, dp w) batches from the exact endpoint +-1 towards z, the
     first opening with the straight p-plane run from +-1 to the image of
-    the truncated far vertex.  Tracks the sheet: a segment crossing a cut
-    of beta_bar (imaginary axis beyond the turning points; at most once per
-    segment for these paths) is split there, and each crossing flips the
-    sign of the principal branch.
+    the truncated far vertex.  A cut crossing flips the sign of p and dp,
+    which omega and varpi do not see: every family has a parity in p.
     """
-    v = np.asarray(path.vertices, dtype=complex)
-    zs, ze = v[:-1], v[1:]
-    cross = (zs.real * ze.real < 0) & (np.minimum(abs(zs.imag), abs(ze.imag)) >= 1.0)
-    sign = np.ones((len(zs), 1))
-    if cross.any():
-        # (-1)^(crossings before a segment); the part past a crossing flips
-        at = np.flatnonzero(cross)
-        sign = (-1.0) ** (np.cumsum(cross) - cross)
-        sign = np.insert(sign, at + 1, -sign[at])[:, None]
-        tc = zs.real[at] / (zs.real[at] - ze.real[at])
-        v = np.insert(v, at + 1, zs[at] + (ze[at] - zs[at]) * tc)
     a = complex(path.vertices[0])
     first_p = a / np.sqrt(complex(a * a + 1.0))
     tail = next(polyline_nodes([1.0 if first_p.real >= 0 else -1.0, first_p]))
-    for zn, dzw in polyline_nodes(v):
-        sg, sign = sign[:len(zn)], sign[len(zn):]
+    for zn, dzw in polyline_nodes(path.vertices):
         sq = np.sqrt(zn * zn + 1.0)
-        batch = (sg * zn / sq, sg / sq ** 3 * dzw)
+        batch = (zn / sq, 1.0 / sq ** 3 * dzw)
         if tail is not None:
             batch, tail = tuple(map(np.concatenate, zip(tail, batch))), None
         yield batch

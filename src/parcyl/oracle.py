@@ -37,7 +37,7 @@ from scipy.special import loggamma
 from .coeffs import check_forcing_degree
 from .errors import AccuracyError, DomainError, StiffnessError
 from .quadrature import gauss
-from .scaled import ScaledComplex
+from .scaled import ScaledComplex, sum_rel
 
 ACC_LIMIT = 1e-8
 EPS = sys.float_info.epsilon
@@ -57,7 +57,7 @@ def _certify(best: ScaledComplex, other: ScaledComplex, method: str,
     """best, with the larger of its relative distance to a second
     resolution and the rounding floor as its estimate."""
     if best.is_zero() and other.is_zero():
-        return OracleValue(best, 0.0, method)
+        return _checked(best, floor, method)
     denom = max(best.abs().log_abs, other.abs().log_abs)
     diff = (best - other).abs()
     est = math.exp(min(diff.log_abs - denom, 50.0)) if not diff.is_zero() else 0.0
@@ -71,22 +71,10 @@ def _checked(value: ScaledComplex, est: float, method: str) -> OracleValue:
     return OracleValue(value, est, method)
 
 
-def _sum(terms) -> tuple[ScaledComplex, float]:
-    """The sum of (value, relative error) terms, and its relative error
-    sum |term_k| err_k / |sum term_k|, which sees their cancellation."""
-    total = ScaledComplex(0j, 0.0)
-    for v, _ in terms:
-        total = total + v
-    if total.is_zero():
-        raise AccuracyError("oracle terms cancel to zero")
-    err = sum(math.exp(min(v.log_abs - total.log_abs, 50.0)) * e
-              for v, e in terms if not v.is_zero())
-    return total, err
-
-
 def _combine(terms, method: str) -> OracleValue:
-    """The sum of (value, est_acc) terms, refused above ACC_LIMIT."""
-    return _checked(*_sum(terms), method)
+    """The sum of (value, est_acc) terms with `sum_rel`'s figure, refused
+    above ACC_LIMIT."""
+    return _checked(*sum_rel(terms), method)
 
 
 def _log_gamma(z) -> complex:
@@ -302,8 +290,8 @@ def _u_neg_integral(a: float, w: complex, n: int,
 
     phase = cmath.exp(1j * (math.pi / 4.0 - math.pi * a / 2.0))
     (up, e_up), (down, e_down) = ray(+1), ray(-1)
-    comb, err = _sum([(up * (0.5 * phase), e_up),
-                      (down * (0.5 * phase.conjugate()), e_down)])
+    comb, err = sum_rel([(up * (0.5 * phase), e_up),
+                         (down * (0.5 * phase.conjugate()), e_down)])
     pref = ScaledComplex.from_log_complex(w * w / 4.0) * math.sqrt(2.0 / math.pi)
     # the prefactor's exponent carries the rounding of w^2
     return pref * comb, err + abs(w) ** 2 / 4.0 + 1.0

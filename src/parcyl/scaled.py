@@ -3,6 +3,7 @@
 Quantities like (2e/u)^{u/4} e^{u*xi} overflow double precision long before
 the parameter ranges of interest are exhausted, so every assembled function
 value is carried as ``mantissa * exp(log_scale)`` with |mantissa| in [1, e).
+`sum_rel` and `sincospi` serve every connection formula.
 """
 
 from __future__ import annotations
@@ -125,3 +126,27 @@ class ScaledComplex:
 
     def __repr__(self):
         return f"ScaledComplex({self.mantissa!r}, e^{self.log_scale:.6g})"
+
+
+def sum_rel(terms) -> tuple[ScaledComplex, float]:
+    """The sum of (value, relative error) terms, added in order, and its
+    relative error sum |v_k| rel_k / |sum v_k|, which sees their
+    cancellation: inf where they cancel to zero or a ratio passes e^709."""
+    total = ScaledComplex(0j, 0.0)
+    for v, _ in terms:
+        total = total + v
+    logs = [(v.log_abs - total.log_abs, r) for v, r in terms if not v.is_zero()]
+    if total.is_zero() or any(d > 709.0 for d, _ in logs):
+        return total, math.inf
+    return total, sum(math.exp(d) * r for d, r in logs)
+
+
+def sincospi(x: float) -> tuple[float, float]:
+    """(sin(pi x), cos(pi x)), with x reduced mod 2 and then to the nearest
+    half-integer exactly, so only |t| <= 1/4 is multiplied by pi: exact 0
+    and +-1 at integers and half-integers."""
+    r = math.fmod(float(x), 2.0)
+    q = round(2.0 * r)
+    t = r - 0.5 * q
+    s, c = math.sin(math.pi * t), math.cos(math.pi * t)
+    return ((s, c), (c, -s), (-s, -c), (-c, s))[q % 4]

@@ -30,7 +30,7 @@ from .lg import CertifiedValue, _at_u, _family_moments, _omega_varpi_moments
 # omega_varpi is rebound in this namespace
 from .lg import omega_varpi  # noqa: F401
 from .quadrature import polyline_nodes
-from .scaled import ScaledComplex
+from .scaled import ScaledComplex, sincospi, sum_rel
 
 #: radius of the circle about z = 1 on which the Cauchy-zone error estimate
 #: of A and B is taken (not the radius of the ring they are summed on)
@@ -432,7 +432,9 @@ def _v_neg_from(u: float, z: complex, m: int, co: TPCoeffs) -> CertifiedValue:
 
 def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> CertifiedValue:
     """U(-u/2, sqrt(2u) z) or V(-u/2, sqrt(2u) z) for Re z <= 0 with -z in
-    the turning-point domain, through the reflection connections."""
+    the turning-point domain, through the reflection connections, with
+    cos(pi a) and sin(pi a) exact (`sincospi`) and bounded by `sum_rel`'s
+    figure over the terms; DomainError where that figure is 1 or more."""
     check_inputs(u, z)
     z = complex(z)
     if z.real > 1e-12:
@@ -441,6 +443,7 @@ def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> Certif
         raise ValueError("which must be 'U' or 'V'")
     w = -z
     a = u / 2.0
+    sin_pa, cos_pa = sincospi(a)
     lg = math.lgamma(a + 0.5)
     # one evaluation of the coefficient functions at w feeds both terms
     co = _neg_coeffs(u, w, m)
@@ -448,24 +451,29 @@ def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> Certif
     if which == "U":
         upper = z.imag >= 0.0
         rot = _u_rot_from(u, w, m, co, not upper)
-        ph1 = (-1j if upper else 1j) * cmath.exp((1j if upper else -1j) * math.pi * a)
-        # 1/Gamma(1/2 - a) = cos(pi a) Gamma(a + 1/2) / pi
-        gfac = math.cos(math.pi * a) / math.pi
+        # -+i e^{+-i pi a}
+        ph1 = complex(sin_pa, -cos_pa if upper else cos_pa)
         ph2 = cmath.exp((1j if upper else -1j) * math.pi * (0.5 * a + 0.25))
-        term1 = uneg.value * ph1
+        # 1/Gamma(1/2 - a) = cos(pi a) Gamma(a + 1/2) / pi
         term2 = rot.value * (ScaledComplex.from_log(
-            0.5 * math.log(2.0 * math.pi) + lg) * (gfac * ph2))
-        val = term1 + term2
-        lv = val.log_abs
-        rel = uneg.rel_bound * math.exp(min(term1.log_abs - lv, 50.0)) + \
-            rot.rel_bound * math.exp(min(term2.log_abs - lv, 50.0))
-        return CertifiedValue(val, rel, m, noncertified=("eps_U", "eps_pm1"))
+            0.5 * math.log(2.0 * math.pi) + lg) * (cos_pa / math.pi * ph2))
+        return _connected([(uneg.value * ph1, uneg.rel_bound),
+                           (term2, rot.rel_bound)],
+                          m, ("eps_U", "eps_pm1"))
     vneg = _v_neg_from(u, w, m, co)
-    term1 = uneg.value * math.cos(math.pi * a) * ScaledComplex.from_log(-lg)
-    term2 = vneg.value * (-math.sin(math.pi * a))
-    val = term1 + term2
-    rel = max(uneg.rel_bound, vneg.rel_bound) * 3.0
-    return CertifiedValue(val, rel, m, noncertified=("eps_U", "eps_V"))
+    return _connected(
+        [(uneg.value * cos_pa * ScaledComplex.from_log(-lg), uneg.rel_bound),
+         (vneg.value * -sin_pa, vneg.rel_bound)],
+        m, ("eps_U", "eps_V"))
+
+
+def _connected(terms, m: int, noncertified: tuple[str, ...]) -> CertifiedValue:
+    """The connection formula's sum of (value, relative error) terms,
+    bounded by `sum_rel`'s figure; DomainError where it is not below 1."""
+    val, rel = sum_rel(terms)
+    if not rel < 1.0:
+        raise DomainError(f"the connection's terms cancel: error figure {rel:.3g}")
+    return CertifiedValue(val, rel, m, noncertified=noncertified)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma, loggamma, rgamma
@@ -11,7 +12,7 @@ from parcyl import inhom, lg, oracle, plane, quadrature, tp
 from parcyl.coeffs import evaluate
 from parcyl.errors import (ArgumentError, DomainError, OrderError, PairError,
                            ParcylError, PoleError)
-from parcyl.scaled import ScaledComplex
+from parcyl.scaled import ScaledComplex, sum_rel
 
 
 def rel(cv, ov):
@@ -50,9 +51,37 @@ class TestLambdaR:
     def test_pole_error(self):
         with pytest.raises(PoleError):
             inhom.lambda_R(10.5, 2, "-a")   # N=10, R=2: N-R even
+        # the pole is at a = N + 1/2 alone: one ulp away the value is finite
+        v = inhom.lambda_R(math.nextafter(10.5, 11.0), 2, "-a").value
+        assert math.isfinite(v.log_abs)
         # N - R odd: finite limit exists
         v = inhom.lambda_R(10.5, 3, "-a").value.to_complex()
         assert np.isfinite(v.real) and np.isfinite(v.imag)
+
+    @pytest.mark.parametrize("t", [2e-9, -2e-9, 1e-8, -1e-8, 1e-6, -1e-6, 1e-4])
+    @pytest.mark.parametrize("N,R", [(10, 0), (10, 1), (11, 2), (11, 1)])
+    def test_minus_a_against_mpmath_near_half_integers(self, N, R, t):
+        # a = N + 1/2 + t: for N - R odd tan(pi a) + (-1)^R sec(pi a) nearly
+        # cancels, for N - R even it nearly has a pole
+        a = N + 0.5 + t
+        lam = inhom.lambda_R(a, R, "-a").value
+        with mpmath.workdps(40):
+            am = mpmath.mpf(a)
+            c = am / 2 - mpmath.mpf(R) / 2 + mpmath.mpf(3) / 4
+            F = sum(mpmath.rf(0.5 - 0.5 * R, s) * mpmath.rf(-0.5 * R, s)
+                    / (2 ** s * mpmath.factorial(s)) * mpmath.rgamma(c + s)
+                    for s in range(R // 2 + 1))
+            trig = mpmath.tan(mpmath.pi * am) + (-1) ** R * mpmath.sec(mpmath.pi * am)
+            ref = 2 ** (-am / 2 + 1.5 * R - 0.25) * mpmath.pi * -(trig + 1j) * F
+            got = mpmath.mpc(lam.mantissa) * mpmath.exp(lam.log_scale)
+            assert float(abs(got - ref) / abs(ref)) <= 1e-14
+            # the trigonometric factor alone, Re/Im of the value, also where
+            # the exponent of the prefactor loses digits of its own
+            for big in (150 + 0.5 + t, 75 + 0.5 + t):
+                v = inhom.lambda_R(big, R, "-a").value.mantissa
+                bm = mpmath.mpf(big)
+                trig = mpmath.tan(mpmath.pi * bm) + (-1) ** R * mpmath.sec(mpmath.pi * bm)
+                assert abs(v.real / v.imag - trig) <= 1e-14 * abs(trig)
 
     @pytest.mark.parametrize("a", [-2.0, -1.3, -0.7, 0.7, 3.1])
     @pytest.mark.parametrize("R", [0, 1, 2])
@@ -194,7 +223,8 @@ class TestScorer:
         e1t = modified_coeff(1, complex(z), "Etilde")
         e1 = modified_coeff(1, complex(z), "E")
         expect = -cmath.cosh(e1t / u) + cmath.sinh(e1 / u) / (u * zeta ** 1.5)
-        got = inhom._J_m(u, complex(z), 0, "PCF-")
+        g = tp._point_geometry(complex(z), "PCF-", 0)
+        got = complex(inhom._scorer_factor(g, u, 0, "PCF-")[0])
         assert got == pytest.approx(expect, rel=1e-13)
 
     def test_conjugation_03(self):
@@ -243,19 +273,20 @@ class TestConnections:
     @pytest.mark.parametrize("z", [1.05 + 0.05j, 1.05 - 0.05j, 0.7 - 0.3j, 1.3])
     def test_half_sum_is_assembled_from_the_public_parts(self, z):
         # the shared coefficient functions, contour and G* sum give the
-        # same bits as the two inhom_scorer calls and pcf_U_neg
+        # same bits as the two inhom_scorer calls and pcf_U_neg, summed by
+        # sum_rel
         u, m, R = 37.7, 3, 1
         cv = inhom.connect_inhom_pcfm(u, z, m, R)
         u01 = inhom.inhom_scorer(u, z, m, R, "PCF-", (0, 1))
         u03 = inhom.inhom_scorer(u, z, m, R, "PCF-", (-1, 0))
         uneg = tp.pcf_U_neg(u, z, m)
         lam = inhom.lambda_R(u / 2.0, R, "-a").value.to_complex().real
-        val = (u01.value + u03.value) * 0.5 + \
-            ScaledComplex.from_complex(complex(lam)) * uneg.value
+        val, rel_sum = sum_rel([
+            (u01.value * 0.5, u01.rel_bound), (u03.value * 0.5, u03.rel_bound),
+            (ScaledComplex.from_complex(complex(lam)) * uneg.value, uneg.rel_bound)])
         assert cv.value.mantissa == val.mantissa
         assert cv.value.log_scale == val.log_scale
-        assert cv.rel_bound == 3.0 * max(u01.rel_bound, u03.rel_bound,
-                                         uneg.rel_bound)
+        assert cv.rel_bound == rel_sum
 
     def test_weber_left_real(self):
         # the reflection-assembled value is real on the real axis

@@ -4,13 +4,14 @@ connections and the real Weber functions."""
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from parcyl import constants, inhom, lg, oracle, plane, tp
 from parcyl.errors import (U_MAX, ArgumentError, DomainError, OrderError,
                            ParcylError)
-from parcyl.scaled import ScaledComplex
+from parcyl.scaled import ScaledComplex, sincospi, sum_rel
 
 
 def rel(cv, ov):
@@ -66,6 +67,32 @@ class TestCoeffFuncs:
         co_u = tp.tp_coeff_funcs(20.0, 1.5 + 0.5j, 2, "PCF-")
         co_l = tp.tp_coeff_funcs(20.0, 1.5 - 0.5j, 2, "PCF-")
         assert co_u.A == pytest.approx(co_l.A.conjugate(), rel=1e-13)
+
+
+#: u at integer, generic, half-integer and near half-integer a = u/2
+LEFT_U = (20.0, 20.3, 21.0, 21.0000001, 37.1, 40.0)
+LEFT_Z = (-0.5, -1.0, -1.5, -2.0, -2.5, -3.0, -0.5 + 0.5j, -0.5 - 0.5j,
+          -1.5 + 1j, -1.5 - 1j, -2.5 + 1.5j, -2.5 - 1.5j)
+
+
+@pytest.fixture(scope="module")
+def left_refs():
+    """U(-u/2, sqrt(2u) z) at 50 digits and V at 90 on the LEFT_U x LEFT_Z
+    lattice; a V is None where its 50- and 90-digit values disagree."""
+    refs = {}
+    for u in LEFT_U:
+        a = mpmath.mpf(-u / 2)
+        for z in LEFT_Z:
+            with mpmath.workdps(50):
+                x = mpmath.sqrt(2 * mpmath.mpf(u)) * mpmath.mpc(z)
+                refs[u, z, "U"] = mpmath.pcfu(a, x)
+                v50 = mpmath.pcfv(a, x)
+            with mpmath.workdps(90):
+                x = mpmath.sqrt(2 * mpmath.mpf(u)) * mpmath.mpc(z)
+                v90 = mpmath.pcfv(a, x)
+                agree = abs(v50 - v90) <= mpmath.mpf(10) ** -30 * abs(v90)
+            refs[u, z, "V"] = v90 if agree else None
+    return refs
 
 
 class TestHomogeneousTP:
@@ -183,31 +210,46 @@ class TestHomogeneousTP:
                                    -0.7 - 0.4j, -0.3 + 0j, -1.0 + 0j])
     def test_left_extension_matches_its_public_parts(self, z):
         # the reflection connections assembled from the public entries, each
-        # of which evaluates the coefficient functions itself: bit for bit
+        # of which evaluates the coefficient functions itself, and summed by
+        # sum_rel: bit for bit
         u, m = 20.0, 3
         a, w = u / 2.0, -z
+        sin_pa, cos_pa = sincospi(a)
         upper = z.imag >= 0.0
         uneg = tp.pcf_U_neg(u, w, m)
         rot = tp.pcf_U_rotated(u, w, m, "+i" if upper else "-i")
-        ph1 = (-1j if upper else 1j) * cmath.exp((1j if upper else -1j) * math.pi * a)
+        ph1 = complex(sin_pa, -cos_pa if upper else cos_pa)
         ph2 = cmath.exp((1j if upper else -1j) * math.pi * (0.5 * a + 0.25))
-        term1 = uneg.value * ph1
         term2 = rot.value * (ScaledComplex.from_log(
             0.5 * math.log(2.0 * math.pi) + math.lgamma(a + 0.5))
-            * (math.cos(math.pi * a) / math.pi * ph2))
-        val = term1 + term2
-        lv = val.log_abs
-        rel_u = uneg.rel_bound * math.exp(min(term1.log_abs - lv, 50.0)) + \
-            rot.rel_bound * math.exp(min(term2.log_abs - lv, 50.0))
+            * (cos_pa / math.pi * ph2))
+        val, rel_u = sum_rel([(uneg.value * ph1, uneg.rel_bound),
+                              (term2, rot.rel_bound)])
         got = tp.pcf_left_extension(u, z, m, "U")
         assert got.value == val and got.rel_bound == rel_u
         vneg = tp.pcf_V_neg(u, w, m)
-        val = uneg.value * math.cos(math.pi * a) * \
-            ScaledComplex.from_log(-math.lgamma(a + 0.5)) + \
-            vneg.value * (-math.sin(math.pi * a))
+        val, rel_v = sum_rel([
+            (uneg.value * cos_pa * ScaledComplex.from_log(-math.lgamma(a + 0.5)),
+             uneg.rel_bound),
+            (vneg.value * -sin_pa, vneg.rel_bound)])
         got = tp.pcf_left_extension(u, z, m, "V")
-        assert got.value == val
-        assert got.rel_bound == max(uneg.rel_bound, vneg.rel_bound) * 3.0
+        assert got.value == val and got.rel_bound == rel_v
+
+    @pytest.mark.parametrize("which", ["U", "V"])
+    @pytest.mark.parametrize("u", LEFT_U)
+    def test_left_extension_bound_holds_against_mpmath(self, left_refs, u, which):
+        # at integer and half-integer a = u/2 one of the reflection's factors
+        # cos(pi a), sin(pi a) is exactly 0 and drops the dominant term; off
+        # them the bound has to see the terms' cancellation
+        for z in LEFT_Z:
+            ref = left_refs[u, z, which]
+            if ref is None:
+                continue
+            cv = tp.pcf_left_extension(u, z, 3, which)
+            with mpmath.workdps(30):
+                got = mpmath.mpc(cv.value.mantissa) * mpmath.exp(cv.value.log_scale)
+                err = float(abs(got - ref) / abs(ref))
+            assert err <= cv.rel_bound, (z, err, cv.rel_bound)
 
 
 class TestLambda:
