@@ -47,7 +47,7 @@ def scorer_margin():
                 try:
                     ov = oracle.oracle_inhom(-u / 2.0,
                                              math.sqrt(2 * u) * float(z), R,
-                                             (0, 1), fast=True)
+                                             (0, 1))
                 except Exception:
                     continue
                 err = abs((cv.value / ov.value).to_complex() - 1.0)

@@ -9,17 +9,22 @@ Methods: quadrature of the two integral representations of U on one
 polyline helper (`_path_integral`): a ray turned against arg z for
 Re z >= 0, and for Re z < 0 a leg from 0 to the saddle of the integrand
 and a ray on from it (Gil, Segura & Temme, ACM TOMS 32, 2006, carried to
-complex argument); renormalized adaptive Runge-Kutta sweeps of the
-defining equations (always run from the recessive towards the dominant
-side) along lines; and variation-of-parameters quadrature for the
-inhomogeneous solutions.
+complex argument); renormalized Taylor-series sweeps (`_sweep`) of the
+defining equations y'' = (q0 + q1 z + q2 z^2) y + z^R, whose local
+coefficients follow from an exact three-term recurrence (Jorba & Zou,
+Exp. Math. 14, 2005), always run from the recessive towards the dominant
+side, with each step's series kept as the dense output along a line; and
+variation-of-parameters quadrature for the inhomogeneous solutions, whose
+moment panels are the steps of the line sweeps.
 
 Every value carries an accuracy estimate and is refused if it exceeds
 ACC_LIMIT = 1e-8.  A quadrature's estimate is the larger of its distance
 to a second resolution and its rounding floor, which counts the size of
-every exponent and the cancellation int |f| / |int f|; a sum of two
-oracle values (U' from U, U- off the axis and V- from U at +-iz) takes
-sum |term_k| est_k / |sum term_k|, which sees their cancellation.
+every exponent and the cancellation int |f| / |int f|; a swept value's is
+its distance to a second, independent sweep with another step length; a
+sum of two oracle values (U' from U, U- off the axis and V- from U at
++-iz) takes sum |term_k| est_k / |sum term_k|, which sees their
+cancellation.  The oracle needs numpy and scipy.special only.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import loggamma
 
 from .coeffs import check_forcing_degree
@@ -41,6 +45,7 @@ from .scaled import ScaledComplex, sum_rel
 
 ACC_LIMIT = 1e-8
 EPS = sys.float_info.epsilon
+_LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class OracleValue:
@@ -310,103 +315,124 @@ def _u_origin_data(a) -> tuple[ScaledComplex, ScaledComplex]:
 
 
 # ----------------------------------------------------------------------
-# renormalized ODE continuation
+# renormalized Taylor-series continuation
 # ----------------------------------------------------------------------
 
-def _sweep(accel, edges, y: ScaledComplex, d: ScaledComplex, rtol: float,
-           e: complex = 1.0, dense: bool = False):
-    """Integrate y'' = accel(s, y, r) with DOP853 in the real parameter s,
-    one chunk per pair of consecutive edges, from (y, d) at edges[0]; d is
-    y' in z, and z moves by e ds.
+#: degree of the local series.  A step of rho/sigma (`_local_scale`) keeps
+#: its last term below eps for rho <= 1.5 where q, q' or q'' dominates
+ORDER = 32
 
-    Each chunk starts from the state divided by its size e^l, l = log
-    max(|y|, |y'|), so no chunk overflows; accel gets the divided y and
-    r = e^-l, the factor a forcing term needs, or None where e^-l is past
-    the float range.  Returns y and y' at edges[-1], and with `dense` the
-    chunks (s0, s1, solution, l) that `_chunk_value` reads.
-    """
-    chunks = []
-    for s0, s1 in zip(edges[:-1], edges[1:]):
-        log0 = max(y.log_abs, d.log_abs)
-        if not math.isfinite(log0):
-            log0 = 0.0
-        resc = ScaledComplex.from_log(-log0)
-        yv = (y * resc).to_complex()
-        pv = ((d * resc) * e).to_complex()
-        try:
-            r = math.exp(-log0)
-        except OverflowError:
-            r = None  # only a forcing term reads it
+#: step lengths, in units of the local scale 1/sigma, of the two
+#: independent sweeps whose distance is a swept value's estimate
+RHOS = (1.0, 1.5)
 
-        # the state and time as Python floats: the same IEEE operations as
-        # on numpy scalars, without their per-operation overhead
-        def rhs(s, v):
-            v0, v1, v2, v3 = v.tolist()
-            dd = accel(float(s), v0 + 1j * v1, r)
-            return [v2, v3, dd.real, dd.imag]
 
-        sol = solve_ivp(rhs, (s0, s1), [yv.real, yv.imag, pv.real, pv.imag],
-                        method="DOP853", rtol=rtol, atol=1e-18,
-                        dense_output=dense)
-        if not sol.success:
-            raise StiffnessError(sol.message)
+def _local_scale(p0: complex, p1: complex, p2: complex) -> float:
+    """sigma: the solutions of y'' = (p0 + p1 h + p2 h^2) y change by a
+    factor of about e^rho over |h| = rho/sigma."""
+    return max(math.sqrt(abs(p0)), abs(p1) ** (1.0 / 3.0), abs(p2) ** 0.25)
+
+
+def _series(p0: complex, p1: complex, p2: complex, y: complex, d: complex,
+            forcing) -> list:
+    """c_0 .. c_ORDER of the solution sum c_k h^k with c_0 = y, c_1 = d, by
+    the exact recurrence of y'' = (p0 + p1 h + p2 h^2) y + sum f_k h^k:
+    (k+1)(k+2) c_{k+2} = p0 c_k + p1 c_{k-1} + p2 c_{k-2} + f_k."""
+    f = list(forcing) + [0.0] * (ORDER - 1 - len(forcing))
+    c = [y, d, (p0 * y + f[0]) / 2.0, (p0 * d + p1 * y + f[1]) / 6.0]
+    for k in range(2, ORDER - 1):
+        c.append((p0 * c[k] + p1 * c[k - 1] + p2 * c[k - 2] + f[k])
+                 / ((k + 1) * (k + 2)))
+    return c
+
+
+def _horner(c, h: complex) -> tuple[complex, complex]:
+    """sum c_k h^k and its derivative in h."""
+    y = dy = 0j
+    for k in range(len(c) - 1, 0, -1):
+        y = y * h + c[k]
+        dy = dy * h + k * c[k]
+    return y * h + c[0], dy
+
+
+def _sweep(q, R, z0: complex, z1: complex, y: ScaledComplex, d: ScaledComplex,
+           rho: float, dense: bool = False):
+    """Integrate y'' = (q0 + q1 z + q2 z^2) y + z^R (R None: no forcing)
+    on the segment from z0 to z1 by local Taylor series, from (y, d) at
+    z0; d is y' in z.  Each step is rho/sigma long (`_local_scale` at its
+    start) and ends with the state divided by the power of two just above
+    its size max(|y|, |y'|), exactly, so the state never overflows and its log
+    scale l is one rounding of base + k ln 2.  The forcing term is scaled
+    by r = e^-l, and a sweep whose e^-l is past the float range cannot
+    carry it.
+
+    Returns y and y' at z1, and with `dense` the steps (z_c, l, c) whose
+    series sum c_k (z - z_c)^k e^l is y on the step."""
+    q0, q1, q2 = q
+    z0, z1 = complex(z0), complex(z1)
+    length = abs(z1 - z0)
+    e = (z1 - z0) / length if length else 1.0
+    base = max(y.log_abs, d.log_abs)
+    if not math.isfinite(base):
+        base = 0.0
+    yv = (y * ScaledComplex.from_log(-base)).to_complex()
+    dv = (d * ScaledComplex.from_log(-base)).to_complex()
+    binom = [math.comb(R, k) for k in range(R + 1)] if R is not None else []
+    steps = []
+    k2 = 0  # the state is (y, y') e^-base 2^-k2
+    s = 0.0
+    while s < length:
+        zc = z0 + e * s
+        p1 = q1 + 2.0 * q2 * zc
+        p0 = q0 + zc * (q1 + q2 * zc)
+        h = min(rho / _local_scale(p0, p1, q2), length - s)
+        log0 = base + k2 * _LN2
+        forcing = ()
+        if binom:
+            try:
+                r = math.exp(-log0)
+            except OverflowError:
+                raise AccuracyError("forced sweep: the state is too small "
+                                    "to carry the forcing term") from None
+            forcing = [r * b * zc ** (R - k) for k, b in enumerate(binom)]
+        c = _series(p0, p1, q2, yv, dv, forcing)
         if dense:
-            chunks.append((s0, s1, sol, log0))
-        f = sol.y[:, -1]
-        scale = ScaledComplex.from_log(log0)
-        y = ScaledComplex.from_complex(f[0] + 1j * f[1]) * scale
-        d = (ScaledComplex.from_complex(f[2] + 1j * f[3]) / e) * scale
-    return y, d, chunks
+            steps.append((zc, log0, c))
+        yv, dv = _horner(c, e * h)
+        size = max(abs(yv), abs(dv))
+        if not math.isfinite(size):
+            raise StiffnessError(f"sweep overflowed at z = {zc}")
+        if size > 0.0:
+            shift = math.frexp(size)[1]
+            yv, dv = yv * 2.0 ** -shift, dv * 2.0 ** -shift
+            k2 += shift
+        s = s + h if length - s > h else length
+    scale = ScaledComplex.from_log(base + k2 * _LN2)
+    return (ScaledComplex.from_complex(yv) * scale,
+            ScaledComplex.from_complex(dv) * scale, steps)
 
 
-def _chunk_value(chunks, x: float) -> ScaledComplex:
-    """y(x) from the dense chunks of a leftward `_sweep`."""
-    x = float(x)
-    for xr, xl, sol, log0 in chunks:
-        if xl - 1e-12 <= x <= xr + 1e-12:
-            v = sol.sol(min(max(x, xl), xr))
-            return ScaledComplex.from_complex(v[0] + 1j * v[1]) * \
-                ScaledComplex.from_log(log0)
-    raise ValueError("outside the swept line")
-
-
-def ode_polyline(q_fn, forcing_fn, vertices, y0: ScaledComplex, d0: ScaledComplex,
-                 rtol: float = 1e-12) -> tuple[ScaledComplex, ScaledComplex]:
-    """Integrate y'' = q(z) y + h(z) along a polyline; returns scaled
-    (y, y') at the last vertex.  State is renormalized between chunks of
-    length at most 4 on each segment."""
+def ode_polyline(q, R, vertices, y0: ScaledComplex, d0: ScaledComplex,
+                 rho: float = RHOS[0]) -> tuple[ScaledComplex, ScaledComplex]:
+    """Integrate y'' = (q0 + q1 z + q2 z^2) y + z^R (R None: homogeneous)
+    along a polyline; returns scaled (y, y') at the last vertex."""
     y, d = y0, d0
     for zs, ze in zip(vertices[:-1], vertices[1:]):
-        seg = ze - zs
-        L = abs(seg)
-        if L == 0:
-            continue
-        e = seg / L
-        nchunk = max(1, int(L / 4.0))
-
-        def accel(s, y1, r, zs=zs, e=e):
-            z = zs + e * s
-            if forcing_fn is not None and r is None:
-                raise AccuracyError("forced sweep: the state is too small "
-                                    "to carry the forcing term")
-            f = forcing_fn(z) * r if forcing_fn is not None else 0.0
-            return (q_fn(z) * y1 + f) * e * e
-
-        y, d, _ = _sweep(accel, [L * i / nchunk for i in range(nchunk + 1)],
-                         y, d, rtol, e)
+        y, d, _ = _sweep(q, R, zs, ze, y, d, rho)
     return y, d
 
 
+#: q(z) = (q0, q1, q2) of y'' = q(z) y + z^R for the four equations
 VARIANT_Q = {
-    "PCF+": lambda a: (lambda z: z * z / 4.0 + a),
-    "PCF-": lambda a: (lambda z: z * z / 4.0 - a),
-    "WEB+": lambda a: (lambda z: a - z * z / 4.0),
-    "WEB-": lambda a: (lambda z: -(z * z / 4.0 + a)),
+    "PCF+": lambda a: (a, 0.0, 0.25),
+    "PCF-": lambda a: (-a, 0.0, 0.25),
+    "WEB+": lambda a: (a, 0.0, -0.25),
+    "WEB-": lambda a: (-a, 0.0, -0.25),
 }
 
 
-def oracle_ode(variant: str, a: float, R, z_path, boundary_spec="origin",
-               rtol: float = 1e-12) -> OracleValue:
+def oracle_ode(variant: str, a: float, R, z_path,
+               boundary_spec="origin") -> OracleValue:
     """Integrate the defining equation along a complex polyline.
 
     variant selects y'' = q(z) y + h(z) with q per the four equations (the
@@ -414,7 +440,8 @@ def oracle_ode(variant: str, a: float, R, z_path, boundary_spec="origin",
     homogeneous problem.  boundary_spec: "origin" seeds with the exact
     gamma-function data at z = 0 (first path vertex must be 0), or a tuple
     (y0, d0) of ScaledComplex values at the first vertex.  The accuracy
-    estimate comes from a second pass at loosened tolerance.
+    estimate is the distance between the sweeps at the two step lengths
+    RHOS.
     """
     if variant not in VARIANT_Q:
         raise ValueError(f"unknown variant {variant!r}")
@@ -424,7 +451,6 @@ def oracle_ode(variant: str, a: float, R, z_path, boundary_spec="origin",
         if min(abs(complex(v) - t) for t in tps) < 0.05:
             raise StiffnessError("path too close to a turning point")
     q = VARIANT_Q[variant](a)
-    forcing = None if R is None else (lambda z: z ** R)
     if boundary_spec == "origin":
         if abs(complex(vertices[0])) > 1e-12:
             raise ValueError("origin boundary data requires the path to "
@@ -437,12 +463,11 @@ def oracle_ode(variant: str, a: float, R, z_path, boundary_spec="origin",
             d0 = ScaledComplex.from_complex(Wp)
     else:
         y0, d0 = boundary_spec
-    v1, _ = ode_polyline(q, forcing, vertices, y0, d0, rtol)
-    v2, _ = ode_polyline(q, forcing, vertices, y0, d0, rtol * 100.0)
+    v1, v2 = (ode_polyline(q, R, vertices, y0, d0, rho)[0] for rho in RHOS)
     return _certify(v1, v2, "ode")
 
 
-def _u_neg_recessive(am: float, x: float, rtol: float) -> ScaledComplex:
+def _u_neg_recessive(am: float, x: float, rho: float) -> ScaledComplex:
     """U(-am, x) for real x beyond the turning point 2 sqrt(am).
 
     Backward sweep: integrate y'' = (x^2/4 - am) y leftward from an
@@ -450,14 +475,14 @@ def _u_neg_recessive(am: float, x: float, rtol: float) -> ScaledComplex:
     dominant-rightward solution has died at the target, then normalize by
     the exact origin value.
     """
-    q = lambda z: z * z / 4.0 - am
+    q = VARIANT_Q["PCF-"](am)
     # integrating leftward amplifies the recessive-at-+inf direction; the
     # seed error decays like exp(-2 * [xi(seed)-xi(x)] * scaled units)
     x1 = x + max(3.0, 30.0 / max(math.sqrt(x * x / 4.0 - am), 1.0))
     seed_y = ScaledComplex.from_complex(1.0)
     seed_d = ScaledComplex.from_complex(-math.sqrt(x1 * x1 / 4.0 - am))
-    y_at_x, d_at_x = ode_polyline(q, None, [x1, x], seed_y, seed_d, rtol)
-    y_at_0, _ = ode_polyline(q, None, [x, 0.0], y_at_x, d_at_x, rtol)
+    y_at_x, d_at_x = ode_polyline(q, None, [x1, x], seed_y, seed_d, rho)
+    y_at_0, _ = ode_polyline(q, None, [x, 0.0], y_at_x, d_at_x, rho)
     u0, _ = _u_origin_data(-am)
     return y_at_x * (u0 / y_at_0)
 
@@ -484,8 +509,7 @@ def oracle_U(a, z: complex, n: int = 64, npanel: int = 16) -> OracleValue:
                 if not on_axis or z.real <= x0 + 0.25:
                     raise
         if on_axis:
-            v1 = _u_neg_recessive(am, z.real, 1e-12)
-            v2 = _u_neg_recessive(am, z.real, 1e-10)
+            v1, v2 = (_u_neg_recessive(am, z.real, rho) for rho in RHOS)
             return _certify(v1, v2, "ode")
         # off the real axis the cosine representation cancels badly; use the
         # rotated-argument connection instead
@@ -534,68 +558,110 @@ def oracle_V_neg(a: float, z: complex) -> OracleValue:
 # U(+-a, .) along a horizontal line: one stable sweep, dense evaluation
 # ----------------------------------------------------------------------
 
-class UContour:
-    """U(a, t) for t on the line Im t = y, Re t in [-T, T].
+#: Gauss nodes per sweep step in a moment along a line: a step is at most
+#: 1.5 local scales long, so 16 nodes leave an error far below eps
+STEP_NODES = 16
 
-    One renormalized sweep from +T (recessive side) leftwards, which is the
-    stable direction; chunk-wise dense interpolants are kept so pointwise
-    evaluation is cheap.
-    """
 
-    def __init__(self, a, y: float, T: float, rtol: float = 1e-12,
-                 nchunks: int = 48):
+class _SweptLine:
+    """u(x) = U(., x + iy) on a horizontal line from one leftward `_sweep`
+    from x = x0 to x = -T, times the constant `norm`.  Each step's stored
+    series is the dense output on it, and each step is a moment panel."""
+
+    def _sweep_line(self, q, x0: float, T: float, y: ScaledComplex,
+                    d: ScaledComplex, rho: float) -> None:
+        _, _, steps = _sweep(q, None, complex(x0, self.y), complex(-T, self.y),
+                             y, d, rho, dense=True)
+        steps.reverse()  # increasing x: step k covers [x_{k-1}, x_k]
+        self._x = np.array([z.real for z, _, _ in steps])
+        self._log = np.array([l for _, l, _ in steps])
+        self._coef = np.array([c for _, _, c in steps])
+        self._lo = np.concatenate(([-T], self._x[:-1]))
+        self.norm = ScaledComplex.from_complex(1.0)
+
+    def _raw(self, x: float) -> ScaledComplex:
+        k = min(max(int(np.searchsorted(self._lo, x, side="right")) - 1, 0),
+                len(self._x) - 1)
+        v, _ = _horner(self._coef[k].tolist(), complex(x - self._x[k]))
+        return ScaledComplex.from_complex(v) * ScaledComplex.from_log(self._log[k])
+
+    def __call__(self, x: float) -> ScaledComplex:
+        return self._raw(float(x)) * self.norm
+
+    def moment(self, R: int, lo: float, hi: float) -> ScaledComplex:
+        """int_lo^hi (x + iy)^R u(x) dx: STEP_NODES Gauss nodes on each part
+        of a step in [lo, hi], every node's series summed in one Horner
+        pass, and each step's sum taken relative to its scale e^l."""
+        inner = self._x[(self._x > lo) & (self._x < hi)]
+        edges = np.concatenate(([lo], inner, [hi]))
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        k = np.clip(np.searchsorted(self._lo, mid, side="right") - 1,
+                    0, len(self._x) - 1)
+        g, w = gauss(STEP_NODES)
+        x = mid[:, None] + half[:, None] * g
+        h = x - self._x[k][:, None]
+        coef = self._coef[k]
+        acc = np.zeros_like(h, dtype=complex)
+        for j in range(coef.shape[1] - 1, -1, -1):
+            acc = acc * h + coef[:, j][:, None]
+        panel = (acc * (x + 1j * self.y) ** R) @ w * half
+        top = float(np.max(self._log[k]))
+        total = complex(np.sum(panel * np.exp(self._log[k] - top)))
+        return ScaledComplex.from_complex(total) * ScaledComplex.from_log(top) \
+            * self.norm
+
+
+class UContour(_SweptLine):
+    """U(a, t) for t on the line Im t = y, Re t in [-T, T]: one sweep from
+    +T (the recessive side) leftwards, which is the stable direction,
+    seeded by quadrature."""
+
+    def __init__(self, a, y: float, T: float, rho: float = RHOS[0]):
         self.a = complex(a)
         self.y = float(y)
         self.T = float(T)
         seedz = complex(T, y)
-        q = lambda x: ((x + 1j * self.y) ** 2 / 4.0 + self.a)
-        _, _, self._chunks = _sweep(
-            lambda x, u, r: q(x) * u, np.linspace(T, -T, nchunks + 1),
-            _u_from_integral(a, seedz, 96, 22),
-            _u_prime_from_integral(a, seedz, 96, 22), rtol, dense=True)
-
-    def __call__(self, x: float) -> ScaledComplex:
-        return _chunk_value(self._chunks, x)
+        self._sweep_line(VARIANT_Q["PCF+"](self.a), self.T, self.T,
+                         _u_from_integral(a, seedz, 96, 22),
+                         _u_prime_from_integral(a, seedz, 96, 22), rho)
 
 
-class UNegLine:
+class UNegLine(_SweptLine):
     """U(-a, x + iy) for x in [-T, T] on a horizontal line: one backward
     sweep from an arbitrary far seed, normalized by an accurate anchor at
     x = 0 (stable: the sweep runs into the dominant direction, so the seed
     contamination decays)."""
 
     def __init__(self, am: float, T: float, y: float = 0.0,
-                 rtol: float = 1e-12, nchunks: int = 64):
+                 rho: float = RHOS[0]):
         self.am = am
         self.T = float(T)
         self.y = float(y)
-        q = lambda x: (x + 1j * self.y) ** 2 / 4.0 - am
+        q = VARIANT_Q["PCF-"](am)
         x1 = self.T + 4.0
-        _, _, self._chunks = _sweep(
-            lambda x, u, r: q(x) * u, np.linspace(x1, -self.T, nchunks + 1),
-            ScaledComplex.from_complex(1.0),
-            ScaledComplex.from_complex(-cmath.sqrt(q(x1))), rtol, dense=True)
-        if abs(self.y) < 1e-12:
-            anchor, _ = _u_origin_data(-am)
-        else:
-            anchor, _ = _u_neg_integral(am, 1j * self.y, 96, 22)
-        self._norm = anchor / _chunk_value(self._chunks, 0.0)
-
-    def __call__(self, x: float) -> ScaledComplex:
-        return _chunk_value(self._chunks, x) * self._norm
+        self._sweep_line(q, x1, self.T, ScaledComplex.from_complex(1.0),
+                         ScaledComplex.from_complex(
+                             -cmath.sqrt(complex(x1, self.y) ** 2 / 4.0 - am)),
+                         rho)
+        # the anchor U(-a, iy): the exact origin data swept up the
+        # imaginary axis, where both solutions oscillate
+        anchor, _, _ = _sweep(q, None, 0.0, 1j * self.y, *_u_origin_data(-am),
+                              rho)
+        self.norm = anchor / self._raw(0.0)
 
 
-# the line sweeps shared between calls (and between the two resolutions of
-# one call): keyed by the exact ordinate y, since a line at a nearby y
-# would give the values of a slightly different point
-@lru_cache(maxsize=64)
-def _u_contour_cached(a: float, y: float, T: float) -> UContour:
-    return UContour(a, y, T)
-
-
+# the line sweeps shared between calls: keyed by the exact ordinate y,
+# since a line at a nearby y would give the values of a slightly different
+# point, and by the step length rho of the resolution
 @lru_cache(maxsize=16)
-def _u_neg_line_cached(am: float, T: float, y: float = 0.0) -> UNegLine:
-    return UNegLine(am, T, y)
+def _u_contour_cached(a: float, y: float, T: float, rho: float) -> UContour:
+    return UContour(a, y, T, rho)
+
+
+@lru_cache(maxsize=8)
+def _u_neg_line_cached(am: float, T: float, y: float, rho: float) -> UNegLine:
+    return UNegLine(am, T, y, rho)
 
 
 # ----------------------------------------------------------------------
@@ -607,33 +673,13 @@ def _tail_start(a: float, z: complex) -> float:
     return 4.0 * math.ceil(t / 4.0)  # quantized so contour sweeps can be shared
 
 
-def _gauss_line(term, lo: float, hi: float, n: int, npanel: int) -> ScaledComplex:
-    """Sum of the scaled term(x, w) over the nodes x and weights w of
-    npanel equal Gauss panels on [lo, hi]."""
-    acc = ScaledComplex(0j, 0.0)
-    for x, w in _panels(np.linspace(lo, hi, npanel + 1), n):
-        for xi, wi in zip(x, w):
-            acc = acc + term(float(xi), float(wi))
-    return acc
+#: the two resolutions of a variation-of-parameters value: the Gauss rule
+#: (n, npanel) of its quadratures and the step length of its sweeps
+VOP_RESOLUTIONS = ((48, 12, RHOS[1]), (72, 18, RHOS[0]))
 
 
-def _moment(u_at, y: float, R: int, lo: float, hi: float, n: int,
-            npanel: int) -> ScaledComplex:
-    """int_lo^hi (x + iy)^R u_at(x) dx along the line Im t = y."""
-    return _gauss_line(lambda x, w: u_at(x) * complex(x, y) ** R * w,
-                       lo, hi, n, npanel)
-
-
-def _vertical_moment(u_at, z: complex, R: int, T: float, n: int,
-                     npanel: int) -> ScaledComplex:
-    """int from z up to z + iT of t^R u_at(s) dt, t = z + is (the tail
-    beyond is Gaussian)."""
-    return _gauss_line(lambda s, w: u_at(s) * (1j * w * (z + 1j * s) ** R),
-                       0.0, T, n, npanel)
-
-
-def oracle_inhom(a: float, z: complex, R: int, pair: tuple[int, int] = (0, 2),
-                 fast: bool = False) -> OracleValue:
+def oracle_inhom(a: float, z: complex, R: int,
+                 pair: tuple[int, int] = (0, 2)) -> OracleValue:
     """U_R^{(j,k)}(a, z) by variation of parameters (pairs (0,2) and (0,1);
     either sign of the parameter, passed as the signed value a)."""
     z = complex(z)
@@ -644,39 +690,37 @@ def oracle_inhom(a: float, z: complex, R: int, pair: tuple[int, int] = (0, 2),
     check_forcing_degree(R, math.inf)
     pos, neg = _VOP_ROUTES[pair]
     f = neg if a < 0 else pos
-    v1 = f(a, z, R, 48, 12)
-    if fast:
-        return OracleValue(v1, 1e-9, "vop")
-    v2 = f(a, z, R, 72, 18)
+    v1, v2 = (f(a, z, R, *res) for res in VOP_RESOLUTIONS)
     return _certify(v2, v1, "vop")
 
 
-def _inhom_02_pos(a: float, z: complex, R: int, n: int, npanel: int) -> ScaledComplex:
+def _inhom_02_pos(a: float, z: complex, R: int, n: int, npanel: int,
+                  rho: float) -> ScaledComplex:
     """-Gamma(a+1/2)/sqrt(2pi) [U(a,z) J- + U(a,-z) J+], J+- the half-line
     moments of U against t^R."""
     T = _tail_start(a, z)
-    line = _u_contour_cached(a, z.imag, T)
-    # the line Im t = -y mirrors it: U(a, conj t) = conj U(a, t) for real
-    # a, and a sweep at -y gives the conjugate of this one float for float
-    mline = line if z.imag == 0.0 else (lambda x: line(x).conj())
-    jp = _moment(line, z.imag, R, z.real, T, n, npanel)
-    jm = _moment(lambda x: mline(-x), z.imag, R, -T, z.real, n, npanel)
+    line = _u_contour_cached(a, z.imag, T, rho)
+    # J- and U(a,-z) lie on the line Im t = -y, which mirrors this one:
+    # U(a, conj t) = conj U(a, t) for real a
+    jp = line.moment(R, z.real, T)
+    jm = line.moment(R, -z.real, T).conj() * (-1) ** R
     uz = line(z.real)
-    umz = mline(-z.real)
+    umz = line(-z.real).conj()
     pref = ScaledComplex.from_log_complex(_log_gamma(a + 0.5)) * \
         (-1.0 / math.sqrt(2.0 * math.pi))
     return pref * (uz * jm + umz * jp)
 
 
-def _inhom_02_neg(a_signed: float, z: complex, R: int, n: int, npanel: int) -> ScaledComplex:
+def _inhom_02_neg(a_signed: float, z: complex, R: int, n: int, npanel: int,
+                  rho: float) -> ScaledComplex:
     """Negative-parameter variant, real z (one stable line sweep)."""
     if abs(z.imag) > 1e-12:
         raise AccuracyError("negative-parameter (0,2) oracle supports real z")
     am = -a_signed
     T = _tail_start(am, z)
-    line = _u_neg_line_cached(am, T)
-    jp = _moment(line, 0.0, R, z.real, T, n, npanel + int(T))
-    jm = _moment(lambda x: line(-x), 0.0, R, -T, z.real, n, npanel + int(T))
+    line = _u_neg_line_cached(am, T, 0.0, rho)
+    jp = line.moment(R, z.real, T)
+    jm = line.moment(R, -z.real, T) * (-1) ** R
     uz = line(z.real)
     umz = line(-z.real)
     pref = ScaledComplex.from_log_complex(_log_gamma(a_signed + 0.5)) * \
@@ -684,23 +728,25 @@ def _inhom_02_neg(a_signed: float, z: complex, R: int, n: int, npanel: int) -> S
     return pref * (uz * jm + umz * jp)
 
 
-def _inhom_01_pos(a: float, z: complex, R: int, n: int, npanel: int) -> ScaledComplex:
+def _inhom_01_pos(a: float, z: complex, R: int, n: int, npanel: int,
+                  rho: float) -> ScaledComplex:
     """e^{i pi(a/2-1/4)} [U(-a,-iz) int_inf^z t^R U(a,t) dt
     - U(a,z) int_{i inf}^z t^R U(-a,-it) dt]."""
     T = _tail_start(a, z)
-    line = _u_contour_cached(a, z.imag, T)
-    i1 = -_moment(line, z.imag, R, z.real, T, n, npanel)
-    # on the vertical ray w = -it walks the horizontal line Im w = -Re z,
-    # whose values come from one stable backward sweep
-    wline = _u_neg_line_cached(a, T + abs(z.imag) + 2.0, -z.real)
-    i2 = -_vertical_moment(lambda s: wline(s + z.imag), z, R, T, n, npanel)
+    line = _u_contour_cached(a, z.imag, T, rho)
+    i1 = -line.moment(R, z.real, T)
+    # on the vertical ray t = z + is, w = -it = x - i Re z walks the line
+    # Im w = -Re z at x = Im z + s, and t^R = i^R (x - i Re z)^R
+    wline = _u_neg_line_cached(a, T + abs(z.imag) + 2.0, -z.real, rho)
+    i2 = -wline.moment(R, z.imag, z.imag + T) * 1j ** (R + 1)
     phase = cmath.exp(1j * math.pi * (0.5 * a - 0.25))
     um, _ = _u_neg_integral(a, -1j * z, max(n, 64), max(npanel, 16))
     uz = line(z.real)
     return (um * i1 - uz * i2) * phase
 
 
-def _inhom_01_neg(a_signed: float, z: complex, R: int, n: int, npanel: int) -> ScaledComplex:
+def _inhom_01_neg(a_signed: float, z: complex, R: int, n: int, npanel: int,
+                  rho: float) -> ScaledComplex:
     """Pair (0,1) with parameter -a: U_0 = U(-a,z), U_1 = U(a,-iz),
     Wronskian e^{(a/2+1/4) pi i}.  Real z only (the acceptance identities
     are checked on the real axis)."""
@@ -708,14 +754,17 @@ def _inhom_01_neg(a_signed: float, z: complex, R: int, n: int, npanel: int) -> S
         raise AccuracyError("negative-parameter (0,1) oracle supports real z")
     am = -a_signed
     T = _tail_start(am, z)
-    line = _u_neg_line_cached(am, T)
+    line = _u_neg_line_cached(am, T, 0.0, rho)
     # int_{+inf}^z t^R U(-a,t) dt along the real axis
-    j0 = -_moment(line, z.imag, R, z.real, T, n, npanel + int(T))
-    # int_{i inf}^z t^R U(a,-it) dt on the vertical ray
-    j1 = -_vertical_moment(
-        lambda s: _u_from_integral(am, -1j * (z + 1j * s), max(n // 2, 40),
-                                   max(npanel - 2, 10)),
-        z, R, T, n, npanel + int(T))
+    j0 = -line.moment(R, z.real, T)
+    # int_{i inf}^z t^R U(a,-it) dt on the vertical ray t = z + is, each
+    # node a quadrature
+    j1 = ScaledComplex(0j, 0.0)
+    for s, w in _panels(np.linspace(0.0, T, npanel + int(T) + 1), n):
+        for si, wi in zip(s.tolist(), w.tolist()):
+            t = z + 1j * si
+            j1 = j1 - _u_from_integral(am, -1j * t, max(n // 2, 40),
+                                       max(npanel - 2, 10)) * (1j * wi * t ** R)
     u0z = line(z.real)
     u1z = _u_from_integral(am, -1j * z, max(n, 56), max(npanel, 12))
     wr = cmath.exp(1j * math.pi * (0.5 * am + 0.25))
@@ -780,7 +829,7 @@ def weber_quad_real(a_signed: float, x: float,
     return W, Wp
 
 
-def weber_ode_real(a_signed: float, x_targets, rtol: float = 1e-12) -> dict:
+def weber_ode_real(a_signed: float, x_targets) -> dict:
     """W(a, x) on the real axis, integrating y'' = (a - x^2/4) y only in
     stable directions: leftward from the exact origin data (W grows towards
     -inf for a > 0), and inward from a quadrature seed placed beyond the
@@ -789,23 +838,15 @@ def weber_ode_real(a_signed: float, x_targets, rtol: float = 1e-12) -> dict:
     Returns dict x -> (W, W')."""
     W0, W0p = weber_origin_data(a_signed)
     out = {0.0: (W0, W0p)}
-
-    def rhs(x, v):
-        v0, v1 = v.tolist()
-        x = float(x)
-        return [v1, (a_signed - x * x / 4.0) * v0]
+    q = VARIANT_Q["WEB+"](a_signed)
 
     def sweep(x_from, seed, targets):
-        yv, dv = seed
+        y, d = (ScaledComplex.from_complex(v) for v in seed)
         xprev = x_from
         for xt in targets:
             if xt != xprev:
-                sol = solve_ivp(rhs, (xprev, xt), [yv, dv], method="DOP853",
-                                rtol=rtol, atol=1e-16)
-                if not sol.success:
-                    raise StiffnessError(sol.message)
-                yv, dv = float(sol.y[0, -1]), float(sol.y[1, -1])
-            out[xt] = (yv, dv)
+                y, d, _ = _sweep(q, None, xprev, xt, y, d, RHOS[0])
+            out[xt] = (y.to_complex().real, d.to_complex().real)
             xprev = xt
 
     neg = sorted({float(t) for t in x_targets if t < 0}, key=abs)

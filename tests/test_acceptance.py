@@ -78,7 +78,7 @@ def test_criterion_2_inhom_bound_soundness():
             for z in grid:
                 cv = inhom.inhom_series(u, z, n, R, "plus", (0, 2))
                 ov = oracle.oracle_inhom(u / 2.0, math.sqrt(2 * u) * complex(z),
-                                         R, (0, 2), fast=True)
+                                         R, (0, 2))
                 err = rel(cv, ov)
                 worst = max(worst, err / cv.rel_bound)
                 checked += 1
@@ -198,8 +198,7 @@ def test_criterion_5_connection_identities():
     w0d = sum((-1) ** (s + 1) * G_d[s] / u ** (2 * s)
               for s in range(4)) / u ** 2
     for z1 in (-1.2, -2.0):
-        wref, _ = oracle.ode_polyline(lambda z: -u * u * (z * z + 1.0),
-                                      lambda z: z ** R, [z0, z1],
+        wref, _ = oracle.ode_polyline((-u * u, 0.0, -u * u), R, [z0, z1],
                                       ScaledComplex.from_complex(w0v),
                                       ScaledComplex.from_complex(w0d))
         scale = ScaledComplex.from_log((0.5 * R + 1.0) * math.log(2 * u))
@@ -302,11 +301,11 @@ def test_criterion_10_oracle_independence():
             z0, z1 = 0.6, 1.0
             v0 = oracle.oracle_inhom(a, z0, R, (0, 2)).value
             h = 1e-5
-            d0 = (oracle.oracle_inhom(a, z0 + h, R, (0, 2), fast=True).value
-                  - oracle.oracle_inhom(a, z0 - h, R, (0, 2), fast=True).value) \
+            d0 = (oracle.oracle_inhom(a, z0 + h, R, (0, 2)).value
+                  - oracle.oracle_inhom(a, z0 - h, R, (0, 2)).value) \
                 * (1.0 / (2 * h))
-            y1, _ = oracle.ode_polyline(lambda z: z * z / 4.0 + a,
-                                        lambda z: z ** R, [z0, z1], v0, d0)
+            y1, _ = oracle.ode_polyline(oracle.VARIANT_Q["PCF+"](a), R,
+                                        [z0, z1], v0, d0)
             ref = oracle.oracle_inhom(a, z1, R, (0, 2)).value
             worst = max(worst, abs((y1 / ref).to_complex() - 1.0))
     _report("criterion 10 (oracle independence)", worst <= 1e-7,

@@ -157,6 +157,13 @@ def test_cli_eval_loads_no_scipy():
     assert _scipy_keys_after(code) == []
 
 
+def test_oracle_loads_no_ode_solver():
+    # the oracle's sweeps are its own Taylor series: scipy.special only
+    keys = _scipy_keys_after("import parcyl.oracle")
+    assert "scipy.special" in keys
+    assert not [k for k in keys if k.startswith("scipy.integrate")]
+
+
 def test_oracle_is_reachable_from_the_package():
     from parcyl import oracle
     assert parcyl.oracle is oracle
