@@ -2,8 +2,8 @@
 
 Uniform asymptotic evaluation (exponent-form Liouville-Green, Airy and
 Scorer turning-point expansions) with certified truncation-error bounds,
-plus an independent quadrature/ODE oracle for validation.  The oracle, and
-scipy with it, is imported on first use of one of its names.
+plus an independent quadrature/ODE oracle for validation.  The oracle is
+imported on first use of one of its names.
 """
 
 import importlib as _importlib

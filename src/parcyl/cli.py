@@ -140,7 +140,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from . import oracle  # loads scipy, which no other route needs
+    from . import oracle  # lazily, so that `parcyl eval` never loads it
     u, z = _parameter(args.u), _point(args)
     a, Z = u / 2.0, math.sqrt(2.0 * u) * z
     fn = args.function
@@ -152,6 +152,10 @@ def cmd_oracle(args) -> int:
         ov = oracle.oracle_U(-a, Z)
     elif fn == "V-":
         ov = oracle.oracle_V_neg(a, Z)
+    elif fn == "U+i":
+        ov = oracle.oracle_U(a, 1j * Z)
+    elif fn == "U-i":
+        ov = oracle.oracle_U(a, -1j * Z)
     elif fn == "UR":
         ov = oracle.oracle_inhom(a, Z, args.R, _parse_pair(args.pair))
     else:

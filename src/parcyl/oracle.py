@@ -24,7 +24,9 @@ every exponent and the cancellation int |f| / |int f|; a swept value's is
 its distance to a second, independent sweep with another step length; a
 sum of two oracle values (U' from U, U- off the axis and V- from U at
 +-iz) takes sum |term_k| est_k / |sum term_k|, which sees their
-cancellation.  The oracle needs numpy and scipy.special only.
+cancellation.  The oracle needs numpy only: its lnGamma (`_log_gamma`) is
+its own, math.lgamma on the real line and Stirling's series after an
+upward shift off it (Hare, J. Algorithms 25, 1997).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import loggamma
 
 from .coeffs import check_forcing_degree
 from .errors import AccuracyError, DomainError, StiffnessError
@@ -82,20 +83,69 @@ def _combine(terms, method: str) -> OracleValue:
     return _checked(*sum_rel(terms), method)
 
 
+#: B_2m / (2m (2m-1)), m = 1..10: the first term of Stirling's series for
+#: lnGamma(w) left out is far below eps |lnGamma(w)| for Re w >= 0 and
+#: |w| >= _STIRLING_R
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400, 43867 / 244188, -174611 / 125400)
+_STIRLING_R = 10.0
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_gamma_ulps(z) -> tuple[complex, float]:
+    """The principal branch of lnGamma(z), and a bound on its absolute
+    error in units of eps.
+
+    Real z: math.lgamma, with Im = -pi ceil(-z) below 0 (the sign of
+    Gamma there, on the branch that lnGamma(z+1) = lnGamma(z) + log z
+    continues), and +inf at the poles.  Complex z: shifted up to w = z + N
+    with Re w >= _STIRLING_R, or only into Re w >= 0 where
+    |Im z| >= _STIRLING_R, then lnGamma(z) = lnGamma(w) - sum log(z + k)
+    with lnGamma(w) from Stirling's series.
+
+    The bound is 3 (|lnGamma(z)| + S) + 8, S = sum |log(z + k)| over the
+    shift: the series at w and math.lgamma are within 1.5 |lnGamma| eps,
+    |lnGamma(w)| <= |lnGamma(z)| + S, and the logs and the final
+    subtraction add S and |lnGamma(z)|; near its zeros at 1 and 2
+    math.lgamma is off by up to 7 eps absolute."""
+    z = complex(z)
+    if z.imag == 0.0:
+        x = z.real
+        if x <= 0.0 and x == math.floor(x):
+            return complex(math.inf), 0.0
+        lg = complex(math.lgamma(x), 0.0 if x > 0.0 else -math.pi * math.ceil(-x))
+        return lg, 3.0 * abs(lg) + 8.0
+    if abs(z.imag) < _STIRLING_R:
+        shift = max(math.ceil(_STIRLING_R - z.real), 0)
+    else:
+        shift = max(math.ceil(-z.real), 0)
+    logs = [cmath.log(z + k) for k in range(shift)]
+    w = z + shift
+    r = 1.0 / (w * w)
+    series = 0j
+    for c in reversed(_STIRLING):
+        series = series * r + c
+    lg = ((w - 0.5) * cmath.log(w) - w + _HALF_LOG_2PI + series / w
+          - complex(math.fsum(l.real for l in logs),
+                    math.fsum(l.imag for l in logs)))
+    return lg, 3.0 * (abs(lg) + sum(abs(l) for l in logs)) + 8.0
+
+
 def _log_gamma(z) -> complex:
-    return complex(loggamma(complex(z)))
+    return _log_gamma_ulps(z)[0]
 
 
 # ----------------------------------------------------------------------
 # quadrature: one panel rule, one polyline
 # ----------------------------------------------------------------------
 
-def _panels(edges, n: int):
+def _panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss rule on each panel [lo, hi]
-    between consecutive edges."""
+    between consecutive edges: two (panels x n) arrays."""
     x, w = gauss(n)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        yield 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return half * x + 0.5 * (edges[1:] + edges[:-1])[:, None], half * w
 
 
 def _path_integral(a, c: complex, ea: complex, s_max: float, n: int,
@@ -103,40 +153,47 @@ def _path_integral(a, c: complex, ea: complex, s_max: float, n: int,
     """int t^{a-1/2} e^{-t^2/2 + ct} dt on the polyline from 0 through
     ea s_max and then each vertex of `tail`.  The first leg is t = ea v^2,
     v^2 up to s_max (the substitution kills the endpoint singularity); each
-    further leg gets npanel equal Gauss panels.  Each panel is summed
-    relative to its own peak, panels below e^-745 are dropped, and the rest
-    are recombined on the largest peak.
+    further leg gets npanel equal Gauss panels.  Every panel of every leg
+    is one row of one array: each row is summed relative to its own peak,
+    rows below e^-745 are dropped, and the rest are recombined on the
+    largest peak.
 
     Returns the integral and its rounding error in units of eps, relative
     to it: each node's exponent is rounded to eps times the sum of its
     terms' sizes, Phi(t) = |(a-1/2) log t| + |t|^2/2 + |ct|, and its
     exponential to eps, so the sum is off by at most
     eps int |f| (Phi + 1) |dt|, which also counts any cancellation."""
-    def legs():
-        for v, ww in _panels(np.linspace(0.0, s_max ** 0.25, npanel + 1) ** 2, n):
-            yield ea * v * v, ww, np.log(2.0 * v * ea)
+    v, vw = _panels(np.linspace(0.0, s_max ** 0.25, npanel + 1) ** 2, n)
+    # on the first leg log t = 2 log v + log ea and log dt = log(2 ea v) come
+    # from the real log v; numpy's complex log is several times slower than
+    # its parts, which the other legs take instead
+    log_v, log_ea = np.log(v), cmath.log(ea)
+    t, log_t, log_dt, ww = [ea * v * v], [2.0 * log_v + log_ea], \
+        [log_v + (_LN2 + log_ea)], [vw]
+    if tail:
+        s, sw = _panels(np.linspace(0.0, 1.0, npanel + 1), n)
         start = ea * s_max
         for end in tail:
-            for s, ww in _panels(np.linspace(0.0, 1.0, npanel + 1), n):
-                yield start + (end - start) * s, ww, cmath.log(end - start)
+            leg = start + (end - start) * s
+            t.append(leg)
+            log_t.append(np.log(np.abs(leg)) + 1j * np.angle(leg))
+            log_dt.append(np.full(s.shape, cmath.log(end - start)))
+            ww.append(sw)
             start = end
-
-    logs, vals, errs = [], [], []
-    for t, ww, log_dt in legs():
-        log_t = np.log(t)
-        logf = (a - 0.5) * log_t - 0.5 * t * t + c * t + log_dt
-        m = float(np.max(logf.real))
-        if m < -745.0:
-            continue
-        vals.append(complex(np.sum(ww * np.exp(logf - m))))
-        size = np.abs((a - 0.5) * log_t) + 0.5 * np.abs(t) ** 2 + np.abs(c * t)
-        errs.append(float(np.sum(ww * np.exp(logf.real - m) * (size + 1.0))))
-        logs.append(m)
-    if not vals:
+    t, log_t, log_dt, ww = (np.concatenate(x) for x in (t, log_t, log_dt, ww))
+    logf = (a - 0.5) * log_t - 0.5 * t * t + c * t + log_dt
+    peak = np.max(logf.real, axis=1)
+    keep = ~(peak < -745.0)
+    if not keep.any():
         return ScaledComplex(0j, 0.0), math.inf
-    mtop = max(logs)
-    total = sum(v * math.exp(l - mtop) for v, l in zip(vals, logs))
-    err = sum(e * math.exp(l - mtop) for e, l in zip(errs, logs))
+    t, log_t, logf, ww, peak = t[keep], log_t[keep], logf[keep], ww[keep], peak[keep]
+    mtop = float(np.max(peak))
+    scale = np.exp(logf - peak[:, None])
+    abs_t = np.abs(t)
+    size = abs(a - 0.5) * np.abs(log_t) + abs_t * (0.5 * abs_t + abs(c))
+    rows = np.exp(peak - mtop)
+    total = complex(np.sum(ww * scale, axis=1) @ rows)
+    err = float(np.sum(ww * np.abs(scale) * (size + 1.0), axis=1) @ rows)
     return (ScaledComplex.from_complex(total) * ScaledComplex.from_log(mtop),
             err / abs(total) if total else math.inf)
 
@@ -190,8 +247,7 @@ def _u_saddle_integral(a: complex, Z: complex, n: int,
 
 
 def _u_quad(a, Z: complex, n: int, npanel: int) -> tuple[ScaledComplex, float]:
-    """U(a, Z) by quadrature, and its integral's rounding error in units
-    of eps, relative to it."""
+    """U(a, Z) by quadrature, and its relative rounding floor."""
     a = complex(a)
     Z = complex(Z)
     if Z.real < 0:
@@ -200,21 +256,21 @@ def _u_quad(a, Z: complex, n: int, npanel: int) -> tuple[ScaledComplex, float]:
         integral, err = _u_integral_logvar(a, Z, n)
     else:
         integral, err = _u_pos_integral(a, Z, n, npanel)
-    pref = ScaledComplex.from_log_complex(-Z * Z / 4.0 - _log_gamma(a + 0.5))
-    return pref * integral, err
+    lg, lg_ulps = _log_gamma_ulps(a + 0.5)
+    pref = ScaledComplex.from_log_complex(-Z * Z / 4.0 - lg)
+    return pref * integral, _rounding_floor(Z, err, lg_ulps)
 
 
 def _u_from_integral(a, Z: complex, n: int, npanel: int) -> ScaledComplex:
     return _u_quad(a, Z, n, npanel)[0]
 
 
-def _rounding_floor(a, Z: complex, err: float) -> float:
+def _rounding_floor(Z: complex, err: float, lg_ulps: float) -> float:
     """Relative rounding error of U(a, Z) = e^{-Z^2/4 - lnGamma(a+1/2)} I
     when the integral I is off by eps err relative: the prefactor's
-    exponent carries the rounding of Z^2 and of the sum, and the ulp of
-    lnGamma."""
-    lg = abs(_log_gamma(complex(a) + 0.5))
-    return EPS * (err + abs(Z) ** 2 / 2.0 + 2.0 * lg)
+    exponent carries the rounding of Z^2 and of the sum, and lnGamma's
+    error of lg_ulps eps (`_log_gamma_ulps`)."""
+    return EPS * (err + abs(Z) ** 2 / 2.0 + lg_ulps)
 
 
 def _u_integral_logvar(a: complex, Z: complex,
@@ -257,14 +313,12 @@ def _u_integral_logvar(a: complex, Z: complex,
         phase_rate = abs(math.sin(2 * alpha)) * math.exp(2 * w_lo) \
             + abs(Zr.imag) * math.exp(w_lo) + abs(a.imag) + 1.0
         edges.append(min(w_lo + min(1.0, 12.0 / phase_rate), wmax))
-    acc = 0j
-    err = head_abs * (abs(s * w0) + 1.0)
-    for t, ww in _panels(edges, n):
-        q = np.exp(t)
-        g = np.exp(s * t - (ea * ea) * q * q / 2.0 - Zr * q)
-        acc += np.sum(ww * g)
-        err += float(np.sum(ww * np.abs(g) * (np.abs(s * t) + 0.5 * q * q
-                                              + abs(Zr) * q + 1.0)))
+    t, ww = _panels(edges, n)
+    q = np.exp(t)
+    g = ww * np.exp(s * t - (ea * ea) * q * q / 2.0 - Zr * q)
+    acc = complex(np.sum(g))
+    err = head_abs * (abs(s * w0) + 1.0) + float(np.sum(
+        np.abs(g) * (np.abs(s * t) + 0.5 * q * q + abs(Zr) * q + 1.0)))
     return (ScaledComplex.from_complex(complex((head + acc) * ea ** s)),
             err / abs(head + acc) if head + acc else math.inf)
 
@@ -521,8 +575,8 @@ def oracle_U(a, z: complex, n: int = 64, npanel: int = 16) -> OracleValue:
             (oracle_U(am, -1j * z, n, npanel), ph.conjugate()))],
             "quadrature")
     v1, _ = _u_quad(a, z, n, npanel)
-    v2, err = _u_quad(a, z, int(n * 1.5), npanel + 6)
-    return _certify(v2, v1, "quadrature", floor=_rounding_floor(a, z, err))
+    v2, floor = _u_quad(a, z, int(n * 1.5), npanel + 6)
+    return _certify(v2, v1, "quadrature", floor=floor)
 
 
 def _u_prime_from_integral(a, Z: complex, n: int, npanel: int) -> ScaledComplex:
@@ -760,11 +814,11 @@ def _inhom_01_neg(a_signed: float, z: complex, R: int, n: int, npanel: int,
     # int_{i inf}^z t^R U(a,-it) dt on the vertical ray t = z + is, each
     # node a quadrature
     j1 = ScaledComplex(0j, 0.0)
-    for s, w in _panels(np.linspace(0.0, T, npanel + int(T) + 1), n):
-        for si, wi in zip(s.tolist(), w.tolist()):
-            t = z + 1j * si
-            j1 = j1 - _u_from_integral(am, -1j * t, max(n // 2, 40),
-                                       max(npanel - 2, 10)) * (1j * wi * t ** R)
+    s, w = _panels(np.linspace(0.0, T, npanel + int(T) + 1), n)
+    for si, wi in zip(s.ravel().tolist(), w.ravel().tolist()):
+        t = z + 1j * si
+        j1 = j1 - _u_from_integral(am, -1j * t, max(n // 2, 40),
+                                   max(npanel - 2, 10)) * (1j * wi * t ** R)
     u0z = line(z.real)
     u1z = _u_from_integral(am, -1j * z, max(n, 56), max(npanel, 12))
     wr = cmath.exp(1j * math.pi * (0.5 * am + 0.25))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from parcyl import cli
@@ -177,6 +178,13 @@ def test_every_error_class_has_its_own_code(capsys):
             {"error": cls.code, "detail": "why"}
 
 
+def _value(p):
+    """The scaled value of an eval or oracle JSON payload."""
+    return ScaledComplex(complex(float(p["value_mantissa_re"]),
+                                 float(p["value_mantissa_im"])),
+                         float(p["log_scale"]))
+
+
 @pytest.mark.parametrize("function", ["U+", "U+'", "U-", "V-", "UR"])
 def test_eval_agrees_with_oracle(capsys, function):
     args = ("--function", function, "--u", "20", "--z", "1.5+0.5j")
@@ -185,12 +193,37 @@ def test_eval_agrees_with_oracle(capsys, function):
     code, ov = run_main(capsys, "oracle", *args)
     assert code == 0
 
-    def value(p):
-        return ScaledComplex(complex(float(p["value_mantissa_re"]),
-                                     float(p["value_mantissa_im"])),
-                             float(p["log_scale"]))
+    err = abs((_value(cv) / _value(ov)).to_complex() - 1.0)
+    assert err <= float(cv["rel_bound"]) + float(ov["est_acc"])
 
-    err = abs((value(cv) / value(ov)).to_complex() - 1.0)
+
+@pytest.mark.parametrize("function, rot", [("U+i", 1j), ("U-i", -1j)])
+def test_oracle_rotated_against_mpmath(function, rot):
+    # U+-i is U(u/2, +-i sqrt(2u) z), the functions tp.pcf_U_rotated
+    # computes for its "+i" and "-i"
+    code, out = run_cli("oracle", "--function", function, "--u", "20",
+                        "--z", "0.5+0.3j")
+    assert code == 0, out
+    payload = json.loads(out)
+    with mpmath.workdps(40):
+        Z = rot * math.sqrt(40.0) * (0.5 + 0.3j)
+        ref = mpmath.pcfu(10, mpmath.mpc(Z.real, Z.imag))
+        v = _value(payload)
+        got = mpmath.mpc(v.mantissa.real, v.mantissa.imag) * mpmath.exp(v.log_scale)
+        err = float(abs(got / ref - 1))
+    assert err <= float(payload["est_acc"])
+
+
+@pytest.mark.parametrize("function", ["U+i", "U-i"])
+@pytest.mark.parametrize("z", ["0.5+0.5j", "1.5-0.5j", "2.5+1.5j", "-1.5-1.5j"])
+def test_rotated_eval_agrees_with_oracle_on_grid_points(capsys, function, z):
+    # cell centres of the benchmark's grid lattice at u = 20, both half planes
+    args = ("--function", function, "--u", "20", f"--z={z}")
+    code, cv = run_main(capsys, "eval", *args)
+    assert code == 0
+    code, ov = run_main(capsys, "oracle", *args)
+    assert code == 0
+    err = abs((_value(cv) / _value(ov)).to_complex() - 1.0)
     assert err <= float(cv["rel_bound"]) + float(ov["est_acc"])
 
 
@@ -205,12 +238,7 @@ def test_oracle_answers_a_real_point_far_out():
     assert code == 0
     cv = json.loads(out)
 
-    def value(p):
-        return ScaledComplex(complex(float(p["value_mantissa_re"]),
-                                     float(p["value_mantissa_im"])),
-                             float(p["log_scale"]))
-
-    err = abs((value(cv) / value(ov)).to_complex() - 1.0)
+    err = abs((_value(cv) / _value(ov)).to_complex() - 1.0)
     assert err <= float(cv["rel_bound"]) + float(ov["est_acc"])
 
 

@@ -1,5 +1,5 @@
 """Complex log-gamma and reciprocal gamma against mpmath, and the import
-hygiene they allow: scipy stays out of the library outside the oracle."""
+hygiene they allow: scipy stays out of the library and its oracle."""
 
 import json
 import math
@@ -158,10 +158,19 @@ def test_cli_eval_loads_no_scipy():
 
 
 def test_oracle_loads_no_ode_solver():
-    # the oracle's sweeps are its own Taylor series: scipy.special only
-    keys = _scipy_keys_after("import parcyl.oracle")
-    assert "scipy.special" in keys
-    assert not [k for k in keys if k.startswith("scipy.integrate")]
+    # the oracle's sweeps are its own Taylor series and its lnGamma is its
+    # own: no scipy at all
+    assert _scipy_keys_after("import parcyl.oracle") == []
+
+
+def test_cli_oracle_loads_no_scipy():
+    code = ("import runpy, sys\n"
+            "sys.argv = ['parcyl', 'oracle', '--function=U+', '--u=20', '--z=2.0']\n"
+            "try:\n"
+            "    runpy.run_module('parcyl.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n")
+    assert _scipy_keys_after(code) == []
 
 
 def test_oracle_is_reachable_from_the_package():
