@@ -13,7 +13,16 @@ free in every direction.
 Scorer Hi has two layers:
   |z| <= 30           Gauss panel quadrature of its integral on a ray
                       rotated towards the saddle,
-  |z| > 30            Poincare forms, with Bi added in the dominant sector.
+  |z| > 30            Poincare forms in powers of 1/z, with Bi added in the
+                      dominant sector.
+
+The Hi ray ends where its omitted tail is certified below rounding: on the
+ray the integrand's log-modulus is a cubic L(s), the ray is cut where L has
+fallen about 40 + 2 ln(1 + |z|) below its peak (~23 panels a call), and
+after the sum a closed-form bound on the tails of Hi and Hi' is checked
+against the computed values, so cancellation in Hi is counted; near zeros
+of Hi or Hi' the ray is extended and summed again, never beyond the end
+that leaves a tail e^-760 below the peak.
 
 Both panel quadratures (Hi, and the integral layer of Ai) evaluate all
 their panels in one array pass: a (panels x 48) node array, summed by row.
@@ -114,6 +123,12 @@ def _uk_vk(n: int = 40) -> tuple[tuple[float, ...], tuple[float, ...]]:
 def _asym_pair(z: complex) -> tuple[complex, complex]:
     """Poincare expansion, |arg z| <= 2pi/3 + slack; optimal truncation."""
     z = complex(z)
+    if 1.5 * math.log(abs(z)) > _EXP_LIMIT:
+        # xi = (2/3) z^{3/2} would leave the double range, and so does
+        # e^{-xi} unless it underflows to 0
+        if math.cos(1.5 * cmath.phase(z)) < 0.0:
+            raise DomainError("Airy value exceeds double range")
+        return 0j, 0j
     xi = (2.0 / 3.0) * z ** 1.5
     if -xi.real > _EXP_LIMIT:
         raise DomainError("Airy value exceeds double range")
@@ -157,10 +172,19 @@ def _ai_pair(z: complex) -> tuple[complex, complex]:
     return ai, aip
 
 
-def airy(z: complex, rotation: int = 0) -> AiryValue:
-    """Ai_l, Bi and derivatives; Ai_l(z) := Ai(z e^{-2 pi i l/3})."""
+def _checked(z: complex) -> complex:
+    """z as a complex number; ArgumentError unless it is finite, and
+    DomainError where its modulus leaves the double range."""
     check_points(z)
     z = complex(z)
+    if math.hypot(z.real, z.imag) == math.inf:
+        raise DomainError(f"|z| of z={z!r} exceeds double range")
+    return z
+
+
+def airy(z: complex, rotation: int = 0) -> AiryValue:
+    """Ai_l, Bi and derivatives; Ai_l(z) := Ai(z e^{-2 pi i l/3})."""
+    z = _checked(z)
     if rotation not in (0, 1, -1):
         raise ValueError("rotation must be 0 or +-1")
     zr = z * cmath.exp(-2j * math.pi * rotation / 3.0)
@@ -185,50 +209,112 @@ def airy(z: complex, rotation: int = 0) -> AiryValue:
 # Scorer function Hi and the Wi family
 # ----------------------------------------------------------------------
 
-def _hi_quad(z: complex) -> tuple[complex, complex]:
-    """(Hi, Hi') by quadrature of (1/pi) int_0^inf exp(-t^3/3 + z t) dt.
+# Hi's ray ends where its omitted tail is below this share of |Hi| and |Hi'|
+_HI_TAIL_TOL = 0.25 * float(np.finfo(float).eps)
 
-    The ray is rotated towards the saddle direction arg(z)/2 (clamped inside
-    the convergence sector), which removes the catastrophic cancellation
-    near the anti-Stokes directions; panel widths track the local phase
-    rate.  Each panel is summed at its own log-scale m, and the panel sums
-    are combined with the weights exp(m - max m), so the dominant sector
-    cannot overflow intermediate terms.
+
+def _hi_ray(z: complex, drop: float) -> tuple[complex, np.ndarray, bool]:
+    """The ray t = s e^{i phi} of Hi's integral and its panel ends on [0, T].
+
+    phi is arg(z)/2, the saddle direction, clamped inside the convergence
+    sector; this removes the catastrophic cancellation near the anti-Stokes
+    directions.  On the ray the integrand's log-modulus is the cubic
+    L(s) = -c s^3/3 + b s, with c = Re e^{3 i phi} >= sin 0.09 and
+    b = Re(z e^{i phi}), whose peak is at sqrt(b/c) for b > 0 and at 0
+    otherwise.  T is where L has fallen drop + ln(1 + T) below the peak,
+    capped at the end that leaves a tail e^-760 below it.  Panel widths
+    track the local phase rate.
+    Returns (e^{i phi}, panel ends, whether T is at the cap).
     """
-    z = complex(z)
     phi = max(min(cmath.phase(z) / 2.0 if z != 0 else 0.0,
                   math.pi / 6.0 - 0.03), -(math.pi / 6.0 - 0.03))
     e1 = cmath.exp(1j * phi)
     e3 = e1 * e1 * e1
-    c3 = max(e3.real, 0.08)
     zr = z * e1
-    T = (3.0 * (760.0 + 2.0 * max(zr.real, 0.0) ** 1.5) / c3) ** (1.0 / 3.0)
+    c, b = e3.real, zr.real
+    T_max = (3.0 * (760.0 + 2.0 * max(b, 0.0) ** 1.5) / c) ** (1.0 / 3.0)
+    floor = (2.0 / 3.0 * b * math.sqrt(b / c) if b > 0.0 else 0.0) - drop
+    # Newton on g(T) = L(T) + ln(1 + T) - floor from T_max, right of its
+    # root: g is concave, so every iterate stays right of the root
+    T = T_max
+    for _ in range(20):
+        g = -c * T ** 3 / 3.0 + b * T + math.log1p(T) - floor
+        if g >= 0.0:
+            break
+        step = g / (-c * T * T + b + 1.0 / (1.0 + T))
+        T -= step
+        if step < 1e-3:
+            break
     ends = [0.0]
     while ends[-1] < T:
         s_lo = ends[-1]
         rate = abs(e3.imag) * s_lo * s_lo + abs(zr.imag) + 1.0
         ds = min(max(T / 20.0, 0.3), 10.0 / rate + 0.05)
         ends.append(min(s_lo + ds, T))
+    return e1, np.array(ends), T == T_max
+
+
+def _hi_tail_excess(c: float, b: float, T: float, mtop: float,
+                    sums: tuple[complex, complex]) -> float:
+    """ln of the largest ratio of an omitted tail int_T^inf s^j e^{L(s)} ds
+    (j = 0: Hi, j = 1: Hi') to _HI_TAIL_TOL |I_j| e^mtop, where I_j are the
+    sums at scale e^mtop; the tails are certified where this is <= 0.
+    Beyond the peak L' + j/s decreases, so each tail is at most
+    T^j e^{L(T)} / (|L'(T)| - j/T) when that divisor is positive."""
+    L_T = -c * T ** 3 / 3.0 + b * T - mtop
+    excess = -math.inf
+    for j, I in enumerate(sums):
+        kappa = c * T * T - b - j / T
+        if kappa <= 0.0 or I == 0:
+            return math.inf
+        excess = max(excess, j * math.log(T) + L_T - math.log(kappa)
+                     - math.log(_HI_TAIL_TOL * abs(I)))
+    return excess
+
+
+def _hi_quad(z: complex) -> tuple[complex, complex, tuple[complex, np.ndarray]]:
+    """(Hi, Hi') by quadrature of (1/pi) int_0^inf exp(-t^3/3 + z t) dt, and
+    the ray (e^{i phi}, panel ends) they were summed on (see _hi_ray).
+
+    The ray ends where the omitted tail is certified below rounding.  It is
+    first cut where L has fallen ln(1/_HI_TAIL_TOL) + 2 ln(1 + |z|) below its
+    peak (the second term allows for |Hi'| ~ |z|^-2 of the peak on the
+    recessive side).  After the sum both tails are checked against their
+    closed-form bound relative to the computed sums (_hi_tail_excess), so
+    cancellation in Hi itself is counted; where a check fails, near zeros
+    of Hi or Hi', the ray is extended by the missing fall and summed again,
+    up to the e^-760 end.  Each panel is summed at its own log-scale m, and
+    the panel sums are combined with the weights exp(m - max m), so the
+    dominant sector cannot overflow intermediate terms.
+    """
+    z = complex(z)
     x, w = gauss(48)
-    a, b = np.array(ends[:-1])[:, None], np.array(ends[1:])[:, None]
-    t = 0.5 * (b - a) * x + 0.5 * (a + b)
-    ww = 0.5 * (b - a) * w
-    expo = -e3 * t ** 3 / 3.0 + zr * t
-    # one log-scale per panel; panels below the double range are dropped
-    m = expo.real.max(axis=1)
-    keep = m > -745.0
-    if not keep.any():
-        return 0j, 0j
-    t, ww, expo, m = t[keep], ww[keep], expo[keep], m[keep]
-    mtop = float(m.max())
-    if mtop >= _EXP_LIMIT:
-        raise DomainError("Scorer value exceeds double range")
-    g = np.exp(expo - m[:, None])
-    r = np.exp(m - mtop)
-    I0 = complex(r @ (ww * g).sum(axis=1))
-    I1 = complex(r @ (ww * t * g).sum(axis=1))
+    drop = -math.log(_HI_TAIL_TOL) + 2.0 * math.log1p(abs(z))
+    while True:
+        e1, ends, capped = _hi_ray(z, drop)
+        e3 = e1 * e1 * e1
+        zr = z * e1
+        a, b = ends[:-1, None], ends[1:, None]
+        t = 0.5 * (b - a) * x + 0.5 * (a + b)
+        ww = 0.5 * (b - a) * w
+        expo = -e3 * t ** 3 / 3.0 + zr * t
+        # one log-scale per panel
+        m = expo.real.max(axis=1)
+        mtop = float(m.max())
+        if mtop >= _EXP_LIMIT:
+            raise DomainError("Scorer value exceeds double range")
+        g = np.exp(expo - m[:, None])
+        r = np.exp(m - mtop)
+        I0 = complex(r @ (ww * g).sum(axis=1))
+        I1 = complex(r @ (ww * t * g).sum(axis=1))
+        excess = _hi_tail_excess(e3.real, zr.real, float(ends[-1]), mtop,
+                                 (I0, I1))
+        if excess <= 0.0 or capped:
+            break
+        drop += excess + 1.0
     scale = cmath.exp(mtop)
-    return I0 * e1 * scale / math.pi, I1 * e1 * e1 * scale / math.pi
+    return (I0 * e1 * scale / math.pi, I1 * e1 * e1 * scale / math.pi,
+            (e1, ends))
 
 
 def _hi_asym(z: complex) -> tuple[complex, complex]:
@@ -249,18 +335,20 @@ def _hi_asym(z: complex) -> tuple[complex, complex]:
                 rot * rot * hp + 2.0 * ph * aip / rot)
     s0 = 0j
     s1 = 0j  # derivative series
-    z3 = 3.0 * z ** 3
-    t = 1.0 / z  # (3k)!/(k! (3 z^3)^k) / z, by its term ratio
+    # in powers of 1/z, which stay in range where z^3 would overflow
+    w = 1.0 / z
+    w3 = w * w * w / 3.0
+    t = w  # (3k)!/(k! (3 z^3)^k) / z, by its term ratio
     prev = math.inf
     k = 0
     while k < 40:
         if abs(t) > prev:
             break
         s0 += t
-        s1 += (3 * k + 1) * t / z
+        s1 += (3 * k + 1) * t * w
         prev = abs(t)
         k += 1
-        t = t * ((3 * k) * (3 * k - 1) * (3 * k - 2)) / (k * z3)
+        t = t * ((3 * k) * (3 * k - 1) * (3 * k - 2)) / k * w3
     hi = -s0 / math.pi
     hip = s1 / math.pi
     if abs(cmath.phase(-z)) <= 2.0 * math.pi / 3.0 - 0.25:
@@ -281,10 +369,9 @@ def scorer_hi_prime(z: complex) -> complex:
 def _hi_pair(z: complex) -> tuple[complex, complex]:
     """(Hi, Hi') at z; the last pair is kept, because Wi and Wi' are asked
     for at the same point one after the other."""
-    check_points(z)
-    z = complex(z)
+    z = _checked(z)
     if abs(z) <= HI_QUAD_RADIUS:
-        hi, hip = _hi_quad(z)
+        hi, hip, _ = _hi_quad(z)
     else:
         hi, hip = _hi_asym(z)
     if z.imag == 0.0:

@@ -4,12 +4,13 @@ mpmath, and the one-pass panel quadratures against per-panel references."""
 import cmath
 import importlib
 import math
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
 import pytest
 
-from parcyl.errors import ArgumentError
+from parcyl.errors import ArgumentError, ParcylError
 from parcyl.quadrature import gauss
 
 pa = importlib.import_module("parcyl.airy")
@@ -42,6 +43,30 @@ def test_asymptotic_layer_far_out_on_the_anti_stokes_ray():
         aip = complex(mpmath.airyai(z, derivative=1))
     assert abs(v.ai / ai - 1.0) < 1e-6
     assert abs(v.ai_prime / aip - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("zs", [
+    [r * cmath.exp(1j * th) for th in np.linspace(-math.pi, math.pi, 24, endpoint=False)]
+    for r in (1e104, 1e200, 1e300)] + [[complex(1.5e308, s * 1.5e308) for s in (1, -1)]],
+    ids=["1e104", "1e200", "1e300", "modulus_beyond_double"])
+def test_huge_arguments_give_a_value_or_a_typed_error(zs):
+    # 3 z^3 overflowed from |z| ~ 1e103, z^1.5 from |z| ~ 1e206, and abs(z)
+    # where |z| exceeds the double range
+    fs = [pa.scorer_hi, pa.scorer_hi_prime,
+          *(lambda z, p=p: pa.wi(z, p) for p in pa._WI_ROT),
+          *(lambda z, p=p: pa.wi_prime(z, p) for p in pa._WI_ROT),
+          lambda z: astuple(pa.airy(z))[:4]]
+    for z in zs:
+        for f in fs:
+            try:
+                v = f(z)
+            except ParcylError:
+                continue
+            assert all(cmath.isfinite(x) for x in np.atleast_1d(v)), (f, z)
+
+
+def test_hi_far_out_on_the_negative_axis():
+    assert pa.scorer_hi(-1e200).real == pytest.approx(1.0 / (math.pi * 1e200), rel=1e-15)
 
 
 def five_point_second_diff(f, z, h):
@@ -166,39 +191,86 @@ class TestScorer:
         assert worst_hi <= 2e-13
         assert worst_hip <= 2e-13
 
+    def test_hi_ray_end_is_tail_certified(self):
+        # on the ray t = s e1 the integrand's log-modulus is
+        # L(s) = -c s^3/3 + b s; beyond the peak the tail of s^j e^L from T
+        # on is at most T^j e^{L(T)} / (|L'(T)| - j/T)
+        tol = 0.25 * np.finfo(float).eps
+        # at a zero of Hi' (and its mirror image) the first ray end fails
+        # this check, and the ray is extended
+        hip_zeros = [complex(2.0024009910891628, s * 7.2591106942952184)
+                     for s in (1, -1)]
+        for z in _hi_lattice() + hip_zeros:
+            hi, hip, (e1, ends) = pa._hi_quad(z)
+            T = float(ends[-1])
+            c, b = (e1 ** 3).real, (z * e1).real
+            # never beyond the ray end that leaves a tail e^-760 below the peak
+            assert T <= (3.0 * (760.0 + 2.0 * max(b, 0.0) ** 1.5) / c) ** (1 / 3)
+            for j, v in enumerate((hi, hip)):
+                kappa = c * T * T - b - j / T
+                assert kappa > 0.0
+                log_tail = j * math.log(T) + (-c * T ** 3 / 3.0 + b * T) \
+                    - math.log(math.pi * kappa)
+                assert log_tail <= math.log(tol * abs(v)), (z, j)
+
+    def test_hi_schwarz_reflection(self):
+        # bit for bit on the quadrature disk, where the ray depends on z
+        # only through b, c and |Im z e1|; beyond it Bi's rotation sum in
+        # the dominant sector rounds differently on either side
+        rng = np.random.default_rng(11)
+        r = 2.0 * pa.HI_QUAD_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, 400))
+        zs = list(r * np.exp(1j * rng.uniform(-math.pi, math.pi, 400)))
+        zs += [pa.HI_QUAD_RADIUS * cmath.exp(1j * th) for th in (0.5, 2.0)]
+        for z in zs:
+            z = complex(z)
+            pair = (pa.scorer_hi(z), pa.scorer_hi_prime(z))
+            mirror = (pa.scorer_hi(z.conjugate()), pa.scorer_hi_prime(z.conjugate()))
+            for v, m in zip(pair, mirror):
+                if abs(z) <= pa.HI_QUAD_RADIUS:
+                    assert m == v.conjugate(), z
+                else:
+                    assert abs(m - v.conjugate()) <= 1e-13 * abs(v), z
+
 
 def _hi_quad_by_panel(z):
-    """Reference: the Hi panel quadrature summed one panel at a time."""
+    """Reference: the Hi panel quadrature summed one panel at a time, on the
+    ray and panel ends that _hi_quad chose (see pa._hi_ray)."""
     z = complex(z)
-    phi = max(min(cmath.phase(z) / 2.0 if z != 0 else 0.0,
-                  math.pi / 6.0 - 0.03), -(math.pi / 6.0 - 0.03))
-    e1 = cmath.exp(1j * phi)
+    e1, ends = pa._hi_quad(z)[2]
     e3 = e1 * e1 * e1
-    c3 = max(e3.real, 0.08)
     zr = z * e1
-    T = (3.0 * (760.0 + 2.0 * max(zr.real, 0.0) ** 1.5) / c3) ** (1.0 / 3.0)
     x, w = gauss(48)
     logs, v0, v1 = [], [], []
-    s_lo = 0.0
-    while s_lo < T:
-        rate = abs(e3.imag) * s_lo * s_lo + abs(zr.imag) + 1.0
-        ds = min(max(T / 20.0, 0.3), 10.0 / rate + 0.05)
-        s_hi = min(s_lo + ds, T)
+    for s_lo, s_hi in zip(ends[:-1], ends[1:]):
         t = 0.5 * (s_hi - s_lo) * x + 0.5 * (s_lo + s_hi)
         ww = 0.5 * (s_hi - s_lo) * w
         expo = -e3 * t ** 3 / 3.0 + zr * t
         m = float(np.max(expo.real))
-        if m > -745.0:
-            g = np.exp(expo - m)
-            logs.append(m)
-            v0.append(complex(np.sum(ww * g)))
-            v1.append(complex(np.sum(ww * t * g)))
-        s_lo = s_hi
+        g = np.exp(expo - m)
+        logs.append(m)
+        v0.append(complex(np.sum(ww * g)))
+        v1.append(complex(np.sum(ww * t * g)))
     mtop = max(logs)
     I0 = sum(v * math.exp(l - mtop) for v, l in zip(v0, logs))
     I1 = sum(v * math.exp(l - mtop) for v, l in zip(v1, logs))
     scale = cmath.exp(mtop)
     return I0 * e1 * scale / math.pi, I1 * e1 * e1 * scale / math.pi
+
+
+def _hi_lattice():
+    """Random points of the Hi quadrature disk, z = 0, either side of the
+    anti-Stokes rays, the negative real axis, and |z| = 30 in the dominant
+    sector."""
+    rng = np.random.default_rng(7)
+    r = pa.HI_QUAD_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, 120))
+    zs = [complex(z) for z in r * np.exp(1j * rng.uniform(-math.pi, math.pi, 120))]
+    zs.append(0j)
+    for rad in (1.0, 6.0, 13.0, 21.0, pa.HI_QUAD_RADIUS):
+        zs += [rad * cmath.exp(1j * (s * math.pi / 3 + d))
+               for s in (1, -1) for d in (-0.02, 0.0, 0.02)]
+        zs.append(complex(-rad))
+    zs += [pa.HI_QUAD_RADIUS * cmath.exp(1j * th) for th in (-0.5, 0.0, 0.5)]
+    return zs
 
 
 def _ai_quad_by_panel(z):
@@ -235,16 +307,10 @@ class TestPanelQuadratureInOnePass:
     """The array-pass quadratures against the same rules summed per panel."""
 
     def test_hi_quad(self):
-        rng = np.random.default_rng(7)
-        r = pa.HI_QUAD_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, 120))
-        zs = list(r * np.exp(1j * rng.uniform(-math.pi, math.pi, 120)))
-        # either side of the anti-Stokes rays, and the negative real axis
-        for rad in (1.0, 6.0, 13.0, 21.0, pa.HI_QUAD_RADIUS):
-            zs += [rad * cmath.exp(1j * (s * math.pi / 3 + d))
-                   for s in (1, -1) for d in (-0.02, 0.0, 0.02)]
-            zs.append(complex(-rad))
+        zs = _hi_lattice()
         assert len(zs) >= 150
-        assert _worst_rel(pa._hi_quad, _hi_quad_by_panel, zs) <= 1e-14
+        hi_pair = lambda z: pa._hi_quad(z)[:2]
+        assert _worst_rel(hi_pair, _hi_quad_by_panel, zs) <= 1e-14
 
     def test_ai_quad(self):
         rng = np.random.default_rng(8)
