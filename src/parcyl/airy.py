@@ -6,9 +6,12 @@ Evaluation layers (radii from scripts/airy_sweep.py):
   4.5 < |z| <= 9.5    non-oscillatory integral representation,
   |z| > 9.5           Poincare expansions (rotated into |arg| <= 2pi/3).
 
-Bi is always assembled from the rotation connection
-Bi(z) = e^{-i pi/6} Ai_1(z) + e^{i pi/6} Ai_{-1}(z), which is cancellation-
-free in every direction.
+Ai_l and Bi = e^{-i pi/6} Ai_1 + e^{i pi/6} Ai_{-1} (cancellation-free in
+every direction) come from Ai at the three points p_k = z e^{-2 pi i k/3},
+k = 0, +-1, each formed as a product.  They share a layer, and at most one
+lies outside its sector; that one comes from the other two by DLMF 9.2.12
+(`_rotated_ai`).  So a call evaluates each point at most once, and
+airy(conj z) = conj airy(z) bit for bit.
 
 Scorer Hi has two layers:
   |z| <= 30           Gauss panel quadrature of its integral on a ray
@@ -48,7 +51,11 @@ HI_QUAD_RADIUS = 30.0
 # largest real exponent a value may carry before it leaves the double range
 _EXP_LIMIT = 700.0
 
-_OM = cmath.exp(2j * math.pi / 3.0)  # e^{2 pi i/3}
+_OM = cmath.exp(2j * math.pi / 3.0)  # w = e^{2 pi i/3}
+# w^n by n mod 3; w^2 is the exact conjugate of w, so that every rotation
+# commutes with conjugation
+_W = (1.0 + 0j, _OM, _OM.conjugate())
+_E6 = cmath.exp(1j * math.pi / 6.0)
 
 # Gamma(1/3), Gamma(2/3) to extended precision (series constants)
 _GAMMA_13 = np.longdouble("2.67893853470774763365569294097467764413")
@@ -150,26 +157,37 @@ def _asym_pair(z: complex) -> tuple[complex, complex]:
     return pre * sa, -cmath.exp(-xi) * z ** 0.25 / (2.0 * math.sqrt(math.pi)) * sb
 
 
-def _ai_pair(z: complex) -> tuple[complex, complex]:
-    z = complex(z)
+def _rotated_ai(z: complex, ks) -> dict[int, tuple[complex, complex]]:
+    """Ai_k(z) = Ai(p_k) and d/dz Ai_k(z) for each k in `ks`, a subset of
+    {0, 1, -1}, at the points p_k = z w^{-k}, w = e^{2pi i/3}.
+
+    The three points share |z| and so a layer, and a layer's out-of-sector
+    arc (|arg| > 2.4 for the quadrature, > 2pi/3 + 0.15 for the Poincare
+    expansion) is narrower than their 2pi/3 spacing: at most one point lies
+    outside its sector.  Where that point is asked for it comes from the
+    other two through sum_k w^{-k} Ai_k(z) = 0 (DLMF 9.2.12), which holds
+    for the z-derivatives as it stands.  Each leaf is evaluated at most once.
+    """
     r = abs(z)
     if r <= MACLAURIN_RADIUS:
-        return _maclaurin_pair(z)
-    ang = cmath.phase(z)
-    if r <= ASYMPTOTIC_RADIUS:
-        if abs(ang) <= 2.4:
-            return _quad_pair(z)
+        leaf, arc = _maclaurin_pair, math.inf
+    elif r <= ASYMPTOTIC_RADIUS:
+        leaf, arc = _quad_pair, 2.4
     else:
-        # sector must reach past 2pi/3 so the rotation recursion terminates
-        if abs(ang) <= 2.0 * math.pi / 3.0 + 0.15:
-            return _asym_pair(z)
-    # rotate into well-conditioned sectors:
-    # Ai(z) = -e^{-2pi i/3} Ai(z e^{-2pi i/3}) - e^{2pi i/3} Ai(z e^{2pi i/3})
-    am, amp = _ai_pair(z / _OM)
-    ap, app = _ai_pair(z * _OM)
-    ai = -am / _OM - ap * _OM
-    aip = -amp / (_OM * _OM) - app * _OM * _OM
-    return ai, aip
+        leaf, arc = _asym_pair, 2.0 * math.pi / 3.0 + 0.15
+    pts = {k: z * _W[-k % 3] for k in (0, 1, -1)}
+    out = [k for k, p in pts.items() if abs(cmath.phase(p)) > arc]
+    bad = out[0] if out else None
+    need = set(pts) if bad in ks else set(ks)
+    vals = {}
+    for k in need - {bad}:
+        ai, aip = leaf(pts[k])
+        vals[k] = (ai, aip * _W[-k % 3])  # chain rule on the rotation
+    if bad in need:
+        others = [k for k in (0, 1, -1) if k != bad]
+        vals[bad] = tuple(-sum(_W[(bad - k) % 3] * vals[k][j] for k in others)
+                          for j in (0, 1))
+    return vals
 
 
 def _checked(z: complex) -> complex:
@@ -187,19 +205,13 @@ def airy(z: complex, rotation: int = 0) -> AiryValue:
     z = _checked(z)
     if rotation not in (0, 1, -1):
         raise ValueError("rotation must be 0 or +-1")
-    zr = z * cmath.exp(-2j * math.pi * rotation / 3.0)
     r = abs(z)
     method = ("maclaurin" if r <= MACLAURIN_RADIUS
               else "quadrature" if r <= ASYMPTOTIC_RADIUS else "asymptotic")
-    ai_r, aip_r = _ai_pair(zr)
-    # report Ai_l and d/dz Ai_l(z) (chain rule on the rotation)
-    rot = cmath.exp(-2j * math.pi * rotation / 3.0)
-    ai, aip = ai_r, aip_r * rot
-    a1, a1p = _ai_pair(z / _OM)
-    am1, am1p = _ai_pair(z * _OM)
-    bi = cmath.exp(-1j * math.pi / 6.0) * a1 + cmath.exp(1j * math.pi / 6.0) * am1
-    bip = (cmath.exp(-1j * math.pi / 6.0) * a1p / _OM
-           + cmath.exp(1j * math.pi / 6.0) * am1p * _OM)
+    vals = _rotated_ai(z, (rotation, 1, -1))
+    ai, aip = vals[rotation]
+    e6 = _E6.conjugate()
+    bi, bip = (e6 * a1 + _E6 * am1 for a1, am1 in zip(vals[1], vals[-1]))
     if z.imag == 0.0 and rotation == 0:
         ai, aip, bi, bip = (w.real + 0j for w in (ai, aip, bi, bip))
     return AiryValue(ai, aip, bi, bip, method)
@@ -326,13 +338,13 @@ def _hi_asym(z: complex) -> tuple[complex, complex]:
     z = complex(z)
     ang = cmath.phase(z)
     if math.pi / 3.0 - 0.25 < abs(ang) < math.pi / 3.0 + 0.3:
-        sgn = 1.0 if ang > 0 else -1.0
+        sgn = 1 if ang > 0 else -1
         rot = cmath.exp(sgn * 2j * math.pi / 3.0)
         ph = cmath.exp(-sgn * 1j * math.pi / 6.0)
         h, hp = _hi_pair(z * rot)
-        ai, aip = _ai_pair(z / rot)
+        ai, aip = _rotated_ai(z, (sgn,))[sgn]
         return (rot * h + 2.0 * ph * ai,
-                rot * rot * hp + 2.0 * ph * aip / rot)
+                rot * rot * hp + 2.0 * ph * aip)
     s0 = 0j
     s1 = 0j  # derivative series
     # in powers of 1/z, which stay in range where z^3 would overflow
@@ -404,32 +416,21 @@ def _wi_pair(z: complex, pair: tuple[int, int]) -> tuple[complex, complex]:
 # envelopes
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _env_crossing() -> float:
-    """Abscissa c with Ai(c) = Bi(c) (the envelope splice point)."""
-    lo, hi = -1.0, 0.0
-    f = lambda x: (airy(x).ai - airy(x).bi).real
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo = mid
-            flo = fm
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
+#: abscissa c with Ai(c) = Bi(c), the envelope splice point (the double
+#: nearest the root, from mpmath at 40 digits; pinned in tests/test_airy.py)
+ENV_CROSSING = -0.36604632808053505
 
 
 def env_airy(x: float) -> tuple[float, float]:
     """(envAi, envBi): modulus envelope below the Ai-Bi crossing, sqrt(2)
     times the function above it."""
     x = float(x)
-    v = airy(x)
-    c = _env_crossing()
-    if x <= c:
+    return _envelope(x, airy(x))
+
+
+def _envelope(x: float, v: AiryValue) -> tuple[float, float]:
+    """env_airy(x) from the Airy value v at the real point x."""
+    if x <= ENV_CROSSING:
         m = math.hypot(v.ai.real, v.bi.real)
         return m, m
     return math.sqrt(2.0) * v.ai.real, math.sqrt(2.0) * v.bi.real

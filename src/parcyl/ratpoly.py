@@ -123,11 +123,6 @@ class RationalPoly:
         return RationalPoly._of([x * q ** k for k, x in enumerate(c)],
                                 self.den * q ** max(n, 0))
 
-    def shift_eval_series(self, a: Fraction, nterms: int) -> tuple[Fraction, ...]:
-        """Taylor coefficients of self at x = a, up to order nterms-1."""
-        c = self.taylor_shift(a).coeffs
-        return (c + (Fraction(0),) * nterms)[:nterms]
-
     def __call__(self, x) -> Fraction:
         """Exact Horner evaluation at an int or a Fraction; TypeError for
         anything else (float rows are ``coeffs.FloatRows``)."""

@@ -120,10 +120,6 @@ class ScaledComplex:
     def conj(self) -> "ScaledComplex":
         return ScaledComplex(self.mantissa.conjugate(), self.log_scale)
 
-    def ratio_to(self, other: "ScaledComplex") -> complex:
-        """self/other as a plain complex (assumes the ratio is representable)."""
-        return (self / other).to_complex()
-
     def __repr__(self):
         return f"ScaledComplex({self.mantissa!r}, e^{self.log_scale:.6g})"
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import plane
-from .airy import AiryValue, airy, env_airy
+from .airy import _envelope, airy
 from .coeffs import check_order, evaluate, get_tables
 from .constants import delta_n_pm, odd_sum_at_1
 from .errors import DomainError, check_inputs, check_real
@@ -336,10 +336,6 @@ def _ab_est_err(u: float, z: complex, m: int) -> float:
 # homogeneous solutions through the turning point
 # ----------------------------------------------------------------------
 
-def _airy_at(u: float, zeta: complex, rotation: int = 0) -> AiryValue:
-    return airy(u ** (2.0 / 3.0) * zeta, rotation)
-
-
 def _w_ml(u: float, z: complex, co: TPCoeffs, l: int, variant: str = "PCF-",
           use_bi: bool = False) -> tuple[complex, float]:
     """w_{m,l} = Ai_l(u^{2/3} zeta) A + Ai_l'(u^{2/3} zeta) B (or the Bi
@@ -348,7 +344,7 @@ def _w_ml(u: float, z: complex, co: TPCoeffs, l: int, variant: str = "PCF-",
     _, zeta = plane.xi_zeta(z)
     if variant == "WEB+":
         zeta = -zeta
-    av = _airy_at(u, zeta, rotation=l)
+    av = airy(u ** (2.0 / 3.0) * zeta, l)
     f, fp = (av.bi, av.bi_prime) if use_bi else (av.ai, av.ai_prime)
     val = f * co.A + fp * co.B
     est_abs = abs(f * co.A) * co.est_err + abs(fp * co.B) * co.est_err
@@ -501,9 +497,10 @@ def weber_W_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedValue
     z = complex(x)
     _, zeta = plane.xi_zeta(z)
     co = tp_coeff_funcs(u, z, m, "WEB+")
-    av = airy(-u ** (2.0 / 3.0) * zeta.real)
+    w = -u ** (2.0 / 3.0) * zeta.real
+    av = airy(w)
     logk = -math.pi * u / 2.0 - math.log(math.sqrt(1.0 + math.exp(-math.pi * u)) + 1.0)
-    envai, envbi = env_airy(-u ** (2.0 / 3.0) * zeta.real)
+    envai, envbi = _envelope(w, av)
     if sign == "+x":
         core = av.bi.real * co.A.real + av.bi_prime.real * co.B.real
         logpref = 0.25 * math.log(2.0) + 0.5 * (math.log(math.pi) + logk) \

@@ -137,6 +137,64 @@ class TestAiry:
             assert abs(aq - aa) <= 1e-12 * (abs(aq) + abs(pa.airy(z).bi))
 
 
+class TestRotatedPoints:
+    """airy() takes Ai_l and Bi from the three points z e^{-2 pi i k/3}."""
+
+    LEAVES = ("_maclaurin_pair", "_quad_pair", "_asym_pair")
+
+    def _count_leaves(self, monkeypatch) -> list:
+        args = []
+        for name in self.LEAVES:
+            def counted(z, _leaf=getattr(pa, name)):
+                args.append(z)
+                return _leaf(z)
+            monkeypatch.setattr(pa, name, counted)
+        return args
+
+    def test_each_point_once_and_three_leaves_at_most(self, monkeypatch):
+        args = self._count_leaves(monkeypatch)
+        # every layer, with angles in the out-of-sector arcs on both sides
+        # (|arg| > 2.4 for the integral, > 2pi/3 + 0.15 for the expansion)
+        angles = list(np.linspace(-math.pi, math.pi, 37))
+        angles += [s * a for s in (1, -1) for a in (2.3, 2.5, 3.0, 3.1)]
+        for r in (0.7, 3.0, 4.5, 6.0, 9.5, 12.0, 30.0):
+            for th in angles:
+                z = r * cmath.exp(1j * th)
+                for l in (0, 1, -1):
+                    args.clear()
+                    pa.airy(z, l)
+                    assert 2 <= len(args) <= 3, (z, l, args)
+                    assert len(set(args)) == len(args), (z, l, args)
+
+    def test_weber_W_real_makes_one_airy_evaluation(self, monkeypatch):
+        tp = importlib.import_module("parcyl.tp")
+        args = self._count_leaves(monkeypatch)
+        calls = []
+
+        def counted(*a, _airy=tp.airy):
+            calls.append(a)
+            return _airy(*a)
+        monkeypatch.setattr(tp, "airy", counted)
+        for x in (-0.5, 0.3, 1.0, 2.5):
+            for sign in ("+x", "-x"):
+                calls.clear()
+                args.clear()
+                tp.weber_W_real(20.0, x, 3, sign)
+                assert len(calls) == 1 and len(args) <= 3, (x, sign)
+
+    def test_schwarz_reflection_is_exact(self):
+        for r in np.geomspace(0.3, 40.0, 9):
+            for th in np.linspace(0.0, math.pi, 71):
+                z = complex(r * cmath.exp(1j * th))
+                zc = z.conjugate()
+                v, vc = astuple(pa.airy(z))[:4], astuple(pa.airy(zc))[:4]
+                assert vc == tuple(w.conjugate() for w in v), z
+                for l in (1, -1):
+                    a, ac = pa.airy(z, l), pa.airy(zc, -l)
+                    assert (ac.ai, ac.ai_prime) == (a.ai.conjugate(),
+                                                    a.ai_prime.conjugate()), (z, l)
+
+
 class TestScorer:
     def test_hi_zero_quadrature(self):
         t = np.linspace(0, 25, 2000001)
@@ -333,8 +391,17 @@ class TestEnvelope:
         assert ea == pytest.approx(math.sqrt(2) * v.ai.real, rel=1e-14)
         assert eb == pytest.approx(math.sqrt(2) * v.bi.real, rel=1e-14)
 
+    def test_crossing_is_the_root(self):
+        c = pa.ENV_CROSSING
+        with mpmath.workdps(40):
+            root = mpmath.findroot(
+                lambda x: mpmath.airyai(x) - mpmath.airybi(x), -0.37)
+        assert abs(c - float(root)) <= math.ulp(c)
+        v = pa.airy(c)
+        assert abs(v.ai - v.bi) <= 4 * np.finfo(float).eps * abs(v.ai)
+
     def test_crossing_continuity(self):
-        c = pa._env_crossing()
+        c = pa.ENV_CROSSING
         v = pa.airy(c)
         # at the crossing the two formulas coincide
         assert math.hypot(v.ai.real, v.bi.real) == pytest.approx(
