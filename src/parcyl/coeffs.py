@@ -15,14 +15,17 @@ view: `FloatRows`, rounded once by `CoeffTables`, and `evaluate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from numbers import Integral
 
+import numpy as np
+
 from .errors import ConsistencyError, OrderError, TurningPointError
 from .plane import beta_map, xi_zeta
+from .quadrature import STACKED_NODES
 from .ratpoly import RationalFunc, RationalPoly
 
 #: default table depth; supports expansion orders n, m up to 6
@@ -207,6 +210,27 @@ class FloatRows:
     poles: tuple[int, ...] = ()
     square: bool = True
     shift: int = 0
+    #: (lo, hi) -> the stacked Horner schedule of rows lo..hi-1; at most
+    #: one entry per row range
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def _plan(self, lo: int, hi: int) -> tuple:
+        """The stacked Horner schedule of rows lo..hi-1: the coefficient
+        column of each step, top coefficients first and zeros above each
+        row's degree, as complex numbers (so that no step casts); and the
+        first row that has joined by each step."""
+        plan = self._plans.get((lo, hi))
+        if plan is None:
+            rows = self.coeffs[lo:hi]
+            width = max(map(len, rows), default=0)
+            steps = np.zeros((width, hi - lo, 1), dtype=complex)
+            for k, row in enumerate(rows):
+                steps[width - len(row):, k, 0] = row[::-1]
+            first = [min(k for k, r in enumerate(rows) if len(r) >= width - j)
+                     for j in range(width)]
+            plan = self._plans[(lo, hi)] = (steps, first)
+        return plan
 
 
 def _row(p: RationalPoly) -> tuple[float, ...]:
@@ -222,19 +246,48 @@ def _func_rows(funcs: list[RationalFunc]) -> FloatRows:
                      base.nums[0])
 
 
-def evaluate(rows: FloatRows, x, lo: int, hi: int) -> list:
+def evaluate(rows: FloatRows, x, lo: int, hi: int):
     """Rows lo..hi-1 of a float view at x, a scalar or an array of nodes:
     Horner's rule on each row, then for rational-function rows the division
-    by base(x)**pole."""
-    out = []
-    for k in range(lo, hi):
-        v = 0.0 * x
-        for c in reversed(rows.coeffs[k]):
-            v = v * x + c
-        if rows.poles:
-            v = v / ((x * x if rows.square else x) + rows.shift) ** rows.poles[k]
-        out.append(v)
-    return out
+    by base(x)**pole.  A scalar gives a list; an array gives one array
+    (hi - lo, *x.shape), up to STACKED_NODES nodes in one Horner pass over
+    all the rows: each row joins it at its top coefficient and then takes
+    the same multiplies and adds as alone, so each value has the same bits
+    as a row by itself."""
+    if not isinstance(x, np.ndarray):
+        out = []
+        for k in range(lo, hi):
+            v = 0.0 * x
+            for c in reversed(rows.coeffs[k]):
+                v = v * x + c
+            if rows.poles:
+                v = v / ((x * x if rows.square else x) + rows.shift) ** rows.poles[k]
+            out.append(v)
+        return out
+    flat = x.reshape(-1)
+    out = np.zeros((hi - lo, flat.size), np.result_type(flat, 1.0))
+    # a row is exactly +0 until its top coefficient is added
+    if hi - lo == 1 or flat.size > STACKED_NODES:
+        for v, row in zip(out, rows.coeffs[lo:hi]):
+            for c in reversed(row):
+                v *= flat
+                v += c
+    else:
+        steps, first = rows._plan(lo, hi)
+        if out.dtype.kind != "c":
+            steps = steps.real
+        for col, k in zip(steps, first):
+            v = out[k:]
+            v *= flat
+            v += col[k:]
+    for v, row in zip(out, rows.coeffs[lo:hi]):
+        if not row:
+            np.multiply(flat, 0.0, out=v)
+    if rows.poles:
+        base = (flat * flat if rows.square else flat) + rows.shift
+        for v, p in zip(out, rows.poles[lo:hi]):
+            v /= base ** p
+    return out.reshape((hi - lo,) + x.shape)
 
 
 class CoeffTables:

@@ -22,7 +22,7 @@ from .errors import (DomainError, OrderError, PairError, PoleError,
 from .gamma import loggamma, rgamma
 from .constants import chi_m, odd_sum_at_1
 from .lg import BOUND_SAFETY, CertifiedValue, weber_neg_Wj
-from .quadrature import polyline_nodes
+from .quadrature import stacked_nodes
 from .scaled import ScaledComplex
 from .tp import (TPCoeffs, _Geometry, _cauchy, _connected, _exp_sums,
                  _ring_geometry, _u_neg_from, tp_coeff_funcs)
@@ -183,22 +183,29 @@ def _bound_integrals(u: float, z: complex, n: int, R: int, variant: str,
         endpoints, path_variant = _PAIR_ENDPOINTS_WEBM, "WEB-"
     else:
         endpoints, path_variant = _PAIR_ENDPOINTS_PLUS, "PCF+"
-    legs = [plane.monotone_path(z, endpoints[j], path_variant) for j in pair]
+    legs = [plane.monotone_path(z, endpoints[j], path_variant).vertices
+            for j in pair]
 
+    # both legs in one node array, summed batch by batch in path order
     I1 = I2 = sup_g = 0.0
-    for zn, dzw in (b for leg in legs for b in polyline_nodes(leg.vertices)):
+    for zn, dzw, spans in stacked_nodes(legs):
         dz = np.abs(dzw)
-        base = np.abs(zn * zn + sgn)
+        f = zn * zn + sgn
+        base = np.abs(f)
+        root = base ** 0.25
         [gv] = evaluate(g, zn, n, n + 1)
         [gdv] = evaluate(g_d, zn, n, n + 1)
-        comb = np.abs(gdv + zn * gv / (2.0 * (zn * zn + sgn)))
-        I1 += float(np.sum(base ** 0.25 * comb * dz))
+        comb = np.abs(gdv + zn * gv / (2.0 * f))
         # 4 |Phi f^{1/2}|: numerator |2-3t^2| for the z^2+1 equations,
         # |3t^2+2| for the z^2-1 one
         phi_num = np.abs(3.0 * zn * zn + 2.0) if variant == "minus" \
             else np.abs(2.0 - 3.0 * zn * zn)
-        I2 += float(np.sum(phi_num / base ** 2.5 * dz))
-        sup_g = max(sup_g, float(np.max(base ** 0.25 * np.abs(gv))))
+        i1 = root * comb * dz
+        i2 = phi_num / base ** 2.5 * dz
+        for _, a, b in spans:
+            I1 += float(i1[a:b].sum())
+            I2 += float(i2[a:b].sum())
+        sup_g = max(sup_g, float(np.max(root * np.abs(gv))))
 
     wz = abs(z * z + sgn) ** 0.25
     Lbar = sup_g + 0.5 * I1

@@ -23,7 +23,7 @@ from . import plane
 from .coeffs import FloatRows, check_order, evaluate, get_tables
 from .constants import chi_m, weber_constants
 from .errors import DomainError, OrderError, check_inputs, check_real
-from .quadrature import polyline_nodes
+from .quadrature import STACKED_NODES, polyline_nodes
 from .scaled import ScaledComplex
 
 #: discretized paths slightly shorten the true progressive chain
@@ -85,12 +85,16 @@ def _family_moments(n: int, batches, family_d: FloatRows) -> tuple[tuple, tuple]
     """The u-free moments of omega_varpi for a coefficient family."""
     if n >= len(family_d.coeffs):
         raise OrderError(f"order n={n} beyond generated tables")
-    return _omega_varpi_moments(
-        n, batches, lambda p: evaluate(family_d, p, 0, n + 1),
-        lambda p: np.abs(1.0 - p * p) ** 2)
+    total = np.zeros(2 * n - 1)
+    for p, dpw in batches:
+        p = p.reshape(-1)
+        total += _moment_sums(n, evaluate(family_d, p, 0, n + 1),
+                              np.abs(dpw).reshape(-1), np.abs(1.0 - p * p) ** 2,
+                              [(0, p.size)])[0]
+    return _split_moments(n, total.tolist())
 
 
-def _omega_varpi_moments(n: int, batches, derivs, weight) -> tuple[tuple, tuple]:
+def _moment_sums(n: int, d: np.ndarray, absd, wfac, spans) -> np.ndarray:
     """The coefficients of omega and varpi as polynomials in 1/u, from the
     exponent-coefficient derivatives at the quadrature nodes of a mapped
     path: omega = sum_s u^{-s} om[s], varpi = sum_s u^{-s} vp[s] with
@@ -100,24 +104,42 @@ def _omega_varpi_moments(n: int, batches, derivs, weight) -> tuple[tuple, tuple]
 
     s = 1..n-1 for om and s = 0..n-2 for vp.  None of them depends on u.
 
-    batches: (nodes, weighted path element) arrays, taken as they come;
-    derivs(nodes): [d_0, ..., d_n], d_k the derivative of the k-th
-    coefficient at the nodes (d_0 is not used); weight(nodes): the factor
-    W of the cross terms.
+    d: (..., n+1, N), d_k the derivative of the k-th coefficient at N
+    nodes (d_0 is not used); absd: |weighted path element| and wfac: the
+    factor W of the cross terms, both broadcasting to (..., 1, N).  Returns
+    the sums over each node span (a, b) of `spans`, (len(spans), ..., 2n-1)
+    in the layout of `_split_moments`.  Up to STACKED_NODES nodes all powers
+    of 1/u go through numpy at once; each cross sum adds its terms in the
+    order of k.
     """
-    om = [0.0] * n
-    vp = [0.0] * (n - 1)
-    for x, dxw in batches:
-        d = derivs(x)
-        absd = np.abs(dxw)
-        wfac = weight(x)
-        om[0] += 2.0 * float(np.sum(np.abs(d[n]) * absd))
-        for s in range(1, n):
-            inner = sum(d[k] * d[s + n - k - 1] for k in range(s, n))
-            om[s] += float(np.sum(np.abs(inner) * wfac * absd))
-        for s in range(n - 1):
-            vp[s] += 4.0 * float(np.sum(np.abs(d[s + 1]) * absd))
-    return tuple(om), tuple(vp)
+    out = np.empty((len(spans),) + d.shape[:-2] + (2 * n - 1,))
+    block = n if d.shape[-1] <= STACKED_NODES else 1
+
+    def reduce(rows: np.ndarray, first: int) -> None:
+        for i, (a, b) in enumerate(spans):
+            out[i, ..., first:first + rows.shape[-2]] = rows[..., a:b].sum(axis=-1)
+
+    for s in range(1, n + 1, block):
+        rows = np.abs(d[..., s:s + block, :])
+        rows *= absd
+        reduce(rows, s - 1)
+    for s in range(1, n, block):
+        stop = min(s + block, n)
+        inner = d[..., s:stop, :] * d[..., n - 1:n, :]
+        for t in range(1, n - s):
+            r = min(stop, n - t) - s
+            inner[..., :r, :] += d[..., s + t:s + t + r, :] * d[..., n - 1 - t:n - t, :]
+        rows = np.abs(inner)
+        rows *= wfac
+        rows *= absd
+        reduce(rows, n + s - 1)
+    return out
+
+
+def _split_moments(n: int, total: list) -> tuple[tuple, tuple]:
+    """(om, vp) from the summed integrands of `_moment_sums`, as
+    floats: vp[0..n-2], om[0] and om[1..n-1], in this order."""
+    return (2.0 * total[n - 1], *total[n:]), tuple(4.0 * v for v in total[:n - 1])
 
 
 def _at_u(moments, u: float) -> float:
@@ -129,7 +151,16 @@ def _at_u(moments, u: float) -> float:
 
 
 def eta_bound(n: int, u: float, omega: float, varpi: float) -> float:
-    return u ** (-n) * omega * math.exp(varpi / u + omega * u ** (-n)) * BOUND_SAFETY
+    """u^{-n} omega exp{u^{-1} varpi + u^{-n} omega}, times BOUND_SAFETY;
+    DomainError where it leaves the double range."""
+    try:
+        bound = u ** (-n) * omega * math.exp(varpi / u + omega * u ** (-n)) \
+            * BOUND_SAFETY
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise DomainError("the eta bound leaves the double range")
+    return bound
 
 
 def _lg_bound(u: float, z: complex, n: int, endpoint: str, variant: str,

@@ -107,16 +107,14 @@ def _sqrt_zz_minus_1_nodes(z: np.ndarray) -> np.ndarray:
     complex product can differ in the last bit, and the omega integrals of
     the turning-point estimates amplify a last-bit change of beta ~1e7-fold;
     this way a path's nodes get the values of a point-by-point loop."""
-    roots = []
-    for w in (z - 1.0, z + 1.0):
-        # cmath.sqrt's formula for normal arguments
-        ax = np.abs(w.real) / 8.0
-        ay = np.abs(w.imag)
-        s = 2.0 * np.sqrt(ax + np.hypot(ax, ay / 8.0))
-        d = ay / (2.0 * s)
-        right = w.real >= 0.0
-        roots.append((np.where(right, s, d), np.copysign(np.where(right, d, s), w.imag)))
-    (ar, ai), (br, bi) = roots
+    # cmath.sqrt's formula for normal arguments, at z - 1 and z + 1 at once
+    w = np.stack((z - 1.0, z + 1.0))
+    ax = np.abs(w.real) / 8.0
+    ay = np.abs(w.imag)
+    s = 2.0 * np.sqrt(ax + np.hypot(ax, ay / 8.0))
+    d = ay / (2.0 * s)
+    right = w.real >= 0.0
+    (ar, br), (ai, bi) = np.where(right, s, d), np.copysign(np.where(right, d, s), w.imag)
     out = np.empty_like(z)
     out.real = ar * br - ai * bi
     out.imag = ar * bi + ai * br
@@ -131,7 +129,7 @@ def xi_minus(z: complex) -> complex:
     Gauss nodes of a path) is evaluated elementwise.
     """
     if isinstance(z, np.ndarray):
-        return _xi_minus_nodes(z)
+        return xi_minus_nodes(z, sqrt_zz_minus_1(z))
     z = canon(z)
     if z.imag == 0.0 and z.real <= 1.0:
         if z.real <= -1.0:
@@ -141,12 +139,12 @@ def xi_minus(z: complex) -> complex:
     return 0.5 * z * s - 0.5 * cmath.log(z + s)
 
 
-def _xi_minus_nodes(z: np.ndarray) -> np.ndarray:
+def xi_minus_nodes(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """xi_minus at an array of nodes z, where s = sqrt_zz_minus_1(z)."""
     z = canon(z)
     interval = (z.imag == 0.0) & (z.real <= 1.0)
     if np.any(z.real[interval] <= -1.0):
         raise CutError("z on the cut (-inf,-1] of zeta/xi")
-    s = sqrt_zz_minus_1(z)
     xi = 0.5 * z * s - 0.5 * np.log(z + s)
     xi[interval] = [-1j * nu_middle(x) for x in z.real[interval]]
     return xi

@@ -19,6 +19,12 @@ SEGMENT_NODES = 32
 #: would hold tens of MB
 BATCH_SEGMENTS = 128
 
+#: nodes up to which the rows of a bound integrand go through numpy in one
+#: call, where the cost per call dominates; on longer arrays a block of
+#: rows costs more per element than one row, and its temporaries defeat the
+#: allocator's reuse (page faults), so the rows go one by one
+STACKED_NODES = 1024
+
 
 @lru_cache(maxsize=32)
 def gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -39,6 +45,32 @@ def polyline_nodes(vertices):
         ends = v[i:i + BATCH_SEGMENTS + 1]
         dz = ends[1:] - ends[:-1]
         yield ends[:-1] + dz * t, dz * half_w
+
+
+def stacked_nodes(polylines):
+    """The batches of `polyline_nodes` of several polylines, flat, packed
+    into batches of up to BATCH_SEGMENTS segments in all: yields (nodes,
+    elements, spans), spans listing (polyline index, start, stop) of each
+    polyline batch within the flat arrays, in order."""
+    group, size = [], 0
+    for i, vertices in enumerate(polylines):
+        for batch in polyline_nodes(vertices):
+            if group and size + len(batch[0]) > BATCH_SEGMENTS:
+                yield _stack(group)
+                group, size = [], 0
+            group.append((i, *batch))
+            size += len(batch[0])
+    if group:
+        yield _stack(group)
+
+
+def _stack(group) -> tuple:
+    spans, stop = [], 0
+    for i, nodes, _ in group:
+        spans.append((i, stop, stop + nodes.size))
+        stop += nodes.size
+    return (np.concatenate([g[1] for g in group], axis=None),
+            np.concatenate([g[2] for g in group], axis=None), spans)
 
 
 @lru_cache(maxsize=1)

@@ -20,16 +20,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import plane
+from . import plane, quadrature
 from .airy import _envelope, airy
 from .coeffs import check_order, evaluate, get_tables
 from .constants import delta_n_pm, odd_sum_at_1
 from .errors import DomainError, check_inputs, check_real
-from .lg import CertifiedValue, _at_u, _family_moments, _omega_varpi_moments
+from .lg import CertifiedValue, _at_u, _moment_sums, _split_moments
 # not called here; perfbench's tracing self-test checks that the wrapped
 # omega_varpi is rebound in this namespace
 from .lg import omega_varpi  # noqa: F401
-from .quadrature import polyline_nodes
 from .scaled import ScaledComplex, sincospi, sum_rel
 
 #: radius of the circle about z = 1 on which the Cauchy-zone error estimate
@@ -261,45 +260,44 @@ def _ab_cauchy(u: float, z: complex, m: int, variant: str) -> tuple[complex, com
 # error estimate machinery for the turning-point expansions
 # ----------------------------------------------------------------------
 
-def _beta_image_minus(path: plane.PathPolyline):
-    """Continuous beta = z/sqrt(z^2-1) and xi images of a PCF- estimate
-    path: lists of (beta, dbeta w) and (xi, dxi w) batches."""
-    segs, xi_nodes = [], []
-    for zn, dzw in polyline_nodes(path.vertices):
-        sq = plane.sqrt_zz_minus_1(zn)
-        segs.append((zn / sq, -dzw / sq ** 3))
-        xi_nodes.append((plane.xi_minus(zn), dzw * sq))
-    return segs, xi_nodes
-
-
-def _gamma_beta_xi(n: int, xi_nodes, seq) -> tuple[tuple, tuple, float]:
-    """omega/varpi moments of the scalar sequences in the xi variable, where
-    the s-th exponent coefficient is (-1)^s a_s/(s xi^s), and the analytic
-    tail that Gamma adds to the leading term beyond the truncated far
-    endpoint."""
-    coef = [(-1) ** (k + 1) * seq[k] for k in range(n + 1)]
-    gam, bet = _omega_varpi_moments(
-        n, xi_nodes,
-        lambda xi: [c * xi ** (-k - 1) for k, c in enumerate(coef)],
-        lambda xi: 1.0)
-    # the first node of each segment lies nearest its far end
-    xi_far = max(float(np.max(np.abs(xi[:, 0]))) for xi, _ in xi_nodes)
-    return gam, bet, 2.0 * seq[n] / (n * xi_far ** n)
-
-
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
 def _est_moments(z: complex, m: int) -> tuple[tuple, _Geometry]:
     """The u-free part of _ab_est_err at z: for each estimate path (to +inf,
     then to +-i inf on the side of z) the omega, varpi, Gamma and B moments
-    and the Gamma tail; and the geometry of z for the envelope."""
+    and the Gamma tail beyond the truncated far endpoint; and the geometry
+    of z for the envelope.  The nodes of both paths are mapped together to
+    beta = z/sqrt(z^2-1) and xi, and one moment kernel takes the rows
+    E_k'(beta) and those of the scalar sequence in xi, whose s-th exponent
+    coefficient is (-1)^s a_s/(s xi^s)."""
     n = 2 * m + 2
     t = get_tables()
-    paths = []
-    for end in ("+inf", "+iinf" if z.imag >= 0 else "-iinf"):
-        segs, xi_nodes = _beta_image_minus(plane.monotone_path(z, end, "PCF-"))
-        paths.append((*_family_moments(n, segs, t.rows["E_d"]),
-                      *_gamma_beta_xi(n, xi_nodes, t.seq["a"])))
-    return tuple(paths), _point_geometry(z, "PCF-", m)
+    paths = [plane.monotone_path(z, end, "PCF-").vertices
+             for end in ("+inf", "+iinf" if z.imag >= 0 else "-iinf")]
+    coef = np.array([(-1) ** (k + 1) * t.seq["a"][k] for k in range(n + 1)])
+    total = np.zeros((len(paths), 2, 2 * n - 1))
+    xi_far = [0.0] * len(paths)
+    for zn, dzw, spans in quadrature.stacked_nodes(paths):
+        sq = plane.sqrt_zz_minus_1(zn)
+        beta, xi = zn / sq, plane.xi_minus_nodes(zn, sq)
+        d = np.empty((2, n + 1, len(zn)), dtype=complex)
+        d[0] = evaluate(t.rows["E_d"], beta, 0, n + 1)
+        # xi ** -1 is numpy's reciprocal, which rounds unlike power(xi, -1)
+        np.reciprocal(xi, out=d[1, 0])
+        np.power(xi, -np.arange(2, n + 2)[:, None], out=d[1, 1:])
+        np.multiply(coef[:, None], d[1], out=d[1])
+        w = np.abs(1.0 - beta * beta) ** 2
+        sums = _moment_sums(
+            n, d, np.abs(np.stack((-dzw / sq ** 3, dzw * sq)))[:, None],
+            np.stack((w, np.ones_like(w)))[:, None], [(a, b) for _, a, b in spans])
+        for (i, a, b), span_sums in zip(spans, sums):
+            total[i] += span_sums
+            # the first node of each segment lies nearest its far end
+            xi_far[i] = max(xi_far[i], float(np.max(np.abs(
+                xi[a:b:quadrature.SEGMENT_NODES]))))
+    return tuple((*_split_moments(n, fam), *_split_moments(n, seq),
+                  2.0 * t.seq["a"][n] / (n * far ** n))
+                 for (fam, seq), far in zip(total.tolist(), xi_far)), \
+        _point_geometry(z, "PCF-", m)
 
 
 def _ab_est_err(u: float, z: complex, m: int) -> float:

@@ -96,6 +96,15 @@ def test_estimate_without_a_path_is_refused(order):
     assert json.loads(out)["error"] == "DOMAIN"
 
 
+def test_bound_beyond_the_double_range_is_refused():
+    # the eta bound's exponent leaves the double range at this point: exit 2
+    # with a JSON error, not a traceback
+    code, out = run_cli("eval", "--function=U+", "--u=20", "--z=-1-0.9989j",
+                        "--order=6")
+    assert code == 2
+    assert json.loads(out)["error"] == "DOMAIN"
+
+
 def test_oracle_subcommand():
     code, out = run_cli("oracle", "--function", "U+", "--u", "20", "--z", "2.0")
     payload = json.loads(out)

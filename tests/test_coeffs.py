@@ -278,6 +278,43 @@ def test_float_view_rows_by_range(tables):
     assert evaluate(FloatRows(((1.0,),), (2,), False, 1), 3.0, 0, 1) == [1 / 16]
 
 
+def _per_row(rows, x, lo, hi):
+    """Horner's rule row by row: the loop the stacked evaluation replaces."""
+    out = []
+    for k in range(lo, hi):
+        v = 0.0 * x
+        for c in reversed(rows.coeffs[k]):
+            v = v * x + c
+        if rows.poles:
+            v = v / ((x * x if rows.square else x) + rows.shift) ** rows.poles[k]
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(32,), (3, 32), (128, 32)])
+def test_stacked_evaluation_matches_the_per_row_loop_bit_for_bit(tables, shape):
+    rng = np.random.default_rng(31)
+    g, g_d = tables.G_rows(3, "plus")
+    views = [(tables.rows["E_d"], 0, 9),
+             # rows of unequal length from lo > 0
+             (tables.rows["Ebar"], 2, 7), (tables.rows["Etilde_d"], 5, 6),
+             # rational rows: G and G' over (x^2 +- 1)^pole, G* over (x + 1)^pole
+             (g, 1, 5), (g_d, 0, 4), (tables.G_rows(2, "minus")[0], 2, 4),
+             (tables.G_star_rows(3, 4), 0, 5),
+             # lengths out of order, and a row without coefficients
+             (FloatRows(((1.0, 2.0, 3.0), (4.0,), (), (0.5, -1.0))), 0, 4)]
+    nodes = (rng.uniform(-1.5, 1.5, shape) + 1j * rng.uniform(-1.5, 1.5, shape),
+             rng.uniform(0.2, 1.5, shape))
+    for x in nodes:
+        for rows, lo, hi in views:
+            got = evaluate(rows, x, lo, hi)
+            assert got.shape == (hi - lo,) + shape
+            for k, ref in enumerate(_per_row(rows, x, lo, hi)):
+                assert got[k].dtype == ref.dtype
+                assert np.array_equal(got[k].view(np.uint64),
+                                      ref.view(np.uint64)), (lo + k, x.dtype)
+
+
 def test_exact_tables_refuse_float_input(tables):
     p = tables.Ebar[3]
     for f in (p, tables.G(2, "plus")[1], tables.G_star(1, 2)):

@@ -2,7 +2,8 @@
 (geometry built once per variant, the u-dependent part assembled per call,
 and every Cauchy integral, A, B and the Scorer contour, summed on it), and
 the per-point caches of the direct geometry and of the turning-point error
-estimate's moments."""
+estimate's moments, which the stacked moment kernel builds with the bits of
+the per-path, per-power loop."""
 
 import cmath
 import functools
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import parcyl
-from parcyl import constants, inhom, plane, quadrature, tp
+from parcyl import constants, inhom, lg, plane, quadrature, tp
 from parcyl.coeffs import evaluate, get_tables
 from parcyl.errors import DomainError
 
@@ -274,25 +275,42 @@ def _omega_varpi_ref(n, u, batches, derivs, weight):
     return omega, varpi
 
 
+def _estimate_images_ref(path):
+    """The beta = z/sqrt(z^2-1) and xi images of a PCF- estimate path, each
+    batch mapped on its own: lists of (beta, dbeta w) and (xi, dxi w)."""
+    segs, xi_nodes = [], []
+    for zn, dzw in quadrature.polyline_nodes(path.vertices):
+        sq = plane.sqrt_zz_minus_1(zn)
+        segs.append((zn / sq, -dzw / sq ** 3))
+        xi_nodes.append((plane.xi_minus(zn), dzw * sq))
+    return segs, xi_nodes
+
+
+def _estimate_rows_ref(n):
+    """The E_k'(beta) rows, the rows (-1)^(k+1) a_k xi^(-k-1) of the scalar
+    sequence, and the cross-term weight of the beta family."""
+    t = get_tables()
+    coef = [(-1) ** (k + 1) * float(t.airy.a[k]) for k in range(n + 1)]
+    return (lambda p: evaluate(t.rows["E_d"], p, 0, n + 1),
+            lambda xi: [c * xi ** (-k - 1) for k, c in enumerate(coef)],
+            lambda p: np.abs(1.0 - p * p) ** 2)
+
+
 def _ab_est_err_ref(u, z, m):
     """tp._ab_est_err rebuilt from scratch at every u: both estimate paths,
-    their beta and xi images, every integral and the envelope geometry."""
+    each mapped batch by batch on its own, every integral and the envelope
+    geometry."""
     n = 2 * m + 2
     t = get_tables()
+    e_rows, xi_rows, weight = _estimate_rows_ref(n)
     try:
         path_j = plane.monotone_path(z, "+inf", "PCF-")
         path_k = plane.monotone_path(z, "+iinf" if z.imag >= 0 else "-iinf", "PCF-")
         e_vals = []
         for path, dlt in ((path_j, 0.0), (path_k, constants.delta_n_pm(u, n))):
-            segs, xi_nodes = tp._beta_image_minus(path)
-            om, vp = _omega_varpi_ref(
-                n, u, segs, lambda p: evaluate(t.rows["E_d"], p, 0, n + 1),
-                lambda p: np.abs(1.0 - p * p) ** 2)
-            coef = [(-1) ** (k + 1) * float(t.airy.a[k]) for k in range(n + 1)]
-            gm, bt = _omega_varpi_ref(
-                n, u, xi_nodes,
-                lambda xi: [c * xi ** (-k - 1) for k, c in enumerate(coef)],
-                lambda xi: 1.0)
+            segs, xi_nodes = _estimate_images_ref(path)
+            om, vp = _omega_varpi_ref(n, u, segs, e_rows, weight)
+            gm, bt = _omega_varpi_ref(n, u, xi_nodes, xi_rows, lambda xi: 1.0)
             xi_far = max(float(np.max(np.abs(xi[:, 0]))) for xi, _ in xi_nodes)
             gm = gm + 2.0 * float(t.airy.a[n]) / (n * xi_far ** n)
             e = u ** n * dlt \
@@ -358,6 +376,66 @@ def test_cached_estimate_matches_the_rebuilt_one(monkeypatch, batch_segments):
                     assert abs(got - ref) <= 1e-13 * ref, (z, m, u, got / ref - 1)
     assert refusals == 3 * 6 * 4
     tp._est_moments.cache_clear()
+
+
+def _moments_ref(n, batches, derivs, weight):
+    """The u-free omega/varpi moments power by power, batch by batch: the
+    loop that the stacked moment kernel replaced."""
+    om, vp = [0.0] * n, [0.0] * (n - 1)
+    for x, dxw in batches:
+        d = derivs(x)
+        absd = np.abs(dxw)
+        wfac = weight(x)
+        om[0] += 2.0 * float(np.sum(np.abs(d[n]) * absd))
+        for s in range(1, n):
+            inner = sum(d[k] * d[s + n - k - 1] for k in range(s, n))
+            om[s] += float(np.sum(np.abs(inner) * wfac * absd))
+        for s in range(n - 1):
+            vp[s] += 4.0 * float(np.sum(np.abs(d[s + 1]) * absd))
+    return tuple(om), tuple(vp)
+
+
+@pytest.mark.parametrize("batch_segments", [quadrature.BATCH_SEGMENTS, 1])
+def test_estimate_moments_are_the_per_path_loop_bit_for_bit(monkeypatch,
+                                                            batch_segments):
+    # both paths in one node array, one kernel for both families: the same
+    # sums, batch by batch, as each path and family on its own
+    monkeypatch.setattr(quadrature, "BATCH_SEGMENTS", batch_segments)
+    tp._est_moments.cache_clear()
+    checked = 0
+    for z in map(complex, EST_POINTS):
+        ends = ("+inf", "+iinf" if z.imag >= 0 else "-iinf")
+        try:
+            paths = [plane.monotone_path(z, end, "PCF-") for end in ends]
+        except plane.NoPath:
+            continue
+        for m in range(6):
+            n = 2 * m + 2
+            e_rows, xi_rows, weight = _estimate_rows_ref(n)
+            a_n = float(get_tables().airy.a[n])
+            for path, got in zip(paths, tp._est_moments(z, m)[0]):
+                segs, xi_nodes = _estimate_images_ref(path)
+                xi_far = max(float(np.max(np.abs(xi[:, 0]))) for xi, _ in xi_nodes)
+                assert got == (*_moments_ref(n, segs, e_rows, weight),
+                               *_moments_ref(n, xi_nodes, xi_rows, lambda xi: 1.0),
+                               2.0 * a_n / (n * xi_far ** n)), (z, m)
+                checked += 1
+    assert checked == 11 * 6 * 2
+    tp._est_moments.cache_clear()
+
+
+@pytest.mark.parametrize("z", [2.0 + 0.3j, -2.5 + 2.5j])
+@pytest.mark.parametrize("n", [3, 6])
+def test_lg_moments_are_the_per_power_loop_bit_for_bit(z, n):
+    # a straight ray (one segment and the p-plane tail) and a traced arc of
+    # batches of 4,096 nodes: every power of 1/u at once on the short one,
+    # one power at a time on the long one
+    path = plane.monotone_path(z, "+inf", "PCF+")
+    fam = get_tables().rows["Ebar_d"]
+    batches = list(lg._beta_image(path))
+    ref = _moments_ref(n, batches, lambda p: evaluate(fam, p, 0, n + 1),
+                       lambda p: np.abs(1.0 - p * p) ** 2)
+    assert lg._family_moments(n, batches, fam) == ref
 
 
 def test_point_caches_stay_bounded_over_a_sweep():

@@ -104,21 +104,31 @@ class TestHomogeneousTP:
         assert rel(cv, ov) < 5e-6
 
     def test_oscillatory_envelope(self):
-        # |U| bounded by the envelope assembly on the oscillatory section
+        # |U| bounded by the prefactor times the envelope assembly on the
+        # oscillatory section
         u, m = 20.0, 3
-        from parcyl.airy import env_airy
+        from parcyl.airy import airy, env_airy
         for z in (0.0, 0.35, 0.6):
             cv = tp.pcf_U_neg(u, z, m)
             ov = oracle.oracle_U(-u / 2, math.sqrt(2 * u) * z)
             assert rel(cv, ov) < 2e-5
             _, zeta = plane.xi_zeta(complex(z))
             co = tp.tp_coeff_funcs(u, complex(z), m, "PCF-")
-            ea, _ = env_airy(u ** (2 / 3) * zeta.real)
+            x = u ** (2 / 3) * zeta.real
+            ea, _ = env_airy(x)
             env = abs(co.A) * ea + abs(co.B) * ea * u ** (2 / 3) * 0.8
-            # envelope with the derivative weight bounds the oscillation
-            pref_log = cv.value.log_abs - math.log(abs(
-                (cv.value * ScaledComplex.from_log(-cv.value.log_abs)).to_complex()))
-            assert abs(ov.value.to_complex() / math.exp(0.0)) >= 0  # sanity
+            # the expansion is U = P w, w = Ai(x) A + Ai'(x) B, with the
+            # prefactor P; below the Ai-Bi crossing ea = sqrt(Ai^2 + Bi^2)
+            # >= |Ai(x)|, and |Ai'(x)| <= sqrt(Ai'^2 + Bi'^2) ~ sqrt(|x|) ea,
+            # where sqrt(|x|) <= 2.9 (x >= -8.3 for 0 <= z), about half of
+            # 0.8 u^{2/3} = 5.9; so |w| <= env
+            av = airy(x)
+            w = av.ai * co.A + av.ai_prime * co.B
+            assert abs(w) <= env
+            log_pref = cv.value.log_abs - math.log(abs(w))
+            # margin: the check above gives |U| <= |P w| / (1 - 2e-5), and
+            # |P w| <= P env
+            assert ov.value.log_abs <= log_pref + math.log(env) - math.log1p(-2e-5)
 
     def test_log_slope_recessive(self):
         u, m = 20.0, 3
