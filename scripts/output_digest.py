@@ -16,11 +16,20 @@ The op streams are read from perfbench/workloads.py and perfbench/outcome.py
 and are not changed.  The library is the one under src/ next to this
 script.
 
+`--compare PARENT CHANGE` reads two such outputs instead and prints, for
+each workload and family, how many outputs are bit-identical, the worst
+relative move of the value and of rel_bound, how many bounds moved by more
+than 1e-13, and every op whose refusal changed (refused on one side only,
+or with another error).
+
 Run:  python scripts/output_digest.py > digest.txt
+      python scripts/output_digest.py --compare parent.txt change.txt
 """
 
 import itertools
+import math
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,7 +55,58 @@ def digest(op: dict) -> str:
                                              v.log_scale, cv.rel_bound))
 
 
+def _parse(path: str) -> dict:
+    """(workload, seed, index) -> (family, the rest of the line's fields)."""
+    out = {}
+    with open(path) as fh:
+        for line in fh:
+            wl, seed, i, family, *rest = line.split()
+            out[(wl, int(seed), int(i))] = (family, rest)
+    return out
+
+
+def _moves(old: list[str], new: list[str]) -> tuple[float, float]:
+    """Relative moves of the value and of rel_bound between two digests."""
+    (ore, oim, ols, ob), (nre, nim, nls, nb) = ([float.fromhex(x) for x in v]
+                                                for v in (old, new))
+    ov = complex(ore, oim)
+    nv = complex(nre, nim) * math.exp(nls - ols)
+    return abs(nv - ov) / abs(ov) if ov else abs(nv), abs(nb - ob) / ob if ob else abs(nb)
+
+
+def compare(parent_path: str, change_path: str) -> None:
+    parent, change = _parse(parent_path), _parse(change_path)
+    if parent.keys() != change.keys():
+        print(f"op streams differ: {len(parent.keys() ^ change.keys())} ops "
+              "on one side only")
+    rows = defaultdict(lambda: [0, 0, 0.0, 0.0, 0])
+    refusals = []
+    for key in sorted(parent.keys() & change.keys()):
+        (family, old), (_, new) = parent[key], change[key]
+        row = rows[(key[0], family)]
+        row[0] += 1
+        row[1] += old == new
+        if len(old) == 1 or len(new) == 1:
+            if old != new:
+                refusals.append((*key, family, " ".join(old), " ".join(new)))
+            continue
+        value, bound = _moves(old, new)
+        row[2], row[3] = max(row[2], value), max(row[3], bound)
+        row[4] += bound > 1e-13
+    print(f"{'workload':<9}{'family':<8}{'ops':>5}{'identical':>10}"
+          f"{'value move':>12}{'bound move':>12}{'bound >1e-13':>13}")
+    for (wl, family), (n, same, value, bound, moved) in sorted(rows.items()):
+        print(f"{wl:<9}{family:<8}{n:>5}{same:>10}{value:>12.2e}{bound:>12.2e}"
+              f"{moved:>13}")
+    print(f"changed refusals: {len(refusals)}")
+    for wl, seed, i, family, old, new in refusals:
+        print(f"  {wl} seed {seed} op {i} {family}: {old} -> {new}")
+
+
 def main() -> None:
+    if sys.argv[1:2] == ["--compare"]:
+        compare(*sys.argv[2:4])
+        return
     for wl, blocks in BLOCKS.items():
         for seed in SEEDS:
             ops = itertools.takewhile(lambda op: op["block"] < blocks,

@@ -224,8 +224,9 @@ def _series_exp(a: list[Fraction], n: int) -> list[Fraction]:
 
 
 def zeta_over_w(z: complex) -> complex:
-    """zeta(z) / (z - 1) by the local series (|z - 1| < ZETA_SERIES_RADIUS)."""
-    w = complex(z) - 1.0
+    """zeta(z) / (z - 1) by the local series (|z - 1| < ZETA_SERIES_RADIUS),
+    elementwise on an array."""
+    w = (z if isinstance(z, np.ndarray) else complex(z)) - 1.0
     v = 0j
     for c in reversed(_zeta_series_coeffs()):
         v = v * w + c
@@ -418,12 +419,12 @@ class PathPolyline:
     monotone_quantity: str  # 're' or 'im' of the variant's base xi
 
     def __post_init__(self):
-        tps = (1j, -1j) if self.variant in ("PCF+", "WEB-") else (1.0, -1.0)
-        for v in self.vertices:
-            for tp in tps:
-                if abs(v - tp) < TP_CLEARANCE:
-                    raise NoPath(f"path vertex {v} within {TP_CLEARANCE} of "
-                                 f"turning point {tp}")
+        tps = np.array((1j, -1j) if self.variant in ("PCF+", "WEB-") else (1.0, -1.0))
+        near = np.abs(np.array(self.vertices, dtype=complex)[:, None] - tps) < TP_CLEARANCE
+        if near.any():
+            i, j = np.argwhere(near)[0]
+            raise NoPath(f"path vertex {self.vertices[i]} within {TP_CLEARANCE} "
+                         f"of turning point {tps[j]}")
 
     def segments(self):
         return zip(self.vertices[:-1], self.vertices[1:])
@@ -440,114 +441,152 @@ def _variant_xi(variant: str):
     return xi_minus, sqrt_zz_minus_1
 
 
+def _xi_nodes(z: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """The variant's base xi and its derivative at an array of points off
+    the cuts: the array form of `_variant_xi`."""
+    if variant in ("PCF+", "WEB-"):
+        w = np.sqrt(z * z + 1.0)
+        return 0.5 * z * w + 0.5 * np.log(z + w), w
+    s = _sqrt_zz_minus_1_nodes(z)
+    return xi_minus_nodes(z, s), s
+
+
 def trace_level_curve(start: complex, variant: str, quantity: str = "re",
-                      direction: int = +1, step: float = 0.01,
-                      max_steps: int = 40000) -> PathPolyline:
-    """Predictor-corrector trace of {Re xi = const} or {Im xi = const}.
+                      direction: int = +1, max_steps: int = 40000) -> PathPolyline:
+    """The arc of {Re xi = c0} (or {Im xi = c0}) from `start`, each vertex
+    solved on the level.
 
-    RK4 predictor on dz/ds = +-i conj(xi') / |xi'|, Newton corrector back
-    onto the level set.  Terminates at |z| = BOX_RADIUS or on a cut;
+    The arc is the preimage of the line xi = xi(start) + lead s, s >= 0,
+    with lead = +-i (+-1 for an Im level) by `direction`.  A scalar
+    continuation in s with large steps, each closed by Newton, finds where
+    the arc ends: within CHORD_TOL past |z| = BOX_RADIUS, or within
+    CHORD_TOL of a cut (PCF+, WEB-).  An arc that comes within
+    10 TP_CLEARANCE of a turning point stalls, and so does one that would
+    cross a cut of xi elsewhere.  The vertices are spaced in s by CHORD_TOL
+    alone: at its midpoint a chord of length h in s strays from the level
+    by about |Re(z / xi'^3)| h^2 / 8 (Im for an Im level).  One array pass
+    places them on the cubic-Hermite interpolant of the continuation and
+    corrects them all by Newton; a chord whose midpoint still strays more
+    than CHORD_TOL is split.  The first max_steps + 1 vertices are kept;
     direction=0 returns the degenerate single-point polyline.
-
-    `step` is the arc-length step at unit scale: after an accepted vertex
-    the step grows by at most 1.6x up to step * max(1, |z|).  The level
-    curves bend like |z| / |z^2+1|^{3/2}, so the chord error per segment
-    stays roughly even along the arc, and a box-edge arc takes a few
-    hundred vertices instead of thousands.  A step is rejected (and
-    halved) when its vertex leaves the level set or comes near a turning
-    point, or when its chord midpoint strays more than CHORD_TOL from the
-    level, as it would where an arc turns tightly far out (near the cut
-    at large |Im z|).  Towards a cut the step is at most max(step,
-    |Re z|), so the trace stops within step/2 of the axis at any |z|.
     """
     xi_fn, fp_fn = _variant_xi(variant)
     start = complex(start)
     if direction == 0:
         return PathPolyline([start], variant, quantity)
-    tp_a, tp_b = (1j, -1j) if variant in ("PCF+", "WEB-") else (1.0, -1.0)
-    near_tp = 10 * TP_CLEARANCE
-    on_re = quantity == "re"
+    tps = (1j, -1j) if variant in ("PCF+", "WEB-") else (1.0, -1.0)
     stop_at_cut = variant in ("PCF+", "WEB-")
+    part = np.real if quantity == "re" else np.imag
+    xi0 = xi_fn(start)
+    c0 = float(part(xi0))
+    lead = direction * (1j if quantity == "re" else 1.0)
 
-    def tangent(z, d):
-        ad = abs(d)
-        if ad < 1e-14:
-            raise TraceStalled(f"vanishing xi' near {z}")
-        t = 1j * d.conjugate() / ad if on_re else d.conjugate() / ad
-        return direction * t
-
-    def level(z):
-        v = xi_fn(z)
-        return v.real if on_re else v.imag
-
-    c0 = level(start)
-    tol = 1e-9 * max(1.0, abs(c0))
-    pts = [start]
-    z = start
-    dz = fp_fn(z)  # xi'(z), carried over from the corrector when it converged
-    h = step
-    for _ in range(max_steps):
-        try:
-            k1 = tangent(z, dz)
-            z2 = z + 0.5 * h * k1
-            k2 = tangent(z2, fp_fn(z2))
-            z3 = z + 0.5 * h * k2
-            k3 = tangent(z3, fp_fn(z3))
-            z4 = z + h * k3
-            k4 = tangent(z4, fp_fn(z4))
-        except (CutError, ValueError):
-            break
-        znew = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        # Newton correction onto the level set; `converged` keeps xi' and the
-        # residual at the final znew, so it is not evaluated again below
-        converged = False
-        for _ in range(4):
+    def on_level(z, s):
+        """Newton from z onto the arc at s: (z, xi'(z)), or None."""
+        for _ in range(8):
             try:
-                d = fp_fn(znew)
-                q = level(znew) - c0
+                d = fp_fn(z)
+                dz = (xi_fn(z) - xi0 - lead * s) / d
+            except (CutError, ValueError, ZeroDivisionError):
+                return None
+            z -= dz
+            if abs(dz) <= 1e-8 * max(1.0, abs(z)):
+                return z, d  # the next step would be below rounding
+        return None
+
+    # continuation: steps of at most a quarter of the distance to the
+    # nearest turning point, aimed at half CHORD_TOL past the box, or short
+    # of a cut, when they would pass it; z'' = -lead^2 z / xi'^4
+    ss, zs, ds = [0.0], [start], [fp_fn(start)]
+    s, z, h = 0.0, start, math.inf
+    for _ in range(max_steps):
+        if abs(z) >= BOX_RADIUS or (
+                stop_at_cut and abs(z.imag) > 1.0 and abs(z.real) <= CHORD_TOL):
+            break
+        dzds = lead / ds[-1]
+        speed = abs(dzds)
+        h = min(h, 0.25 * min(abs(z - tps[0]), abs(z - tps[1])) / speed)
+        rate = (z.conjugate() * dzds).real / abs(z) if z else 0.0
+        if rate > 0.0:
+            h = min(h, (BOX_RADIUS + 0.5 * CHORD_TOL - abs(z)) / rate)
+        side = math.copysign(1.0, z.real)
+        if stop_at_cut and abs(z.imag) > 1.0 and side * dzds.real < 0.0:
+            h = min(h, (abs(z.real) - 0.5 * CHORD_TOL) / -(side * dzds.real))
+        guess = z + h * dzds - h * h * lead * lead * z / (2.0 * ds[-1] ** 4)
+        res = on_level(guess, s + h)
+        ok = res is not None and abs(res[0] - guess) <= 0.5 * h * speed \
+            and abs(res[0]) < BOX_RADIUS + CHORD_TOL
+        if ok and stop_at_cut and res[0].real * side < 0.0:
+            # crossed the imaginary axis: allowed below the cut only
+            w = res[0]
+            ok = abs(z.imag + (w.imag - z.imag) * z.real / (z.real - w.real)) < 1.0
+        if not ok:
+            h *= 0.5
+            if h * speed < 1e-12 * max(1.0, abs(z)):
+                raise TraceStalled("corrector failed to hold the level set")
+            continue
+        z, d = res
+        if min(abs(z - tps[0]), abs(z - tps[1])) < 10 * TP_CLEARANCE:
+            raise TraceStalled(f"arc runs into a turning point at {z}")
+        s += h
+        ss.append(s)
+        zs.append(z)
+        ds.append(d)
+        h *= 2.0
+    if len(ss) == 1:
+        return PathPolyline([start], variant, quantity)
+
+    knots, zk = np.array(ss), np.array(zs)
+    slope = lead / np.array(ds)  # dz/ds at the knots
+
+    def hermite(sv):
+        k = np.clip(np.searchsorted(knots, sv, "right") - 1, 0, len(knots) - 2)
+        hk = knots[k + 1] - knots[k]
+        x = (sv - knots[k]) / hk
+        x2, x3 = x * x, x * x * x
+        return (2 * x3 - 3 * x2 + 1) * zk[k] + (x3 - 2 * x2 + x) * hk * slope[k] \
+            + (3 * x2 - 2 * x3) * zk[k + 1] + (x3 - x2) * hk * slope[k + 1]
+
+    def correct(z, sv):
+        for _ in range(8):
+            try:
+                xi, d = _xi_nodes(z, variant)
             except CutError:
                 break
-            if abs(q) < 1e-12:
-                converged = True
-                break
-            g = d.conjugate() if on_re else 1j * d.conjugate()
-            znew = znew - q * g / abs(d) ** 2
-        if abs(znew - tp_a) < near_tp or abs(znew - tp_b) < near_tp:
-            if h < 1e-8:
-                raise TraceStalled(f"step collapsed near turning point at {znew}")
-            h *= 0.5
-            continue
-        if not converged:
-            q = level(znew) - c0
-            d = fp_fn(znew)
-        if abs(q) > tol:
-            if h < 1e-8:
-                raise TraceStalled("corrector failed to hold the level set")
-            h *= 0.5
-            continue
-        try:
-            qm = level(0.5 * (z + znew)) - c0
-        except CutError:
+            dz = (xi - xi0 - lead * sv) / d
+            z = z - dz
+            if np.all(np.abs(dz) <= 1e-8 * np.maximum(1.0, np.abs(z))):
+                return z
+        raise TraceStalled("corrector failed to hold the level set")
+
+    # vertex density from the midpoint deviation, sampled 16 times a knot
+    # interval on the interpolant; each chord aims at 0.96 CHORD_TOL, 2% of
+    # slack in its length for the sampling, so that no chord needs a split
+    frac = np.arange(16) / 16.0
+    sf = np.append((knots[:-1, None] + np.diff(knots)[:, None] * frac).ravel(),
+                   knots[-1])
+    zf = hermite(sf)
+    rho = np.sqrt(np.abs(part(zf / _xi_nodes(zf, variant)[1] ** 3))
+                  / (8.0 * 0.96 * CHORD_TOL))
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(sf))))
+    n = max(1, math.ceil(cum[-1]))
+    sv = np.interp(np.linspace(0.0, cum[-1], n + 1), cum, sf)
+    zv = np.empty(n + 1, dtype=complex)
+    zv[0], zv[-1] = start, zk[-1]
+    zv[1:-1] = correct(hermite(sv[1:-1]), sv[1:-1])
+    for _ in range(16):
+        mid = 0.5 * (zv[:-1] + zv[1:])
+        bad = np.flatnonzero(np.abs(part(_xi_nodes(mid, variant)[0]) - c0) > CHORD_TOL)
+        if bad.size == 0:
             break
-        if abs(qm) > CHORD_TOL:
-            if h < 1e-8:
-                raise TraceStalled("chord strays from the level set")
-            h *= 0.5
-            continue
-        z = znew
-        dz = d
-        pts.append(z)
-        az = abs(z)
-        h = min(step * max(1.0, az), h * 1.6)
-        if stop_at_cut:
-            # no longer than the distance to the cut, so that an arc
-            # reaching it stops within step/2 of the axis at any |z|
-            h = min(h, max(step, abs(z.real)))
-        if az >= BOX_RADIUS:
-            break
-        if stop_at_cut and abs(z.real) < 0.5 * h and abs(z.imag) > 1.0:
-            break  # reached a cut
-    return PathPolyline(pts, variant, quantity)
+        sm = 0.5 * (sv[bad] + sv[bad + 1])
+        sv = np.insert(sv, bad + 1, sm)
+        zv = np.insert(zv, bad + 1, correct(mid[bad], sm))
+    else:
+        raise TraceStalled("chord strays from the level set")
+    if np.min(np.abs(np.subtract.outer(zv, tps))) < 10 * TP_CLEARANCE:
+        raise TraceStalled("arc runs into a turning point")
+    return PathPolyline(zv[:max_steps + 1].tolist(), variant, quantity)
 
 
 # ----------------------------------------------------------------------
@@ -600,7 +639,7 @@ def _pcfp_path(z: complex, endpoint: str) -> PathPolyline:
         if abs(cut_pt.real) > 0.05 and abs(cut_pt) < BOX_RADIUS - 1:
             raise NoPath(f"level-curve arc from {z} did not reach the cut")
         far = complex(BOX_RADIUS, cut_pt.imag)
-        verts = [far] + [v for v in reversed(arc.vertices)]
+        verts = [far] + arc.vertices[::-1]
         return PathPolyline(verts, "PCF+", "re")
     if endpoint == "+iinf":
         if not _reach_plus_i_inf(z):

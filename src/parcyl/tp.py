@@ -24,7 +24,7 @@ from . import plane, quadrature
 from .airy import _envelope, airy
 from .coeffs import check_order, evaluate, get_tables
 from .constants import delta_n_pm, odd_sum_at_1
-from .errors import DomainError, check_inputs, check_real
+from .errors import CutError, DomainError, check_inputs, check_real
 from .lg import CertifiedValue, _at_u, _moment_sums, _split_moments
 # not called here; perfbench's tracing self-test checks that the wrapped
 # omega_varpi is rebound in this namespace
@@ -113,51 +113,92 @@ class _Geometry:
     plain: np.ndarray
     tilde: np.ndarray
 
+    def __post_init__(self):
+        # geometries are cached and shared: no caller may write into them
+        for arr in vars(self).values():
+            arr.setflags(write=False)
+
 
 def _geometry(points, variant: str, s_top: int) -> _Geometry:
-    """The one node loop: Liouville variables, roots and E_1..E_{s_top} at
-    each upper-side point; then the coefficient rows
+    """Liouville variables, roots and E_1..E_{s_top} at upper-side points
+    in one array pass, each by the scalar formula of its zone
+    (plane.xi_zeta, plane.beta_map, _root_A, _root_B); then the coefficient
+    rows
 
         E_s(beta) + (-1)^s seq_s xi^{-s} / s,   s = 1..s_top,
 
     for the plain sequence a_s and the tilde sequence (both families share
-    the E_s polynomials), each column times (-i)^s for WEB+."""
+    the E_s polynomials).  The WEB+ geometry is the PCF- one with each
+    column times (-i)^s and root_b times -i (`_web`)."""
     t = get_tables()
-    points = np.array(points, dtype=complex)
-    n = len(points)
-    xi, zeta, ra, rb = (np.empty(n, dtype=complex) for _ in range(4))
-    E = np.empty((n, s_top), dtype=complex)
-    s = range(1, s_top + 1)
-    for i, p in enumerate(points):
-        p = plane.canon(complex(p))
-        xi[i], zeta[i] = plane.xi_zeta(p)
-        E[i] = evaluate(t.rows["E"], plane.beta_map(p, "PCF-"), 1, s_top + 1)
-        ra[i] = _root_A(p)
-        rb[i] = _root_B(p, variant)
+    # + 0.0 turns a -0.0 imaginary part into +0.0 (plane.canon)
+    p = np.array(points, dtype=complex).reshape(-1) + 0.0
+    # sqrt(z^2-1) = a b with the cut (-inf, 1] (upper-side limit on it)
+    a, b = np.sqrt(p - 1.0), np.sqrt(p + 1.0)
+    sq = a * b
+    beta = p / sq
+    xi = 0.5 * p * sq - 0.5 * np.log(p + sq)
+    # zeta from the branch-corrected 2/3 power of xi
+    zeta = (1.5 * xi) ** (2.0 / 3.0)
+    zeta[(xi.imag < 0) | ((xi.imag == 0) & (xi.real <= 0))] *= cmath.exp(4j * math.pi / 3.0)
+    axis = p.imag == 0.0
+    if axis.any():
+        # on the axis: real zeta, and xi = -i nu on (-1, 1)
+        x = p.real
+        if np.any(axis & ((x <= -1.0) | (x == 1.0))):
+            raise CutError("z on the cut (-inf,-1] or at a turning point")
+        mid = axis & (x < 1.0)
+        xi[mid] = [-1j * plane.nu_middle(v) for v in x[mid]]
+        zeta[mid] = -(1.5 * -xi.imag[mid]) ** (2.0 / 3.0)
+        zeta[axis & ~mid] = (1.5 * xi.real[axis & ~mid]) ** (2.0 / 3.0)
+    g = zeta / (p * p - 1.0)
+    near = np.abs(p - 1.0) < plane.ZETA_SERIES_RADIUS
+    if near.any():
+        # near z = 1: the local series, and xi from it (off (-1, 1))
+        zw = plane.zeta_over_w(p[near])
+        zeta[near] = (p[near] - 1.0) * zw
+        g[near] = zw / (p[near] + 1.0)
+        series_xi = near & ~(axis & (p.real < 1.0))
+        xi[series_xi] = (2.0 / 3.0) * zeta[series_xi] ** 1.5
+    ra = g ** 0.25
+    rb = ra * a * b
+    # one point takes evaluate's scalar Horner: on one node the array
+    # pass's numpy call per degree costs six times as much
+    E = np.array(evaluate(t.rows["E"], complex(beta[0]) if len(p) == 1 else beta,
+                          1, s_top + 1)).reshape(s_top, len(p)).T
     xi_s = xi[:, None] ** -np.arange(1, s_top + 1)
-    fac = np.array([(-1j) ** k if variant == "WEB+" else 1.0 for k in s])
+    s = range(1, s_top + 1)
 
     def rows(seq) -> np.ndarray:
-        return fac * (E + np.array([(-1) ** k * seq[k] / k for k in s]) * xi_s)
+        return E + np.array([(-1) ** k * seq[k] / k for k in s]) * xi_s
 
-    g = _Geometry(points, zeta, ra, rb, rows(t.seq["a"]), rows(t.seq["a_tilde"]))
-    # geometries are cached and shared: no caller may write into them
-    for arr in vars(g).values():
-        arr.setflags(write=False)
-    return g
+    geo = _Geometry(p, zeta, ra, rb, rows(t.seq["a"]), rows(t.seq["a_tilde"]))
+    return _web(geo) if variant == "WEB+" else geo
+
+
+def _web(g: _Geometry) -> _Geometry:
+    """The WEB+ geometry of the points of a PCF- one: root_b times -i and
+    column s of each row times (-i)^s, both exact."""
+    fac = np.array([(-1j) ** k for k in range(1, g.plain.shape[1] + 1)])
+    return _Geometry(g.points, g.zeta, g.root_a, -1j * g.root_b,
+                     fac * g.plain, fac * g.tilde)
 
 
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
-def _point_geometry(z: complex, variant: str, m: int) -> _Geometry:
-    """The geometry of one point (Im z >= 0), with the rows order m needs.
-    Kept per point: it does not depend on u."""
-    return _geometry([z], variant, min(2 * m + 1, get_tables().s_max))
+def _point_geometry(z: complex, m: int) -> _Geometry:
+    """The PCF- geometry of one point (Im z >= 0), with the rows order m
+    needs; WEB+ reads it through `_web`.  Kept per point: it does not
+    depend on u."""
+    return _geometry([z], "PCF-", min(2 * m + 1, get_tables().s_max))
 
 
 @lru_cache(maxsize=2)
 def _ring_geometry(variant: str) -> _Geometry:
-    """The upper half of the ring, with rows to the full table depth.  Built
-    on first use and kept: it does not depend on u."""
+    """The upper half of the ring, with rows to the full table depth (WEB+:
+    `_web` of the PCF- ring).  Built on first use and kept: it does not
+    depend on u."""
+    if variant == "WEB+":
+        return _web(_ring_geometry("PCF-"))
     th = (np.arange(CAUCHY_NODES // 2) + 0.5) * (2.0 * math.pi / CAUCHY_NODES)
     return _geometry(1.0 + RING_RADIUS * np.exp(1j * th), variant,
                      get_tables().s_max)
@@ -201,11 +242,13 @@ def _check_tp_domain(z: complex, variant: str) -> None:
             raise DomainError("on the cut (-inf,-1]")
 
 
-def _exp_sums(g: _Geometry, u: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _exp_sums(g: _Geometry, u: float, m: int,
+              sums=None) -> tuple[np.ndarray, np.ndarray]:
     """e^even cosh(odd) of the tilde sums and e^even sinh(odd) of the plain
-    sums at each point of the geometry; DomainError where their exponents
-    leave the float range."""
-    even_t, odd_t, even_p, odd_p = _mod_sums(g, u, m)
+    sums at each point of the geometry (its `_mod_sums` at u, or `sums` if
+    the caller has them); DomainError where their exponents leave the float
+    range."""
+    even_t, odd_t, even_p, odd_p = _mod_sums(g, u, m) if sums is None else sums
     for even, odd in ((even_t, odd_t), (even_p, odd_p)):
         # e^even cosh(odd) and e^even sinh(odd) are at most e^{even+|odd|}
         big = np.abs(odd.real)
@@ -215,15 +258,19 @@ def _exp_sums(g: _Geometry, u: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(even_t) * np.cosh(odd_t), np.exp(even_p) * np.sinh(odd_p)
 
 
-def _ab(g: _Geometry, u: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _ab(g: _Geometry, u: float, m: int, sums=None) -> tuple[np.ndarray, np.ndarray]:
     """A_{2m+2} and B_{2m+2} at each point of the geometry."""
-    cosh_t, sinh_p = _exp_sums(g, u, m)
+    cosh_t, sinh_p = _exp_sums(g, u, m, sums)
     return g.root_a * cosh_t, sinh_p / (u ** (1.0 / 3.0) * g.root_b)
 
 
-def _ab_direct(u: float, z: complex, m: int, variant: str) -> tuple[complex, complex]:
-    """Direct assembly for |z-1| >= DIRECT_MIN_DIST, Im z >= 0."""
-    A, B = _ab(_point_geometry(z, variant, m), u, m)
+def _ab_direct(u: float, z: complex, m: int, variant: str,
+               sums=None) -> tuple[complex, complex]:
+    """Direct assembly for |z-1| >= DIRECT_MIN_DIST, Im z >= 0, on the
+    point's one geometry; `sums` are its `_mod_sums` at u if the caller has
+    them (PCF- only: WEB+ sums its own rows)."""
+    g = _point_geometry(z, m)
+    A, B = _ab(_web(g), u, m) if variant == "WEB+" else _ab(g, u, m, sums)
     return complex(A[0]), complex(B[0])
 
 
@@ -243,9 +290,11 @@ def tp_coeff_funcs(u: float, z: complex, m: int, variant: str = "PCF-") -> TPCoe
         est = _ab_est_err(u, complex(1.0 + CAUCHY_RADIUS), m) * \
             CAUCHY_RADIUS / (CAUCHY_RADIUS - abs(z - 1.0))
     else:
-        A, B = _ab_direct(u, z, m, variant)
+        # the PCF- sums serve A, B (PCF-) and the estimate's envelope
+        sums = _mod_sums(_point_geometry(z, m), u, m)
+        A, B = _ab_direct(u, z, m, variant, sums)
         method = "direct"
-        est = _ab_est_err(u, z, m)
+        est = _ab_est_err(u, z, m, sums)
     if z.imag == 0.0 and z.real > -1.0:
         A, B = complex(A.real), complex(B.real)
     return TPCoeffs(A, B, m, method, est)
@@ -297,14 +346,15 @@ def _est_moments(z: complex, m: int) -> tuple[tuple, _Geometry]:
     return tuple((*_split_moments(n, fam), *_split_moments(n, seq),
                   2.0 * t.seq["a"][n] / (n * far ** n))
                  for (fam, seq), far in zip(total.tolist(), xi_far)), \
-        _point_geometry(z, "PCF-", m)
+        _point_geometry(z, m)
 
 
-def _ab_est_err(u: float, z: complex, m: int) -> float:
+def _ab_est_err(u: float, z: complex, m: int, sums=None) -> float:
     """Majorant for the dropped error terms of A and B, combined
     into one conservative relative figure; the scalar constants dropped in
     the identifications are absorbed by the calibrated parameter-decay
-    margin.  DomainError where no estimate path leaves z (within
+    margin.  `sums` are the `_mod_sums` of z's geometry at u if the caller
+    has them.  DomainError where no estimate path leaves z (within
     plane.TP_CLEARANCE of -1)."""
     n = 2 * m + 2
     try:
@@ -321,7 +371,9 @@ def _ab_est_err(u: float, z: complex, m: int) -> float:
             + om * math.exp(min(vp / u + om * u ** (-n), 60.0)) \
             + gm * math.exp(min(bt / u + gm * u ** (-n), 60.0))
         e_vals.append(min(e, 1e30))
-    re_sum = float(sum(abs(s[0]) for s in _mod_sums(g, u, m)))
+    if sums is None:
+        sums = _mod_sums(g, u, m)
+    re_sum = float(sum(abs(s[0]) for s in sums))
     env = math.exp(min(re_sum, 50.0))
     e_j, e_k = e_vals
     bound = u ** (-n) * env * (

@@ -223,7 +223,7 @@ class TestScorer:
         e1t = modified_coeff(1, complex(z), "Etilde")
         e1 = modified_coeff(1, complex(z), "E")
         expect = -cmath.cosh(e1t / u) + cmath.sinh(e1 / u) / (u * zeta ** 1.5)
-        g = tp._point_geometry(complex(z), "PCF-", 0)
+        g = tp._point_geometry(complex(z), 0)
         got = complex(inhom._scorer_factor(g, u, 0, "PCF-")[0])
         assert got == pytest.approx(expect, rel=1e-13)
 

@@ -260,6 +260,24 @@ class TestLevelCurves:
             assert lines[0] == "re,im"
             assert len(lines) > 10
 
+    def test_csv_export_pcf_minus(self):
+        # the two critical curves from -1: each vertex on the level of its
+        # first (|z + 1| = 0.05), to the rounding of xi at that vertex
+        # (|xi| ~ |z|^2 / 2, up to 1,250 at the box), and out to |z| >= 5
+        out = plane.export_boundaries("PCF-")
+        assert set(out) == {"upper", "lower"}
+        for name, csv in out.items():
+            lines = csv.strip().splitlines()
+            assert lines[0] == "re,im"
+            verts = [complex(*map(float, line.split(","))) for line in lines[1:]]
+            assert abs(abs(verts[0] + 1.0) - 0.05) < 1e-12
+            assert abs(verts[-1]) >= 5.0
+            assert all(v.imag > 0 if name == "upper" else v.imag < 0 for v in verts)
+            c0 = plane.xi_minus(verts[0]).real
+            for v in verts:
+                xi = plane.xi_minus(v)
+                assert abs(xi.real - c0) <= 16 * np.finfo(float).eps * max(1.0, abs(xi))
+
 
 class TestScaleRelativeStep:
     # two box-edge arcs (lower and upper half plane) and three that end on
@@ -343,15 +361,61 @@ class TestScaleRelativeStep:
         with pytest.raises(NoPath):
             self.FAMILIES[family](z)
 
-    def test_unit_scale_keeps_the_fixed_step(self):
-        # inside |z| <= 1 the step never exceeds the fixed one, so a curve
-        # that stays there is traced vertex for vertex as before
-        z = 0.5 + 0.3j
-        kw = dict(direction=+1, max_steps=20)
-        new = plane.trace_level_curve(z, "PCF+", "re", **kw).vertices
-        ref = trace_fixed_step(z, "PCF+", "re", **kw).vertices
-        assert max(abs(v) for v in new) < 1.0
-        assert new == ref
+    # the arcs of the 12 edge cells of the benchmark grid, each traced from
+    # the left-half-plane cell or from the mirror -z of a right one, and the
+    # vertex count of the scale-relative RK4 stepper the level solver replaced
+    RK4_VERTICES = {-2.5 - 2.5j: 591, -2.5 + 2.5j: 591, -2.5 - 1.5j: 425,
+                    -2.5 + 1.5j: 425, -1.5 - 1.5j: 574, -1.5 + 1.5j: 574}
+
+    @pytest.mark.parametrize("cell", [complex(sx * z.real, z.imag)
+                                      for z in RK4_VERTICES for sx in (1, -1)])
+    def test_edge_cell_arc_holds_level_chords_and_count(self, cell):
+        start = cell if cell.real < 0 else -cell
+        verts = self._arc(start).vertices
+        c0 = plane.xi_bar(start).real
+        assert max(abs(plane.xi_bar(v).real - c0) for v in verts) \
+            <= 1e-12 * max(1.0, abs(c0))
+        assert max(abs(plane.xi_bar(0.5 * (a + b)).real - c0)
+                   for a, b in zip(verts[:-1], verts[1:])) <= plane.CHORD_TOL
+        assert len(verts) <= self.RK4_VERTICES[start]
+
+    @pytest.mark.parametrize("z", [0.5 + 0.3j, -2.5 + 2.5j, -2.5 - 1.5j,
+                                   -1.5 + 1.5j])
+    def test_vertices_lie_on_the_fixed_step_polyline(self, z):
+        # both polylines carry the same level arc.  A vertex holds the level
+        # to lev (1e-9 max(1, |c0|) for the fixed step), and a chord whose
+        # midpoint strays dev from the level lies within about dev / |xi'|
+        # of the arc.  So every vertex of one polyline lies within
+        # 2 (dev + lev_a + lev_b) / min |xi'| of the other (the factor 2 for
+        # the second-order terms), where dev <= CHORD_TOL.  Compared inside
+        # the box, where both end.
+        direction = plane._arc_direction(z) if z.real < 0 else +1
+        polys = [np.array(tr(z, "PCF+", "re", direction=direction).vertices)
+                 for tr in (plane.trace_level_curve, trace_fixed_step)]
+        c0 = plane.xi_bar(z).real
+        slope = min(float(np.min(np.abs(np.sqrt(p * p + 1.0)))) for p in polys)
+        tol = 2.0 * (plane.CHORD_TOL + 1e-9 * max(1.0, abs(c0))
+                     + 1e-12 * max(1.0, abs(c0))) / slope
+        for p, q in (polys, polys[::-1]):
+            p = p[np.abs(p) <= plane.BOX_RADIUS]
+            assert np.max(_distance_to_polyline(p, q)) <= tol
+
+
+def _distance_to_polyline(points, verts):
+    """Distance of each point to the polyline through `verts`, all on one
+    Re xi_bar level arc: each point is set against the chords about its
+    place along the arc, found by t = Im xi_bar, which is monotone there."""
+    t = np.array([plane.xi_bar(complex(v)).imag for v in verts])
+    sign = 1.0 if t[-1] >= t[0] else -1.0
+    tp = np.array([plane.xi_bar(complex(v)).imag for v in points])
+    k = np.searchsorted(sign * t, sign * tp) - 1
+    best = np.full(len(points), np.inf)
+    for j in (k - 1, k, k + 1):
+        j = np.clip(j, 0, len(verts) - 2)
+        a, b = verts[j], verts[j + 1]
+        x = np.clip(((points - a) * np.conj(b - a)).real / np.abs(b - a) ** 2, 0.0, 1.0)
+        best = np.minimum(best, np.abs(points - (a + x * (b - a))))
+    return best
 
 
 class TestMonotonePaths:

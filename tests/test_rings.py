@@ -452,9 +452,62 @@ def test_point_caches_stay_bounded_over_a_sweep():
         assert info.currsize <= info.maxsize and info.hits > 0, info
 
 
+# the points of each zone of the geometry's array pass: the ring, the
+# zeta-series zone |z - 1| < 0.25 (on and off the axis), the interval
+# (-1, 1) and the axis right of 1
+_RING_TH = (np.arange(tp.CAUCHY_NODES // 2) + 0.5) * (2.0 * math.pi / tp.CAUCHY_NODES)
+GEOMETRY_ZONES = {
+    "ring": 1.0 + tp.RING_RADIUS * np.exp(1j * _RING_TH),
+    "series": np.concatenate([1.0 + 0.2 * np.exp(1j * np.linspace(0.0, math.pi, 9)),
+                              [0.8, 0.9, 1.1, 1.2, 1.05 + 0.01j]]),
+    "interval": np.array([-0.9, -0.5, 0.0, 0.3, 0.74]),
+    "right": np.array([1.3, 2.0, 5.0, 40.0]),
+}
+
+
+@pytest.mark.parametrize("variant", ["PCF-", "WEB+"])
+@pytest.mark.parametrize("zone", sorted(GEOMETRY_ZONES))
+def test_geometry_array_pass_matches_the_scalar_formulas(zone, variant):
+    # zeta and the roots to a few ulps.  A coefficient row is
+    # E_s(beta) + (-1)^s a_s xi^{-s} / s, and near z = 1 and at s ~ 12 the two
+    # terms cancel to ~1e-10 of either: rounding the nodes differently (numpy
+    # against cmath) moves it by the rounding of its terms, so each entry is
+    # held to 4 eps (3s H_s(|beta|) + |a_s xi^{-s}|), where H_s is E_s (a
+    # polynomial of degree 3s) with its coefficients' moduli, Horner's rule's
+    # error bound, and s |a_s xi^{-s} / s| carries xi's rounding to the power.
+    t = get_tables()
+    s_max = t.s_max
+    pts = GEOMETRY_ZONES[zone]
+    g = tp._geometry(pts, variant, s_max)
+    eps = np.finfo(float).eps
+    rows = t.rows["E"]
+    moduli = type(rows)(tuple(tuple(abs(c) for c in row) for row in rows.coeffs))
+    s = np.arange(1, s_max + 1)
+    fac = (-1j) ** s if variant == "WEB+" else np.ones(s_max)
+    for i, p in enumerate(pts):
+        p = complex(p)
+        xi, zeta = plane.xi_zeta(p)
+        beta = plane.beta_map(p, "PCF-")
+        for got, ref in ((g.zeta[i], zeta), (g.root_a[i], tp._root_A(p)),
+                         (g.root_b[i], tp._root_B(p, variant))):
+            assert abs(got - ref) <= 8 * eps * abs(ref)
+        e = np.array(evaluate(rows, beta, 1, s_max + 1))
+        horner = 3 * s * np.array(evaluate(moduli, abs(beta), 1, s_max + 1))
+        for name, seq in (("plain", t.seq["a"]), ("tilde", t.seq["a_tilde"])):
+            term = np.array([(-1) ** k * float(seq[k]) / k for k in s]) * xi ** -s
+            bound = 4 * eps * (horner + s * np.abs(term))
+            assert np.all(np.abs(getattr(g, name)[i] - fac * (e + term)) <= bound)
+    # the pass's arrays and the cached ring of the variant (WEB+ derived
+    # from the PCF- one) are read-only
+    for geo in (g, tp._ring_geometry(variant)):
+        for name in ("points", "zeta", "root_a", "root_b", "plain", "tilde"):
+            with pytest.raises(ValueError):
+                getattr(geo, name)[0] = 0.0
+
+
 def test_cached_geometry_is_read_only():
     co = tp.tp_coeff_funcs(20.0, 1.5 + 0.5j, 3)
-    geoms = (tp._ring_geometry("PCF-"), tp._point_geometry(1.5 + 0.5j, "PCF-", 3),
+    geoms = (tp._ring_geometry("PCF-"), tp._point_geometry(1.5 + 0.5j, 3),
              tp._est_moments(1.5 + 0.5j, 3)[1])
     for g in geoms:
         for name in ("points", "zeta", "root_a", "root_b", "plain", "tilde"):
