@@ -15,9 +15,9 @@ view: `FloatRows`, rounded once by `CoeffTables`, and `evaluate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from numbers import Integral
 
@@ -210,27 +210,18 @@ class FloatRows:
     poles: tuple[int, ...] = ()
     square: bool = True
     shift: int = 0
-    #: (lo, hi) -> the stacked Horner schedule of rows lo..hi-1; at most
-    #: one entry per row range
-    _plans: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
-    def _plan(self, lo: int, hi: int) -> tuple:
-        """The stacked Horner schedule of rows lo..hi-1: the coefficient
-        column of each step, top coefficients first and zeros above each
-        row's degree, as complex numbers (so that no step casts); and the
-        first row that has joined by each step."""
-        plan = self._plans.get((lo, hi))
-        if plan is None:
-            rows = self.coeffs[lo:hi]
-            width = max(map(len, rows), default=0)
-            steps = np.zeros((width, hi - lo, 1), dtype=complex)
-            for k, row in enumerate(rows):
-                steps[width - len(row):, k, 0] = row[::-1]
-            first = [min(k for k, r in enumerate(rows) if len(r) >= width - j)
-                     for j in range(width)]
-            plan = self._plans[(lo, hi)] = (steps, first)
-        return plan
+    @cached_property
+    def _steps(self) -> np.ndarray:
+        """The Horner schedule of all rows, right-aligned: each step's
+        coefficient column, zeros above each row's degree, complex (so no
+        step casts); read-only."""
+        width = max(map(len, self.coeffs), default=0)
+        steps = np.zeros((width, len(self.coeffs), 1), dtype=complex)
+        for k, row in enumerate(self.coeffs):
+            steps[width - len(row):, k, 0] = row[::-1]
+        steps.setflags(write=False)
+        return steps
 
 
 def _row(p: RationalPoly) -> tuple[float, ...]:
@@ -251,9 +242,9 @@ def evaluate(rows: FloatRows, x, lo: int, hi: int):
     Horner's rule on each row, then for rational-function rows the division
     by base(x)**pole.  A scalar gives a list; an array gives one array
     (hi - lo, *x.shape), up to STACKED_NODES nodes in one Horner pass over
-    all the rows: each row joins it at its top coefficient and then takes
-    the same multiplies and adds as alone, so each value has the same bits
-    as a row by itself."""
+    all the rows (beyond, row by row) on a slice of `_steps`: each row joins
+    at its top coefficient and then takes the same multiplies and adds as
+    alone, so each value has the same bits as a row by itself."""
     if not isinstance(x, np.ndarray):
         out = []
         for k in range(lo, hi):
@@ -266,20 +257,15 @@ def evaluate(rows: FloatRows, x, lo: int, hi: int):
         return out
     flat = x.reshape(-1)
     out = np.zeros((hi - lo, flat.size), np.result_type(flat, 1.0))
-    # a row is exactly +0 until its top coefficient is added
-    if hi - lo == 1 or flat.size > STACKED_NODES:
-        for v, row in zip(out, rows.coeffs[lo:hi]):
-            for c in reversed(row):
-                v *= flat
-                v += c
-    else:
-        steps, first = rows._plan(lo, hi)
-        if out.dtype.kind != "c":
-            steps = steps.real
-        for col, k in zip(steps, first):
-            v = out[k:]
+    steps = rows._steps if out.dtype.kind == "c" else rows._steps.real
+    # a row is exactly +0 until its own top coefficient is added
+    block = 1 if flat.size > STACKED_NODES else max(hi - lo, 1)
+    for a in range(lo, hi, block):
+        v = out[a - lo:a - lo + block]
+        width = max(map(len, rows.coeffs[a:a + block]))
+        for col in steps[len(steps) - width:, a:a + block]:
             v *= flat
-            v += col[k:]
+            v += col
     for v, row in zip(out, rows.coeffs[lo:hi]):
         if not row:
             np.multiply(flat, 0.0, out=v)

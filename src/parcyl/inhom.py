@@ -22,7 +22,7 @@ from .errors import (DomainError, OrderError, PairError, PoleError,
 from .gamma import loggamma, rgamma
 from .constants import chi_m, odd_sum_at_1
 from .lg import BOUND_SAFETY, CertifiedValue, weber_neg_Wj
-from .quadrature import stacked_nodes
+from .quadrature import path_nodes
 from .scaled import ScaledComplex
 from .tp import (TPCoeffs, _Geometry, _cauchy, _connected, _exp_sums,
                  _ring_geometry, _u_neg_from, tp_coeff_funcs)
@@ -188,7 +188,7 @@ def _bound_integrals(u: float, z: complex, n: int, R: int, variant: str,
 
     # both legs in one node array, summed batch by batch in path order
     I1 = I2 = sup_g = 0.0
-    for zn, dzw, spans in stacked_nodes(legs):
+    for zn, dzw, spans in path_nodes(legs):
         dz = np.abs(dzw)
         f = zn * zn + sgn
         base = np.abs(f)

@@ -23,7 +23,7 @@ from . import plane
 from .coeffs import FloatRows, check_order, evaluate, get_tables
 from .constants import chi_m, weber_constants
 from .errors import DomainError, OrderError, check_inputs, check_real
-from .quadrature import STACKED_NODES, polyline_nodes
+from .quadrature import STACKED_NODES, path_nodes
 from .scaled import ScaledComplex
 
 #: discretized paths slightly shorten the true progressive chain
@@ -49,22 +49,25 @@ class CertifiedValue:
 # path mapping into the rational variable
 # ----------------------------------------------------------------------
 
-def _beta_image(path: plane.PathPolyline):
+def _beta_image(path: plane.PathPolyline) -> list[tuple]:
     """Gauss nodes of the beta_bar image of a z-plane path, on the principal
-    branch: (p, dp w) batches from the exact endpoint +-1 towards z, the
-    first opening with the straight p-plane run from +-1 to the image of
-    the truncated far vertex.  A cut crossing flips the sign of p and dp,
-    which omega and varpi do not see: every family has a parity in p.
+    branch: flat (p, dp w) pairs, a batch each, from the exact endpoint +-1
+    towards z, opening with the straight p-plane run from +-1 to the image
+    of the truncated far vertex.  A cut crossing flips the sign of p and
+    dp, which omega and varpi do not see: every family has a parity in p.
     """
     a = complex(path.vertices[0])
     first_p = a / np.sqrt(complex(a * a + 1.0))
-    tail = next(polyline_nodes([1.0 if first_p.real >= 0 else -1.0, first_p]))
-    for zn, dzw in polyline_nodes(path.vertices):
-        sq = np.sqrt(zn * zn + 1.0)
-        batch = (zn / sq, 1.0 / sq ** 3 * dzw)
-        if tail is not None:
-            batch, tail = tuple(map(np.concatenate, zip(tail, batch))), None
-        yield batch
+    tail = [1.0 if first_p.real >= 0 else -1.0, first_p]
+    pairs = []
+    for p, dpw, spans in path_nodes([tail, path.vertices]):
+        for i, lo, hi in spans:
+            if i == 1:
+                zn = p[lo:hi]
+                sq = np.sqrt(zn * zn + 1.0)
+                p[lo:hi], dpw[lo:hi] = zn / sq, 1.0 / sq ** 3 * dpw[lo:hi]
+        pairs.append((p, dpw))
+    return pairs
 
 
 def omega_varpi(n: int, u: float, batches, family_d) -> tuple[float, float]:
@@ -74,24 +77,27 @@ def omega_varpi(n: int, u: float, batches, family_d) -> tuple[float, float]:
           + sum_{s=1}^{n-1} u^{-s} int | sum_{k=s}^{n-1} W(p) E_k' E_{s+n-k-1}' dp |
     varpi = 4 sum_{s=0}^{n-2} u^{-s} int |E_{s+1}'(p) dp|
 
-    batches: (p, dp w) arrays as _beta_image yields them; family_d: the
-    float rows of the derivatives (index by subscript).
+    batches: the (p, dp w) pairs of _beta_image; family_d: the float rows
+    of the derivatives (index by subscript).
     """
-    om, vp = _family_moments(n, batches, family_d)
+    [(om, vp)] = _family_moments(
+        n, [(p, dpw, [(0, 0, p.size)]) for p, dpw in batches], family_d)
     return _at_u(om, u), _at_u(vp, u)
 
 
-def _family_moments(n: int, batches, family_d: FloatRows) -> tuple[tuple, tuple]:
-    """The u-free moments of omega_varpi for a coefficient family."""
+def _family_moments(n: int, batches, family_d: FloatRows) -> list[tuple]:
+    """The u-free moments (om, vp) of omega_varpi for a coefficient family,
+    one pair for each path: batches of flat (p, dp w) nodes with the spans
+    (path index, start, stop) of each path, as `path_nodes` lists them."""
     if n >= len(family_d.coeffs):
         raise OrderError(f"order n={n} beyond generated tables")
-    total = np.zeros(2 * n - 1)
-    for p, dpw in batches:
-        p = p.reshape(-1)
-        total += _moment_sums(n, evaluate(family_d, p, 0, n + 1),
-                              np.abs(dpw).reshape(-1), np.abs(1.0 - p * p) ** 2,
-                              [(0, p.size)])[0]
-    return _split_moments(n, total.tolist())
+    totals: dict[int, np.ndarray] = {}
+    for p, dpw, spans in batches:
+        sums = _moment_sums(n, evaluate(family_d, p, 0, n + 1), np.abs(dpw),
+                            np.abs(1.0 - p * p) ** 2, spans)
+        for (i, _, _), s in zip(spans, sums):
+            totals[i] = totals.get(i, 0.0) + s
+    return [_split_moments(n, totals[i].tolist()) for i in sorted(totals)]
 
 
 def _moment_sums(n: int, d: np.ndarray, absd, wfac, spans) -> np.ndarray:
@@ -104,31 +110,30 @@ def _moment_sums(n: int, d: np.ndarray, absd, wfac, spans) -> np.ndarray:
 
     s = 1..n-1 for om and s = 0..n-2 for vp.  None of them depends on u.
 
-    d: (..., n+1, N), d_k the derivative of the k-th coefficient at N
-    nodes (d_0 is not used); absd: |weighted path element| and wfac: the
-    factor W of the cross terms, both broadcasting to (..., 1, N).  Returns
-    the sums over each node span (a, b) of `spans`, (len(spans), ..., 2n-1)
-    in the layout of `_split_moments`.  Up to STACKED_NODES nodes all powers
-    of 1/u go through numpy at once; each cross sum adds its terms in the
-    order of k.
+    d: (n+1, N), d_k the derivative of the k-th coefficient at N nodes (d_0
+    is not used); absd: |weighted path element| and wfac: the factor W of
+    the cross terms, both (N,).  Returns the sums over each node span
+    (path, a, b) of `spans`, (len(spans), 2n-1) in the layout of
+    `_split_moments`.  Up to STACKED_NODES nodes all powers of 1/u go
+    through numpy at once; each cross sum adds its terms in the order of k.
     """
-    out = np.empty((len(spans),) + d.shape[:-2] + (2 * n - 1,))
+    out = np.empty((len(spans), 2 * n - 1))
     block = n if d.shape[-1] <= STACKED_NODES else 1
 
     def reduce(rows: np.ndarray, first: int) -> None:
-        for i, (a, b) in enumerate(spans):
-            out[i, ..., first:first + rows.shape[-2]] = rows[..., a:b].sum(axis=-1)
+        for i, (_, a, b) in enumerate(spans):
+            out[i, first:first + len(rows)] = rows[:, a:b].sum(axis=-1)
 
     for s in range(1, n + 1, block):
-        rows = np.abs(d[..., s:s + block, :])
+        rows = np.abs(d[s:s + block])
         rows *= absd
         reduce(rows, s - 1)
     for s in range(1, n, block):
         stop = min(s + block, n)
-        inner = d[..., s:stop, :] * d[..., n - 1:n, :]
+        inner = d[s:stop] * d[n - 1:n]
         for t in range(1, n - s):
             r = min(stop, n - t) - s
-            inner[..., :r, :] += d[..., s + t:s + t + r, :] * d[..., n - 1 - t:n - t, :]
+            inner[:r] += d[s + t:s + t + r] * d[n - 1 - t:n - t]
         rows = np.abs(inner)
         rows *= wfac
         rows *= absd

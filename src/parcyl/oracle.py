@@ -579,19 +579,21 @@ def oracle_U(a, z: complex, n: int = 64, npanel: int = 16) -> OracleValue:
     return _certify(v2, v1, "quadrature", floor=floor)
 
 
-def _u_prime_from_integral(a, Z: complex, n: int, npanel: int) -> ScaledComplex:
-    """U'(a,z) = -(z/2) U(a,z) - (a+1/2) U(a+1,z); differentiating the
+def _u_pair_from_integral(a, Z: complex, n: int,
+                          npanel: int) -> tuple[ScaledComplex, ScaledComplex]:
+    """(U(a,z), U'(a,z)) from the quadratures of U(a,z) and U(a+1,z):
+    U'(a,z) = -(z/2) U(a,z) - (a+1/2) U(a+1,z); differentiating the
     integral representation under the integral sign gives exactly this."""
     ua = _u_from_integral(a, Z, n, npanel)
     ub = _u_from_integral(complex(a) + 1.0, Z, n, npanel)
-    return ua * (-Z / 2.0) - ub * (complex(a) + 0.5)
+    return ua, ua * (-Z / 2.0) - ub * (complex(a) + 0.5)
 
 
 def oracle_U_prime(a, z: complex, n: int = 64, npanel: int = 16) -> OracleValue:
     z = complex(z)
     if complex(a).real <= -0.25:
         raise AccuracyError("derivative oracle needs Re a > -1/4")
-    # the identity of `_u_prime_from_integral` on two certified values
+    # the identity of `_u_pair_from_integral` on two certified values
     return _combine([(ov.value * c, ov.est_acc) for ov, c in (
         (oracle_U(a, z, n, npanel), -z / 2.0),
         (oracle_U(complex(a) + 1.0, z, n, npanel), -(complex(a) + 0.5)))],
@@ -677,8 +679,7 @@ class UContour(_SweptLine):
         self.T = float(T)
         seedz = complex(T, y)
         self._sweep_line(VARIANT_Q["PCF+"](self.a), self.T, self.T,
-                         _u_from_integral(a, seedz, 96, 22),
-                         _u_prime_from_integral(a, seedz, 96, 22), rho)
+                         *_u_pair_from_integral(a, seedz, 96, 22), rho)
 
 
 class UNegLine(_SweptLine):
@@ -871,11 +872,8 @@ def weber_quad_real(a_signed: float, x: float,
     rho = 0.5 * _log_gamma(0.5 + 0.5j * u).imag + math.pi / 8.0
     ia = 1j * a_signed
     Z = x * cmath.exp(-1j * math.pi / 4.0)
-    if x > 0:
-        uv = _u_from_integral(ia, Z, n, npanel).to_complex()
-        upv = _u_prime_from_integral(ia, Z, n, npanel).to_complex()
-    else:
-        uv, upv = (v.to_complex() for v in _u_origin_data(ia))
+    pair = _u_pair_from_integral(ia, Z, n, npanel) if x > 0 else _u_origin_data(ia)
+    uv, upv = (v.to_complex() for v in pair)
     pre = math.sqrt(2.0 * k) * math.exp(math.pi * a_signed / 4.0)
     ph = cmath.exp(1j * rho)
     W = pre * (ph * uv).real

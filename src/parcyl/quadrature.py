@@ -1,5 +1,6 @@
 """The Gauss-Legendre rule shared by the expansions and the oracle, and
-the Gauss nodes of a polyline that every bound integral runs on.
+the one generator of the Gauss nodes of path polylines that every bound
+integral runs on.
 
 Plain numerics with no asymptotic machinery, so the oracle can use it and
 stay independent of the expansions.
@@ -28,53 +29,42 @@ STACKED_NODES = 1024
 
 @lru_cache(maxsize=32)
 def gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point rule on [-1, 1] (shared arrays:
-    callers must not modify them)."""
-    return np.polynomial.legendre.leggauss(n)
+    """Nodes and weights of the n-point rule on [-1, 1] (shared, read-only)."""
+    return _read_only(*np.polynomial.legendre.leggauss(n))
 
 
-def polyline_nodes(vertices):
-    """Gauss nodes of the polyline through `vertices`, in batches of up to
-    BATCH_SEGMENTS segments: yields (nodes, elements), one row of
-    SEGMENT_NODES per segment [zs, ze], nodes zs + (ze - zs)(x + 1)/2 and
-    elements (ze - zs) w/2 for the rule (x, w) on [-1, 1].  The sum of
-    f(nodes) * elements over the batches is the line integral of f."""
+def path_nodes(polylines):
+    """Gauss nodes of several polylines, flat, in batches of up to
+    BATCH_SEGMENTS segments in all: yields (nodes, elements, spans), with
+    nodes zs + (ze - zs)(x + 1)/2 and elements (ze - zs) w/2 of the
+    SEGMENT_NODES-point rule (x, w) on each segment [zs, ze], and spans
+    listing (polyline index, start, stop) of each polyline's nodes in the
+    batch, in order.  Summed over a polyline's spans, f(nodes) * elements
+    is its line integral of f."""
     t, half_w = _unit_segment_rule(SEGMENT_NODES)
-    v = np.asarray(vertices, dtype=complex)[:, None]
-    for i in range(0, len(v) - 1, BATCH_SEGMENTS):
-        ends = v[i:i + BATCH_SEGMENTS + 1]
-        dz = ends[1:] - ends[:-1]
-        yield ends[:-1] + dz * t, dz * half_w
-
-
-def stacked_nodes(polylines):
-    """The batches of `polyline_nodes` of several polylines, flat, packed
-    into batches of up to BATCH_SEGMENTS segments in all: yields (nodes,
-    elements, spans), spans listing (polyline index, start, stop) of each
-    polyline batch within the flat arrays, in order."""
-    group, size = [], 0
-    for i, vertices in enumerate(polylines):
-        for batch in polyline_nodes(vertices):
-            if group and size + len(batch[0]) > BATCH_SEGMENTS:
-                yield _stack(group)
-                group, size = [], 0
-            group.append((i, *batch))
-            size += len(batch[0])
-    if group:
-        yield _stack(group)
-
-
-def _stack(group) -> tuple:
-    spans, stop = [], 0
-    for i, nodes, _ in group:
-        spans.append((i, stop, stop + nodes.size))
-        stop += nodes.size
-    return (np.concatenate([g[1] for g in group], axis=None),
-            np.concatenate([g[2] for g in group], axis=None), spans)
+    verts = [np.asarray(v, dtype=complex) for v in polylines]
+    zs = np.concatenate([v[:-1] for v in verts])[:, None]
+    ze = np.concatenate([v[1:] for v in verts])[:, None]
+    # each polyline's first segment in the flat run, and the end
+    bounds = np.cumsum([0] + [max(len(v) - 1, 0) for v in verts]).tolist()
+    for lo in range(0, len(zs), BATCH_SEGMENTS):
+        hi = min(lo + BATCH_SEGMENTS, len(zs))
+        dz = ze[lo:hi] - zs[lo:hi]
+        spans = [(i, (max(a, lo) - lo) * len(t), (min(b, hi) - lo) * len(t))
+                 for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+                 if max(a, lo) < min(b, hi)]
+        yield (zs[lo:hi] + dz * t).reshape(-1), (dz * half_w).reshape(-1), spans
 
 
 @lru_cache(maxsize=1)
 def _unit_segment_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point rule moved to [0, 1]: nodes (x + 1)/2 and weights w/2."""
+    """The n-point rule moved to [0, 1]: nodes (x + 1)/2 and weights w/2
+    (shared, read-only)."""
     x, w = gauss(n)
-    return 0.5 * x + 0.5, 0.5 * w
+    return _read_only(0.5 * x + 0.5, 0.5 * w)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays

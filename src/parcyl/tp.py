@@ -25,7 +25,7 @@ from .airy import _envelope, airy
 from .coeffs import check_order, evaluate, get_tables
 from .constants import delta_n_pm, odd_sum_at_1
 from .errors import CutError, DomainError, check_inputs, check_real
-from .lg import CertifiedValue, _at_u, _moment_sums, _split_moments
+from .lg import CertifiedValue, _at_u, _family_moments, _split_moments
 # not called here; perfbench's tracing self-test checks that the wrapped
 # omega_varpi is rebound in this namespace
 from .lg import omega_varpi  # noqa: F401
@@ -315,37 +315,33 @@ def _est_moments(z: complex, m: int) -> tuple[tuple, _Geometry]:
     then to +-i inf on the side of z) the omega, varpi, Gamma and B moments
     and the Gamma tail beyond the truncated far endpoint; and the geometry
     of z for the envelope.  The nodes of both paths are mapped together to
-    beta = z/sqrt(z^2-1) and xi, and one moment kernel takes the rows
-    E_k'(beta) and those of the scalar sequence in xi, whose s-th exponent
-    coefficient is (-1)^s a_s/(s xi^s)."""
+    beta = z/sqrt(z^2-1) and xi.  Omega and varpi are the template of the
+    rows E_k'(beta); Gamma and B that of the rows c_k xi^(-k-1), c_k =
+    (-1)^(k+1) a_k, of the scalar sequence, in closed form: a cross sum is
+    C_s xi^(-s-n-1), C_s = sum_{k=s}^{n-1} c_k c_{s+n-k-1}, its terms all of
+    the sign (-1)^(s+n+1), so each moment is a constant times a path
+    integral of |xi|^(-j) |dxi|, j = 2..2n."""
     n = 2 * m + 2
     t = get_tables()
     paths = [plane.monotone_path(z, end, "PCF-").vertices
              for end in ("+inf", "+iinf" if z.imag >= 0 else "-iinf")]
-    coef = np.array([(-1) ** (k + 1) * t.seq["a"][k] for k in range(n + 1)])
-    total = np.zeros((len(paths), 2, 2 * n - 1))
-    xi_far = [0.0] * len(paths)
-    for zn, dzw, spans in quadrature.stacked_nodes(paths):
+    c = np.array([(-1) ** (k + 1) * t.seq["a"][k] for k in range(n + 1)])
+    # |c_1..c_n|, then |C_s| = |(c_0..c_{n-1} convolved with itself)[s+n-1]|
+    consts = np.abs(np.concatenate((c[1:], np.convolve(c[:n], c[:n])[n:])))
+    images, xi_moments, xi_far = [], np.zeros((2, 2 * n - 1)), [0.0, 0.0]
+    for zn, dzw, spans in quadrature.path_nodes(paths):
         sq = plane.sqrt_zz_minus_1(zn)
-        beta, xi = zn / sq, plane.xi_minus_nodes(zn, sq)
-        d = np.empty((2, n + 1, len(zn)), dtype=complex)
-        d[0] = evaluate(t.rows["E_d"], beta, 0, n + 1)
-        # xi ** -1 is numpy's reciprocal, which rounds unlike power(xi, -1)
-        np.reciprocal(xi, out=d[1, 0])
-        np.power(xi, -np.arange(2, n + 2)[:, None], out=d[1, 1:])
-        np.multiply(coef[:, None], d[1], out=d[1])
-        w = np.abs(1.0 - beta * beta) ** 2
-        sums = _moment_sums(
-            n, d, np.abs(np.stack((-dzw / sq ** 3, dzw * sq)))[:, None],
-            np.stack((w, np.ones_like(w)))[:, None], [(a, b) for _, a, b in spans])
-        for (i, a, b), span_sums in zip(spans, sums):
-            total[i] += span_sums
+        r = np.abs(plane.xi_minus_nodes(zn, sq))
+        images.append((zn / sq, -dzw / sq ** 3, spans))
+        powers = r ** -np.arange(2.0, 2 * n + 1)[:, None] * np.abs(dzw * sq)
+        for i, a, b in spans:
+            xi_moments[i] += powers[:, a:b].sum(axis=-1)
             # the first node of each segment lies nearest its far end
-            xi_far[i] = max(xi_far[i], float(np.max(np.abs(
-                xi[a:b:quadrature.SEGMENT_NODES]))))
-    return tuple((*_split_moments(n, fam), *_split_moments(n, seq),
+            xi_far[i] = max(xi_far[i], float(np.max(r[a:b:quadrature.SEGMENT_NODES])))
+    return tuple((*fam, *_split_moments(n, (consts * seq).tolist()),
                   2.0 * t.seq["a"][n] / (n * far ** n))
-                 for (fam, seq), far in zip(total.tolist(), xi_far)), \
+                 for fam, seq, far in zip(_family_moments(n, images, t.rows["E_d"]),
+                                          xi_moments, xi_far)), \
         _point_geometry(z, m)
 
 

@@ -315,6 +315,43 @@ def test_stacked_evaluation_matches_the_per_row_loop_bit_for_bit(tables, shape):
                                       ref.view(np.uint64)), (lo + k, x.dtype)
 
 
+def _library_views(tables):
+    """Every float view whose rows the library evaluates on node arrays,
+    with the row ranges it asks for: the LG derivative families at orders
+    1..12 (omega/varpi and the turning-point estimate), E_1..E_s of the
+    turning-point geometry, and single rows of G and G' (inhom bounds)."""
+    s_max = tables.s_max
+    for name in ("Ebar_d", "Etilde_d", "E_d"):
+        yield tables.rows[name], [(0, n + 1) for n in range(1, s_max + 1)]
+    yield tables.rows["E"], [(1, s + 1) for s in range(1, s_max + 1)]
+    for variant in ("plus", "minus"):
+        for R in (0, 3, 16):
+            for rows in tables.G_rows(R, variant, s_max=7):
+                yield rows, [(n, n + 1) for n in range(8)]
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_every_library_row_range_is_the_per_row_loop_bit_for_bit(tables, real):
+    # one Horner schedule per table, sliced to the rows asked for: each row
+    # keeps the bits it has alone, for every range the library evaluates
+    rng = np.random.default_rng(33)
+    x = rng.uniform(-1.5, 1.5, 64)
+    if not real:
+        x = x + 1j * rng.uniform(-1.5, 1.5, 64)
+    for rows, ranges in _library_views(tables):
+        for lo, hi in ranges:
+            got = evaluate(rows, x, lo, hi)
+            for k, ref in enumerate(_per_row(rows, x, lo, hi)):
+                assert np.array_equal(got[k].view(np.uint64),
+                                      ref.view(np.uint64)), (lo + k, lo, hi)
+
+
+def test_horner_schedule_is_read_only(tables):
+    steps = tables.rows["E_d"]._steps
+    with pytest.raises(ValueError):
+        steps[0, 0, 0] = 1.0
+
+
 def test_exact_tables_refuse_float_input(tables):
     p = tables.Ebar[3]
     for f in (p, tables.G(2, "plus")[1], tables.G_star(1, 2)):

@@ -2,8 +2,8 @@
 (geometry built once per variant, the u-dependent part assembled per call,
 and every Cauchy integral, A, B and the Scorer contour, summed on it), and
 the per-point caches of the direct geometry and of the turning-point error
-estimate's moments, which the stacked moment kernel builds with the bits of
-the per-path, per-power loop."""
+estimate's moments, whose omega/varpi half has the bits of the per-path,
+per-power loop and whose closed-form Gamma/B half agrees with it to 1e-13."""
 
 import cmath
 import functools
@@ -275,15 +275,29 @@ def _omega_varpi_ref(n, u, batches, derivs, weight):
     return omega, varpi
 
 
-def _estimate_images_ref(path):
-    """The beta = z/sqrt(z^2-1) and xi images of a PCF- estimate path, each
-    batch mapped on its own: lists of (beta, dbeta w) and (xi, dxi w)."""
-    segs, xi_nodes = [], []
-    for zn, dzw in quadrature.polyline_nodes(path.vertices):
-        sq = plane.sqrt_zz_minus_1(zn)
-        segs.append((zn / sq, -dzw / sq ** 3))
-        xi_nodes.append((plane.xi_minus(zn), dzw * sq))
-    return segs, xi_nodes
+def _estimate_images_ref(paths):
+    """The beta = z/sqrt(z^2-1) and xi images of the PCF- estimate paths,
+    their nodes built segment by segment and each batch mapped on its own:
+    for each path, lists of (beta, dbeta w) and (xi, dxi w).  A batch holds
+    the path's segments among BATCH_SEGMENTS consecutive ones of all the
+    paths, as the node generator cuts them."""
+    x, w = quadrature.gauss(quadrature.SEGMENT_NODES)
+    images, first = [], 0
+    for path in paths:
+        verts = path.vertices
+        batches = {}
+        for k, (zs, ze) in enumerate(zip(verts[:-1], verts[1:])):
+            batches.setdefault((first + k) // quadrature.BATCH_SEGMENTS, []).append(
+                (zs + (ze - zs) * (0.5 * x + 0.5), (ze - zs) * (0.5 * w)))
+        first += len(verts) - 1
+        segs, xi_nodes = [], []
+        for batch in batches.values():
+            zn, dzw = (np.concatenate(b) for b in zip(*batch))
+            sq = plane.sqrt_zz_minus_1(zn)
+            segs.append((zn / sq, -dzw / sq ** 3))
+            xi_nodes.append((plane.xi_minus(zn), dzw * sq))
+        images.append((segs, xi_nodes))
+    return images
 
 
 def _estimate_rows_ref(n):
@@ -307,11 +321,12 @@ def _ab_est_err_ref(u, z, m):
         path_j = plane.monotone_path(z, "+inf", "PCF-")
         path_k = plane.monotone_path(z, "+iinf" if z.imag >= 0 else "-iinf", "PCF-")
         e_vals = []
-        for path, dlt in ((path_j, 0.0), (path_k, constants.delta_n_pm(u, n))):
-            segs, xi_nodes = _estimate_images_ref(path)
+        for (segs, xi_nodes), dlt in zip(_estimate_images_ref([path_j, path_k]),
+                                         (0.0, constants.delta_n_pm(u, n))):
             om, vp = _omega_varpi_ref(n, u, segs, e_rows, weight)
             gm, bt = _omega_varpi_ref(n, u, xi_nodes, xi_rows, lambda xi: 1.0)
-            xi_far = max(float(np.max(np.abs(xi[:, 0]))) for xi, _ in xi_nodes)
+            xi_far = max(float(np.max(np.abs(xi[::quadrature.SEGMENT_NODES])))
+                         for xi, _ in xi_nodes)
             gm = gm + 2.0 * float(t.airy.a[n]) / (n * xi_far ** n)
             e = u ** n * dlt \
                 + om * math.exp(min(vp / u + om * u ** (-n), 60.0)) \
@@ -338,20 +353,11 @@ EST_POINTS = (1.0 + tp.CAUCHY_RADIUS, 1.5 + 0.5j, 0.4 + 0.6j, -0.5 + 0.3j,
               -0.9 + 0.1j, -0.9999, -0.99999, -0.9995 - 0.0001j)
 
 
-def _single_batch(z):
-    ends = ("+inf", "+iinf" if z.imag >= 0 else "-iinf")
-    try:
-        paths = [plane.monotone_path(z, end, "PCF-") for end in ends]
-    except plane.NoPath:
-        return True
-    return all(len(p.vertices) - 1 <= quadrature.BATCH_SEGMENTS for p in paths)
-
-
-# on a path of one batch the moments are the reference's products summed in
-# the reference's order, so the figure is bit-identical.  Over several
-# batches each power's sum is reordered; a last-bit change of a sum is
-# then amplified by the estimate's exponents (up to 60 per path and 50 for
-# the envelope), so the figure agrees to 1e-13 instead
+# the omega/varpi moments are the reference's sums bit for bit (below); the
+# Gamma/B moments of the scalar sequence take each power of |xi| once
+# (closed form) and differ from the reference's sums in the last bits, which
+# the estimate's exponents amplify (up to 60 per path and 50 for the
+# envelope): the figure agrees to 1e-13
 @pytest.mark.parametrize("batch_segments", [quadrature.BATCH_SEGMENTS, 1])
 def test_cached_estimate_matches_the_rebuilt_one(monkeypatch, batch_segments):
     monkeypatch.setattr(quadrature, "BATCH_SEGMENTS", batch_segments)
@@ -359,7 +365,6 @@ def test_cached_estimate_matches_the_rebuilt_one(monkeypatch, batch_segments):
     rng = np.random.default_rng(1505)
     refusals = 0
     for z in map(complex, EST_POINTS):
-        single = _single_batch(z)
         for m in range(6):
             for u in rng.uniform(5.0, 300.0, 4):
                 try:
@@ -370,10 +375,7 @@ def test_cached_estimate_matches_the_rebuilt_one(monkeypatch, batch_segments):
                     refusals += 1
                     continue
                 got = tp._ab_est_err(u, z, m)
-                if single:
-                    assert got == ref, (z, m, u)
-                else:
-                    assert abs(got - ref) <= 1e-13 * ref, (z, m, u, got / ref - 1)
+                assert abs(got - ref) <= 1e-13 * ref, (z, m, u, got / ref - 1)
     assert refusals == 3 * 6 * 4
     tp._est_moments.cache_clear()
 
@@ -396,10 +398,12 @@ def _moments_ref(n, batches, derivs, weight):
 
 
 @pytest.mark.parametrize("batch_segments", [quadrature.BATCH_SEGMENTS, 1])
-def test_estimate_moments_are_the_per_path_loop_bit_for_bit(monkeypatch,
-                                                            batch_segments):
-    # both paths in one node array, one kernel for both families: the same
-    # sums, batch by batch, as each path and family on its own
+def test_estimate_moments_match_the_per_path_loop(monkeypatch, batch_segments):
+    # both paths in one node array: the omega/varpi moments of the E_k'
+    # rows are the per-path loop's sums bit for bit, batch by batch.  The
+    # Gamma/B moments of the scalar sequence are each a constant times one
+    # path integral of |xi|^(-j), j <= 2n <= 24; a power carries a few
+    # roundings, so they agree with the loop's sums to 1e-13 relative
     monkeypatch.setattr(quadrature, "BATCH_SEGMENTS", batch_segments)
     tp._est_moments.cache_clear()
     checked = 0
@@ -409,19 +413,36 @@ def test_estimate_moments_are_the_per_path_loop_bit_for_bit(monkeypatch,
             paths = [plane.monotone_path(z, end, "PCF-") for end in ends]
         except plane.NoPath:
             continue
+        images = _estimate_images_ref(paths)
         for m in range(6):
             n = 2 * m + 2
             e_rows, xi_rows, weight = _estimate_rows_ref(n)
             a_n = float(get_tables().airy.a[n])
-            for path, got in zip(paths, tp._est_moments(z, m)[0]):
-                segs, xi_nodes = _estimate_images_ref(path)
-                xi_far = max(float(np.max(np.abs(xi[:, 0]))) for xi, _ in xi_nodes)
-                assert got == (*_moments_ref(n, segs, e_rows, weight),
-                               *_moments_ref(n, xi_nodes, xi_rows, lambda xi: 1.0),
-                               2.0 * a_n / (n * xi_far ** n)), (z, m)
+            for (segs, xi_nodes), got in zip(images, tp._est_moments(z, m)[0]):
+                om, vp, gm, bt, tail = got
+                assert (om, vp) == _moments_ref(n, segs, e_rows, weight), (z, m)
+                for moments, ref in zip((gm, bt), _moments_ref(
+                        n, xi_nodes, xi_rows, lambda xi: 1.0)):
+                    assert len(moments) == len(ref)
+                    for g, r in zip(moments, ref):
+                        assert abs(g - r) <= 1e-13 * r, (z, m, g / r - 1)
+                xi_far = max(float(np.max(np.abs(xi[::quadrature.SEGMENT_NODES])))
+                             for xi, _ in xi_nodes)
+                assert tail == 2.0 * a_n / (n * xi_far ** n)
                 checked += 1
     assert checked == 11 * 6 * 2
     tp._est_moments.cache_clear()
+
+
+def test_sequence_cross_sums_have_one_sign():
+    # C_s = sum_{k=s}^{n-1} c_k c_{s+n-k-1}, c_k = (-1)^(k+1) a_k: every term
+    # has the sign (-1)^(s+n+1), so C_s is formed without cancellation
+    a = get_tables().airy.a
+    for n in range(2, len(a)):
+        c = [(-1) ** (k + 1) * a[k] for k in range(n + 1)]
+        for s in range(1, n):
+            terms = [c[k] * c[s + n - k - 1] for k in range(s, n)]
+            assert all(t * (-1) ** (s + n + 1) > 0 for t in terms), (n, s)
 
 
 @pytest.mark.parametrize("z", [2.0 + 0.3j, -2.5 + 2.5j])
@@ -432,10 +453,11 @@ def test_lg_moments_are_the_per_power_loop_bit_for_bit(z, n):
     # one power at a time on the long one
     path = plane.monotone_path(z, "+inf", "PCF+")
     fam = get_tables().rows["Ebar_d"]
-    batches = list(lg._beta_image(path))
+    batches = lg._beta_image(path)
     ref = _moments_ref(n, batches, lambda p: evaluate(fam, p, 0, n + 1),
                        lambda p: np.abs(1.0 - p * p) ** 2)
-    assert lg._family_moments(n, batches, fam) == ref
+    one_path = [(p, dpw, [(0, 0, p.size)]) for p, dpw in batches]
+    assert lg._family_moments(n, one_path, fam) == [ref]
 
 
 def test_point_caches_stay_bounded_over_a_sweep():
