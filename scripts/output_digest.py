@@ -20,7 +20,10 @@ script.
 each workload and family, how many outputs are bit-identical, the worst
 relative move of the value and of rel_bound, how many bounds moved by more
 than 1e-13, and every op whose refusal changed (refused on one side only,
-or with another error).
+or with another error).  It exits with status 0 only when the two are
+identical: every output, every refusal and the op streams themselves; any
+difference exits with status 1.  So a change that means to keep every
+output bit for bit is gated by this one command.
 
 Run:  python scripts/output_digest.py > digest.txt
       python scripts/output_digest.py --compare parent.txt change.txt
@@ -74,7 +77,8 @@ def _moves(old: list[str], new: list[str]) -> tuple[float, float]:
     return abs(nv - ov) / abs(ov) if ov else abs(nv), abs(nb - ob) / ob if ob else abs(nb)
 
 
-def compare(parent_path: str, change_path: str) -> None:
+def compare(parent_path: str, change_path: str) -> bool:
+    """Print the comparison; whether the two outputs are identical."""
     parent, change = _parse(parent_path), _parse(change_path)
     if parent.keys() != change.keys():
         print(f"op streams differ: {len(parent.keys() ^ change.keys())} ops "
@@ -101,12 +105,12 @@ def compare(parent_path: str, change_path: str) -> None:
     print(f"changed refusals: {len(refusals)}")
     for wl, seed, i, family, old, new in refusals:
         print(f"  {wl} seed {seed} op {i} {family}: {old} -> {new}")
+    return parent == change
 
 
 def main() -> None:
     if sys.argv[1:2] == ["--compare"]:
-        compare(*sys.argv[2:4])
-        return
+        sys.exit(0 if compare(*sys.argv[2:4]) else 1)
     for wl, blocks in BLOCKS.items():
         for seed in SEEDS:
             ops = itertools.takewhile(lambda op: op["block"] < blocks,

@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, check_points
-from .quadrature import gauss
+from .quadrature import _panels
 
 MACLAURIN_RADIUS = 4.5
 ASYMPTOTIC_RADIUS = 9.5
@@ -105,11 +105,8 @@ def _quad_pair(z: complex) -> tuple[complex, complex]:
     xi = (2.0 / 3.0) * z * sz
     s = max(sz.real, 0.2)
     T = max(15.0 / math.sqrt(s), 5.0)
-    x, w = gauss(48)
-    edges = np.linspace(0.0, math.sqrt(T), 15) ** 2
-    a, b = edges[:-1, None], edges[1:, None]
-    t = (0.5 * (b - a) * x + 0.5 * (a + b)).ravel()
-    ww = (0.5 * (b - a) * w).ravel()
+    t, ww = _panels(np.linspace(0.0, math.sqrt(T), 15) ** 2, 48)
+    t, ww = t.ravel(), ww.ravel()
     f = np.exp(-sz * t * t) * np.cos(t ** 3 / 3.0)
     I0 = complex(np.sum(ww * f))
     I2 = complex(np.sum(ww * t * t * f))
@@ -300,15 +297,12 @@ def _hi_quad(z: complex) -> tuple[complex, complex, tuple[complex, np.ndarray]]:
     dominant sector cannot overflow intermediate terms.
     """
     z = complex(z)
-    x, w = gauss(48)
     drop = -math.log(_HI_TAIL_TOL) + 2.0 * math.log1p(abs(z))
     while True:
         e1, ends, capped = _hi_ray(z, drop)
         e3 = e1 * e1 * e1
         zr = z * e1
-        a, b = ends[:-1, None], ends[1:, None]
-        t = 0.5 * (b - a) * x + 0.5 * (a + b)
-        ww = 0.5 * (b - a) * w
+        t, ww = _panels(ends, 48)
         expo = -e3 * t ** 3 / 3.0 + zr * t
         # one log-scale per panel
         m = expo.real.max(axis=1)

@@ -24,8 +24,9 @@ from .constants import chi_m, odd_sum_at_1
 from .lg import BOUND_SAFETY, CertifiedValue, weber_neg_Wj
 from .quadrature import path_nodes
 from .scaled import ScaledComplex
-from .tp import (TPCoeffs, _Geometry, _cauchy, _connected, _exp_sums,
-                 _ring_geometry, _u_neg_from, tp_coeff_funcs)
+from .tp import (TPCoeffs, _Geometry, _cauchy, _check_expansion_domain,
+                 _connected, _exp_sums, _ring_geometry, _u_neg_from,
+                 tp_coeff_funcs)
 
 #: empirical margin for the dropped contour-remainder of the Scorer
 #: expansions; the u=10 worst case measured by scripts/calibration_sweep.py
@@ -147,10 +148,6 @@ def c3_const(u: float) -> ScaledComplex:
 # elementary inhomogeneous series with certified bounds
 # ----------------------------------------------------------------------
 
-_PAIR_ENDPOINTS_PLUS = {0: "+inf", 1: "+iinf", 2: "-inf", 3: "-iinf"}
-_PAIR_ENDPOINTS_WEBM = {0: "e+ipi/4", 1: "e+3ipi/4", 2: "e-3ipi/4", 3: "e-ipi/4"}
-
-
 def _check_n_constraint(n: int, R: int) -> None:
     if not n > 0.25 * R - 0.375:
         raise OrderError(f"n={n} violates n > R/4 - 3/8 for R={R}")
@@ -177,13 +174,9 @@ def _bound_integrals(u: float, z: complex, n: int, R: int, variant: str,
     sgn = -1.0 if variant == "minus" else 1.0  # z^2 - 1 vs z^2 + 1
     g, g_d = get_tables().G_rows(R, gvariant, s_max=n + 1)
 
-    if variant == "minus":
-        endpoints, path_variant = {0: "+inf", 1: "+iinf", -1: "-iinf"}, "PCF-"
-    elif variant == "weber-":
-        endpoints, path_variant = _PAIR_ENDPOINTS_WEBM, "WEB-"
-    else:
-        endpoints, path_variant = _PAIR_ENDPOINTS_PLUS, "PCF+"
-    legs = [plane.monotone_path(z, endpoints[j], path_variant).vertices
+    path_variant = {"minus": "PCF-", "weber-": "WEB-"}.get(variant, "PCF+")
+    ends = plane._SECTOR_ENDPOINTS[path_variant]
+    legs = [plane.monotone_path(z, ends[j % 4], path_variant).vertices
             for j in pair]
 
     # both legs in one node array, summed batch by batch in path order
@@ -342,18 +335,13 @@ def _check_scorer_inputs(u: float, z: complex, m: int, R: int, variant: str,
                          pair: tuple[int, int]) -> complex:
     check_inputs(u, z)
     z = complex(z)
-    if u < 5:
-        raise DomainError("parameter too small for the expansion (u >= 5)")
     check_forcing_degree(R)
     if variant not in ("PCF-", "WEB+"):
         raise ValueError("variant must be 'PCF-' or 'WEB+'")
     if pair not in ((-1, 1), (0, 1), (-1, 0)):
         raise PairError("pair must be one of (-1,1), (0,1), (-1,0)")
     check_order(m, 0, 4)
-    if variant == "PCF-" and not plane.domain_contains(z, plane.DomainId("Z")):
-        raise DomainError("z outside the turning-point domain")
-    if variant == "WEB+" and z.imag == 0.0 and z.real <= -1.0:
-        raise DomainError("on the cut (-inf,-1]")
+    _check_expansion_domain(u, z, variant)
     return z
 
 

@@ -177,11 +177,10 @@ def _lg_bound(u: float, z: complex, n: int, endpoint: str, variant: str,
     return eta_bound(n, u, om, vp)
 
 
-def _check_pcfp_domain(z: complex, which: str) -> None:
+def _check_pcfp_domain(z: complex, endpoint: str) -> None:
     if abs(z - 1j) < TP_REFUSAL or abs(z + 1j) < TP_REFUSAL:
         raise DomainError(f"z={z} within refusal radius of a turning point")
-    side = "left" if which == "W2" else "right"
-    if plane._on_pcfp_critical_curve(z, side):
+    if not plane._reaches(z, endpoint, "PCF+"):
         raise DomainError(f"z={z} on an excluded level curve")
 
 
@@ -197,7 +196,8 @@ def _pcfp_exponent(u: float, z: complex, n: int, which: str,
     check_inputs(u, z)
     t = get_tables()
     check_order(n, 1, t.s_max // 2)
-    _check_pcfp_domain(z, which)
+    endpoint = "-inf" if which == "W1" else "+inf"
+    _check_pcfp_domain(z, endpoint)
     ends = t.ends[name]
     xb = plane.xi_bar(z)
     e = evaluate(t.rows[name], plane.beta_bar(z), 0, n)
@@ -206,12 +206,10 @@ def _pcfp_exponent(u: float, z: complex, n: int, which: str,
         expo += u * xb
         for s in range(1, n):
             expo += (e[s] - ends[s][0]) / u ** s
-        endpoint = "-inf"
     else:
         expo += -u * xb
         for s in range(1, n):
             expo += (-1) ** s * (e[s] - ends[s][1]) / u ** s
-        endpoint = "+inf"
     return expo, _lg_bound(u, z, n, endpoint, "PCF+", t.rows[name + "_d"])
 
 

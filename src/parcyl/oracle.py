@@ -41,7 +41,7 @@ import numpy as np
 
 from .coeffs import check_forcing_degree
 from .errors import AccuracyError, DomainError, StiffnessError
-from .quadrature import gauss
+from .quadrature import _panels, gauss
 from .scaled import ScaledComplex, sum_rel
 
 ACC_LIMIT = 1e-8
@@ -136,17 +136,8 @@ def _log_gamma(z) -> complex:
 
 
 # ----------------------------------------------------------------------
-# quadrature: one panel rule, one polyline
+# quadrature: one polyline, on the panels of `quadrature._panels`
 # ----------------------------------------------------------------------
-
-def _panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss rule on each panel [lo, hi]
-    between consecutive edges: two (panels x n) arrays."""
-    x, w = gauss(n)
-    edges = np.asarray(edges, dtype=float)
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return half * x + 0.5 * (edges[1:] + edges[:-1])[:, None], half * w
-
 
 def _path_integral(a, c: complex, ea: complex, s_max: float, n: int,
                    npanel: int, tail=()) -> tuple[ScaledComplex, float]:

@@ -26,9 +26,6 @@ import numpy as np
 
 from .errors import CutError, NoPath, TraceStalled
 
-VARIANTS = ("PCF+", "PCF-", "WEB+", "WEB-")
-
-
 def canon(z: complex) -> complex:
     """Normalize signed zero: exactly-real points evaluate on the upper-side
     conventions, so -0.0 imaginary parts must not select the lower cut side.
@@ -296,19 +293,11 @@ class DomainId:
                              f"and never representable")
 
 
-def _on_pcfp_critical_curve(z: complex, which: str) -> bool:
-    """Proximity test for the four Re(xi_bar)=0 curves off the imaginary axis.
-
-    which: 'left' (second/third-quadrant pair), 'right', or 'any'.
-    """
+def _on_pcfp_critical_curve(z: complex) -> bool:
+    """Proximity test for the two Re(xi_bar)=0 curves of the left half plane
+    off the cut; the right half plane's two are their images under -z."""
     z = complex(z)
-    if abs(z.imag) < 1.0 - 1e-9:
-        return False
-    if abs(z.real) < 1e-12:  # the cut itself, not these curves
-        return False
-    if which == "left" and z.real > 0:
-        return False
-    if which == "right" and z.real < 0:
+    if abs(z.imag) < 1.0 - 1e-9 or z.real > -1e-12:
         return False
     try:
         v = xi_bar(z)
@@ -377,33 +366,12 @@ def domain_contains(z: complex, d: DomainId) -> bool:
 def _pair_domain_contains(z: complex, j: int, k: int) -> bool:
     if (j, k) == (1, 3):
         return False  # empty by the monotone-path obstruction
-    if _on_pcfp_critical_curve(z, "any"):
-        return False
     if abs(z.real) < 1e-12 and abs(z.imag) >= 1.0 - 1e-12:
         return False  # points on the cuts are boundary points for all pairs
-    ok = {0: _reach_plus_inf, 2: _reach_minus_inf,
-          1: _reach_plus_i_inf, 3: _reach_minus_i_inf}
-    return ok[j](z) and ok[k](z)
-
-
-def _reach_plus_inf(z: complex) -> bool:
-    return not _on_pcfp_critical_curve(z, "left")
-
-
-def _reach_minus_inf(z: complex) -> bool:
-    return not _on_pcfp_critical_curve(z, "right")
-
-
-def _reach_plus_i_inf(z: complex) -> bool:
-    # monotone chains into +i*inf descend along the right side of the upper
-    # cut; they are reachable only from Re z > 0 (or the positive real axis)
-    if z.real > 1e-12:
-        return True
-    return z.imag == 0.0 and z.real > 0.0
-
-
-def _reach_minus_i_inf(z: complex) -> bool:
-    return _reach_plus_i_inf(z.conjugate())
+    # the critical curves, from which +-inf are not reached, bound every
+    # pair domain
+    ends = _SECTOR_ENDPOINTS["PCF+"]
+    return all(_reaches(z, ends[i], "PCF+") for i in {0, 2, j, k})
 
 
 # ----------------------------------------------------------------------
@@ -596,59 +564,67 @@ def trace_level_curve(start: complex, variant: str, quantity: str = "re",
 ENDPOINTS = ("+inf", "-inf", "+iinf", "-iinf",
              "e+ipi/4", "e-ipi/4", "e+3ipi/4", "e-3ipi/4")
 
+#: the endpoint of recession sector k (taken mod 4) of the variants whose
+#: solutions and pair domains are labelled by sectors: the direction
+#: e^{i k pi/2} for PCF+ and PCF-, e^{i (2k+1) pi/4} for WEB-
+_SECTOR_ENDPOINTS = {"PCF+": ("+inf", "+iinf", "-inf", "-iinf"),
+                     "PCF-": ("+inf", "+iinf", "-inf", "-iinf"),
+                     "WEB-": ("e+ipi/4", "e+3ipi/4", "e-3ipi/4", "e-ipi/4")}
+
 
 def monotone_path(z: complex, endpoint_id: str, variant: str) -> PathPolyline:
     """Progressive path from `endpoint_id` to z with the variant's monotone
     quantity monotone along it (fig. 2 recipe: level-curve arc plus an
     axis-parallel ray, rotated per variant).
 
+    Each base endpoint has its recipe in `_RECIPES`; every other endpoint
+    is the image of a base endpoint under z -> -z, conj(z) or -conj(z),
+    applied here to the point and to every vertex.  NoPath where z does
+    not reach the endpoint, or the variant uses no such endpoint.
+
     Vertices are ordered from the far endpoint towards z.
     """
     z = complex(z)
     if endpoint_id not in ENDPOINTS:
         raise ValueError(f"unknown endpoint {endpoint_id!r}")
-
-    if variant == "PCF+":
-        return _pcfp_path(z, endpoint_id)
-    if variant == "PCF-":
-        return _pcfm_path(z, endpoint_id)
-    if variant == "WEB-":
-        return _webm_path(z, endpoint_id)
-    if variant == "WEB+":
-        return _webp_path(z, endpoint_id)
-    raise ValueError(variant)
+    if variant not in ("PCF+", "PCF-", "WEB+", "WEB-"):
+        raise ValueError(f"unknown variant {variant!r}")
+    recipe, reaches, sym = _recipe(endpoint_id, variant)
+    if not reaches(sym(z)):
+        raise NoPath(f"no progressive path from {z} to {endpoint_id}")
+    return PathPolyline([sym(v) for v in recipe(sym(z))], variant,
+                        "im" if variant == "WEB-" else "re")
 
 
-def _pcfp_path(z: complex, endpoint: str) -> PathPolyline:
-    if endpoint == "-inf":
-        mirror = _pcfp_path(-z, "+inf")
-        return PathPolyline([-v for v in mirror.vertices], "PCF+", "re")
-    if endpoint == "+inf":
-        if _on_pcfp_critical_curve(z, "left"):
-            raise NoPath("point on an excluded left-half-plane level curve")
-        if z.real >= 0 or abs(z.imag) < 1.0 - TP_CLEARANCE:
-            far = complex(BOX_RADIUS, z.imag)
-            return PathPolyline([far, z], "PCF+", "re")
-        if xi_bar(z).real > 0:
-            # between the critical curve Re xi_bar = 0 and the cut the arc
-            # puts the value on the wrong sheet
-            raise NoPath("point between the left critical curve and the cut")
-        # fig. 2: level-curve arc from z to the cut, then a horizontal ray
-        arc = trace_level_curve(z, "PCF+", "re", direction=_arc_direction(z))
-        cut_pt = arc.vertices[-1]
-        if abs(cut_pt.real) > 0.05 and abs(cut_pt) < BOX_RADIUS - 1:
-            raise NoPath(f"level-curve arc from {z} did not reach the cut")
-        far = complex(BOX_RADIUS, cut_pt.imag)
-        verts = [far] + arc.vertices[::-1]
-        return PathPolyline(verts, "PCF+", "re")
-    if endpoint == "+iinf":
-        if not _reach_plus_i_inf(z):
-            raise NoPath("no monotone chain from this point to +i*inf")
-        return PathPolyline(_dedupe([complex(z.real, BOX_RADIUS), z]), "PCF+", "re")
-    if endpoint == "-iinf":
-        mirror = _pcfp_path(z.conjugate(), "+iinf")
-        return PathPolyline([v.conjugate() for v in mirror.vertices], "PCF+", "re")
-    raise NoPath(f"endpoint {endpoint} not used by variant PCF+")
+def _reaches(z: complex, endpoint: str, variant: str) -> bool:
+    """Whether z reaches `endpoint`: the test of `monotone_path`, which the
+    pair domains and the LG checks apply too."""
+    _, reaches, sym = _recipe(endpoint, variant)
+    return reaches(sym(z))
+
+
+def _recipe(endpoint: str, variant: str):
+    """The recipe and reach test of the endpoint's base endpoint, and the
+    map of the plane that carries the base endpoint onto it."""
+    base, sym = _IMAGES.get((variant, endpoint), (endpoint, lambda z: z))
+    if (variant, base) not in _RECIPES:
+        raise NoPath(f"endpoint {endpoint} not used by variant {variant}")
+    return (*_RECIPES[variant, base], sym)
+
+
+def _pcfp_inf(z: complex) -> list[complex]:
+    if z.real >= 0 or abs(z.imag) < 1.0 - TP_CLEARANCE:
+        return [complex(BOX_RADIUS, z.imag), z]
+    if xi_bar(z).real > 0:
+        # between the critical curve Re xi_bar = 0 and the cut the arc
+        # puts the value on the wrong sheet
+        raise NoPath("point between the left critical curve and the cut")
+    # fig. 2: level-curve arc from z to the cut, then a horizontal ray
+    arc = trace_level_curve(z, "PCF+", "re", direction=_arc_direction(z))
+    cut_pt = arc.vertices[-1]
+    if abs(cut_pt.real) > 0.05 and abs(cut_pt) < BOX_RADIUS - 1:
+        raise NoPath(f"level-curve arc from {z} did not reach the cut")
+    return [complex(BOX_RADIUS, cut_pt.imag)] + arc.vertices[::-1]
 
 
 def _arc_direction(z: complex) -> int:
@@ -659,56 +635,64 @@ def _arc_direction(z: complex) -> int:
     return +1 if t.real > 0 else -1
 
 
-def _pcfm_path(z: complex, endpoint: str) -> PathPolyline:
-    # paths supporting the turning-point error estimates; Re(xi) monotone,
-    # segments kept clear of the turning point z = 1
-    if endpoint == "+inf":
-        if abs(z.imag) >= 0.3 or z.real >= 1.3:
-            verts = [complex(BOX_RADIUS, z.imag), z]
-        else:
-            ymid = 0.35 if z.imag >= 0 else -0.35
-            verts = [complex(BOX_RADIUS, ymid), complex(z.real, ymid), z]
-        return PathPolyline(_dedupe(verts), "PCF-", "re")
-    if endpoint in ("+iinf", "-iinf"):
-        sgn = 1.0 if endpoint == "+iinf" else -1.0
-        xv = max(z.real, 0.15)
-        verts = [complex(xv, sgn * BOX_RADIUS), complex(xv, z.imag), z]
-        return PathPolyline(_dedupe(verts), "PCF-", "re")
-    raise NoPath(f"endpoint {endpoint} not used by variant PCF-")
+def _pcfp_reaches_iinf(z: complex) -> bool:
+    # monotone chains into +i*inf descend along the right side of the upper
+    # cut; they are reachable only from Re z > 0 (or the positive real axis)
+    if z.real > 1e-12:
+        return True
+    return z.imag == 0.0 and z.real > 0.0
 
 
-def _webm_path(z: complex, endpoint: str) -> PathPolyline:
-    # WEB-: Im(xi_bar) monotone; endpoints on the diagonals
-    if endpoint not in ("e+ipi/4", "e-ipi/4", "e+3ipi/4", "e-3ipi/4"):
-        raise NoPath(f"endpoint {endpoint} not used by variant WEB-")
-    if endpoint in ("e+3ipi/4", "e-3ipi/4"):
-        mirror = _webm_path(-z, "e-ipi/4" if endpoint == "e+3ipi/4" else "e+ipi/4")
-        return PathPolyline([-v for v in mirror.vertices], "WEB-", "im")
-    sgn = 1.0 if endpoint == "e+ipi/4" else -1.0
-    if sgn * z.imag < 0:
+def _pcfm_inf(z: complex) -> list[complex]:
+    # the PCF- paths support the turning-point error estimates; Re(xi)
+    # monotone, segments kept clear of the turning point z = 1
+    if abs(z.imag) >= 0.3 or z.real >= 1.3:
+        return _dedupe([complex(BOX_RADIUS, z.imag), z])
+    ymid = 0.35 if z.imag >= 0 else -0.35
+    return _dedupe([complex(BOX_RADIUS, ymid), complex(z.real, ymid), z])
+
+
+def _pcfm_iinf(z: complex) -> list[complex]:
+    xv = max(z.real, 0.15)
+    return _dedupe([complex(xv, BOX_RADIUS), complex(xv, z.imag), z])
+
+
+def _webm_diag(z: complex) -> list[complex]:
+    # WEB-: Im(xi_bar) monotone; the diagonal to e^{i pi/4} infinity
+    if z.imag < 0:
         # climb vertically through the axis first, then take the diagonal
-        mirror_leg = [complex(z.real, sgn * 0.5), z]
-        x1 = z.real
+        x1, leg = z.real, [complex(z.real, 0.5), z]
     else:
-        mirror_leg = [complex(max(z.real + 1.0, 3.0), z.imag), z]
         x1 = max(z.real + 1.0, 3.0)
+        leg = [complex(x1, z.imag), z]
     t = BOX_RADIUS / math.sqrt(2.0)
-    far = complex(x1 + t, mirror_leg[0].imag + sgn * t)
-    verts = [far] + mirror_leg
-    return PathPolyline(_dedupe(verts), "WEB-", "im")
+    return _dedupe([complex(x1 + t, leg[0].imag + t)] + leg)
 
 
-def _webp_path(z: complex, endpoint: str) -> PathPolyline:
-    # WEB+: Im(xi) monotone; vertical ray plus diagonal, right half plane
-    if endpoint not in ("e+ipi/4", "e-ipi/4", "e+3ipi/4", "e-3ipi/4"):
-        raise NoPath(f"endpoint {endpoint} not used by variant WEB+")
-    sgn = 1.0 if endpoint in ("e+ipi/4", "e+3ipi/4") else -1.0
-    x0 = max(abs(z.real), 0.15) + 0.5
-    t = BOX_RADIUS / math.sqrt(2.0)
-    far = complex(x0 + t, sgn * (max(sgn * z.imag, 0.5) + t))
-    verts = [far, complex(x0, sgn * max(sgn * z.imag, 0.5)),
-             complex(x0, z.imag), z]
-    return PathPolyline(_dedupe(verts), "WEB+", "im")
+#: the recipe (the vertices of the path to z, far end first) and the reach
+#: test of each base endpoint; PCF- and WEB- refuse no point yet, though
+#: not all their paths are progressive
+_RECIPES = {
+    ("PCF+", "+inf"): (_pcfp_inf, lambda z: not _on_pcfp_critical_curve(z)),
+    ("PCF+", "+iinf"): (lambda z: _dedupe([complex(z.real, BOX_RADIUS), z]),
+                        _pcfp_reaches_iinf),
+    ("PCF-", "+inf"): (_pcfm_inf, lambda z: True),
+    ("PCF-", "+iinf"): (_pcfm_iinf, lambda z: True),
+    ("WEB-", "e+ipi/4"): (_webm_diag, lambda z: True),
+}
+
+#: every other endpoint a variant uses: its base endpoint and the map that
+#: carries the base endpoint's paths onto it.  Negation and conjugation are
+#: exact in floating point, so an image path is its base path mapped bit
+#: for bit.
+_IMAGES = {
+    ("PCF+", "-inf"): ("+inf", complex.__neg__),
+    ("PCF+", "-iinf"): ("+iinf", complex.conjugate),
+    ("PCF-", "-iinf"): ("+iinf", complex.conjugate),
+    ("WEB-", "e-ipi/4"): ("e+ipi/4", complex.conjugate),
+    ("WEB-", "e+3ipi/4"): ("e+ipi/4", lambda z: -z.conjugate()),
+    ("WEB-", "e-3ipi/4"): ("e+ipi/4", complex.__neg__),
+}
 
 
 def _dedupe(verts: list[complex]) -> list[complex]:

@@ -1,4 +1,5 @@
-"""The Gauss-Legendre rule shared by the expansions and the oracle, and
+"""The Gauss-Legendre rule shared by the expansions and the oracle, its
+one panel generator (the Airy and Scorer quadratures and the oracle's), and
 the one generator of the Gauss nodes of path polylines that every bound
 integral runs on.
 
@@ -31,6 +32,15 @@ STACKED_NODES = 1024
 def gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point rule on [-1, 1] (shared, read-only)."""
     return _read_only(*np.polynomial.legendre.leggauss(n))
+
+
+def _panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule on each panel [lo, hi]
+    between consecutive edges: two (panels x n) arrays."""
+    x, w = gauss(n)
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return half * x + 0.5 * (edges[1:] + edges[:-1])[:, None], half * w
 
 
 def path_nodes(polylines):

@@ -234,12 +234,23 @@ def _mod_sums(g: _Geometry, u: float, m: int):
 
 
 def _check_tp_domain(z: complex, variant: str) -> None:
+    """DomainError unless z lies in the domain of the coefficient functions:
+    the domain Z for PCF-, off the cut (-inf, -1] for WEB+."""
     if variant == "PCF-":
         if not plane.domain_contains(z, plane.DomainId("Z")):
             raise DomainError(f"z={z} outside the turning-point domain")
-    else:
-        if z.imag == 0.0 and z.real <= -1.0:
-            raise DomainError("on the cut (-inf,-1]")
+    elif z.imag == 0.0 and z.real <= -1.0:
+        raise DomainError("on the cut (-inf,-1]")
+
+
+def _check_expansion_domain(u: float, z: complex, variant: str) -> None:
+    """DomainError unless the expansions built on the coefficient functions
+    hold at (u, z): u >= 5, and z in `_check_tp_domain`'s domain.  Below
+    u = 5 their figures run to 1e19 and more, where the coefficient
+    functions alone still answer."""
+    if u < 5:
+        raise DomainError("parameter too small for the expansion (u >= 5)")
+    _check_tp_domain(z, variant)
 
 
 def _exp_sums(g: _Geometry, u: float, m: int,
@@ -382,14 +393,12 @@ def _ab_est_err(u: float, z: complex, m: int, sums=None) -> float:
 # homogeneous solutions through the turning point
 # ----------------------------------------------------------------------
 
-def _w_ml(u: float, z: complex, co: TPCoeffs, l: int, variant: str = "PCF-",
+def _w_ml(u: float, z: complex, co: TPCoeffs, l: int,
           use_bi: bool = False) -> tuple[complex, float]:
     """w_{m,l} = Ai_l(u^{2/3} zeta) A + Ai_l'(u^{2/3} zeta) B (or the Bi
-    companion) from the coefficient functions `co` at z; returns (value,
-    relative error estimate)."""
+    companion) from the PCF- coefficient functions `co` at z; returns
+    (value, relative error estimate)."""
     _, zeta = plane.xi_zeta(z)
-    if variant == "WEB+":
-        zeta = -zeta
     av = airy(u ** (2.0 / 3.0) * zeta, l)
     f, fp = (av.bi, av.bi_prime) if use_bi else (av.ai, av.ai_prime)
     val = f * co.A + fp * co.B
@@ -405,9 +414,7 @@ def _neg_coeffs(u: float, z: complex, m: int) -> TPCoeffs:
     """The checks of the PCF- entries (U-, V-, U+-i), then the coefficient
     functions at z."""
     check_inputs(u, z)
-    if u < 5:
-        raise DomainError("parameter too small for the expansion (u >= 5)")
-    _check_tp_domain(z, "PCF-")
+    _check_expansion_domain(u, z, "PCF-")
     return tp_coeff_funcs(u, z, m, "PCF-")
 
 
@@ -530,8 +537,7 @@ def weber_W_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedValue
     """
     check_inputs(u, x)
     check_real(x)
-    if u < 5:
-        raise DomainError("u >= 5 required")
+    _check_expansion_domain(u, complex(x), "WEB+")
     if x < -1.0 + 0.05:
         raise DomainError("x below the validity cutoff -1 + 0.05")
     if sign not in ("+x", "-x"):

@@ -432,3 +432,67 @@ def test_typed_errors_for_bad_forcing_degrees(entry, R):
             inhom.hyp_terminating(R, 2.5)
         else:
             ENTRIES[entry](20.0, 2.0 if entry == "inhom_series" else 1.05, R=R)
+
+
+# the refusals no other test reaches, each with its type and words of its
+# message, so that each case runs the check it names
+REFUSALS = {
+    "series-unsupported-pair": (
+        lambda: inhom.inhom_series(20.0, 1.5, 3, 1, "plus", (0, 4)),
+        PairError, "unsupported pair"),
+    "series-minus-pair": (
+        lambda: inhom.inhom_series(20.0, 1.5, 3, 1, "minus", (0, 2)),
+        PairError, "minus-variant"),
+    "series-minus-upper": (
+        lambda: inhom.inhom_series(20.0, 1.5 - 0.5j, 3, 1, "minus", (0, 1)),
+        DomainError, "upper half plane"),
+    "series-minus-lower": (
+        lambda: inhom.inhom_series(20.0, 1.5 + 0.5j, 3, 1, "minus", (-1, 0)),
+        DomainError, "lower half plane"),
+    "series-weber-pair": (
+        lambda: inhom.inhom_series(20.0, 1.5, 3, 1, "weber-", (0, 1)),
+        PairError, "the \\(0,3\\) pair"),
+    "series-outside-Zb03": (
+        lambda: inhom.inhom_series(20.0, 2j, 3, 1, "weber-", (0, 3)),
+        DomainError, "validity domain"),
+    "series-variant": (
+        lambda: inhom.inhom_series(20.0, 1.5, 3, 1, "plus2"),
+        ValueError, "plus2"),
+    "scorer-variant": (
+        lambda: inhom.inhom_scorer(20.0, 1.05, 2, 1, "PCF+"),
+        ValueError, "variant must be"),
+    "scorer-pair": (
+        lambda: inhom.inhom_scorer(20.0, 1.05, 2, 1, "PCF-", (0, 2)),
+        PairError, "pair must be"),
+    "scorer-outside-Z": (
+        lambda: inhom.inhom_scorer(20.0, -2.0 + 0.5j, 2, 1, "PCF-"),
+        DomainError, "turning-point domain"),
+    "scorer-cut": (
+        lambda: inhom.inhom_scorer(20.0, -2.0, 2, 1, "WEB+"),
+        DomainError, "cut"),
+    "scorer-beyond-the-ring": (
+        lambda: inhom.inhom_scorer(20.0, 3.0, 2, 1, "PCF-"),
+        DomainError, "Scorer form"),
+    "tp-outside-Z": (
+        lambda: tp.tp_coeff_funcs(20.0, -2.0 + 0.5j, 2, "PCF-"),
+        DomainError, "turning-point domain"),
+    "tp-cut": (
+        lambda: tp.tp_coeff_funcs(20.0, -2.0, 2, "WEB+"),
+        DomainError, "cut"),
+    "tp-variant": (
+        lambda: tp.tp_coeff_funcs(20.0, 1.5, 2, "PCF+"),
+        ValueError, "variant must be"),
+    "webm-disc": (
+        lambda: lg.weber_neg_Wj(20.0, 0.1 + 1j, 3, 0),
+        DomainError, "refusal radius"),
+    "path-variant": (
+        lambda: plane.monotone_path(1.5, "+inf", "PCF"),
+        ValueError, "PCF"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_are_typed(case):
+    call, exc, words = REFUSALS[case]
+    with pytest.raises(exc, match=words):
+        call()

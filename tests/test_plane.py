@@ -223,6 +223,29 @@ class TestDomains:
         assert not plane.domain_contains(-2.0 + 2.0j, d)
         assert not plane.domain_contains(2.0j, d)
 
+    # both sides of each boundary of the WEB+ domains: the cut (-inf, -1]
+    # (Zb0 also leaves out [1, inf)), and the fourth-quadrant curve
+    # Im xi = 0, Re xi < 0 from z = 1, crossed here at Re z = 0.5
+    @pytest.mark.parametrize("z,zb,zb0", [
+        (-2.0, False, False), (-2.0 + 1e-3j, True, True),
+        (-2.0 - 1e-3j, True, True), (-1.0, False, False),
+        (-0.5, True, True), (0.5, True, True),
+        (1.0, True, False), (1.5, True, False),
+        (1.5 + 1e-3j, True, True), (1.5 - 1e-3j, True, False),
+        ("on", False, False), ("above", True, True), ("below", True, False)])
+    def test_weber_plus_domains(self, z, zb, zb0):
+        if isinstance(z, str):
+            # bisect Im xi(0.5 + iy) = 0 between y = -1 and y = -1.5
+            lo, hi = -1.0, -1.5
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if plane.xi_minus(0.5 + 1j * mid).imag > 0 \
+                    else (lo, mid)
+            assert plane.xi_minus(0.5 + 1j * lo).real < 0
+            z = 0.5 + 1j * (lo + {"on": 0.0, "above": 1e-3, "below": -1e-3}[z])
+        assert plane.domain_contains(z, plane.DomainId("Zb")) is zb
+        assert plane.domain_contains(z, plane.DomainId("Zb0")) is zb0
+
 
 class TestLevelCurves:
     def test_level_constancy_and_oracle(self):
@@ -459,7 +482,7 @@ class TestMonotonePaths:
                                         "PCF+", "re", direction=+1,
                                         max_steps=2000)
         zbad = curve.vertices[min(len(curve.vertices) - 1, 200)]
-        if plane._on_pcfp_critical_curve(zbad, "left"):
+        if plane._on_pcfp_critical_curve(zbad):
             with pytest.raises(NoPath):
                 plane.monotone_path(zbad, "+inf", "PCF+")
 
@@ -474,6 +497,85 @@ class TestMonotonePaths:
     def test_turning_point_clearance(self):
         with pytest.raises(NoPath):
             plane.PathPolyline([50.0 + 1j * 1.0, 1j * 1.0005], "PCF+", "re")
+
+
+# every endpoint a variant's bound paths use; the images of the base
+# endpoints +inf, +iinf (PCF+, PCF-) and e+ipi/4 (WEB-) under z -> -z,
+# conj(z) and -conj(z)
+VARIANT_ENDPOINTS = {"PCF+": ("+inf", "-inf", "+iinf", "-iinf"),
+                     "PCF-": ("+inf", "+iinf", "-iinf"),
+                     "WEB-": ("e+ipi/4", "e-ipi/4", "e+3ipi/4", "e-3ipi/4")}
+IMAGES = [("PCF+", "-inf", "+inf", lambda z: -z),
+          ("PCF+", "-iinf", "+iinf", lambda z: z.conjugate()),
+          ("PCF-", "-iinf", "+iinf", lambda z: z.conjugate()),
+          ("WEB-", "e-ipi/4", "e+ipi/4", lambda z: z.conjugate()),
+          ("WEB-", "e+3ipi/4", "e+ipi/4", lambda z: -z.conjugate()),
+          ("WEB-", "e-3ipi/4", "e+ipi/4", lambda z: -z)]
+DIRECTIONS = {"+inf": 0.0, "-inf": math.pi, "+iinf": math.pi / 2,
+              "-iinf": -math.pi / 2, "e+ipi/4": math.pi / 4,
+              "e-ipi/4": -math.pi / 4, "e+3ipi/4": 3 * math.pi / 4,
+              "e-3ipi/4": -3 * math.pi / 4}
+# the 36 cell centres of [-3, 3]^2 and 6 real points, offset off the axes
+# and the cuts; points on the axes, the cuts and at the turning points;
+# traced-arc points; points whose path runs through a 0.35 or 0.5 detour
+_CELLS = (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5)
+PATH_LATTICE = ([complex(x, y) + (0.013 + 0.007j) for x in _CELLS for y in _CELLS]
+                + [complex(x + 0.013, 0.0) for x in _CELLS]
+                + [complex(0.0, y) for y in _CELLS]
+                + [0j, 1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j, 1e-13 + 2j, -1e-13 - 2j,
+                   -3 - 2j, 3 + 2j, -2 + 1.5j, -0.5 - 2.5j, 0.3 + 0.1j,
+                   -0.7 - 0.2j, 1.2 + 0.05j, -1.2 - 0.05j, 4 - 0.9j,
+                   -4 + 0.9j, 0.5 + 0.999j])
+
+
+def _path_or_error(z, endpoint, variant):
+    try:
+        return plane.monotone_path(z, endpoint, variant).vertices
+    except (NoPath, CutError, TraceStalled) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("variant,endpoint,base,sym", IMAGES,
+                         ids=[f"{v}{e}" for v, e, _, _ in IMAGES])
+def test_every_endpoint_is_its_base_endpoint_mapped(variant, endpoint, base, sym):
+    # the image path at z is the base path at sym(z), mapped vertex by
+    # vertex; a refusal is the same refusal
+    paths = 0
+    for z in PATH_LATTICE:
+        image = _path_or_error(z, endpoint, variant)
+        mapped = _path_or_error(sym(z), base, variant)
+        if isinstance(mapped, list):
+            mapped = [sym(v) for v in mapped]
+            paths += 1
+        assert image == mapped, z
+    assert paths >= len(PATH_LATTICE) // 3
+
+
+def test_every_path_starts_at_its_endpoint():
+    # beyond 0.9 BOX_RADIUS, within 0.2 rad of the endpoint's direction; a
+    # PCF+ path along a traced arc (more than 3 vertices) starts where the
+    # arc leaves the box, up to 0.62 rad off, still inside the endpoint's
+    # quarter plane
+    for variant, endpoints in VARIANT_ENDPOINTS.items():
+        for endpoint in endpoints:
+            paths = 0
+            for z in PATH_LATTICE:
+                verts = _path_or_error(z, endpoint, variant)
+                if not isinstance(verts, list):
+                    continue
+                paths += 1
+                first = verts[0]
+                off = abs(cmath.phase(first * cmath.exp(-1j * DIRECTIONS[endpoint])))
+                assert abs(first) > 0.9 * plane.BOX_RADIUS, (variant, endpoint, z)
+                limit = math.pi / 4 if len(verts) > 3 and variant == "PCF+" else 0.2
+                assert off < limit, (variant, endpoint, z, first)
+            assert paths >= len(PATH_LATTICE) // 3, (variant, endpoint)
+
+
+def test_weber_plus_has_no_path():
+    for endpoint in plane.ENDPOINTS:
+        with pytest.raises(NoPath):
+            plane.monotone_path(2.0 + 0.5j, endpoint, "WEB+")
 
 
 class TestMinusVariantIdentities:
