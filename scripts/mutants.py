@@ -64,6 +64,10 @@ MUTANTS = [
      "+ gm * math.exp(min(bt / u + gm * u ** (-n), 60.0))",
      "+ (dlt == 0.0) * gm * math.exp(min(bt / u + gm * u ** (-n), 60.0))",
      "the second estimate path's (Gamma, B) term dropped"),
+    ("src/parcyl/tp.py",
+     "est_abs = abs(f * co.A) * co.est_err + abs(fp * co.B) * co.est_err",
+     "est_abs = abs(f * co.A) * co.est_err",
+     "the turning-point value's estimate without its B term"),
 ]
 
 

@@ -172,13 +172,13 @@ def _gen_G(s_max: int, R: int, variant: str
     return g, g_d
 
 
-def analytic_part_G(s: int, R: int) -> RationalFunc:
-    """G*_{s,R}: G_{s,R} minus its principal part at z = 1 (minus variant).
+def analytic_part_G(g: RationalFunc) -> RationalFunc:
+    """G*_{s,R}: g = G_{s,R} (minus variant) minus its principal part at
+    z = 1.
 
     Returned as M(z)/(z+1)^{3s+1}, exact, with the z=1 pole removed in
     exact integer arithmetic (stable arbitrarily close to the turning point).
     """
-    g = get_tables().G(R, "minus")[s]
     k = g.pole_power
     # In t = z - 1, G = N(1+t) / (t^k (2+t)^k).  Dividing N(1+t) by (2+t)^k
     # as a power series for k steps leaves N(1+t) - P(t) (2+t)^k, where P is
@@ -309,26 +309,25 @@ class CoeffTables:
         self.seq = {"a": tuple(map(float, self.airy.a)),
                     "a_tilde": tuple(map(float, self.airy.a_tilde))}
 
-    def G(self, R: int, variant: str, s_max: int | None = None) -> list[RationalFunc]:
-        """G_{0,R}..; built with the float view `G_rows` of them and of
-        their derivatives once per (R, variant)."""
+    def G(self, R: int, variant: str) -> list[RationalFunc]:
+        """G_{0,R}..G_{s_max+1,R}; built with the float view `G_rows` of
+        them and of their derivatives once per (R, variant)."""
         key = (R, variant)
-        need = (s_max if s_max is not None else self.s_max) + 1
-        if key not in self._g_cache or len(self._g_cache[key][0]) < need + 1:
-            g, g_d = _gen_G(max(need, self.s_max + 1), R, variant)
+        if key not in self._g_cache:
+            g, g_d = _gen_G(self.s_max + 1, R, variant)
             self._g_cache[key] = (g, _func_rows(g), _func_rows(g_d))
         return self._g_cache[key][0]
 
-    def G_rows(self, R: int, variant: str, s_max: int | None = None
-               ) -> tuple[FloatRows, FloatRows]:
+    def G_rows(self, R: int, variant: str) -> tuple[FloatRows, FloatRows]:
         """The float view of `G` and of its derivatives G_{0,R}'.."""
-        self.G(R, variant, s_max)
+        self.G(R, variant)
         return self._g_cache[(R, variant)][1:]
 
     def G_star(self, s: int, R: int) -> RationalFunc:
+        """G*_{s,R} of these tables' own G_{s,R}."""
         key = (s, R)
         if key not in self._gstar_cache:
-            self._gstar_cache[key] = analytic_part_G(s, R)
+            self._gstar_cache[key] = analytic_part_G(self.G(R, "minus")[s])
         return self._gstar_cache[key]
 
     def G_star_rows(self, R: int, m: int) -> FloatRows:

@@ -25,7 +25,7 @@ from .lg import BOUND_SAFETY, CertifiedValue, weber_neg_Wj
 from .quadrature import path_nodes
 from .scaled import ScaledComplex
 from .tp import (TPCoeffs, _Geometry, _cauchy, _check_expansion_domain,
-                 _connected, _exp_sums, _ring_geometry, _u_neg_from,
+                 _connected, _exp_sums, _neg_value, _ring_geometry,
                  tp_coeff_funcs)
 
 #: empirical margin for the dropped contour-remainder of the Scorer
@@ -172,13 +172,15 @@ def _bound_integrals(u: float, z: complex, n: int, R: int, variant: str,
     """Certified error majorant along the progressive two-leg path through z."""
     gvariant = "minus" if variant == "minus" else "plus"
     sgn = -1.0 if variant == "minus" else 1.0  # z^2 - 1 vs z^2 + 1
-    g, g_d = get_tables().G_rows(R, gvariant, s_max=n + 1)
+    g, g_d = get_tables().G_rows(R, gvariant)
 
     path_variant = {"minus": "PCF-", "weber-": "WEB-"}.get(variant, "PCF+")
     ends = plane._SECTOR_ENDPOINTS[path_variant]
     legs = [plane.monotone_path(z, ends[j % 4], path_variant).vertices
             for j in pair]
 
+    # first at z: its OverflowError refuses a point before the nodes do
+    [gz] = evaluate(g, complex(z), n, n + 1)
     # both legs in one node array, summed batch by batch in path order
     I1 = I2 = sup_g = 0.0
     for zn, dzw, spans in path_nodes(legs):
@@ -206,7 +208,6 @@ def _bound_integrals(u: float, z: complex, n: int, R: int, variant: str,
     if denom <= 0:
         raise DomainError("bound integral too large: path passes too close "
                           "to a turning point")
-    [gz] = evaluate(g, complex(z), n, n + 1)
     bound = u ** (-2 * n - 2) * (abs(gz) + I1 / (2.0 * wz)) \
         + Lbar / (8.0 * u ** (2 * n + 3) * wz) / denom * I2
     return bound * BOUND_SAFETY
@@ -257,9 +258,16 @@ def inhom_series(u: float, z: complex, n: int, R: int, variant: str = "plus",
     if variant == "weber-" and z.real < -1e-12:
         return _weber_left_assembly(u, z, n, R)
     _check_pair_domain(z, variant, pair)
-    g = get_tables().G_rows(R, "minus" if variant == "minus" else "plus", s_max=n)[0]
-    w = _series_sum(g, u, z, n, variant == "weber-")
-    bound = _bound_integrals(u, z, n, R, variant, pair)
+    g = get_tables().G_rows(R, "minus" if variant == "minus" else "plus")[0]
+    try:
+        w = _series_sum(g, u, z, n, variant == "weber-")
+        bound = _bound_integrals(u, z, n, R, variant, pair) \
+            if cmath.isfinite(w) else math.nan
+    except OverflowError:
+        bound = math.nan
+    if not math.isfinite(bound):
+        raise DomainError("the series or its bound leaves the double range "
+                          f"at z={z}")
     scale = ScaledComplex.from_log((0.5 * R + 1.0) * math.log(2.0 * u))
     rel = bound / abs(w) if w != 0 else math.inf
     val = scale * w
@@ -324,8 +332,9 @@ def inhom_scorer(u: float, z: complex, m: int, R: int, variant: str = "PCF-",
     """Turning-point expansion of the scaled particular solution
     (2u)^{R/2+1} w_R^{(j,k)}; Scorer-function based, valid at z = 1.
 
-    For variant 'WEB+' the assembly uses the Weber connection constant
-    and sign-flipped analytic parts is used.
+    For variant 'WEB+' the assembly uses the Weber connection constant,
+    the WEB+ coefficient functions at their Airy argument -u^{2/3} zeta, and
+    the G* sum with alternating signs.
     """
     z = _check_scorer_inputs(u, z, m, R, variant, pair)
     return _scorer_values(u, z, m, R, variant, [pair])[0][0]
@@ -360,8 +369,6 @@ def _scorer_values(u: float, z: complex, m: int, R: int, variant: str,
 
     weber = variant == "WEB+"
     gamma = (gamma_W_mR(u, m, R) if weber else gamma_mR(u, m, R)).value.to_complex()
-    _, zeta = plane.xi_zeta(z)
-    arg = -u ** (2.0 / 3.0) * zeta if weber else u ** (2.0 / 3.0) * zeta
     co = tp_coeff_funcs(u, z, m, variant)
     # the solution pair labels recession sectors (0 <-> +inf, +-1 <-> +-i inf
     # of the z plane); the bounded Scorer companion for sectors {0,1} is the
@@ -369,7 +376,8 @@ def _scorer_values(u: float, z: complex, m: int, R: int, variant: str,
     homs = []
     for pair in pairs:
         wi_key = {(0, 1): (-1, 0), (-1, 0): (0, 1), (-1, 1): (-1, 1)}[pair]
-        homs.append(gamma * (wi(arg, wi_key) * co.A + wi_prime(arg, wi_key) * co.B))
+        homs.append(gamma * (wi(co.arg, wi_key) * co.A
+                             + wi_prime(co.arg, wi_key) * co.B))
     contour = _scorer_contour(u, z, m, variant)
     g_part = _series_sum(get_tables().G_star_rows(R, m), u, z, m + 1, weber) \
         - gamma * contour / u ** (2.0 / 3.0)
@@ -392,7 +400,7 @@ def connect_inhom_pcfm(u: float, z: complex, m: int, R: int) -> CertifiedValue:
     (u01, u03), co = _scorer_values(u, z, m, R, "PCF-", [(0, 1), (-1, 0)])
     lam = lambda_R(u / 2.0, R, "-a").value
     re_lam = ScaledComplex.from_complex(complex(lam.to_complex().real))
-    uneg = _u_neg_from(u, z, m, co)
+    uneg = _neg_value(u, z, m, co, "U-")
     return _connected([(u01.value * 0.5, u01.rel_bound),
                        (u03.value * 0.5, u03.rel_bound),
                        (re_lam * uneg.value, uneg.rel_bound)],

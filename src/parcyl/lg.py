@@ -163,7 +163,7 @@ def eta_bound(n: int, u: float, omega: float, varpi: float) -> float:
             * BOUND_SAFETY
     except OverflowError:
         bound = math.inf
-    if bound == math.inf:
+    if not bound < math.inf:
         raise DomainError("the eta bound leaves the double range")
     return bound
 
@@ -175,6 +175,15 @@ def _lg_bound(u: float, z: complex, n: int, endpoint: str, variant: str,
     path = plane.monotone_path(z, endpoint, variant)
     om, vp = omega_varpi(n, u, _beta_image(path), family_d)
     return eta_bound(n, u, om, vp)
+
+
+def _xi_bar(u: float, z: complex) -> complex:
+    """xi_bar(z); DomainError where u xi_bar(z), the exponent of every LG
+    form, leaves the double range."""
+    xb = plane.xi_bar(z)
+    if not cmath.isfinite(u * xb):
+        raise DomainError(f"u xi_bar(z) leaves the double range at z={z}")
+    return xb
 
 
 def _check_pcfp_domain(z: complex, endpoint: str) -> None:
@@ -199,7 +208,7 @@ def _pcfp_exponent(u: float, z: complex, n: int, which: str,
     endpoint = "-inf" if which == "W1" else "+inf"
     _check_pcfp_domain(z, endpoint)
     ends = t.ends[name]
-    xb = plane.xi_bar(z)
+    xb = _xi_bar(u, z)
     e = evaluate(t.rows[name], plane.beta_bar(z), 0, n)
     expo = 0j
     if which == "W1":
@@ -225,39 +234,29 @@ def lg_W(u: float, z: complex, n: int, which: str) -> CertifiedValue:
     return CertifiedValue(ScaledComplex.from_log_complex(expo), bound, n)
 
 
-def _pcfp_prefactor(u: float, z: complex) -> ScaledComplex:
-    # (2e/u)^{u/4} {2u(1+z^2)}^{-1/4}
-    log_pref = (u / 4.0) * (math.log(2.0 / u) + 1.0)
-    root = (2.0 * u * (1.0 + z * z)) ** 0.25
-    return ScaledComplex.from_log(log_pref) * (1.0 / root)
-
-
 def pcf_U_pos(u: float, z: complex, n: int, sign: str = "+z") -> CertifiedValue:
     """U(u/2, +-sqrt(2u) z) via the exponent-form expansions."""
-    z = complex(z)
-    if sign == "+z":
-        w = lg_W(u, z, n, "W2")
-    elif sign == "-z":
-        w = lg_W(u, z, n, "W1")
-    else:
-        raise ValueError("sign must be '+z' or '-z'")
-    val = _pcfp_prefactor(u, z) * w.value
-    if z.imag == 0.0:
-        val = ScaledComplex(complex(val.mantissa.real, 0.0), val.log_scale)
-    return CertifiedValue(val, w.rel_bound, n)
+    return _pcfp_value(u, z, n, sign, "Ebar")
 
 
 def pcf_Uprime_pos(u: float, z: complex, n: int, sign: str = "+z") -> CertifiedValue:
     """U'(u/2, +-sqrt(2u) z): derivative-equation expansion with the tilde
     coefficient family and the inverted quarter-power weight."""
+    return _pcfp_value(u, z, n, sign, "Etilde")
+
+
+def _pcfp_value(u: float, z: complex, n: int, sign: str,
+                name: str) -> CertifiedValue:
+    """U (family Ebar) or U' (Etilde) at +-sqrt(2u) z: the prefactor
+    (2e/u)^{u/4} {2u(1+z^2)}^{-1/4}, or -(1/2) (2e/u)^{u/4}
+    {2u(1+z^2)}^{1/4} for U', times the W2 (sign '+z') or W1 exponential."""
     if sign not in ("+z", "-z"):
         raise ValueError("sign must be '+z' or '-z'")
     z = complex(z)
-    expo, bound = _pcfp_exponent(u, z, n, "W2" if sign == "+z" else "W1",
-                                 "Etilde")
-    log_pref = (u / 4.0) * (math.log(2.0 / u) + 1.0)
+    expo, bound = _pcfp_exponent(u, z, n, "W2" if sign == "+z" else "W1", name)
     root = (2.0 * u * (1.0 + z * z)) ** 0.25
-    val = ScaledComplex.from_log(log_pref) * (-0.5 * root) * \
+    val = ScaledComplex.from_log((u / 4.0) * (math.log(2.0 / u) + 1.0)) * \
+        (1.0 / root if name == "Ebar" else -0.5 * root) * \
         ScaledComplex.from_log_complex(expo)
     if z.imag == 0.0:
         val = ScaledComplex(complex(val.mantissa.real, 0.0), val.log_scale)
@@ -296,7 +295,7 @@ def weber_neg_Wj(u: float, z: complex, m: int, j: int,
     _check_webm_domain(z)
     t = get_tables()
     check_order(m, 0, t.s_max // 2 - 1)
-    xb = plane.xi_bar(z)
+    xb = _xi_bar(u, z)
     bb = plane.beta_bar(z)
     sgn = 1.0 if j == 0 else -1.0
     cm = chi_m(u, m)
@@ -332,7 +331,7 @@ def weber_neg_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedVal
     t = get_tables()
     check_order(m, 0, t.s_max // 2 - 1)
     z = complex(x)
-    xb = plane.xi_bar(z).real
+    xb = _xi_bar(u, z).real
     bb = plane.beta_bar(z).real
     kbar = math.sqrt(1.0 + math.exp(-math.pi * u)) - math.exp(-math.pi * u / 2.0)
     wc = weber_constants(u, m)

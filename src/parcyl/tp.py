@@ -43,8 +43,8 @@ RING_RADIUS = 1.4
 CAUCHY_NODES = 256
 DIRECT_MIN_DIST = 0.2
 
-#: largest |Re| of a sum's exponent that _exp_sums accepts; e^709.8 is
-#: the largest float
+#: largest |Re| of a sum's exponent that _exp_sums accepts, and largest
+#: log |xi|^(2m+2) that tp_coeff_funcs accepts; e^709.8 is the largest float
 _EXP_LIMIT = 700.0
 
 #: points each per-point cache of u-free data keeps (_point_geometry,
@@ -65,11 +65,13 @@ class TPCoeffs:
     m: int
     method: str  # 'direct' or 'cauchy'
     est_err: float
+    #: the Airy argument u^{2/3} zeta(z) (WEB+: -u^{2/3} zeta(z))
+    arg: complex
 
     def conj(self) -> "TPCoeffs":
         """The coefficient functions at the conjugate point."""
         return TPCoeffs(self.A.conjugate(), self.B.conjugate(), self.m,
-                        self.method, self.est_err)
+                        self.method, self.est_err, self.arg.conjugate())
 
 
 # ----------------------------------------------------------------------
@@ -295,6 +297,11 @@ def tp_coeff_funcs(u: float, z: complex, m: int, variant: str = "PCF-") -> TPCoe
     _check_tp_domain(z, variant)
     if z.imag < 0:
         return tp_coeff_funcs(u, z.conjugate(), m, variant).conj()
+    xi, zeta = plane.xi_zeta(z)
+    # the rows divide by xi^s, s <= 2m+1, and the estimate's tail by xi^(2m+2)
+    if not abs(xi) <= math.exp(_EXP_LIMIT / (2 * m + 2)):
+        raise DomainError(f"xi^{2 * m + 2} leaves the double range at z={z}")
+    arg = (-1.0 if variant == "WEB+" else 1.0) * u ** (2.0 / 3.0) * zeta
     if abs(z - 1.0) < DIRECT_MIN_DIST:
         A, B = _ab_cauchy(u, z, m, variant)
         method = "cauchy"
@@ -308,7 +315,7 @@ def tp_coeff_funcs(u: float, z: complex, m: int, variant: str = "PCF-") -> TPCoe
         est = _ab_est_err(u, z, m, sums)
     if z.imag == 0.0 and z.real > -1.0:
         A, B = complex(A.real), complex(B.real)
-    return TPCoeffs(A, B, m, method, est)
+    return TPCoeffs(A, B, m, method, est, arg)
 
 
 def _ab_cauchy(u: float, z: complex, m: int, variant: str) -> tuple[complex, complex]:
@@ -334,8 +341,11 @@ def _est_moments(z: complex, m: int) -> tuple[tuple, _Geometry]:
     integral of |xi|^(-j) |dxi|, j = 2..2n."""
     n = 2 * m + 2
     t = get_tables()
-    paths = [plane.monotone_path(z, end, "PCF-").vertices
-             for end in ("+inf", "+iinf" if z.imag >= 0 else "-iinf")]
+    # a path that collapses to z (on the truncation box) is the zero-length
+    # segment [z, z]: zero moments, and z is its far end
+    paths = [[*v, z] if len(v) == 1 else v
+             for v in (plane.monotone_path(z, end, "PCF-").vertices
+                       for end in ("+inf", "+iinf" if z.imag >= 0 else "-iinf"))]
     c = np.array([(-1) ** (k + 1) * t.seq["a"][k] for k in range(n + 1)])
     # |c_1..c_n|, then |C_s| = |(c_0..c_{n-1} convolved with itself)[s+n-1]|
     consts = np.abs(np.concatenate((c[1:], np.convolve(c[:n], c[:n])[n:])))
@@ -393,26 +403,51 @@ def _ab_est_err(u: float, z: complex, m: int, sums=None) -> float:
 # homogeneous solutions through the turning point
 # ----------------------------------------------------------------------
 
-def _w_ml(u: float, z: complex, co: TPCoeffs, l: int,
-          use_bi: bool = False) -> tuple[complex, float]:
-    """w_{m,l} = Ai_l(u^{2/3} zeta) A + Ai_l'(u^{2/3} zeta) B (or the Bi
-    companion) from the PCF- coefficient functions `co` at z; returns
-    (value, relative error estimate)."""
-    _, zeta = plane.xi_zeta(z)
-    av = airy(u ** (2.0 / 3.0) * zeta, l)
-    f, fp = (av.bi, av.bi_prime) if use_bi else (av.ai, av.ai_prime)
-    val = f * co.A + fp * co.B
+#: the PCF- families: (rotation l of the Airy solution Ai_l, or None for Bi;
+#: (log prefactor, phase) from u and odd_sum_at_1; real on (-1, inf)?; tag)
+_NEG_FAMILIES = {
+    "U-": (0, lambda u, odd1: (
+        0.5 * math.log(math.pi) + (0.75 - 0.25 * u) * math.log(2.0)
+        + (0.25 * u - 1.0 / 12.0) * math.log(u) - 0.25 * u + odd1, 0.0),
+        True, "eps_U"),
+    "V-": (None, lambda u, odd1: (
+        (0.25 + 0.25 * u) * math.log(2.0)
+        - (0.25 * u + 1.0 / 12.0) * math.log(u) + 0.25 * u - odd1, 0.0),
+        True, "eps_V"),
+    "U-i": (1, lambda u, odd1: (
+        0.5 * math.log(math.pi) + (0.75 + 0.25 * u) * math.log(2.0)
+        - (0.25 * u + 1.0 / 12.0) * math.log(u) + 0.25 * u - odd1,
+        (0.25 * u + 1.0 / 12.0) * math.pi), False, "eps_pm1"),
+    "U+i": (-1, lambda u, odd1: (
+        0.5 * math.log(math.pi) + (0.75 + 0.25 * u) * math.log(2.0)
+        - (0.25 * u + 1.0 / 12.0) * math.log(u) + 0.25 * u - odd1,
+        -(0.25 * u + 1.0 / 12.0) * math.pi), False, "eps_pm1"),
+}
+
+
+def _neg_value(u: float, z: complex, m: int, co: TPCoeffs,
+               family: str) -> CertifiedValue:
+    """A `_NEG_FAMILIES` value at a checked (u, z) from the PCF- coefficient
+    functions `co` at z: the prefactor times w = f(arg) A + f'(arg) B for
+    the family's Airy solution f, with relative error estimate
+    (|f A| + |f' B|) est_err / |w|."""
+    rot, pref, real, tag = _NEG_FAMILIES[family]
+    av = airy(co.arg, rot or 0)
+    f, fp = (av.bi, av.bi_prime) if rot is None else (av.ai, av.ai_prime)
+    wm = f * co.A + fp * co.B
     est_abs = abs(f * co.A) * co.est_err + abs(fp * co.B) * co.est_err
-    rel = est_abs / abs(val) if val != 0 else math.inf
+    rel = est_abs / abs(wm) if wm != 0 else math.inf
     if not math.isfinite(rel):
         raise DomainError("no finite error estimate: the turning-point "
                           "expansion does not hold here")
-    return val, rel
+    val = ScaledComplex.from_log(*pref(u, odd_sum_at_1(u, m))) * wm
+    if real and z.imag == 0.0 and z.real > -1.0:
+        val = ScaledComplex(complex(val.mantissa.real, 0.0), val.log_scale)
+    return CertifiedValue(val, rel, m, noncertified=(tag,))
 
 
 def _neg_coeffs(u: float, z: complex, m: int) -> TPCoeffs:
-    """The checks of the PCF- entries (U-, V-, U+-i), then the coefficient
-    functions at z."""
+    """The PCF- entries' checks, then the coefficient functions at z."""
     check_inputs(u, z)
     _check_expansion_domain(u, z, "PCF-")
     return tp_coeff_funcs(u, z, m, "PCF-")
@@ -421,20 +456,7 @@ def _neg_coeffs(u: float, z: complex, m: int) -> TPCoeffs:
 def pcf_U_neg(u: float, z: complex, m: int) -> CertifiedValue:
     """U(-u/2, sqrt(2u) z) for z in the turning-point domain."""
     z = complex(z)
-    return _u_neg_from(u, z, m, _neg_coeffs(u, z, m))
-
-
-def _u_neg_from(u: float, z: complex, m: int, co: TPCoeffs) -> CertifiedValue:
-    """pcf_U_neg at a checked (u, z) from the coefficient functions `co`
-    at z."""
-    wm, rel = _w_ml(u, z, co, 0)
-    odd1 = odd_sum_at_1(u, m)
-    logpref = 0.5 * math.log(math.pi) + (0.75 - 0.25 * u) * math.log(2.0) \
-        + (0.25 * u - 1.0 / 12.0) * math.log(u) - 0.25 * u + odd1
-    val = ScaledComplex.from_log(logpref) * wm
-    if z.imag == 0.0 and z.real > -1.0:
-        val = ScaledComplex(complex(val.mantissa.real, 0.0), val.log_scale)
-    return CertifiedValue(val, rel, m, noncertified=("eps_U",))
+    return _neg_value(u, z, m, _neg_coeffs(u, z, m), "U-")
 
 
 def pcf_U_rotated(u: float, z: complex, m: int, sign: str = "-i") -> CertifiedValue:
@@ -443,40 +465,13 @@ def pcf_U_rotated(u: float, z: complex, m: int, sign: str = "-i") -> CertifiedVa
     if sign not in ("-i", "+i"):
         raise ValueError("sign must be '-i' or '+i'")
     z = complex(z)
-    return _u_rot_from(u, z, m, _neg_coeffs(u, z, m), sign == "-i")
-
-
-def _u_rot_from(u: float, z: complex, m: int, co: TPCoeffs,
-                upper: bool) -> CertifiedValue:
-    """pcf_U_rotated at a checked (u, z) from the coefficient functions
-    `co` at z; `upper` selects sign '-i'."""
-    wm, rel = _w_ml(u, z, co, 1 if upper else -1)
-    odd1 = odd_sum_at_1(u, m)
-    logpref = 0.5 * math.log(math.pi) + (0.75 + 0.25 * u) * math.log(2.0) \
-        - (0.25 * u + 1.0 / 12.0) * math.log(u) + 0.25 * u - odd1
-    phase = (0.25 * u + 1.0 / 12.0) * math.pi if upper else \
-        -(0.25 * u + 1.0 / 12.0) * math.pi
-    val = ScaledComplex.from_log(logpref, phase) * wm
-    return CertifiedValue(val, rel, m, noncertified=("eps_pm1",))
+    return _neg_value(u, z, m, _neg_coeffs(u, z, m), "U" + sign)
 
 
 def pcf_V_neg(u: float, z: complex, m: int) -> CertifiedValue:
     """V(-u/2, sqrt(2u) z) via the Bi-companion assembly."""
     z = complex(z)
-    return _v_neg_from(u, z, m, _neg_coeffs(u, z, m))
-
-
-def _v_neg_from(u: float, z: complex, m: int, co: TPCoeffs) -> CertifiedValue:
-    """pcf_V_neg at a checked (u, z) from the coefficient functions `co`
-    at z."""
-    wm, rel = _w_ml(u, z, co, 0, use_bi=True)
-    odd1 = odd_sum_at_1(u, m)
-    logpref = (0.25 + 0.25 * u) * math.log(2.0) \
-        - (0.25 * u + 1.0 / 12.0) * math.log(u) + 0.25 * u - odd1
-    val = ScaledComplex.from_log(logpref) * wm
-    if z.imag == 0.0 and z.real > -1.0:
-        val = ScaledComplex(complex(val.mantissa.real, 0.0), val.log_scale)
-    return CertifiedValue(val, rel, m, noncertified=("eps_V",))
+    return _neg_value(u, z, m, _neg_coeffs(u, z, m), "V-")
 
 
 def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> CertifiedValue:
@@ -496,10 +491,10 @@ def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> Certif
     lg = math.lgamma(a + 0.5)
     # one evaluation of the coefficient functions at w feeds both terms
     co = _neg_coeffs(u, w, m)
-    uneg = _u_neg_from(u, w, m, co)
+    uneg = _neg_value(u, w, m, co, "U-")
     if which == "U":
         upper = z.imag >= 0.0
-        rot = _u_rot_from(u, w, m, co, not upper)
+        rot = _neg_value(u, w, m, co, "U+i" if upper else "U-i")
         # -+i e^{+-i pi a}
         ph1 = complex(sin_pa, -cos_pa if upper else cos_pa)
         ph2 = cmath.exp((1j if upper else -1j) * math.pi * (0.5 * a + 0.25))
@@ -509,7 +504,7 @@ def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> Certif
         return _connected([(uneg.value * ph1, uneg.rel_bound),
                            (term2, rot.rel_bound)],
                           m, ("eps_U", "eps_pm1"))
-    vneg = _v_neg_from(u, w, m, co)
+    vneg = _neg_value(u, w, m, co, "V-")
     return _connected(
         [(uneg.value * cos_pa * ScaledComplex.from_log(-lg), uneg.rel_bound),
          (vneg.value * -sin_pa, vneg.rel_bound)],
@@ -546,10 +541,8 @@ def weber_W_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedValue
         # reflect: the coefficient functions are then evaluated near the
         # right turning point, where the Cauchy circle keeps them accurate
         return weber_W_real(u, -x, m, "-x" if sign == "+x" else "+x")
-    z = complex(x)
-    _, zeta = plane.xi_zeta(z)
-    co = tp_coeff_funcs(u, z, m, "WEB+")
-    w = -u ** (2.0 / 3.0) * zeta.real
+    co = tp_coeff_funcs(u, complex(x), m, "WEB+")
+    w = co.arg.real
     av = airy(w)
     logk = -math.pi * u / 2.0 - math.log(math.sqrt(1.0 + math.exp(-math.pi * u)) + 1.0)
     envai, envbi = _envelope(w, av)

@@ -287,6 +287,28 @@ def test_oracle_inhom_answers_or_refuses_in_json(capsys, args, error):
     assert (code, payload.get("error")) == ((2, error) if error else (0, None))
 
 
+#: points whose estimate paths collapse to z on the truncation box, and
+#: points far beyond it, up to where z^2 leaves the double range
+FAR_POINTS = ("50", "1+50j", "0.15+50j", "3e15", "1e20", "1e100", "1.3e154",
+              "1e200", "1e300")
+
+
+@pytest.mark.parametrize("function, point", [
+    (f, p) for f in cli.FUNCTIONS for p in FAR_POINTS
+    if f not in ("W+x", "W-x") or "j" not in p])
+def test_far_points_give_a_value_or_a_refusal(capsys, function, point):
+    where = "--x" if function in ("W+x", "W-x") else "--z"
+    code, payload = run_main(capsys, "eval", "--function", function, "--u",
+                             "20", where, point, "--R", "2", "--pair",
+                             "0,3" if function == "WR" else "0,2")
+    if code == 0:
+        assert all(math.isfinite(float(payload[k])) for k in (
+            "value_mantissa_re", "value_mantissa_im", "log_scale", "rel_bound"))
+    else:
+        # the input is finite: a refusal is about the expansion, not it
+        assert code == 2 and payload["error"] != "ARGUMENT"
+
+
 @pytest.mark.parametrize("cmd", ["eval", "oracle"])
 def test_parameter_above_u_max_is_a_domain_error(capsys, cmd):
     code, payload = run_main(capsys, cmd, "--function=U+", "--u=1e308",

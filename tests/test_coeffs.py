@@ -10,9 +10,11 @@ import pytest
 
 import numpy as np
 
-from parcyl.coeffs import (FloatRows, evaluate, gen_Ebar, gen_G, get_tables,
-                           modified_coeff)
+from parcyl import coeffs
+from parcyl.coeffs import (CoeffTables, FloatRows, evaluate, gen_Ebar, gen_G,
+                           get_tables, modified_coeff)
 from parcyl.errors import OrderError, TurningPointError
+from parcyl.inhom import inhom_series
 from parcyl.ratpoly import RationalPoly
 
 S_MAX = 12
@@ -175,11 +177,43 @@ def _table_lines(t):
             yield f"G* {s} {R} {g.pole_power}: " + " ".join(map(str, g.numerator.coeffs))
 
 
-def test_tables_digest(tables):
+def _digest(t) -> str:
     h = hashlib.sha256()
-    for line in _table_lines(tables):
+    for line in _table_lines(t):
         h.update(line.encode() + b"\n")
-    assert h.hexdigest() == TABLE_DIGEST
+    return h.hexdigest()
+
+
+def test_tables_digest(tables):
+    assert _digest(tables) == TABLE_DIGEST
+
+
+def test_tables_digest_after_the_deepest_series(tables):
+    # an order-s_max series reads row s_max of G and G': the tables keep
+    # their one depth, so the digest does not depend on which calls came first
+    inhom_series(20.0, 2 + 1j, S_MAX, 0)
+    assert all(len(tables.G(R, v)) == S_MAX + 2
+               for R in range(17) for v in ("plus", "minus"))
+    assert _digest(tables) == TABLE_DIGEST
+
+
+def test_G_star_reduces_the_tables_own_G(monkeypatch):
+    # a table deeper than the process-wide one has its own G*_{s,R} rows,
+    # and reading them never builds the process-wide tables
+    def forbidden():
+        raise AssertionError("the process-wide tables were read")
+
+    monkeypatch.setattr(coeffs, "get_tables", forbidden)
+    deep = CoeffTables(16)
+    rows = deep.G_star_rows(0, 14)
+    assert len(rows.coeffs) == 15
+    g, gstar = deep.G(0, "minus")[14], deep.G_star(14, 0)
+    k = g.pole_power
+    assert gstar.pole_power == k == 43
+    # G - G* is the principal part at z = 1, with no pole at z = -1: with
+    # G = N/(z^2-1)^k and G* = M/(z+1)^k, N - M (z-1)^k vanishes at -1
+    assert g.numerator(F(-1)) == gstar.numerator(F(-1)) * (-2) ** k
+    CoeffTables(6).G_star(1, 2)
 
 
 def test_derivative_and_endpoint_tables(tables):
@@ -326,7 +360,7 @@ def _library_views(tables):
     yield tables.rows["E"], [(1, s + 1) for s in range(1, s_max + 1)]
     for variant in ("plus", "minus"):
         for R in (0, 3, 16):
-            for rows in tables.G_rows(R, variant, s_max=7):
+            for rows in tables.G_rows(R, variant):
                 yield rows, [(n, n + 1) for n in range(8)]
 
 

@@ -9,6 +9,7 @@ import pytest
 from scipy.special import gamma, loggamma, rgamma
 
 from parcyl import inhom, lg, oracle, plane, quadrature, tp
+from parcyl.airy import airy
 from parcyl.coeffs import evaluate
 from parcyl.errors import (ArgumentError, DomainError, OrderError, PairError,
                            ParcylError, PoleError)
@@ -195,7 +196,9 @@ class TestGamma:
         w_m10 = inhom.inhom_scorer(u, 2.0, m, R, "PCF-", (-1, 0)).value.to_complex()
         w_01 = inhom.inhom_scorer(u, 2.0, m, R, "PCF-", (0, 1)).value.to_complex()
         gam = inhom.gamma_mR(u, m, R).value.to_complex()
-        wm0, _ = tp._w_ml(u, 2.0, tp.tp_coeff_funcs(u, 2.0, m), 0)
+        co = tp.tp_coeff_funcs(u, 2.0, m)
+        av = airy(co.arg)
+        wm0 = av.ai * co.A + av.ai_prime * co.B
         resid = (w_m10 - w_01) + scale * 2j * math.pi * gam * wm0
         assert abs(resid) < 1e-5 * abs(w_01)
 
@@ -473,6 +476,21 @@ REFUSALS = {
     "scorer-beyond-the-ring": (
         lambda: inhom.inhom_scorer(20.0, 3.0, 2, 1, "PCF-"),
         DomainError, "Scorer form"),
+    "scorer-on-the-box": (
+        lambda: inhom.inhom_scorer(20.0, 50.0, 3, 2, "PCF-"),
+        DomainError, "double range"),
+    "connection-on-the-box": (
+        lambda: inhom.connect_inhom_pcfm(20.0, 50.0, 3, 2),
+        DomainError, "Scorer form"),
+    "series-far-out": (
+        lambda: inhom.inhom_series(20.0, 3e15, 3, 2),
+        DomainError, "double range"),
+    "tp-far-out": (
+        lambda: tp.tp_coeff_funcs(20.0, 1e20, 3, "PCF-"),
+        DomainError, "double range"),
+    "weber-real-far-out": (
+        lambda: lg.weber_neg_real(20.0, 1e200, 3),
+        DomainError, "double range"),
     "tp-outside-Z": (
         lambda: tp.tp_coeff_funcs(20.0, -2.0 + 0.5j, 2, "PCF-"),
         DomainError, "turning-point domain"),

@@ -68,6 +68,31 @@ class TestCoeffFuncs:
         co_l = tp.tp_coeff_funcs(20.0, 1.5 - 0.5j, 2, "PCF-")
         assert co_u.A == pytest.approx(co_l.A.conjugate(), rel=1e-13)
 
+    @pytest.mark.parametrize("variant", ["PCF-", "WEB+"])
+    @pytest.mark.parametrize("z, method", [
+        (2.0 + 0.5j, "direct"), (2.0 - 0.5j, "direct"), (0.4 + 0j, "direct"),
+        (3.0 + 0j, "direct"), (-0.5 + 1.5j, "direct"), (-0.5 - 1.5j, "direct"),
+        (1.1 + 0.05j, "cauchy"), (1.1 - 0.05j, "cauchy"), (0.9 + 0j, "cauchy"),
+        (1.0 + 0j, "cauchy")])
+    def test_airy_argument_is_formed_once(self, variant, z, method):
+        # the one Airy argument every turning-point value reads, in both
+        # half planes (the lower one by conjugation) and in both zones
+        u = 20.0
+        co = tp.tp_coeff_funcs(u, z, 3, variant)
+        sign = -1.0 if variant == "WEB+" else 1.0
+        expect = sign * u ** (2.0 / 3.0) * plane.xi_zeta(z)[1]
+        assert co.method == method
+        assert (co.arg.real.hex(), co.arg.imag.hex()) == \
+            (expect.real.hex(), expect.imag.hex())
+
+    @pytest.mark.parametrize("z", [50.0, 1 + 50j, 0.15 + 50j, 1 - 50j])
+    def test_an_estimate_path_collapsed_to_its_point(self, z):
+        # on the truncation box the path to +inf or to +-i inf is z alone:
+        # its moments vanish and z is its far end
+        for variant in ("PCF-", "WEB+"):
+            co = tp.tp_coeff_funcs(20.0, z, 3, variant)
+            assert 0.0 < co.est_err < 1e-6
+
 
 #: u at integer, generic, half-integer and near half-integer a = u/2
 LEFT_U = (20.0, 20.3, 21.0, 21.0000001, 37.1, 40.0)
