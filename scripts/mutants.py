@@ -1,4 +1,5 @@
-"""One-line mutants of the bounds, estimates and margins, run against tier-1.
+"""One-line mutants of the bounds, estimates, margins and validity regions,
+run against tier-1.
 
 Each mutant is (file, old text, new text, reason): the old text must occur
 exactly once in the file.  For each mutant the script copies src/ and
@@ -68,6 +69,17 @@ MUTANTS = [
      "est_abs = abs(f * co.A) * co.est_err + abs(fp * co.B) * co.est_err",
      "est_abs = abs(f * co.A) * co.est_err",
      "the turning-point value's estimate without its B term"),
+    ("src/parcyl/plane.py",
+     "lambda u, z: abs(z - 1j) < TP_REFUSAL or abs(z + 1j) < TP_REFUSAL,",
+     "lambda u, z: False,",
+     "the region table without its TP_REFUSAL discs about +-i"),
+    ("src/parcyl/plane.py", "_WEBM = (_DISC, _RIGHT_HALF)", "_WEBM = (_DISC,)",
+     "W0 and W3 without their right-half-plane restriction"),
+    ("src/parcyl/plane.py", "(_Z, _UPPER)", "(_Z,)",
+     "the minus series' (0,1) pair without its upper-half-plane test"),
+    ("src/parcyl/plane.py", "_FLOOR = (lambda u, z: u < 5,",
+     "_FLOOR = (lambda u, z: u < 1,",
+     "the u >= 5 floor of the turning-point expansions lowered to 1"),
 ]
 
 

@@ -15,8 +15,8 @@ import sys
 
 from . import inhom, lg, plane, tp
 from .coeffs import get_tables
-from .errors import (ArgumentError, DomainError, OrderError, PairError,
-                     ParcylError, check_inputs)
+from .errors import (ArgumentError, DomainError, OrderError, ParcylError,
+                     check_inputs)
 
 FUNCTIONS = ("U+", "U+'", "U-", "V-", "U+i", "U-i", "W+x", "W-x",
              "W0", "W3", "UR", "WR")
@@ -117,8 +117,6 @@ def _parse_pair(text: str) -> tuple[int, int]:
         j, k = (int(p) for p in text.split(","))
     except ValueError:
         raise ArgumentError(f"malformed pair {text!r}") from None
-    if (j, k) == (1, 3):
-        raise PairError("the (1,3) recession pair has an empty domain")
     return (j, k)
 
 

@@ -17,16 +17,15 @@ from . import plane
 from .airy import wi, wi_prime
 from .coeffs import (FloatRows, check_forcing_degree, check_order, evaluate,
                      get_tables)
-from .errors import (DomainError, OrderError, PairError, PoleError,
-                     check_inputs, check_points, check_real)
+from .errors import (DomainError, OrderError, PoleError, check_inputs,
+                     check_points, check_real)
 from .gamma import loggamma, rgamma
 from .constants import chi_m, odd_sum_at_1
 from .lg import BOUND_SAFETY, CertifiedValue, weber_neg_Wj
 from .quadrature import path_nodes
 from .scaled import ScaledComplex
-from .tp import (TPCoeffs, _Geometry, _cauchy, _check_expansion_domain,
-                 _connected, _exp_sums, _neg_value, _ring_geometry,
-                 tp_coeff_funcs)
+from .tp import (TPCoeffs, _Geometry, _cauchy, _connected, _exp_sums,
+                 _neg_value, _ring_geometry, tp_coeff_funcs)
 
 #: empirical margin for the dropped contour-remainder of the Scorer
 #: expansions; the u=10 worst case measured by scripts/calibration_sweep.py
@@ -174,10 +173,9 @@ def _bound_integrals(u: float, z: complex, n: int, R: int, variant: str,
     sgn = -1.0 if variant == "minus" else 1.0  # z^2 - 1 vs z^2 + 1
     g, g_d = get_tables().G_rows(R, gvariant)
 
-    path_variant = {"minus": "PCF-", "weber-": "WEB-"}.get(variant, "PCF+")
-    ends = plane._SECTOR_ENDPOINTS[path_variant]
-    legs = [plane.monotone_path(z, ends[j % 4], path_variant).vertices
-            for j in pair]
+    row = plane.REGIONS[_SERIES_FAMILY[variant], tuple(pair)][0]
+    legs = [plane.monotone_path(z, end, row.variant).vertices
+            for end in row.endpoints]
 
     # first at z: its OverflowError refuses a point before the nodes do
     [gz] = evaluate(g, complex(z), n, n + 1)
@@ -213,33 +211,8 @@ def _bound_integrals(u: float, z: complex, n: int, R: int, variant: str,
     return bound * BOUND_SAFETY
 
 
-def _check_pair_domain(z: complex, variant: str, pair: tuple[int, int]) -> None:
-    j, k = pair
-    if variant == "plus":
-        if (j, k) == (1, 3):
-            raise PairError("the (1,3) recession pair has an empty domain")
-        tag = f"Z{j}{k}"
-        if tag not in plane.DOMAIN_TAGS:
-            raise PairError(f"unsupported pair {pair}")
-        if not plane.domain_contains(z, plane.DomainId(tag)):
-            raise DomainError(f"z={z} outside the validity domain {tag}")
-    elif variant == "minus":
-        if pair not in ((0, 1), (-1, 0)):
-            raise PairError("minus-variant series supports pairs (0,1), (-1,0)")
-        if not plane.domain_contains(z, plane.DomainId("Z")):
-            raise DomainError("z outside the turning-point domain")
-        if pair == (0, 1) and z.imag < -1e-12:
-            raise DomainError("pair (0,1) valid in the upper half plane")
-        if pair == (-1, 0) and z.imag > 1e-12:
-            raise DomainError("pair (-1,0) valid in the lower half plane")
-    elif variant == "weber-":
-        if pair != (0, 3):
-            raise PairError("the negative-parameter Weber series is provided "
-                            "for the (0,3) pair")
-        if not plane.domain_contains(z, plane.DomainId("Zb03")):
-            raise DomainError("z outside the (0,3) validity domain")
-    else:
-        raise ValueError(variant)
+#: the family of each inhom_series variant in plane.REGIONS
+_SERIES_FAMILY = {"plus": "UR", "minus": "UR-", "weber-": "WR"}
 
 
 def inhom_series(u: float, z: complex, n: int, R: int, variant: str = "plus",
@@ -247,17 +220,18 @@ def inhom_series(u: float, z: complex, n: int, R: int, variant: str = "plus",
     """Scaled particular solution (2u)^{R/2+1} w with the certified bound.
 
     variant 'plus': U_R^{(j,k)}(u/2, sqrt(2u) z); 'minus': the negative
-    parameter analogue; 'weber-': W_R^{(0,3)}(-u/2, sqrt(2u) z) (switches
-    automatically to the reflection assembly for Re z < 0).
+    parameter analogue; 'weber-': W_R^{(0,3)}(-u/2, sqrt(2u) z) (through
+    the reflection assembly for Re z < 0).
     """
     check_inputs(u, z)
     check_order(n, 1, get_tables().s_max)
     z = complex(z)
     check_forcing_degree(R)
     _check_n_constraint(n, R)
-    if variant == "weber-" and z.real < -1e-12:
+    if variant not in _SERIES_FAMILY:
+        raise ValueError(variant)
+    if plane.region(_SERIES_FAMILY[variant], u, z, pair).route == "reflection":
         return _weber_left_assembly(u, z, n, R)
-    _check_pair_domain(z, variant, pair)
     g = get_tables().G_rows(R, "minus" if variant == "minus" else "plus")[0]
     try:
         w = _series_sum(g, u, z, n, variant == "weber-")
@@ -347,10 +321,8 @@ def _check_scorer_inputs(u: float, z: complex, m: int, R: int, variant: str,
     check_forcing_degree(R)
     if variant not in ("PCF-", "WEB+"):
         raise ValueError("variant must be 'PCF-' or 'WEB+'")
-    if pair not in ((-1, 1), (0, 1), (-1, 0)):
-        raise PairError("pair must be one of (-1,1), (0,1), (-1,0)")
+    plane.region("Hi " + variant, u, z, pair)
     check_order(m, 0, 4)
-    _check_expansion_domain(u, z, variant)
     return z
 
 

@@ -29,10 +29,6 @@ from .scaled import ScaledComplex
 #: discretized paths slightly shorten the true progressive chain
 BOUND_SAFETY = 1.05
 
-#: refusal radius around the turning points +-i (no Airy variant in scope
-#: for the z^2+1 equations; the bounds blow up inside this disk)
-TP_REFUSAL = 0.15
-
 @dataclass(frozen=True)
 class CertifiedValue:
     value: ScaledComplex
@@ -186,13 +182,6 @@ def _xi_bar(u: float, z: complex) -> complex:
     return xb
 
 
-def _check_pcfp_domain(z: complex, endpoint: str) -> None:
-    if abs(z - 1j) < TP_REFUSAL or abs(z + 1j) < TP_REFUSAL:
-        raise DomainError(f"z={z} within refusal radius of a turning point")
-    if not plane._reaches(z, endpoint, "PCF+"):
-        raise DomainError(f"z={z} on an excluded level curve")
-
-
 # ----------------------------------------------------------------------
 # homogeneous solutions, positive parameter
 # ----------------------------------------------------------------------
@@ -205,8 +194,7 @@ def _pcfp_exponent(u: float, z: complex, n: int, which: str,
     check_inputs(u, z)
     t = get_tables()
     check_order(n, 1, t.s_max // 2)
-    endpoint = "-inf" if which == "W1" else "+inf"
-    _check_pcfp_domain(z, endpoint)
+    row = plane.region("U+", u, z, route="image" if which == "W1" else "direct")
     ends = t.ends[name]
     xb = _xi_bar(u, z)
     e = evaluate(t.rows[name], plane.beta_bar(z), 0, n)
@@ -219,7 +207,7 @@ def _pcfp_exponent(u: float, z: complex, n: int, which: str,
         expo += -u * xb
         for s in range(1, n):
             expo += (-1) ** s * (e[s] - ends[s][1]) / u ** s
-    return expo, _lg_bound(u, z, n, endpoint, "PCF+", t.rows[name + "_d"])
+    return expo, _lg_bound(u, z, n, *row.endpoints, row.variant, t.rows[name + "_d"])
 
 
 def lg_W(u: float, z: complex, n: int, which: str) -> CertifiedValue:
@@ -277,14 +265,6 @@ def _weber_sums(rows: FloatRows, bb, u: float, m: int) -> tuple:
     return even, odd
 
 
-def _check_webm_domain(z: complex) -> None:
-    if abs(z - 1j) < TP_REFUSAL or abs(z + 1j) < TP_REFUSAL:
-        raise DomainError(f"z={z} within refusal radius of a turning point")
-    if z.real < -1e-12:
-        raise DomainError("negative-parameter Weber expansions restricted to "
-                          "the right half plane")
-
-
 def weber_neg_Wj(u: float, z: complex, m: int, j: int,
                  derivative: bool = False) -> CertifiedValue:
     """W_j(-u/2, sqrt(2u) z) for j in {0, 3} (and the derivative variant)."""
@@ -292,7 +272,7 @@ def weber_neg_Wj(u: float, z: complex, m: int, j: int,
     if j not in (0, 3):
         raise ValueError("j must be 0 or 3")
     z = complex(z)
-    _check_webm_domain(z)
+    row = plane.region("W0" if j == 0 else "W3", u, z)
     t = get_tables()
     check_order(m, 0, t.s_max // 2 - 1)
     xb = _xi_bar(u, z)
@@ -313,8 +293,7 @@ def weber_neg_Wj(u: float, z: complex, m: int, j: int,
     even, odd = _weber_sums(t.rows[fam], bb, u, m)
     expo = even + sgn * 1j * (u * xb) - sgn * 1j * odd
     val = pref * cmath.exp(1j * phase) * ScaledComplex.from_log_complex(expo)
-    bound = _lg_bound(u, z, 2 * m + 2, "e+ipi/4" if j == 0 else "e-ipi/4",
-                      "WEB-", t.rows[fam + "_d"])
+    bound = _lg_bound(u, z, 2 * m + 2, *row.endpoints, row.variant, t.rows[fam + "_d"])
     return CertifiedValue(val, bound, m)
 
 

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CutError, NoPath, TraceStalled
+from .errors import CutError, DomainError, NoPath, PairError, TraceStalled
 
 def canon(z: complex) -> complex:
     """Normalize signed zero: exactly-real points evaluate on the upper-side
@@ -59,7 +60,10 @@ def xi_bar(z: complex, side: str | None = None) -> complex:
     """xi_bar = int_0^z sqrt(t^2+1) dt, real and sign-matching on the real axis.
 
     `side` ("left"/"right") selects the continuation for points on the cuts
-    z = +-iy, y >= 1; without it such points raise CutError.
+    z = +-iy, y >= 1; without it such points raise CutError.  In the left
+    half plane z + sqrt(z^2+1) cancels, to exactly 0 from |z| ~ 1e8, so
+    beyond twice the box radius (clear of every traced arc, which ends
+    within CHORD_TOL of the box) it is -xi_bar(-z): asinh is odd.
     """
     z = canon(z)
     on_cut = _near_upper_cut(z, 1e-12) or _near_lower_cut(z, 1e-12)
@@ -68,6 +72,8 @@ def xi_bar(z: complex, side: str | None = None) -> complex:
             raise CutError(f"z={z} lies on a branch cut of xi_bar")
         eps = 1e-300 if side == "right" else -1e-300
         z = complex(eps, z.imag)
+    elif z.real < 0.0 and abs(z) > 2.0 * BOX_RADIUS:
+        return -xi_bar(-z)
     w = _sqrt_zz_plus_1(z)
     return 0.5 * z * w + 0.5 * cmath.log(z + w)
 
@@ -266,112 +272,6 @@ def xi_zeta(z: complex) -> tuple[complex, complex]:
             xi = -1j * nu_middle(z.real)  # upper-side convention, exact phase
         return xi, zeta
     return xi_minus(z), zeta_closed(z)
-
-
-# ----------------------------------------------------------------------
-# domains
-# ----------------------------------------------------------------------
-
-DOMAIN_TAGS = (
-    "Z01", "Z02", "Z03", "Z12", "Z23",  # PCF+ inhomogeneous pair domains
-    "Z",        # PCF- Airy domain (fig. 5)
-    "Zb",       # WEB+ Airy domain (fig. 8)
-    "Zb0",      # WEB+ LG domain for the first-quadrant-recessive solution
-    "Zb03",     # WEB- inhomogeneous pair domain (fig. 11)
-)
-
-_CURVE_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class DomainId:
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in DOMAIN_TAGS:
-            raise ValueError(f"unknown domain tag {self.tag!r}; Z13 is empty "
-                             f"and never representable")
-
-
-def _on_pcfp_critical_curve(z: complex) -> bool:
-    """Proximity test for the two Re(xi_bar)=0 curves of the left half plane
-    off the cut; the right half plane's two are their images under -z."""
-    z = complex(z)
-    if abs(z.imag) < 1.0 - 1e-9 or z.real > -1e-12:
-        return False
-    try:
-        v = xi_bar(z)
-    except CutError:
-        return False
-    scale = max(1.0, abs(v))
-    return abs(v.real) <= _CURVE_TOL * scale
-
-
-def domain_contains(z: complex, d: DomainId) -> bool:
-    """Strict membership in the open validity domain (boundaries excluded)."""
-    z = complex(z)
-    tag = d.tag
-
-    if tag.startswith("Z") and len(tag) == 3 and tag[1:].isdigit():
-        j, k = int(tag[1]), int(tag[2])
-        return _pair_domain_contains(z, j, k)
-
-    if tag == "Z":
-        # fig. 5: excludes -1, the cut and the region left of the level
-        # curves emanating from z = -1
-        if z.imag == 0.0 and z.real <= -1.0:
-            return False
-        w = complex(z.real, abs(z.imag))
-        if w.real <= -1.0 + 1e-12:
-            xi = xi_minus(w)
-            if xi.real >= -_CURVE_TOL * max(1.0, abs(xi)):
-                return False
-        return True
-
-    if tag == "Zb":
-        # whole plane minus the cut (-inf,-1] and the fourth-quadrant
-        # Im(xi)=0 level curve emanating from z=1
-        if z.imag == 0.0 and z.real <= -1.0:
-            return False
-        if z.imag < 0:
-            xi = xi_minus(z)
-            if abs(xi.imag) <= _CURVE_TOL * max(1.0, abs(xi)) and xi.real < 0:
-                return False
-        return True
-
-    if tag == "Zb0":
-        if z.imag == 0.0 and (z.real <= -1.0 or z.real >= 1.0):
-            return False
-        if z.imag < 0:
-            xi = xi_minus(z)
-            if xi.imag <= _CURVE_TOL * max(1.0, abs(xi)):
-                return False
-        return True
-
-    if tag == "Zb03":
-        if abs(z.real) < 1e-12 and abs(z.imag) >= 1.0 - 1e-12:
-            return False
-        if z.real < 0:
-            try:
-                xb = xi_bar(z)
-            except CutError:
-                return False
-            if abs(xb.imag) >= math.pi / 4.0 - _CURVE_TOL:
-                return False
-        return True
-
-    raise ValueError(tag)
-
-
-def _pair_domain_contains(z: complex, j: int, k: int) -> bool:
-    if (j, k) == (1, 3):
-        return False  # empty by the monotone-path obstruction
-    if abs(z.real) < 1e-12 and abs(z.imag) >= 1.0 - 1e-12:
-        return False  # points on the cuts are boundary points for all pairs
-    # the critical curves, from which +-inf are not reached, bound every
-    # pair domain
-    ends = _SECTOR_ENDPOINTS["PCF+"]
-    return all(_reaches(z, ends[i], "PCF+") for i in {0, 2, j, k})
 
 
 # ----------------------------------------------------------------------
@@ -598,7 +498,7 @@ def monotone_path(z: complex, endpoint_id: str, variant: str) -> PathPolyline:
 
 def _reaches(z: complex, endpoint: str, variant: str) -> bool:
     """Whether z reaches `endpoint`: the test of `monotone_path`, which the
-    pair domains and the LG checks apply too."""
+    rows of `REGIONS` apply too."""
     _, reaches, sym = _recipe(endpoint, variant)
     return reaches(sym(z))
 
@@ -635,14 +535,6 @@ def _arc_direction(z: complex) -> int:
     return +1 if t.real > 0 else -1
 
 
-def _pcfp_reaches_iinf(z: complex) -> bool:
-    # monotone chains into +i*inf descend along the right side of the upper
-    # cut; they are reachable only from Re z > 0 (or the positive real axis)
-    if z.real > 1e-12:
-        return True
-    return z.imag == 0.0 and z.real > 0.0
-
-
 def _pcfm_inf(z: complex) -> list[complex]:
     # the PCF- paths support the turning-point error estimates; Re(xi)
     # monotone, segments kept clear of the turning point z = 1
@@ -674,8 +566,10 @@ def _webm_diag(z: complex) -> list[complex]:
 #: not all their paths are progressive
 _RECIPES = {
     ("PCF+", "+inf"): (_pcfp_inf, lambda z: not _on_pcfp_critical_curve(z)),
+    # monotone chains into +i*inf descend along the right side of the upper
+    # cut: only Re z > 0 (or the positive real axis) reaches it
     ("PCF+", "+iinf"): (lambda z: _dedupe([complex(z.real, BOX_RADIUS), z]),
-                        _pcfp_reaches_iinf),
+                        lambda z: z.real > 1e-12 or z.imag == 0.0 and z.real > 0.0),
     ("PCF-", "+inf"): (_pcfm_inf, lambda z: True),
     ("PCF-", "+iinf"): (_pcfm_iinf, lambda z: True),
     ("WEB-", "e+ipi/4"): (_webm_diag, lambda z: True),
@@ -701,6 +595,182 @@ def _dedupe(verts: list[complex]) -> list[complex]:
         if abs(v - out[-1]) > 1e-13:
             out.append(v)
     return out
+
+
+# ----------------------------------------------------------------------
+# validity regions
+# ----------------------------------------------------------------------
+
+#: refusal radius around the turning points +-i of the z^2+1 equations: no
+#: Airy variant covers them, and the LG bounds blow up inside the disc
+TP_REFUSAL = 0.15
+
+DOMAIN_TAGS = (
+    "Z01", "Z02", "Z03", "Z12", "Z23",  # PCF+ inhomogeneous pair domains
+    "Z",        # PCF- Airy domain (fig. 5)
+    "Zb",       # WEB+ Airy domain (fig. 8)
+    "Zb0",      # WEB+ LG domain for the first-quadrant-recessive solution
+    "Zb03",     # WEB- inhomogeneous pair domain (fig. 11)
+)
+
+_CURVE_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class DomainId:
+    tag: str
+
+    def __post_init__(self):
+        if self.tag not in DOMAIN_TAGS:
+            raise ValueError(f"unknown domain tag {self.tag!r}; Z13 is empty "
+                             f"and never representable")
+
+
+def _on_pcfp_critical_curve(z: complex) -> bool:
+    """Proximity test for the two Re(xi_bar)=0 curves of the left half plane
+    off the cut; the right half plane's two are their images under -z."""
+    z = complex(z)
+    if abs(z.imag) < 1.0 - 1e-9 or z.real > -1e-12:
+        return False
+    v = xi_bar(z)  # Re z <= -1e-12: off the cut
+    return abs(v.real) <= _CURVE_TOL * max(1.0, abs(v))
+
+
+def _in_z(z: complex) -> bool:
+    """Domain Z (fig. 5): off -1, the cut and the region left of the level
+    curves Re xi = 0 from z = -1."""
+    if z.imag == 0.0 and z.real <= -1.0:
+        return False
+    w = complex(z.real, abs(z.imag))
+    if w.real > -1.0 + 1e-12:
+        return True
+    xi = xi_minus(w)
+    return not xi.real >= -_CURVE_TOL * max(1.0, abs(xi))
+
+
+def _in_zb03(z: complex) -> bool:
+    """Domain Zb03 (fig. 11): off the cuts, |Im xi_bar| < pi/4 for Re z < 0."""
+    if abs(z.real) < 1e-12 and abs(z.imag) >= 1.0 - 1e-12:
+        return False
+    return z.real >= 0 or not abs(xi_bar(z).imag) >= math.pi / 4.0 - _CURVE_TOL
+
+
+def _in_pair(z: complex, j: int, k: int) -> bool:
+    """Pair domain Zjk: off the cuts, reaching the endpoint of each sector
+    of {0, 2, j, k} (so the critical curves bound every pair domain); Z13 is
+    empty by the monotone-path obstruction."""
+    if (j, k) == (1, 3) or abs(z.real) < 1e-12 and abs(z.imag) >= 1.0 - 1e-12:
+        return False
+    return all(_reaches(z, _SECTOR_ENDPOINTS["PCF+"][i], "PCF+") for i in {0, 2, j, k})
+
+
+def domain_contains(z: complex, d: DomainId) -> bool:
+    """Strict membership in the open validity domain (boundaries excluded):
+    the test of the domain's rows of `REGIONS`.  Zb and Zb0 have no row:
+    off the cut (-inf, -1] (Zb0: and [1, inf)) and, below the axis, the curve
+    Im xi = 0, Re xi < 0 from z = 1 (Zb0: the region Im xi <= 0)."""
+    z, tag = complex(z), d.tag
+    if tag[1:].isdigit():
+        return _in_pair(z, int(tag[1]), int(tag[2]))
+    if tag in ("Z", "Zb03"):
+        return (_in_z if tag == "Z" else _in_zb03)(z)
+    if z.imag == 0.0 and (z.real <= -1.0 or tag == "Zb0" and z.real >= 1.0):
+        return False
+    if z.imag >= 0:
+        return True
+    xi = xi_minus(z)
+    tol = _CURVE_TOL * max(1.0, abs(xi))
+    return not (xi.imag <= tol if tag == "Zb0" else abs(xi.imag) <= tol and xi.real < 0)
+
+
+#: a row of `REGIONS`: its route ('direct'; 'image', the value at -z of a
+#: companion function; 'reflection', a connection formula through values at
+#: -z, whose tests see -z), its tests (refuses(u, z), error, message) in
+#: order, its bound paths' variant and far endpoints in summation order, and
+#: the half plane `where` that picks the route when the caller names none
+Region = namedtuple("Region", "route tests variant endpoints where", defaults=(None,))
+
+_DISC = (lambda u, z: abs(z - 1j) < TP_REFUSAL or abs(z + 1j) < TP_REFUSAL,
+         DomainError, "z={z} within refusal radius of a turning point")
+#: below u = 5 the turning-point expansions' figures run to 1e19 and more
+_FLOOR = (lambda u, z: u < 5, DomainError, "parameter too small for the expansion (u >= 5)")
+_Z = (lambda u, z: not _in_z(z), DomainError, "z={z} outside the turning-point domain")
+_WEB_CUT = (lambda u, z: z.imag == 0.0 and z.real <= -1.0, DomainError, "on the cut (-inf,-1]")
+_ZB03 = (lambda u, z: not _in_zb03(z), DomainError, "z outside the (0,3) validity domain")
+_RIGHT_HALF = (lambda u, z: z.real < -1e-12, DomainError,
+               "negative-parameter Weber expansions restricted to the right half plane")
+_WEBM = (_DISC, _RIGHT_HALF)
+_UPPER = (lambda u, z: z.imag < -1e-12, DomainError, "pair (0,1) valid in the upper half plane")
+_LOWER = (lambda u, z: z.imag > 1e-12, DomainError, "pair (-1,0) valid in the lower half plane")
+#: the reach tests of the PCF+ paths to +inf and -inf
+_LEVEL = (lambda u, z: _on_pcfp_critical_curve(z), DomainError,
+          "z={z} on an excluded level curve")
+_LEVEL_IMAGE = (lambda u, z: _on_pcfp_critical_curve(-z), *_LEVEL[1:])
+#: the paths of the turning-point error estimate (-iinf below the axis)
+_ESTIMATE = ("PCF-", ("+inf", "+iinf"))
+
+
+def _pair(j: int, k: int) -> tuple:
+    """The row of the PCF+ series of the pair (j, k): domain Zjk."""
+    return (Region("direct", ((lambda u, z: not _in_pair(z, j, k), DomainError,
+                               f"z={{z}} outside the validity domain Z{j}{k}"),),
+                   "PCF+", tuple(_SECTOR_ENDPOINTS["PCF+"][i] for i in (j, k))),)
+
+
+#: where each family answers, by (family, recession pair): one row per
+#: route (README.md lists the entry points of each family)
+REGIONS = {
+    ("U+", None): (Region("direct", (_DISC, _LEVEL), "PCF+", ("+inf",)),
+                   Region("image", (_DISC, _LEVEL_IMAGE), "PCF+", ("-inf",))),
+    ("U-", None): (Region("direct", (_FLOOR, _Z), *_ESTIMATE),
+                   Region("reflection", ((lambda u, z: z.real < -1e-12, DomainError,
+                                          "left extension expects Re z <= 0"), _FLOOR, _Z),
+                          *_ESTIMATE)),
+    ("W0", None): (Region("direct", _WEBM, "WEB-", ("e+ipi/4",)),),
+    ("W3", None): (Region("direct", _WEBM, "WEB-", ("e-ipi/4",)),),
+    ("Wx", None): (Region("direct", (_FLOOR,), *_ESTIMATE, where=lambda z: z.real >= 0.0),
+                   Region("image", (_FLOOR, _WEB_CUT, (
+                       lambda u, z: z.real < -1.0 + 0.05, DomainError,
+                       "x below the validity cutoff -1 + 0.05")), *_ESTIMATE)),
+    ("A,B PCF-", None): (Region("direct", (_Z,), *_ESTIMATE),),
+    ("A,B WEB+", None): (Region("direct", (_WEB_CUT,), *_ESTIMATE),),
+    **{("UR", p): _pair(*p) for p in ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))},
+    ("UR-", (0, 1)): (Region("direct", (_Z, _UPPER), "PCF-", ("+inf", "+iinf")),),
+    ("UR-", (-1, 0)): (Region("direct", (_Z, _LOWER), "PCF-", ("-iinf", "+inf")),),
+    ("WR", (0, 3)): (Region("direct", (_ZB03,), "WEB-", ("e+ipi/4", "e-ipi/4"),
+                            where=lambda z: z.real >= -1e-12),
+                     Region("reflection", (_ZB03,), "WEB-", ("e+ipi/4", "e-ipi/4"))),
+    **{("Hi " + v, p): (Region("direct", (_FLOOR, test), *_ESTIMATE),)
+       for v, test in (("PCF-", _Z), ("WEB+", _WEB_CUT)) for p in ((-1, 1), (0, 1), (-1, 0))},
+}
+
+#: the PairError of each family that takes a pair, for a pair with no row
+_PAIR_ERRORS = {
+    ("UR", (1, 3)): "the (1,3) recession pair has an empty domain",
+    ("WR", (1, 3)): "the (1,3) recession pair has an empty domain",
+    "UR": "unsupported pair {pair}", "UR-": "minus-variant series supports pairs (0,1), (-1,0)",
+    "WR": "the negative-parameter Weber series is provided for the (0,3) pair",
+    **dict.fromkeys(("Hi PCF-", "Hi WEB+"), "pair must be one of (-1,1), (0,1), (-1,0)"),
+}
+
+
+def region(family: str, u: float, z: complex, pair=None, route: str | None = None) -> Region:
+    """The row of `REGIONS` by which `family` (with its recession pair, if
+    it takes one) answers at (u, z): the `route` asked for, else the first
+    whose half plane holds z.  PairError where the family has no row for
+    the pair, else the error of the first test of the row that refuses."""
+    pair = None if pair is None else tuple(pair)
+    routes = REGIONS.get((family, pair))
+    if routes is None:
+        raise PairError(_PAIR_ERRORS.get((family, pair), _PAIR_ERRORS[family])
+                        .format(pair=pair))
+    row = next(r for r in routes if r.route == route
+               or route is None and (r.where is None or r.where(z)))
+    w = -z if row.route == "reflection" else z
+    for refuses, error, message in row.tests:
+        if refuses(u, w):
+            raise error(message.format(z=w))
+    return row
 
 
 # ----------------------------------------------------------------------

@@ -235,26 +235,6 @@ def _mod_sums(g: _Geometry, u: float, m: int):
     return tilde @ even, tilde @ odd, plain @ even, plain @ odd
 
 
-def _check_tp_domain(z: complex, variant: str) -> None:
-    """DomainError unless z lies in the domain of the coefficient functions:
-    the domain Z for PCF-, off the cut (-inf, -1] for WEB+."""
-    if variant == "PCF-":
-        if not plane.domain_contains(z, plane.DomainId("Z")):
-            raise DomainError(f"z={z} outside the turning-point domain")
-    elif z.imag == 0.0 and z.real <= -1.0:
-        raise DomainError("on the cut (-inf,-1]")
-
-
-def _check_expansion_domain(u: float, z: complex, variant: str) -> None:
-    """DomainError unless the expansions built on the coefficient functions
-    hold at (u, z): u >= 5, and z in `_check_tp_domain`'s domain.  Below
-    u = 5 their figures run to 1e19 and more, where the coefficient
-    functions alone still answer."""
-    if u < 5:
-        raise DomainError("parameter too small for the expansion (u >= 5)")
-    _check_tp_domain(z, variant)
-
-
 def _exp_sums(g: _Geometry, u: float, m: int,
               sums=None) -> tuple[np.ndarray, np.ndarray]:
     """e^even cosh(odd) of the tilde sums and e^even sinh(odd) of the plain
@@ -294,7 +274,7 @@ def tp_coeff_funcs(u: float, z: complex, m: int, variant: str = "PCF-") -> TPCoe
     if variant not in ("PCF-", "WEB+"):
         raise ValueError("variant must be 'PCF-' or 'WEB+'")
     z = plane.canon(z)
-    _check_tp_domain(z, variant)
+    plane.region("A,B " + variant, u, z)
     if z.imag < 0:
         return tp_coeff_funcs(u, z.conjugate(), m, variant).conj()
     xi, zeta = plane.xi_zeta(z)
@@ -449,7 +429,7 @@ def _neg_value(u: float, z: complex, m: int, co: TPCoeffs,
 def _neg_coeffs(u: float, z: complex, m: int) -> TPCoeffs:
     """The PCF- entries' checks, then the coefficient functions at z."""
     check_inputs(u, z)
-    _check_expansion_domain(u, z, "PCF-")
+    plane.region("U-", u, z)
     return tp_coeff_funcs(u, z, m, "PCF-")
 
 
@@ -480,17 +460,16 @@ def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> Certif
     cos(pi a) and sin(pi a) exact (`sincospi`) and bounded by `sum_rel`'s
     figure over the terms; DomainError where that figure is 1 or more."""
     check_inputs(u, z)
-    z = complex(z)
-    if z.real > 1e-12:
-        raise DomainError("left extension expects Re z <= 0")
     if which not in ("U", "V"):
         raise ValueError("which must be 'U' or 'V'")
+    z = complex(z)
+    plane.region("U-", u, z, route="reflection")
     w = -z
     a = u / 2.0
     sin_pa, cos_pa = sincospi(a)
     lg = math.lgamma(a + 0.5)
     # one evaluation of the coefficient functions at w feeds both terms
-    co = _neg_coeffs(u, w, m)
+    co = tp_coeff_funcs(u, w, m, "PCF-")
     uneg = _neg_value(u, w, m, co, "U-")
     if which == "U":
         upper = z.imag >= 0.0
@@ -532,15 +511,12 @@ def weber_W_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedValue
     """
     check_inputs(u, x)
     check_real(x)
-    _check_expansion_domain(u, complex(x), "WEB+")
-    if x < -1.0 + 0.05:
-        raise DomainError("x below the validity cutoff -1 + 0.05")
     if sign not in ("+x", "-x"):
         raise ValueError("sign must be '+x' or '-x'")
-    if x < 0:
-        # reflect: the coefficient functions are then evaluated near the
-        # right turning point, where the Cauchy circle keeps them accurate
-        return weber_W_real(u, -x, m, "-x" if sign == "+x" else "+x")
+    if plane.region("Wx", u, complex(x)).route == "image":
+        # W(a, +-x) = W(a, -+|x|): the coefficient functions are then taken
+        # near the right turning point, where the Cauchy circle is accurate
+        x, sign = -x, "-x" if sign == "+x" else "+x"
     co = tp_coeff_funcs(u, complex(x), m, "WEB+")
     w = co.arg.real
     av = airy(w)

@@ -1,5 +1,6 @@
 """CLI contract: JSON schema, exit codes, round-trips."""
 
+import cmath
 import json
 import math
 import subprocess
@@ -307,6 +308,33 @@ def test_far_points_give_a_value_or_a_refusal(capsys, function, point):
     else:
         # the input is finite: a refusal is about the expansion, not it
         assert code == 2 and payload["error"] != "ARGUMENT"
+
+
+#: |z| = 1e8 in the eight directions e^{i k pi/4}: on the left, z +
+#: sqrt(z^2+1) rounds to 0 there unless xi_bar takes its odd symmetry
+FAR_DIRECTIONS = [repr(1e8 * cmath.exp(1j * math.pi * k / 4)).strip("()")
+                  for k in range(8)]
+
+
+@pytest.mark.parametrize("function", ["U+", "U+'", "UR"])
+@pytest.mark.parametrize("point", FAR_DIRECTIONS)
+def test_far_directions_give_a_value_or_a_region_refusal(capsys, function, point):
+    # a refusal is the region's: DOMAIN, or NO_PATH between a critical
+    # curve and the cut, as inside the box
+    code, payload = run_main(capsys, "eval", "--function", function, "--u", "20",
+                             f"--z={point}")
+    if code == 0:
+        assert all(math.isfinite(float(payload[k])) for k in (
+            "value_mantissa_re", "value_mantissa_im", "log_scale", "rel_bound"))
+    else:
+        assert code == 2 and payload["error"] in ("DOMAIN", "NO_PATH")
+
+
+@pytest.mark.parametrize("point", FAR_DIRECTIONS)
+def test_domain_subcommand_far_out(capsys, point):
+    for tag in ("Z01", "Z02", "Z03", "Z12", "Z23", "Z", "Zb", "Zb0", "Zb03"):
+        code, payload = run_main(capsys, "domain", "--tag", tag, f"--z={point}")
+        assert code == 0 and payload["contains"] in (True, False)
 
 
 @pytest.mark.parametrize("cmd", ["eval", "oracle"])

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from parcyl import inhom, lg, plane
-from parcyl.errors import CutError, NoPath, TraceStalled
+from parcyl import inhom, lg, plane, tp
+from parcyl.errors import CutError, NoPath, ParcylError, TraceStalled
 
 
 def quad_path(f, pts, npanel=40, nnode=64):
@@ -194,6 +194,24 @@ class TestBeta:
             plane.beta_map(1.0, "PCF-")
 
 
+#: the rows of plane.REGIONS whose family answers at conj(z) where the
+#: other's answers at z: sector 1 (+iinf) and sector 3 (-iinf) swap
+CONJUGATE_ROWS = {("W0", None): ("W3", None), ("W3", None): ("W0", None),
+                  ("UR", (0, 1)): ("UR", (0, 3)), ("UR", (0, 3)): ("UR", (0, 1)),
+                  ("UR", (1, 2)): ("UR", (2, 3)), ("UR", (2, 3)): ("UR", (1, 2)),
+                  ("UR-", (0, 1)): ("UR-", (-1, 0)), ("UR-", (-1, 0)): ("UR-", (0, 1))}
+
+
+def _refusal(call, *args):
+    """(type, message) of the ParcylError that call(*args) raises; () if
+    it answers."""
+    try:
+        call(*args)
+    except ParcylError as exc:
+        return type(exc), str(exc)
+    return ()
+
+
 class TestDomains:
     def test_examples(self):
         assert plane.domain_contains(0.5, plane.DomainId("Z02"))
@@ -205,12 +223,21 @@ class TestDomains:
             plane.DomainId("Z13")
 
     def test_conjugation_symmetry(self):
-        pts = [0.5 + 0.5j, 2 - 1j, -0.3 + 2j, 1.2 + 0.1j]
+        pts = [0.5 + 0.5j, 2 - 1j, -0.3 + 2j, 1.2 + 0.1j, -2 + 1.5j, -0.5 - 2.5j,
+               0.1 + 1.05j, -1.5 + 0.3j, -2.49 - 1.99j]
         for z in pts:
             assert plane.domain_contains(z, plane.DomainId("Z")) == \
                 plane.domain_contains(z.conjugate(), plane.DomainId("Z"))
             assert plane.domain_contains(z, plane.DomainId("Z01")) == \
                 plane.domain_contains(z.conjugate(), plane.DomainId("Z03"))
+            # every row of the region table: the row of the conjugate family
+            # refuses at conj(z) as the row refuses at z
+            for (family, pair), rows in plane.REGIONS.items():
+                cfamily, cpair = CONJUGATE_ROWS.get((family, pair), (family, pair))
+                for row in rows:
+                    assert _refusal(plane.region, family, 20.0, z, pair, row.route)[:1] == \
+                        _refusal(plane.region, cfamily, 20.0, z.conjugate(), cpair,
+                                 row.route)[:1], (family, pair, row.route, z)
 
     def test_z_excludes_left_region(self):
         assert not plane.domain_contains(-5.0 + 0.5j, plane.DomainId("Z"))
@@ -245,6 +272,61 @@ class TestDomains:
             z = 0.5 + 1j * (lo + {"on": 0.0, "above": 1e-3, "below": -1e-3}[z])
         assert plane.domain_contains(z, plane.DomainId("Zb")) is zb
         assert plane.domain_contains(z, plane.DomainId("Zb0")) is zb0
+
+
+#: every CLI family at u = 20, order 3, as its entry point is called, and
+#: the (family, pair, route) of the row that entry point asks plane.region
+CLI_REGIONS = {
+    "U+": (lambda z: lg.pcf_U_pos(20.0, z, 3), ("U+", None, "direct")),
+    "U+'": (lambda z: lg.pcf_Uprime_pos(20.0, z, 3), ("U+", None, "direct")),
+    "U-": (lambda z: tp.pcf_U_neg(20.0, z, 3), ("U-", None, "direct")),
+    "V-": (lambda z: tp.pcf_V_neg(20.0, z, 3), ("U-", None, "direct")),
+    "U+i": (lambda z: tp.pcf_U_rotated(20.0, z, 3, "+i"), ("U-", None, "direct")),
+    "U-i": (lambda z: tp.pcf_U_rotated(20.0, z, 3, "-i"), ("U-", None, "direct")),
+    "W+x": (lambda z: tp.weber_W_real(20.0, z.real, 3, "+x"), ("Wx", None, None)),
+    "W-x": (lambda z: tp.weber_W_real(20.0, z.real, 3, "-x"), ("Wx", None, None)),
+    "W0": (lambda z: lg.weber_neg_Wj(20.0, z, 3, 0), ("W0", None, None)),
+    "W3": (lambda z: lg.weber_neg_Wj(20.0, z, 3, 3), ("W3", None, None)),
+    "UR": (lambda z: inhom.inhom_series(20.0, z, 3, 0, "plus", (0, 2)),
+           ("UR", (0, 2), None)),
+    "WR": (lambda z: inhom.inhom_series(20.0, z, 3, 0, "weber-", (0, 3)),
+           ("WR", (0, 3), None)),
+}
+#: the 0.5-spaced lattice over [-3, 3]^2, and points by the boundaries:
+#: both sides of the Stokes-side curve of domain Z, the region between a
+#: critical curve and the cut, the insides of the discs about +-i
+REGION_POINTS = [complex(a / 2, b / 2) for a in range(-6, 7) for b in range(-6, 7)] \
+    + [-2.487 + 1.5j, -2.487 - 1.5j, -0.5 - 2.5j, -2.49 - 1.99j,
+       1j + 0.149, 1j - 0.149, -1j + 0.149, -1j - 0.149]
+
+
+@pytest.mark.parametrize("family", sorted(CLI_REGIONS))
+def test_entry_points_refuse_where_their_row_refuses(family):
+    # with the row's own error and message; the real families take the real
+    # points
+    entry, (key, pair, route) = CLI_REGIONS[family]
+    refused = 0
+    for z in REGION_POINTS:
+        if family in ("W+x", "W-x") and z.imag != 0.0:
+            continue
+        expected = _refusal(plane.region, key, 20.0, z, pair, route)
+        if expected:
+            refused += 1
+            assert _refusal(entry, z) == expected, z
+    assert refused >= 3
+
+
+@pytest.mark.parametrize("z", [1e8 * cmath.exp(1j * math.pi * k / 4) for k in range(8)]
+                         + [-60 + 5j, -1000 - 2000j, -51 + 0.5j, -1e150 + 1e149j])
+def test_xi_bar_far_out_matches_mpmath(z):
+    # far out on the left xi_bar is -xi_bar(-z); z + sqrt(z^2+1)
+    # rounds to 0 at 1e8 e^{3 pi i/4}
+    import mpmath
+    with mpmath.workdps(50):
+        zm = mpmath.mpc(z.real, z.imag)
+        ref = zm * mpmath.sqrt(zm * zm + 1) / 2 + mpmath.asinh(zm) / 2
+        v = plane.xi_bar(z)
+        assert float(abs(mpmath.mpc(v.real, v.imag) - ref) / abs(ref)) < 1e-15
 
 
 class TestLevelCurves:
