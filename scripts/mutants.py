@@ -80,6 +80,17 @@ MUTANTS = [
     ("src/parcyl/plane.py", "_FLOOR = (lambda u, z: u < 5,",
      "_FLOOR = (lambda u, z: u < 1,",
      "the u >= 5 floor of the turning-point expansions lowered to 1"),
+    ("src/parcyl/airy.py",
+     "_W_LD.imag = np.array([0, 1, -1]) * (np.sqrt(np.longdouble(3)) / 2)",
+     "_W_LD.imag = np.array([0, 1, -1]) * (math.sqrt(3.0) / 2)",
+     "the Maclaurin layer's rotation constant w rounded to double"),
+    ("src/parcyl/airy.py",
+     "    if r <= MACLAURIN_RADIUS:\n        hi, hip = _series_hi",
+     "    if r <= 2.0 * MACLAURIN_RADIUS:\n        hi, hip = _series_hi",
+     "Hi's series used out to radius 9, past the disc its terms are counted for"),
+    ("src/parcyl/airy.py", "_MACLAURIN_TOL = 2.0 ** -64",
+     "_MACLAURIN_TOL = 2.0 ** -24",
+     "the Ai and Hi series cut at a tail of 2^-24 of their first term"),
 ]
 
 

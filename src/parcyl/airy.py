@@ -8,13 +8,18 @@ Evaluation layers (radii from scripts/airy_sweep.py):
 
 Ai_l and Bi = e^{-i pi/6} Ai_1 + e^{i pi/6} Ai_{-1} (cancellation-free in
 every direction) come from Ai at the three points p_k = z e^{-2 pi i k/3},
-k = 0, +-1, each formed as a product.  They share a layer, and at most one
-lies outside its sector; that one comes from the other two by DLMF 9.2.12
-(`_rotated_ai`).  So a call evaluates each point at most once, and
+k = 0, +-1.  Inside the Maclaurin disc one series evaluation at z serves
+all three: it sums the powers of z by residue class mod 3, and Ai_k is a
+fixed combination of those sums (`_maclaurin_sums`).  Outside it each
+point is a product; the points share a layer, and at most one lies outside
+its sector; that one comes from the other two by DLMF 9.2.12
+(`_rotated_ai`).  So a call evaluates each point at most once, only the
+points whose functions its caller asked for, and
 airy(conj z) = conj airy(z) bit for bit.
 
-Scorer Hi has two layers:
-  |z| <= 30           Gauss panel quadrature of its integral on a ray
+Scorer Hi has three layers:
+  |z| <= 4.5          the same Maclaurin sums (DLMF 9.12),
+  4.5 < |z| <= 30     Gauss panel quadrature of its integral on a ray
                       rotated towards the saddle,
   |z| > 30            Poincare forms in powers of 1/z, with Bi added in the
                       dominant sector.
@@ -57,44 +62,115 @@ _OM = cmath.exp(2j * math.pi / 3.0)  # w = e^{2 pi i/3}
 _W = (1.0 + 0j, _OM, _OM.conjugate())
 _E6 = cmath.exp(1j * math.pi / 6.0)
 
-# Gamma(1/3), Gamma(2/3) to extended precision (series constants)
+# Gamma(1/3), Gamma(2/3) and pi to extended precision (series constants)
 _GAMMA_13 = np.longdouble("2.67893853470774763365569294097467764413")
 _GAMMA_23 = np.longdouble("1.35411793942640041694528802815451378551")
+_PI = np.longdouble("3.14159265358979323846264338327950288420")
 _C1 = np.longdouble(3.0) ** (np.longdouble(-2) / 3) / _GAMMA_23   # Ai(0)
 _C2 = np.longdouble(3.0) ** (np.longdouble(-1) / 3) / _GAMMA_13   # -Ai'(0)
+# c_0, c_1, c_2 = Hi(0), Hi'(0), Hi''(0)/2 of Hi's Maclaurin coefficients
+# c_k = 3^{(k-2)/3} Gamma((k+1)/3) / (pi k!) (DLMF 9.12)
+_HI_C = np.array([_GAMMA_13 / (np.longdouble(3.0) ** (np.longdouble(2) / 3) * _PI),
+                  _GAMMA_23 / (np.longdouble(3.0) ** (np.longdouble(1) / 3) * _PI),
+                  1 / (2 * _PI)])
+
+# w^n in extended precision, the same exact conjugate pair; rounding w to
+# double costs up to 3e-11 of a rotated Ai where its point is recessive
+_W_LD = np.zeros(3, np.clongdouble)
+_W_LD.real = (1.0, -0.5, -0.5)
+_W_LD.imag = np.array([0, 1, -1]) * (np.sqrt(np.longdouble(3)) / 2)
+_C2W = _C2 * _W_LD  # c2 w^n, so that Ai_k = c1 S_0 - (c2 w^-k) S_1
+
+# the Maclaurin tails are cut below this share of each sum's first term
+_MACLAURIN_TOL = 2.0 ** -64
 
 
 @dataclass(frozen=True)
 class AiryValue:
-    ai: complex
-    ai_prime: complex
-    bi: complex
-    bi_prime: complex
+    """Ai_l, Bi and their derivatives; the pair a caller did not ask for is
+    None."""
+    ai: complex | None
+    ai_prime: complex | None
+    bi: complex | None
+    bi_prime: complex | None
     method: str  # 'maclaurin', 'quadrature' or 'asymptotic'
 
 
-def _maclaurin_pair(z: complex) -> tuple[complex, complex]:
-    """(Ai, Ai') by the power series, accumulated in clongdouble."""
+def _maclaurin_terms(radius: float, tol: float) -> int:
+    """The least N for which, on |z| <= radius, every residue-class sum of
+    `_maclaurin_sums` cut after its N-th term omits a tail below tol times
+    its first term, and so does each derivative.
+
+    Class r sums a_{r,n} z^{3n+r} with a_{r,n+1} = a_{r,n}/((3n+r+2)(3n+r+3)).
+    From the first omitted power k = 3N+r on, the term ratio at |z| = R is
+    at most q = R^3/((k+2)(k+3)) (q_d = R^3/(k(k+2)) for the derivative),
+    so the tail is at most the first omitted term over 1 - q.  Relative to
+    the first term the tail grows with |z|, so the edge R decides."""
+    r3 = radius ** 3
+    a = [1.0, 1.0, 1.0]   # a_{r,n}
+    # the first derivative term over R^{r-1}: R^3/2, 1 and 2
+    lead_d = (r3 / 2.0, 1.0, 2.0)
+    n = 0
+    while True:
+        n += 1
+        a = [a[r] / ((3 * n + r - 1) * (3 * n + r)) for r in range(3)]
+        worst = 0.0
+        for r in range(3):
+            k = 3 * n + r
+            q, q_d = r3 / ((k + 2) * (k + 3)), r3 / (k * (k + 2))
+            if q_d >= 1.0:
+                worst = math.inf
+                break
+            tail = a[r] * r3 ** n
+            worst = max(worst, tail / (1.0 - q), k * tail / ((1.0 - q_d) * lead_d[r]))
+        if worst <= tol:
+            return n
+
+
+def _maclaurin_table(n: int) -> np.ndarray:
+    """(6, n) extended-precision coefficients in w = z^3 of the residue-class
+    sums S_r = z^r sum_m a_{r,m} w^m (r = 0, 1, 2) and of their derivatives
+    S_0' = z^2 sum_m 3(m+1) a_{0,m+1} w^m, S_1' = sum_m (3m+1) a_{1,m} w^m,
+    S_2' = z sum_m (3m+2) a_{2,m} w^m."""
+    a = np.ones((3, n + 1), np.longdouble)
+    for m in range(n):
+        for r in range(3):
+            a[r, m + 1] = a[r, m] / ((3 * m + r + 2) * (3 * m + r + 3))
+    k = 3 * np.arange(n + 1)
+    deriv = [k[1:] * a[0, 1:], (k[:n] + 1) * a[1, :n], (k[:n] + 2) * a[2, :n]]
+    return np.concatenate([a[:, :n], deriv])
+
+
+_MACLAURIN = _maclaurin_table(_maclaurin_terms(MACLAURIN_RADIUS, _MACLAURIN_TOL))
+
+
+def _maclaurin_sums(z: complex) -> np.ndarray:
+    """[S_0, S_1, S_2, S_0', S_1', S_2'] at z in clongdouble, by one product
+    of `_MACLAURIN` with the powers of z^3.
+
+    Since S_0(z w) = S_0(z) and S_1(z w) = w S_1(z) (DLMF 9.4.1), Ai at each
+    rotated point is Ai(z w^-k) = c1 S_0 - c2 w^-k S_1 (`_series_ai`), and
+    Hi = sum_r Hi^{(r)}(0)/r! S_r (`_series_hi`): one evaluation serves Ai_k
+    for k = 0, +-1, Hi and their derivatives."""
     zl = np.clongdouble(z)
-    z3 = zl * zl * zl
-    f = np.clongdouble(1.0); fp = np.clongdouble(0.0)
-    g = zl; gp = np.clongdouble(1.0)
-    tf = np.clongdouble(1.0); tg = zl
-    zsafe = zl if z != 0 else np.clongdouble(1.0)
-    for k in range(1, 400):
-        tf = tf * z3 / np.clongdouble((3 * k) * (3 * k - 1))
-        tg = tg * z3 / np.clongdouble((3 * k + 1) * (3 * k))
-        f += tf
-        g += tg
-        fp += tf * np.clongdouble(3 * k) / zsafe
-        gp += tg * np.clongdouble(3 * k + 1) / zsafe
-        if (abs(complex(tf)) < 1e-42 * (abs(complex(f)) + 1e-300)
-                and abs(complex(tg)) < 1e-42 * (abs(complex(g)) + 1e-300)
-                and k > 6):
-            break
-    ai = _C1 * f - _C2 * g
-    aip = _C1 * fp - _C2 * gp
-    return complex(ai), complex(aip)
+    z2 = zl * zl
+    p = np.full(_MACLAURIN.shape[1], z2 * zl)
+    p[0] = 1
+    np.cumprod(p, out=p)
+    s = _MACLAURIN @ p
+    s *= np.array([1, zl, z2, z2, 1, zl])
+    return s
+
+
+def _series_ai(s: np.ndarray, k: int) -> tuple[complex, complex]:
+    """(Ai_k, d/dz Ai_k) at z from its `_maclaurin_sums` s."""
+    c2w = _C2W[-k % 3]
+    return complex(_C1 * s[0] - c2w * s[1]), complex(_C1 * s[3] - c2w * s[4])
+
+
+def _series_hi(s: np.ndarray) -> tuple[complex, complex]:
+    """(Hi, Hi') at z from its `_maclaurin_sums` s."""
+    return complex(_HI_C @ s[:3]), complex(_HI_C @ s[3:])
 
 
 def _quad_pair(z: complex) -> tuple[complex, complex]:
@@ -158,17 +234,20 @@ def _rotated_ai(z: complex, ks) -> dict[int, tuple[complex, complex]]:
     """Ai_k(z) = Ai(p_k) and d/dz Ai_k(z) for each k in `ks`, a subset of
     {0, 1, -1}, at the points p_k = z w^{-k}, w = e^{2pi i/3}.
 
-    The three points share |z| and so a layer, and a layer's out-of-sector
-    arc (|arg| > 2.4 for the quadrature, > 2pi/3 + 0.15 for the Poincare
-    expansion) is narrower than their 2pi/3 spacing: at most one point lies
-    outside its sector.  Where that point is asked for it comes from the
-    other two through sum_k w^{-k} Ai_k(z) = 0 (DLMF 9.2.12), which holds
-    for the z-derivatives as it stands.  Each leaf is evaluated at most once.
+    Inside the Maclaurin disc every k comes from one `_maclaurin_sums`.
+    Outside it the three points share |z| and so a layer, and a layer's
+    out-of-sector arc (|arg| > 2.4 for the quadrature, > 2pi/3 + 0.15 for
+    the Poincare expansion) is narrower than their 2pi/3 spacing: at most
+    one point lies outside its sector.  Where that point is asked for it
+    comes from the other two through sum_k w^{-k} Ai_k(z) = 0 (DLMF 9.2.12),
+    which holds for the z-derivatives as it stands.  Each leaf is evaluated
+    at most once, and only at the points that `ks` needs.
     """
     r = abs(z)
     if r <= MACLAURIN_RADIUS:
-        leaf, arc = _maclaurin_pair, math.inf
-    elif r <= ASYMPTOTIC_RADIUS:
+        s = _maclaurin_sums(z)
+        return {k: _series_ai(s, k) for k in ks}
+    if r <= ASYMPTOTIC_RADIUS:
         leaf, arc = _quad_pair, 2.4
     else:
         leaf, arc = _asym_pair, 2.0 * math.pi / 3.0 + 0.15
@@ -197,20 +276,32 @@ def _checked(z: complex) -> complex:
     return z
 
 
-def airy(z: complex, rotation: int = 0) -> AiryValue:
-    """Ai_l, Bi and derivatives; Ai_l(z) := Ai(z e^{-2 pi i l/3})."""
+def airy(z: complex, rotation: int = 0, want: str = "both") -> AiryValue:
+    """Ai_l, Bi and derivatives; Ai_l(z) := Ai(z e^{-2 pi i l/3}).
+
+    want is "ai" (Ai_l and Ai_l' only), "bi" (Bi and Bi' only) or "both";
+    only the rotations those need are evaluated, and the fields not asked
+    for are None."""
     z = _checked(z)
     if rotation not in (0, 1, -1):
         raise ValueError("rotation must be 0 or +-1")
+    # the rotations that the asked functions read
+    ks = {"ai": (rotation,), "bi": (1, -1), "both": (rotation, 1, -1)}.get(want)
+    if ks is None:
+        raise ValueError("want must be 'ai', 'bi' or 'both'")
     r = abs(z)
     method = ("maclaurin" if r <= MACLAURIN_RADIUS
               else "quadrature" if r <= ASYMPTOTIC_RADIUS else "asymptotic")
-    vals = _rotated_ai(z, (rotation, 1, -1))
-    ai, aip = vals[rotation]
-    e6 = _E6.conjugate()
-    bi, bip = (e6 * a1 + _E6 * am1 for a1, am1 in zip(vals[1], vals[-1]))
+    vals = _rotated_ai(z, ks)
+    ai = aip = bi = bip = None
+    if want != "bi":
+        ai, aip = vals[rotation]
+    if want != "ai":
+        e6 = _E6.conjugate()
+        bi, bip = (e6 * a1 + _E6 * am1 for a1, am1 in zip(vals[1], vals[-1]))
     if z.imag == 0.0 and rotation == 0:
-        ai, aip, bi, bip = (w.real + 0j for w in (ai, aip, bi, bip))
+        ai, aip, bi, bip = (w if w is None else w.real + 0j
+                            for w in (ai, aip, bi, bip))
     return AiryValue(ai, aip, bi, bip, method)
 
 
@@ -359,7 +450,7 @@ def _hi_asym(z: complex) -> tuple[complex, complex]:
     hip = s1 / math.pi
     if abs(cmath.phase(-z)) <= 2.0 * math.pi / 3.0 - 0.25:
         return hi, hip
-    v = airy(z)
+    v = airy(z, want="bi")
     return v.bi + hi, v.bi_prime + hip
 
 
@@ -376,7 +467,10 @@ def _hi_pair(z: complex) -> tuple[complex, complex]:
     """(Hi, Hi') at z; the last pair is kept, because Wi and Wi' are asked
     for at the same point one after the other."""
     z = _checked(z)
-    if abs(z) <= HI_QUAD_RADIUS:
+    r = abs(z)
+    if r <= MACLAURIN_RADIUS:
+        hi, hip = _series_hi(_maclaurin_sums(z))
+    elif r <= HI_QUAD_RADIUS:
         hi, hip, _ = _hi_quad(z)
     else:
         hi, hip = _hi_asym(z)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, log
 from numbers import Integral
 
 import numpy as np
@@ -271,8 +271,15 @@ def evaluate(rows: FloatRows, x, lo: int, hi: int):
             np.multiply(flat, 0.0, out=v)
     if rows.poles:
         base = (flat * flat if rows.square else flat) + rows.shift
+        # base ** p leaves the double range at far nodes (the G' rows at
+        # |z| = 1e15); such a row is divided by base p times instead
+        log_top = log(max(float(np.abs(base).max(initial=0.0)), 1.0))
         for v, p in zip(out, rows.poles[lo:hi]):
-            v /= base ** p
+            if p * log_top < 709.0:
+                v /= base ** p
+            else:
+                for _ in range(p):
+                    v /= base
     return out.reshape((hi - lo,) + x.shape)
 
 

@@ -55,13 +55,17 @@ def _beta_image(path: plane.PathPolyline) -> list[tuple]:
     a = complex(path.vertices[0])
     first_p = a / np.sqrt(complex(a * a + 1.0))
     tail = [1.0 if first_p.real >= 0 else -1.0, first_p]
+    # sq ** 3 leaves the double range beyond |z| ~ 5e102; a path that goes
+    # that far takes (1 / sq) ** 3, which underflows instead
+    far = max(map(abs, path.vertices)) > 1e100
     pairs = []
     for p, dpw, spans in path_nodes([tail, path.vertices]):
         for i, lo, hi in spans:
             if i == 1:
                 zn = p[lo:hi]
                 sq = np.sqrt(zn * zn + 1.0)
-                p[lo:hi], dpw[lo:hi] = zn / sq, 1.0 / sq ** 3 * dpw[lo:hi]
+                p[lo:hi] = zn / sq
+                dpw[lo:hi] = ((1.0 / sq) ** 3 if far else 1.0 / sq ** 3) * dpw[lo:hi]
         pairs.append((p, dpw))
     return pairs
 
@@ -242,7 +246,10 @@ def _pcfp_value(u: float, z: complex, n: int, sign: str,
         raise ValueError("sign must be '+z' or '-z'")
     z = complex(z)
     expo, bound = _pcfp_exponent(u, z, n, "W2" if sign == "+z" else "W1", name)
-    root = (2.0 * u * (1.0 + z * z)) ** 0.25
+    q = 2.0 * u * (1.0 + z * z)
+    # u xi_bar ~ u z^2/2 is finite here, but q overflows from z ~ 2e153
+    root = q ** 0.25 if cmath.isfinite(q) else \
+        (2.0 * u) ** 0.25 * (1.0 + z * z) ** 0.25
     val = ScaledComplex.from_log((u / 4.0) * (math.log(2.0 / u) + 1.0)) * \
         (1.0 / root if name == "Ebar" else -0.5 * root) * \
         ScaledComplex.from_log_complex(expo)

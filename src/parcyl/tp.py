@@ -412,7 +412,7 @@ def _neg_value(u: float, z: complex, m: int, co: TPCoeffs,
     the family's Airy solution f, with relative error estimate
     (|f A| + |f' B|) est_err / |w|."""
     rot, pref, real, tag = _NEG_FAMILIES[family]
-    av = airy(co.arg, rot or 0)
+    av = airy(co.arg, rot or 0, "bi" if rot is None else "ai")
     f, fp = (av.bi, av.bi_prime) if rot is None else (av.ai, av.ai_prime)
     wm = f * co.A + fp * co.B
     est_abs = abs(f * co.A) * co.est_err + abs(fp * co.B) * co.est_err

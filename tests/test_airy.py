@@ -127,7 +127,7 @@ class TestAiry:
         # the two evaluation layers agree at the same point near each seam
         for th in np.linspace(-2.35, 2.35, 9):
             z = pa.MACLAURIN_RADIUS * cmath.exp(1j * th)
-            am, _ = pa._maclaurin_pair(z)
+            am, _ = pa._series_ai(pa._maclaurin_sums(z), 0)
             aq, _ = pa._quad_pair(z)
             assert abs(am - aq) <= 1e-12 * (abs(am) + abs(pa.airy(z).bi))
         for th in np.linspace(-1.9, 1.9, 9):
@@ -135,23 +135,94 @@ class TestAiry:
             aq, _ = pa._quad_pair(z)
             aa, _ = pa._asym_pair(z)
             assert abs(aq - aa) <= 1e-12 * (abs(aq) + abs(pa.airy(z).bi))
+        # Hi's series against its quadrature on the edge of the series disc
+        for th in np.linspace(-math.pi, math.pi, 25):
+            z = pa.MACLAURIN_RADIUS * cmath.exp(1j * th)
+            series = pa._series_hi(pa._maclaurin_sums(z))
+            quad = pa._hi_quad(z)[:2]
+            for s, q in zip(series, quad):
+                assert abs(s - q) <= 1e-13 * abs(q), (z, s, q)
+
+
+class TestMaclaurin:
+    """One extended-precision series at z gives Ai at all three rotated
+    points, and Hi."""
+
+    @staticmethod
+    def _disc_points():
+        # random points of the disc, and its edge about the directions where
+        # one rotated point z w^-k is recessive (arg z = 2 pi k/3)
+        rng = np.random.default_rng(5)
+        r = pa.MACLAURIN_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, 120))
+        zs = [complex(z) for z in r * np.exp(1j * rng.uniform(-math.pi, math.pi, 120))]
+        zs += [pa.MACLAURIN_RADIUS * cmath.exp(1j * (2.0 * math.pi * k / 3.0 + d))
+               for k in (0, 1, -1) for d in (-0.2, -0.05, 0.0, 0.05, 0.2)]
+        return zs
+
+    def test_rotated_ai_against_mpmath(self):
+        # a rotation constant rounded to double loses up to 3e-11 where the
+        # rotated point is recessive, near |z| = 4.5
+        worst = 0.0
+        with mpmath.workdps(30):
+            for z in self._disc_points():
+                for k in (0, 1, -1):
+                    rot = mpmath.exp(-2j * mpmath.pi * k / 3)
+                    p = mpmath.mpc(z) * rot
+                    ref = complex(mpmath.airyai(p))
+                    ref_p = complex(mpmath.airyai(p, derivative=1) * rot)
+                    v = pa.airy(z, k, "ai")
+                    worst = max(worst, abs(v.ai / ref - 1.0),
+                                abs(v.ai_prime / ref_p - 1.0))
+        assert worst <= 1e-13
+
+    def test_hi_against_mpmath(self):
+        worst = 0.0
+        with mpmath.workdps(30):
+            for z in self._disc_points()[::3] + [0j]:
+                hi, hip = pa._hi_pair(z)
+                ref = complex(mpmath.scorerhi(mpmath.mpc(z)))
+                ref_p = complex(mpmath.diff(mpmath.scorerhi, mpmath.mpc(z)))
+                worst = max(worst, abs(hi / ref - 1.0), abs(hip / ref_p - 1.0))
+        assert worst <= 1e-14
+
+    def test_term_count_bounds_the_tail(self):
+        # on the edge of the disc the terms beyond those kept (up to as many
+        # again) sum to less than the tolerance the term count was chosen
+        # for, relative to each sum's first term
+        n = pa._MACLAURIN.shape[1]
+        r = pa.MACLAURIN_RADIUS
+        assert pa._maclaurin_terms(r, pa._MACLAURIN_TOL) == n
+        longer = pa._maclaurin_table(2 * n)
+        assert np.array_equal(longer[:, :n], pa._MACLAURIN)
+        powers = np.longdouble(r) ** (3 * np.arange(n - 1, 2 * n))
+        # each sum's first term, and the factor z^r (z^{r-1}) of its row
+        first = np.array([1.0, r, r * r, r * r / 2.0, 1.0, 2.0 * r])
+        factors = np.array([1.0, r, r * r, r * r, 1.0, r])
+        tail = (longer[:, n:] @ powers[1:]) * factors
+        assert np.all(tail / first <= pa._MACLAURIN_TOL)
+        # and one term fewer would not do
+        last = longer[:, n - 1] * powers[0] * factors
+        assert np.any(last / first > pa._MACLAURIN_TOL)
 
 
 class TestRotatedPoints:
-    """airy() takes Ai_l and Bi from the three points z e^{-2 pi i k/3}."""
+    """airy() takes Ai_l and Bi from the three points z e^{-2 pi i k/3}:
+    inside the Maclaurin disc from one series at z, outside it from a leaf at
+    each point that the asked functions need."""
 
-    LEAVES = ("_maclaurin_pair", "_quad_pair", "_asym_pair")
+    LEAVES = ("_maclaurin_sums", "_quad_pair", "_asym_pair")
 
     def _count_leaves(self, monkeypatch) -> list:
         args = []
         for name in self.LEAVES:
-            def counted(z, _leaf=getattr(pa, name)):
-                args.append(z)
+            def counted(z, _leaf=getattr(pa, name), _name=name):
+                args.append((_name, z))
                 return _leaf(z)
             monkeypatch.setattr(pa, name, counted)
         return args
 
-    def test_each_point_once_and_three_leaves_at_most(self, monkeypatch):
+    def test_one_series_inside_the_disc_and_only_the_asked_leaves_outside(
+            self, monkeypatch):
         args = self._count_leaves(monkeypatch)
         # every layer, with angles in the out-of-sector arcs on both sides
         # (|arg| > 2.4 for the integral, > 2pi/3 + 0.15 for the expansion)
@@ -160,11 +231,42 @@ class TestRotatedPoints:
         for r in (0.7, 3.0, 4.5, 6.0, 9.5, 12.0, 30.0):
             for th in angles:
                 z = r * cmath.exp(1j * th)
+                arc = (2.4 if abs(z) <= pa.ASYMPTOTIC_RADIUS
+                       else 2.0 * math.pi / 3.0 + 0.15)
                 for l in (0, 1, -1):
-                    args.clear()
-                    pa.airy(z, l)
-                    assert 2 <= len(args) <= 3, (z, l, args)
-                    assert len(set(args)) == len(args), (z, l, args)
+                    p_l = z * cmath.exp(-2j * math.pi * l / 3.0)
+                    for want in ("ai", "bi", "both"):
+                        args.clear()
+                        v = pa.airy(z, l, want)
+                        assert (v.ai is None) == (v.ai_prime is None) == (want == "bi")
+                        assert (v.bi is None) == (v.bi_prime is None) == (want == "ai")
+                        if abs(z) <= pa.MACLAURIN_RADIUS:
+                            assert args == [("_maclaurin_sums", z)], (z, l, want)
+                            continue
+                        points = [p for _, p in args]
+                        assert len(set(points)) == len(points), (z, l, want, args)
+                        assert "_maclaurin_sums" not in {n for n, _ in args}
+                        if want == "ai" and abs(cmath.phase(p_l)) <= arc:
+                            assert len(points) == 1, (z, l, args)
+                        else:
+                            assert len(points) <= {"ai": 2, "bi": 2, "both": 3}[want]
+
+    def test_turning_point_families_ask_for_one_function(self, monkeypatch):
+        tp = importlib.import_module("parcyl.tp")
+        calls = []
+
+        def counted(*a, _airy=tp.airy):
+            calls.append(a)
+            return _airy(*a)
+        monkeypatch.setattr(tp, "airy", counted)
+        families = ((tp.pcf_U_neg, (), "ai"), (tp.pcf_V_neg, (), "bi"),
+                    (tp.pcf_U_rotated, ("+i",), "ai"),
+                    (tp.pcf_U_rotated, ("-i",), "ai"))
+        for f, sign, want in families:
+            for z in (0.5 + 0.2j, 1.3 - 0.4j, 2.0 + 1.0j):
+                calls.clear()
+                f(20.0, z, 3, *sign)
+                assert [c[2] for c in calls] == [want], (f, sign, z, calls)
 
     def test_weber_W_real_makes_one_airy_evaluation(self, monkeypatch):
         tp = importlib.import_module("parcyl.tp")
@@ -175,12 +277,26 @@ class TestRotatedPoints:
             calls.append(a)
             return _airy(*a)
         monkeypatch.setattr(tp, "airy", counted)
-        for x in (-0.5, 0.3, 1.0, 2.5):
+        seen_series = seen_leaves = False
+        for x in (-0.5, 0.3, 1.0, 2.5, 4.0):
             for sign in ("+x", "-x"):
                 calls.clear()
                 args.clear()
                 tp.weber_W_real(20.0, x, 3, sign)
-                assert len(calls) == 1 and len(args) <= 3, (x, sign)
+                assert len(calls) == 1, (x, sign)
+                w = calls[0][0]
+                if abs(w) <= pa.MACLAURIN_RADIUS:
+                    assert args == [("_maclaurin_sums", w)], (x, sign, args)
+                    seen_series = True
+                else:
+                    points = [p for _, p in args]
+                    assert len(points) <= 3 and len(set(points)) == len(points)
+                    seen_leaves = True
+        assert seen_series and seen_leaves
+
+    def test_asking_for_an_unknown_function_is_refused(self):
+        with pytest.raises(ValueError):
+            pa.airy(1.0, 0, "hi")
 
     def test_schwarz_reflection_is_exact(self):
         for r in np.geomspace(0.3, 40.0, 9):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -514,3 +515,17 @@ def test_refusals_are_typed(case):
     call, exc, words = REFUSALS[case]
     with pytest.raises(exc, match=words):
         call()
+
+
+@pytest.mark.parametrize("z", [1e14, 1e15, 1e16])
+def test_far_series_takes_no_overflowed_intermediate(z):
+    # base ** pole of the G' rows overflowed to inf at the path nodes from
+    # |z| ~ 1e15, so those rows read 0 with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cv = inhom.inhom_series(20.0, z, 3, 2, "plus", (0, 1))
+        except ParcylError:
+            assert z > 1e15
+            return
+    assert 0.0 < cv.rel_bound < 1e-100 and cmath.isfinite(cv.value.mantissa)

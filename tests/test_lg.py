@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,3 +289,14 @@ def test_real_weber_takes_only_a_real_number(x):
 def test_typed_errors_for_bad_orders(entry, order):
     with pytest.raises(OrderError):
         ENTRIES[entry](20.0, 1.5 + 0j, order)
+
+
+@pytest.mark.parametrize("entry", [lg.pcf_U_pos, lg.pcf_Uprime_pos])
+@pytest.mark.parametrize("z", [1e103, 3e120, 1e150, 4e153])
+def test_far_real_points_take_no_overflowed_intermediate(entry, z):
+    # the beta-image weight 1/sq^3 overflowed to inf from |z| ~ 5e102, so
+    # the far nodes' weights read 0 with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cv = entry(20.0, z, 3)
+    assert 0.0 < cv.rel_bound < 1e-13
