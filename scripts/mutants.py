@@ -4,7 +4,8 @@ run against tier-1.
 Each mutant is (file, old text, new text, reason): the old text must occur
 exactly once in the file.  For each mutant the script copies src/ and
 tests/ (and pyproject.toml) into a temporary directory, replaces the old
-text there, runs tier-1 on the copy with -x and prints one line:
+text there, runs tier-1 on the copy with -x (less tests/test_mutants.py,
+which checks this list against the unmutated tree) and prints one line:
 
     killed    the first failing test
     survived  every test passed
@@ -91,6 +92,16 @@ MUTANTS = [
     ("src/parcyl/airy.py", "_MACLAURIN_TOL = 2.0 ** -64",
      "_MACLAURIN_TOL = 2.0 ** -24",
      "the Ai and Hi series cut at a tail of 2^-24 of their first term"),
+    ("src/parcyl/plane.py",
+     "return z.real < 0 and abs(z.imag) >= 1.0 - TP_CLEARANCE and xi_bar(z).real > 0",
+     "return False",
+     "no sheet refusal between a critical curve and the cut (U+, UR)"),
+    ("src/parcyl/plane.py", "_SCORER = (lambda u, z: abs(z - 1.0) > 1.15,",
+     "_SCORER = (lambda u, z: abs(z - 1.0) > 1.6,",
+     "the Scorer forms out to |z-1| = 1.6, past the ring of radius 1.4"),
+    ("src/parcyl/plane.py", 'Region("reflection", (_ZB03, _DISC),',
+     'Region("reflection", (_ZB03,),',
+     "WR's reflection without the discs of its terms W0 and W3 at -z"),
 ]
 
 
@@ -118,7 +129,8 @@ def run(index: int) -> tuple[str, str]:
                    PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
-             "--continue-on-collection-errors", "-p", "no:cacheprovider"],
+             "--continue-on-collection-errors", "-p", "no:cacheprovider",
+             "--ignore=tests/test_mutants.py"],
             cwd=tmp, env=env, capture_output=True, text=True)
     if proc.returncode == 0:
         return "survived", "every test passed"

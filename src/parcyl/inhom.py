@@ -21,7 +21,7 @@ from .errors import (DomainError, OrderError, PoleError, check_inputs,
                      check_points, check_real)
 from .gamma import loggamma, rgamma
 from .constants import chi_m, odd_sum_at_1
-from .lg import BOUND_SAFETY, CertifiedValue, weber_neg_Wj
+from .lg import BOUND_SAFETY, CertifiedValue, _weber_Wj
 from .quadrature import path_nodes
 from .scaled import ScaledComplex
 from .tp import (TPCoeffs, _Geometry, _cauchy, _connected, _exp_sums,
@@ -167,13 +167,12 @@ def _series_sum(rows: FloatRows, u: float, z: complex, n: int,
 
 
 def _bound_integrals(u: float, z: complex, n: int, R: int, variant: str,
-                     pair: tuple[int, int]) -> float:
-    """Certified error majorant along the progressive two-leg path through z."""
+                     row: plane.Region) -> float:
+    """Certified error majorant along the two progressive paths of `row`."""
     gvariant = "minus" if variant == "minus" else "plus"
     sgn = -1.0 if variant == "minus" else 1.0  # z^2 - 1 vs z^2 + 1
     g, g_d = get_tables().G_rows(R, gvariant)
 
-    row = plane.REGIONS[_SERIES_FAMILY[variant], tuple(pair)][0]
     legs = [plane.monotone_path(z, end, row.variant).vertices
             for end in row.endpoints]
 
@@ -230,12 +229,18 @@ def inhom_series(u: float, z: complex, n: int, R: int, variant: str = "plus",
     _check_n_constraint(n, R)
     if variant not in _SERIES_FAMILY:
         raise ValueError(variant)
-    if plane.region(_SERIES_FAMILY[variant], u, z, pair).route == "reflection":
-        return _weber_left_assembly(u, z, n, R)
+    row = plane.region(_SERIES_FAMILY[variant], u, z, pair)
+    if row.route == "reflection":
+        return _weber_left_assembly(u, z, n, R, row)
+    return _series(u, z, n, R, variant, row)
+
+
+def _series(u: float, z: complex, n: int, R: int, variant: str, row) -> CertifiedValue:
+    """inhom_series at a point that `row` admitted, bounded on its paths."""
     g = get_tables().G_rows(R, "minus" if variant == "minus" else "plus")[0]
     try:
         w = _series_sum(g, u, z, n, variant == "weber-")
-        bound = _bound_integrals(u, z, n, R, variant, pair) \
+        bound = _bound_integrals(u, z, n, R, variant, row) \
             if cmath.isfinite(w) else math.nan
     except OverflowError:
         bound = math.nan
@@ -248,16 +253,17 @@ def inhom_series(u: float, z: complex, n: int, R: int, variant: str = "plus",
     return CertifiedValue(val, rel, n)
 
 
-def _weber_left_assembly(u: float, z: complex, n: int, R: int) -> CertifiedValue:
-    """Sharper left-half-plane evaluation through the reflection connection."""
+def _weber_left_assembly(u: float, z: complex, n: int, R: int, row) -> CertifiedValue:
+    """Sharper left-half-plane evaluation through the reflection connection:
+    the series, W0 and W3 at -z, which the reflection `row` admitted."""
     zr = -z
-    base = inhom_series(u, zr, n, R, "weber-", (0, 3))
+    base = _series(u, zr, n, R, "weber-", row)
     al = alpha_R(u, R).value
     e = math.exp(-math.pi * u / 2.0)
     c_plus = ((-1) ** (R + 1) - 1j * e)
     c_minus = ((-1) ** (R + 1) + 1j * e)
-    w0 = weber_neg_Wj(u, zr, min(n, 5), 0)
-    w3 = weber_neg_Wj(u, zr, min(n, 5), 3)
+    w0, w3 = (_weber_Wj(u, zr, min(n, 5), j, plane.REGIONS[f"W{j}", None][0])
+              for j in (0, 3))
     return _connected([(base.value * float((-1) ** R), base.rel_bound),
                        (al * c_plus * w0.value, w0.rel_bound),
                        (al.conj() * c_minus * w3.value, w3.rel_bound)],
@@ -293,9 +299,6 @@ def _scorer_factor(g: _Geometry, u: float, m: int, variant: str) -> np.ndarray:
 def _scorer_contour(u: float, z: complex, m: int, variant: str) -> complex:
     """(1/2 pi i) contour integral of root_A J_m / (zeta_c (t - z)) dt on
     the ring about the turning point, which encloses every |z-1| <= 1.15."""
-    if abs(z - 1.0) > 1.15:
-        raise DomainError("Scorer form provided for |z-1| <= 1.15; use the "
-                          "elementary series farther out")
     g = _ring_geometry(variant)
     zc = -g.zeta if variant == "WEB+" else g.zeta
     return _cauchy(g, z, g.root_a * _scorer_factor(g, u, m, variant) / zc)[0]

@@ -280,23 +280,22 @@ def weber_neg_Wj(u: float, z: complex, m: int, j: int,
         raise ValueError("j must be 0 or 3")
     z = complex(z)
     row = plane.region("W0" if j == 0 else "W3", u, z)
+    check_order(m, 0, get_tables().s_max // 2 - 1)
+    return _weber_Wj(u, z, m, j, row, derivative)
+
+
+def _weber_Wj(u: float, z: complex, m: int, j: int, row: plane.Region,
+              derivative: bool = False) -> CertifiedValue:
+    """weber_neg_Wj at a point that `row` admitted, bounded on its path."""
     t = get_tables()
-    check_order(m, 0, t.s_max // 2 - 1)
     xb = _xi_bar(u, z)
     bb = plane.beta_bar(z)
     sgn = 1.0 if j == 0 else -1.0
-    cm = chi_m(u, m)
-    if derivative:
-        fam = "Etilde"
-        # chi-tilde equals chi termwise (exact identity on the tables)
-        phase = -sgn * (cm - 5.0 * math.pi / 8.0)
-        pref = ScaledComplex.from_log(math.pi * u / 8.0) * \
-            (0.5 * (2.0 * u) ** 0.25 * (1.0 + z * z) ** 0.25)
-    else:
-        fam = "Ebar"
-        phase = -sgn * (cm - math.pi / 8.0)
-        pref = ScaledComplex.from_log(math.pi * u / 8.0) * \
-            (1.0 / ((2.0 * u) ** 0.25 * (1.0 + z * z) ** 0.25))
+    fam = "Etilde" if derivative else "Ebar"
+    # chi-tilde equals chi termwise (exact identity on the tables)
+    phase = -sgn * (chi_m(u, m) - (5.0 if derivative else 1.0) * math.pi / 8.0)
+    root = (2.0 * u) ** 0.25 * (1.0 + z * z) ** 0.25
+    pref = ScaledComplex.from_log(math.pi * u / 8.0) * (0.5 * root if derivative else 1.0 / root)
     even, odd = _weber_sums(t.rows[fam], bb, u, m)
     expo = even + sgn * 1j * (u * xb) - sgn * 1j * odd
     val = pref * cmath.exp(1j * phase) * ScaledComplex.from_log_complex(expo)
@@ -310,8 +309,7 @@ def weber_neg_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedVal
     the certified envelope-relative bound."""
     check_inputs(u, x)
     check_real(x)
-    if x < 0:
-        raise DomainError("x must be >= 0; use the sign argument")
+    row = plane.region("W(-a,x)", u, complex(x))
     if sign not in ("+x", "-x"):
         raise ValueError("sign must be '+x' or '-x'")
     t = get_tables()
@@ -330,7 +328,7 @@ def weber_neg_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedVal
         pref = (2.0 / (u * kbar ** 2 * (1.0 + x * x))) ** 0.25
         trig = math.sin(theta)
     val = ScaledComplex.from_complex(pref * math.exp(even) * trig)
-    eta = _lg_bound(u, z, 2 * m + 2, "e+ipi/4", "WEB-", t.rows["Ebar_d"])
+    eta = _lg_bound(u, z, 2 * m + 2, *row.endpoints, row.variant, t.rows["Ebar_d"])
     # dropped |1+eta| modulus and arg(1+eta) phase each contribute <= eta
     bound = 2.0 * eta
     return CertifiedValue(val, bound, m, noncertified=("eps_tilde_phase",))

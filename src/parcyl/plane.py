@@ -48,12 +48,9 @@ CHORD_TOL = 1e-4
 # variables for the z^2+1 variants
 # ----------------------------------------------------------------------
 
-def _near_upper_cut(z: complex, tol: float) -> bool:
-    return abs(z.real) < tol and z.imag >= 1.0 - tol
-
-
-def _near_lower_cut(z: complex, tol: float) -> bool:
-    return abs(z.real) < tol and z.imag <= -1.0 + tol
+def _on_cut(z: complex) -> bool:
+    """Whether z lies within 1e-12 of a cut +-iy, y >= 1, of xi_bar."""
+    return abs(z.real) < 1e-12 and abs(z.imag) >= 1.0 - 1e-12
 
 
 def xi_bar(z: complex, side: str | None = None) -> complex:
@@ -66,8 +63,7 @@ def xi_bar(z: complex, side: str | None = None) -> complex:
     within CHORD_TOL of the box) it is -xi_bar(-z): asinh is odd.
     """
     z = canon(z)
-    on_cut = _near_upper_cut(z, 1e-12) or _near_lower_cut(z, 1e-12)
-    if on_cut:
+    if _on_cut(z):
         if side is None:
             raise CutError(f"z={z} lies on a branch cut of xi_bar")
         eps = 1e-300 if side == "right" else -1e-300
@@ -86,7 +82,7 @@ def _sqrt_zz_plus_1(z: complex) -> complex:
 def beta_bar(z: complex) -> complex:
     """beta_bar = z / sqrt(z^2+1), real positive for real positive z."""
     z = canon(z)
-    if _near_upper_cut(z, 1e-12) or _near_lower_cut(z, 1e-12):
+    if _on_cut(z):
         raise CutError(f"z={z} lies on a branch cut of beta_bar")
     return z / _sqrt_zz_plus_1(z)
 
@@ -479,8 +475,10 @@ def monotone_path(z: complex, endpoint_id: str, variant: str) -> PathPolyline:
 
     Each base endpoint has its recipe in `_RECIPES`; every other endpoint
     is the image of a base endpoint under z -> -z, conj(z) or -conj(z),
-    applied here to the point and to every vertex.  NoPath where z does
-    not reach the endpoint, or the variant uses no such endpoint.
+    applied here to the point and to every vertex.  The rows of `REGIONS`
+    decide where z has a path; this builds it and fails only where building
+    does: TraceStalled, NoPath off the cut, near a turning point, or for an
+    endpoint the variant does not use.
 
     Vertices are ordered from the far endpoint towards z.
     """
@@ -489,36 +487,16 @@ def monotone_path(z: complex, endpoint_id: str, variant: str) -> PathPolyline:
         raise ValueError(f"unknown endpoint {endpoint_id!r}")
     if variant not in ("PCF+", "PCF-", "WEB+", "WEB-"):
         raise ValueError(f"unknown variant {variant!r}")
-    recipe, reaches, sym = _recipe(endpoint_id, variant)
-    if not reaches(sym(z)):
-        raise NoPath(f"no progressive path from {z} to {endpoint_id}")
-    return PathPolyline([sym(v) for v in recipe(sym(z))], variant,
-                        "im" if variant == "WEB-" else "re")
-
-
-def _reaches(z: complex, endpoint: str, variant: str) -> bool:
-    """Whether z reaches `endpoint`: the test of `monotone_path`, which the
-    rows of `REGIONS` apply too."""
-    _, reaches, sym = _recipe(endpoint, variant)
-    return reaches(sym(z))
-
-
-def _recipe(endpoint: str, variant: str):
-    """The recipe and reach test of the endpoint's base endpoint, and the
-    map of the plane that carries the base endpoint onto it."""
-    base, sym = _IMAGES.get((variant, endpoint), (endpoint, lambda z: z))
+    base, sym = _IMAGES.get((variant, endpoint_id), (endpoint_id, lambda z: z))
     if (variant, base) not in _RECIPES:
-        raise NoPath(f"endpoint {endpoint} not used by variant {variant}")
-    return (*_RECIPES[variant, base], sym)
+        raise NoPath(f"endpoint {endpoint_id} not used by variant {variant}")
+    return PathPolyline([sym(v) for v in _RECIPES[variant, base](sym(z))], variant,
+                        "im" if variant == "WEB-" else "re")
 
 
 def _pcfp_inf(z: complex) -> list[complex]:
     if z.real >= 0 or abs(z.imag) < 1.0 - TP_CLEARANCE:
         return [complex(BOX_RADIUS, z.imag), z]
-    if xi_bar(z).real > 0:
-        # between the critical curve Re xi_bar = 0 and the cut the arc
-        # puts the value on the wrong sheet
-        raise NoPath("point between the left critical curve and the cut")
     # fig. 2: level-curve arc from z to the cut, then a horizontal ray
     arc = trace_level_curve(z, "PCF+", "re", direction=_arc_direction(z))
     cut_pt = arc.vertices[-1]
@@ -561,18 +539,14 @@ def _webm_diag(z: complex) -> list[complex]:
     return _dedupe([complex(x1 + t, leg[0].imag + t)] + leg)
 
 
-#: the recipe (the vertices of the path to z, far end first) and the reach
-#: test of each base endpoint; PCF- and WEB- refuse no point yet, though
-#: not all their paths are progressive
+#: each base endpoint's recipe: the vertices of its path to z, far end first
 _RECIPES = {
-    ("PCF+", "+inf"): (_pcfp_inf, lambda z: not _on_pcfp_critical_curve(z)),
-    # monotone chains into +i*inf descend along the right side of the upper
-    # cut: only Re z > 0 (or the positive real axis) reaches it
-    ("PCF+", "+iinf"): (lambda z: _dedupe([complex(z.real, BOX_RADIUS), z]),
-                        lambda z: z.real > 1e-12 or z.imag == 0.0 and z.real > 0.0),
-    ("PCF-", "+inf"): (_pcfm_inf, lambda z: True),
-    ("PCF-", "+iinf"): (_pcfm_iinf, lambda z: True),
-    ("WEB-", "e+ipi/4"): (_webm_diag, lambda z: True),
+    ("PCF+", "+inf"): _pcfp_inf,
+    # down the right side of the upper cut: the rows admit Re z > 0, x > 0
+    ("PCF+", "+iinf"): lambda z: _dedupe([complex(z.real, BOX_RADIUS), z]),
+    ("PCF-", "+inf"): _pcfm_inf,
+    ("PCF-", "+iinf"): _pcfm_iinf,
+    ("WEB-", "e+ipi/4"): _webm_diag,
 }
 
 #: every other endpoint a variant uses: its base endpoint and the map that
@@ -629,7 +603,6 @@ class DomainId:
 def _on_pcfp_critical_curve(z: complex) -> bool:
     """Proximity test for the two Re(xi_bar)=0 curves of the left half plane
     off the cut; the right half plane's two are their images under -z."""
-    z = complex(z)
     if abs(z.imag) < 1.0 - 1e-9 or z.real > -1e-12:
         return False
     v = xi_bar(z)  # Re z <= -1e-12: off the cut
@@ -650,23 +623,33 @@ def _in_z(z: complex) -> bool:
 
 def _in_zb03(z: complex) -> bool:
     """Domain Zb03 (fig. 11): off the cuts, |Im xi_bar| < pi/4 for Re z < 0."""
-    if abs(z.real) < 1e-12 and abs(z.imag) >= 1.0 - 1e-12:
+    if _on_cut(z):
         return False
     return z.real >= 0 or not abs(xi_bar(z).imag) >= math.pi / 4.0 - _CURVE_TOL
 
 
 def _in_pair(z: complex, j: int, k: int) -> bool:
     """Pair domain Zjk: off the cuts, reaching the endpoint of each sector
-    of {0, 2, j, k} (so the critical curves bound every pair domain); Z13 is
-    empty by the monotone-path obstruction."""
-    if (j, k) == (1, 3) or abs(z.real) < 1e-12 and abs(z.imag) >= 1.0 - 1e-12:
+    of {0, 2, j, k}: off the critical curves, and for sectors 1 and 3 (paths
+    down the right side of a cut) Re z > 0 or x > 0.  Z13 is empty by the
+    monotone-path obstruction."""
+    if (j, k) == (1, 3) or _on_cut(z) or {1, 3} & {j, k} and not (
+            z.real > 1e-12 or z.imag == 0.0 and z.real > 0.0):
         return False
-    return all(_reaches(z, _SECTOR_ENDPOINTS["PCF+"][i], "PCF+") for i in {0, 2, j, k})
+    return not (_on_pcfp_critical_curve(z) or _on_pcfp_critical_curve(-z))
+
+
+def _between_curve_and_cut(z: complex) -> bool:
+    """Whether z lies between a left critical curve Re xi_bar = 0 and the
+    cut, where `_pcfp_inf`'s level arc would put the value on the wrong sheet."""
+    return z.real < 0 and abs(z.imag) >= 1.0 - TP_CLEARANCE and xi_bar(z).real > 0
 
 
 def domain_contains(z: complex, d: DomainId) -> bool:
     """Strict membership in the open validity domain (boundaries excluded):
-    the test of the domain's rows of `REGIONS`.  Zb and Zb0 have no row:
+    the test of the domain's rows of `REGIONS`.  Zjk is the paper's pair
+    domain; the UR rows add the sheet refusal (NoPath between a critical
+    curve and the cut) on top of it.  Zb and Zb0 have no row:
     off the cut (-inf, -1] (Zb0: and [1, inf)) and, below the axis, the curve
     Im xi = 0, Re xi < 0 from z = 1 (Zb0: the region Im xi <= 0)."""
     z, tag = complex(z), d.tag
@@ -700,34 +683,45 @@ _ZB03 = (lambda u, z: not _in_zb03(z), DomainError, "z outside the (0,3) validit
 _RIGHT_HALF = (lambda u, z: z.real < -1e-12, DomainError,
                "negative-parameter Weber expansions restricted to the right half plane")
 _WEBM = (_DISC, _RIGHT_HALF)
+_SCORER = (lambda u, z: abs(z - 1.0) > 1.15, DomainError,
+           "Scorer form provided for |z-1| <= 1.15; use the elementary series farther out")
 _UPPER = (lambda u, z: z.imag < -1e-12, DomainError, "pair (0,1) valid in the upper half plane")
 _LOWER = (lambda u, z: z.imag > 1e-12, DomainError, "pair (-1,0) valid in the lower half plane")
 #: the reach tests of the PCF+ paths to +inf and -inf
 _LEVEL = (lambda u, z: _on_pcfp_critical_curve(z), DomainError,
           "z={z} on an excluded level curve")
 _LEVEL_IMAGE = (lambda u, z: _on_pcfp_critical_curve(-z), *_LEVEL[1:])
+#: the sheet refusal of the PCF+ paths to +inf and -inf, last in a row
+_SHEETS = {end: (test, NoPath, f"z={{z}} between a {side} critical curve and the cut")
+           for end, test, side in (("+inf", lambda u, z: _between_curve_and_cut(z), "left"),
+                                   ("-inf", lambda u, z: _between_curve_and_cut(-z), "right"))}
 #: the paths of the turning-point error estimate (-iinf below the axis)
 _ESTIMATE = ("PCF-", ("+inf", "+iinf"))
 
 
 def _pair(j: int, k: int) -> tuple:
-    """The row of the PCF+ series of the pair (j, k): domain Zjk."""
+    """The row of the PCF+ series of the pair (j, k): Zjk, then its sheet tests."""
+    ends = tuple(_SECTOR_ENDPOINTS["PCF+"][i] for i in (j, k))
     return (Region("direct", ((lambda u, z: not _in_pair(z, j, k), DomainError,
-                               f"z={{z}} outside the validity domain Z{j}{k}"),),
-                   "PCF+", tuple(_SECTOR_ENDPOINTS["PCF+"][i] for i in (j, k))),)
+                               f"z={{z}} outside the validity domain Z{j}{k}"),
+                              *(_SHEETS[e] for e in ends if e in _SHEETS)),
+                   "PCF+", ends),)
 
 
 #: where each family answers, by (family, recession pair): one row per
 #: route (README.md lists the entry points of each family)
 REGIONS = {
-    ("U+", None): (Region("direct", (_DISC, _LEVEL), "PCF+", ("+inf",)),
-                   Region("image", (_DISC, _LEVEL_IMAGE), "PCF+", ("-inf",))),
+    ("U+", None): (Region("direct", (_DISC, _LEVEL, _SHEETS["+inf"]), "PCF+", ("+inf",)),
+                   Region("image", (_DISC, _LEVEL_IMAGE, _SHEETS["-inf"]), "PCF+", ("-inf",))),
     ("U-", None): (Region("direct", (_FLOOR, _Z), *_ESTIMATE),
                    Region("reflection", ((lambda u, z: z.real < -1e-12, DomainError,
                                           "left extension expects Re z <= 0"), _FLOOR, _Z),
                           *_ESTIMATE)),
     ("W0", None): (Region("direct", _WEBM, "WEB-", ("e+ipi/4",)),),
     ("W3", None): (Region("direct", _WEBM, "WEB-", ("e-ipi/4",)),),
+    ("W(-a,x)", None): (Region("direct", ((lambda u, z: z.real < 0, DomainError,
+                                           "x must be >= 0; use the sign argument"),),
+                               "WEB-", ("e+ipi/4",)),),
     ("Wx", None): (Region("direct", (_FLOOR,), *_ESTIMATE, where=lambda z: z.real >= 0.0),
                    Region("image", (_FLOOR, _WEB_CUT, (
                        lambda u, z: z.real < -1.0 + 0.05, DomainError,
@@ -739,8 +733,8 @@ REGIONS = {
     ("UR-", (-1, 0)): (Region("direct", (_Z, _LOWER), "PCF-", ("-iinf", "+inf")),),
     ("WR", (0, 3)): (Region("direct", (_ZB03,), "WEB-", ("e+ipi/4", "e-ipi/4"),
                             where=lambda z: z.real >= -1e-12),
-                     Region("reflection", (_ZB03,), "WEB-", ("e+ipi/4", "e-ipi/4"))),
-    **{("Hi " + v, p): (Region("direct", (_FLOOR, test), *_ESTIMATE),)
+                     Region("reflection", (_ZB03, _DISC), "WEB-", ("e+ipi/4", "e-ipi/4"))),
+    **{("Hi " + v, p): (Region("direct", (_FLOOR, test, _SCORER), *_ESTIMATE),)
        for v, test in (("PCF-", _Z), ("WEB+", _WEB_CUT)) for p in ((-1, 1), (0, 1), (-1, 0))},
 }
 

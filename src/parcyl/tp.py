@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -275,8 +276,8 @@ def tp_coeff_funcs(u: float, z: complex, m: int, variant: str = "PCF-") -> TPCoe
         raise ValueError("variant must be 'PCF-' or 'WEB+'")
     z = plane.canon(z)
     plane.region("A,B " + variant, u, z)
-    if z.imag < 0:
-        return tp_coeff_funcs(u, z.conjugate(), m, variant).conj()
+    below = z.imag < 0
+    z = z.conjugate() if below else z
     xi, zeta = plane.xi_zeta(z)
     # the rows divide by xi^s, s <= 2m+1, and the estimate's tail by xi^(2m+2)
     if not abs(xi) <= math.exp(_EXP_LIMIT / (2 * m + 2)):
@@ -295,7 +296,8 @@ def tp_coeff_funcs(u: float, z: complex, m: int, variant: str = "PCF-") -> TPCoe
         est = _ab_est_err(u, z, m, sums)
     if z.imag == 0.0 and z.real > -1.0:
         A, B = complex(A.real), complex(B.real)
-    return TPCoeffs(A, B, m, method, est, arg)
+    co = TPCoeffs(A, B, m, method, est, arg)
+    return co.conj() if below else co
 
 
 def _ab_cauchy(u: float, z: complex, m: int, variant: str) -> tuple[complex, complex]:
@@ -410,13 +412,14 @@ def _neg_value(u: float, z: complex, m: int, co: TPCoeffs,
     """A `_NEG_FAMILIES` value at a checked (u, z) from the PCF- coefficient
     functions `co` at z: the prefactor times w = f(arg) A + f'(arg) B for
     the family's Airy solution f, with relative error estimate
-    (|f A| + |f' B|) est_err / |w|."""
+    (|f A| + |f' B|) est_err / |w|, infinite where |w| is below the normal
+    float range (its scaled form would overflow)."""
     rot, pref, real, tag = _NEG_FAMILIES[family]
     av = airy(co.arg, rot or 0, "bi" if rot is None else "ai")
     f, fp = (av.bi, av.bi_prime) if rot is None else (av.ai, av.ai_prime)
     wm = f * co.A + fp * co.B
     est_abs = abs(f * co.A) * co.est_err + abs(fp * co.B) * co.est_err
-    rel = est_abs / abs(wm) if wm != 0 else math.inf
+    rel = est_abs / abs(wm) if abs(wm) >= sys.float_info.min else math.inf
     if not math.isfinite(rel):
         raise DomainError("no finite error estimate: the turning-point "
                           "expansion does not hold here")

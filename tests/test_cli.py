@@ -330,6 +330,16 @@ def test_far_directions_give_a_value_or_a_region_refusal(capsys, function, point
         assert code == 2 and payload["error"] in ("DOMAIN", "NO_PATH")
 
 
+@pytest.mark.parametrize("function, point", [("U-i", "-3.9+9.2j"), ("U+i", "3.92-9.20j"),
+                                             ("U-i", "-3.92+9.20j")])
+def test_subnormal_airy_assembly_is_refused(capsys, function, point):
+    # Ai_l at the Airy argument is subnormal there (|w| ~ 1e-318), and its
+    # scaled form overflowed: exit 2 with a JSON error, not a traceback
+    code, payload = run_main(capsys, "eval", "--function", function, "--u", "20",
+                             f"--z={point}", "--order", "3")
+    assert code == 2 and payload["error"] == "DOMAIN"
+
+
 @pytest.mark.parametrize("point", FAR_DIRECTIONS)
 def test_domain_subcommand_far_out(capsys, point):
     for tag in ("Z01", "Z02", "Z03", "Z12", "Z23", "Z", "Zb", "Zb0", "Zb03"):

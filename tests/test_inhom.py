@@ -346,7 +346,7 @@ def test_array_evaluation_of_G_matches_scalar_calls():
 def test_bound_integrals_do_not_depend_on_the_batching(monkeypatch):
     # the two-segment PCF- estimate path of z = 0.5+0.1j then spans two
     # batches, as does every segment run of the traced inhom leg
-    args = (20.0, -1.5 + 1.5j, 3, 1, "plus", (0, 2))
+    args = (20.0, -1.5 + 1.5j, 3, 1, "plus", plane.REGIONS["UR", (0, 2)][0])
     est_args = (20.0, 0.5 + 0.1j, 3)
     whole = inhom._bound_integrals(*args), tp._ab_est_err(*est_args)
     monkeypatch.setattr(quadrature, "BATCH_SEGMENTS", 1)
@@ -459,6 +459,9 @@ REFUSALS = {
     "series-outside-Zb03": (
         lambda: inhom.inhom_series(20.0, 2j, 3, 1, "weber-", (0, 3)),
         DomainError, "validity domain"),
+    "series-weber-reflection-disc": (
+        lambda: inhom.inhom_series(20.0, -0.1 + 1j, 3, 1, "weber-", (0, 3)),
+        DomainError, "refusal radius"),
     "series-variant": (
         lambda: inhom.inhom_series(20.0, 1.5, 3, 1, "plus2"),
         ValueError, "plus2"),
@@ -477,9 +480,12 @@ REFUSALS = {
     "scorer-beyond-the-ring": (
         lambda: inhom.inhom_scorer(20.0, 3.0, 2, 1, "PCF-"),
         DomainError, "Scorer form"),
+    "scorer-past-the-disc": (
+        lambda: inhom.inhom_scorer(20.0, 2.2, 2, 1, "PCF-"),
+        DomainError, "Scorer form"),
     "scorer-on-the-box": (
         lambda: inhom.inhom_scorer(20.0, 50.0, 3, 2, "PCF-"),
-        DomainError, "double range"),
+        DomainError, "Scorer form"),
     "connection-on-the-box": (
         lambda: inhom.connect_inhom_pcfm(20.0, 50.0, 3, 2),
         DomainError, "Scorer form"),

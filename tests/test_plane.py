@@ -2,12 +2,13 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
 from parcyl import inhom, lg, plane, tp
-from parcyl.errors import CutError, NoPath, ParcylError, TraceStalled
+from parcyl.errors import CutError, DomainError, NoPath, ParcylError, TraceStalled
 
 
 def quad_path(f, pts, npanel=40, nnode=64):
@@ -316,6 +317,81 @@ def test_entry_points_refuse_where_their_row_refuses(family):
     assert refused >= 3
 
 
+#: the 0.25-spaced lattice over [-3, 3]^2 and the points by the boundaries
+PATH_POINTS = [complex(a / 4, b / 4) for a in range(-12, 13) for b in range(-12, 13)] \
+    + REGION_POINTS[169:] + [-0.01 + 1.5j, 0.01 - 1.5j, -0.3 + 1.2j, 0.3 - 1.2j]
+#: the failures that only building a path finds: the level arc stalls or
+#: misses the cut, or a vertex comes within TP_CLEARANCE of a turning point
+CONSTRUCTION = "did not reach the cut|of turning point"
+
+
+@pytest.mark.parametrize("u", [10.0, 20.0])
+def test_every_admitted_point_builds_its_rows_paths(u):
+    # the row decides every refusal that depends only on (u, z): at a point
+    # it admits, each of its paths builds (at -z for a reflection row)
+    built = {}
+    for (family, pair), rows in plane.REGIONS.items():
+        for row in rows:
+            for z in PATH_POINTS:
+                try:
+                    plane.region(family, u, z, pair, row.route)
+                except ParcylError:
+                    continue
+                w = -z if row.route == "reflection" else z
+                for end in row.endpoints:
+                    key = (w, end, row.variant)
+                    if key not in built:
+                        built[key] = _refusal(plane.monotone_path, *key)
+                    exc = built[key]
+                    assert not exc or exc[0] is TraceStalled or \
+                        exc[0] is NoPath and re.search(CONSTRUCTION, exc[1]), \
+                        (family, pair, row.route, z, end, exc)
+
+
+#: every public entry point, called as f(20.0, z, 3, *args): u = 20, order
+#: 3, and the series and Scorer forms at R = 1
+ENTRIES = [
+    *((f, s) for f in (lg.pcf_U_pos, lg.pcf_Uprime_pos) for s in ("+z", "-z")),
+    (lg.lg_W, "W1"), (lg.lg_W, "W2"),
+    *((lg.weber_neg_Wj, j, d) for j in (0, 3) for d in (False, True)),
+    (tp.pcf_U_neg,), (tp.pcf_V_neg,), (tp.pcf_U_rotated, "+i"), (tp.pcf_U_rotated, "-i"),
+    (tp.pcf_left_extension, "U"), (tp.pcf_left_extension, "V"),
+    (tp.tp_coeff_funcs, "PCF-"), (tp.tp_coeff_funcs, "WEB+"),
+    *((inhom.inhom_series, 1, "plus", p) for p in ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))),
+    (inhom.inhom_series, 1, "minus", (0, 1)), (inhom.inhom_series, 1, "minus", (-1, 0)),
+    (inhom.inhom_series, 1, "weber-", (0, 3)),
+    *((inhom.inhom_scorer, 1, v, p) for v in ("PCF-", "WEB+")
+      for p in ((-1, 1), (0, 1), (-1, 0))),
+    (inhom.connect_inhom_pcfm, 1),
+    *((f, s) for f in (tp.weber_W_real, lg.weber_neg_real) for s in ("+x", "-x")),
+]
+COUNT_POINTS = [1.5 + 0.5j, 1.5 - 0.5j, -1.5 + 0.5j, -1.5 - 0.5j, -2 + 1.5j, 0.5 + 2j,
+                -0.5 - 2.5j, 1.05 + 0.05j, 0.9 - 0.1j, -0.3 + 0j, 0.1 + 1j, -0.1 - 1j]
+
+
+@pytest.mark.parametrize("entry", ENTRIES,
+                         ids=lambda e: " ".join(map(str, (e[0].__name__, *e[1:]))))
+def test_each_entry_asks_its_region_once(monkeypatch, entry):
+    # whether it answers or refuses; the public tp_coeff_funcs, which the
+    # turning-point entries call, may ask its own "A,B" row once more.  The
+    # real entries take the real points
+    asks = []
+    inner = plane.region
+
+    def counting(family, *args, **kwargs):
+        asks.append(family)
+        return inner(family, *args, **kwargs)
+
+    monkeypatch.setattr(plane, "region", counting)
+    f, *args = entry
+    real = f in (tp.weber_W_real, lg.weber_neg_real)
+    for z in (1.5, 0.3, -0.5) if real else COUNT_POINTS:
+        asks.clear()
+        _refusal(f, 20.0, z, 3, *args)
+        own = [a for a in asks if not a.startswith("A,B")] or asks[:1]
+        assert len(own) == 1 and len(asks) - len(own) <= 1, (z, asks)
+
+
 @pytest.mark.parametrize("z", [1e8 * cmath.exp(1j * math.pi * k / 4) for k in range(8)]
                          + [-60 + 5j, -1000 - 2000j, -51 + 0.5j, -1e150 + 1e149j])
 def test_xi_bar_far_out_matches_mpmath(z):
@@ -552,21 +628,26 @@ class TestMonotonePaths:
                                    -0.5 + 1.5j, -1 + 12j])
     def test_region_between_critical_curve_and_cut_refused(self, z):
         # there the arc to the cut puts U+ on the wrong sheet (err ~ 1
-        # against mpmath), so no path is offered until one exists
+        # against mpmath), so the rows of the paths to +inf (at z) and -inf
+        # (at -z) refuse z before any path is built
         assert plane.xi_bar(z).real > 0
         with pytest.raises(NoPath):
-            plane.monotone_path(z, "+inf", "PCF+")
+            plane.region("U+", 20.0, z, route="direct")
         with pytest.raises(NoPath):
-            plane.monotone_path(-z, "-inf", "PCF+")
+            plane.region("U+", 20.0, -z, route="image")
 
     def test_excluded_boundary(self):
+        # a point of the left critical curve from +i: the rows refuse it
+        # (and -z) by their level test
         curve = plane.trace_level_curve(1j + 0.02 * cmath.exp(5j * math.pi / 6),
                                         "PCF+", "re", direction=+1,
                                         max_steps=2000)
         zbad = curve.vertices[min(len(curve.vertices) - 1, 200)]
-        if plane._on_pcfp_critical_curve(zbad):
-            with pytest.raises(NoPath):
-                plane.monotone_path(zbad, "+inf", "PCF+")
+        assert plane._on_pcfp_critical_curve(zbad)
+        with pytest.raises(DomainError, match="excluded level curve"):
+            plane.region("U+", 20.0, zbad, route="direct")
+        with pytest.raises(DomainError, match="excluded level curve"):
+            plane.region("U+", 20.0, -zbad, route="image")
 
     def test_vertical_path(self):
         p = plane.monotone_path(1.5 + 0.5j, "+iinf", "PCF+")
