@@ -102,6 +102,12 @@ MUTANTS = [
     ("src/parcyl/plane.py", 'Region("reflection", (_ZB03, _DISC),',
      'Region("reflection", (_ZB03,),',
      "WR's reflection without the discs of its terms W0 and W3 at -z"),
+    ("src/parcyl/oracle.py", "w[0], w[1, 0], w[2, 0] = p2, p1, p0",
+     "w[0], w[1, 0], w[2, 0] = 0.0, p1, p0",
+     "the oracle sweep's basis recurrence without its q2 term"),
+    ("src/parcyl/oracle.py", "yv, dv = yv + r * f[0], dv + r * f[1]",
+     "yv, dv = yv + f[0], dv + f[1]",
+     "the oracle sweep's forcing vector without its scale r = e^-l"),
 ]
 
 

@@ -223,12 +223,12 @@ def inhom_series(u: float, z: complex, n: int, R: int, variant: str = "plus",
     the reflection assembly for Re z < 0).
     """
     check_inputs(u, z)
+    if variant not in _SERIES_FAMILY:
+        raise ValueError(variant)
     check_order(n, 1, get_tables().s_max)
     z = complex(z)
     check_forcing_degree(R)
     _check_n_constraint(n, R)
-    if variant not in _SERIES_FAMILY:
-        raise ValueError(variant)
     row = plane.region(_SERIES_FAMILY[variant], u, z, pair)
     if row.route == "reflection":
         return _weber_left_assembly(u, z, n, R, row)
@@ -321,11 +321,11 @@ def _check_scorer_inputs(u: float, z: complex, m: int, R: int, variant: str,
                          pair: tuple[int, int]) -> complex:
     check_inputs(u, z)
     z = complex(z)
-    check_forcing_degree(R)
     if variant not in ("PCF-", "WEB+"):
         raise ValueError("variant must be 'PCF-' or 'WEB+'")
-    plane.region("Hi " + variant, u, z, pair)
     check_order(m, 0, 4)
+    check_forcing_degree(R)
+    plane.region("Hi " + variant, u, z, pair)
     return z
 
 

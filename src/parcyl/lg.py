@@ -278,9 +278,9 @@ def weber_neg_Wj(u: float, z: complex, m: int, j: int,
     check_inputs(u, z)
     if j not in (0, 3):
         raise ValueError("j must be 0 or 3")
+    check_order(m, 0, get_tables().s_max // 2 - 1)
     z = complex(z)
     row = plane.region("W0" if j == 0 else "W3", u, z)
-    check_order(m, 0, get_tables().s_max // 2 - 1)
     return _weber_Wj(u, z, m, j, row, derivative)
 
 
@@ -309,11 +309,11 @@ def weber_neg_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedVal
     the certified envelope-relative bound."""
     check_inputs(u, x)
     check_real(x)
-    row = plane.region("W(-a,x)", u, complex(x))
     if sign not in ("+x", "-x"):
         raise ValueError("sign must be '+x' or '-x'")
     t = get_tables()
     check_order(m, 0, t.s_max // 2 - 1)
+    row = plane.region("W(-a,x)", u, complex(x))
     z = complex(x)
     xb = _xi_bar(u, z).real
     bb = plane.beta_bar(z).real

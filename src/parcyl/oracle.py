@@ -12,7 +12,9 @@ and a ray on from it (Gil, Segura & Temme, ACM TOMS 32, 2006, carried to
 complex argument); renormalized Taylor-series sweeps (`_sweep`) of the
 defining equations y'' = (q0 + q1 z + q2 z^2) y + z^R, whose local
 coefficients follow from an exact three-term recurrence (Jorba & Zou,
-Exp. Math. 14, 2005), always run from the recessive towards the dominant
+Exp. Math. 14, 2005), run for two basis solutions at every step at once
+and applied as per-step transition matrices (van der Hoeven, Theoret.
+Comput. Sci. 210, 1999), always from the recessive towards the dominant
 side, with each step's series kept as the dense output along a line; and
 variation-of-parameters quadrature for the inhomogeneous solutions, whose
 moment panels are the steps of the line sweeps.
@@ -363,8 +365,9 @@ def _u_origin_data(a) -> tuple[ScaledComplex, ScaledComplex]:
 # renormalized Taylor-series continuation
 # ----------------------------------------------------------------------
 
-#: degree of the local series.  A step of rho/sigma (`_local_scale`) keeps
-#: its last term below eps for rho <= 1.5 where q, q' or q'' dominates
+#: degree of the local series.  A step of rho/sigma (sigma the local scale,
+#: `_sweep`) keeps its last term below eps for rho <= 1.5 where q, q' or
+#: q'' dominates
 ORDER = 32
 
 #: step lengths, in units of the local scale 1/sigma, of the two
@@ -372,89 +375,131 @@ ORDER = 32
 RHOS = (1.0, 1.5)
 
 
-def _local_scale(p0: complex, p1: complex, p2: complex) -> float:
-    """sigma: the solutions of y'' = (p0 + p1 h + p2 h^2) y change by a
-    factor of about e^rho over |h| = rho/sigma."""
-    return max(math.sqrt(abs(p0)), abs(p1) ** (1.0 / 3.0), abs(p2) ** 0.25)
+def _basis_series(p0: np.ndarray, p1: np.ndarray, p2: complex,
+                  forcing=None) -> np.ndarray:
+    """c[k, i, j]: the coefficient of h^k at step j of the local series of
+    the solution with (y, y') = (1, 0) (i = 0), (0, 1) (i = 1) and, given
+    the forcing rows f_k (f_k[j] the coefficient of h^k at step j), the
+    particular solution with (y, y') = (0, 0) (i = 2) of
+    y'' = (p0 + p1 h + p2 h^2) y + sum f_k h^k, for every step at once by
+    the exact recurrence
+    (k+1)(k+2) c_{k+2} = p2 c_{k-2} + p1 c_{k-1} + p0 c_k + f_k."""
+    # row k + 2 holds c_k, so that c_{-2} = c_{-1} = 0 lead
+    c = np.zeros((ORDER + 3, 2 if forcing is None else 3, len(p0)), complex)
+    c[2, 0] = c[3, 1] = 1.0
+    w = np.empty((3, 1, len(p0)), complex)
+    w[0], w[1, 0], w[2, 0] = p2, p1, p0
+    for k in range(ORDER - 1):
+        t = np.add.reduce(w * c[k:k + 3])
+        if forcing is not None and k < len(forcing):
+            t[2] += forcing[k]
+        np.divide(t, (k + 1) * (k + 2), out=c[k + 4])
+    return c[2:]
 
 
-def _series(p0: complex, p1: complex, p2: complex, y: complex, d: complex,
-            forcing) -> list:
-    """c_0 .. c_ORDER of the solution sum c_k h^k with c_0 = y, c_1 = d, by
-    the exact recurrence of y'' = (p0 + p1 h + p2 h^2) y + sum f_k h^k:
-    (k+1)(k+2) c_{k+2} = p0 c_k + p1 c_{k-1} + p2 c_{k-2} + f_k."""
-    f = list(forcing) + [0.0] * (ORDER - 1 - len(forcing))
-    c = [y, d, (p0 * y + f[0]) / 2.0, (p0 * d + p1 * y + f[1]) / 6.0]
-    for k in range(2, ORDER - 1):
-        c.append((p0 * c[k] + p1 * c[k - 1] + p2 * c[k - 2] + f[k])
-                 / ((k + 1) * (k + 2)))
-    return c
+def _powers(h: np.ndarray) -> np.ndarray:
+    """h^0 .. h^ORDER along a new first axis, by doubling blocks:
+    h^(n+i) = h^i h^n."""
+    p = np.empty((ORDER + 1,) + h.shape, complex)
+    p[0] = 1.0
+    p[1] = h
+    n = 2
+    while n <= ORDER:
+        m = min(n, ORDER + 1 - n)
+        np.multiply(p[:m], p[n - 1] * h, out=p[n:n + m])
+        n *= 2
+    return p
 
 
-def _horner(c, h: complex) -> tuple[complex, complex]:
-    """sum c_k h^k and its derivative in h."""
-    y = dy = 0j
-    for k in range(len(c) - 1, 0, -1):
-        y = y * h + c[k]
-        dy = dy * h + k * c[k]
-    return y * h + c[0], dy
+#: k = 1 .. ORDER: the slope of h^k is k h^(k-1)
+_DEGREES = np.arange(1.0, ORDER + 1.0)[:, None, None]
 
 
 def _sweep(q, R, z0: complex, z1: complex, y: ScaledComplex, d: ScaledComplex,
            rho: float, dense: bool = False):
     """Integrate y'' = (q0 + q1 z + q2 z^2) y + z^R (R None: no forcing)
     on the segment from z0 to z1 by local Taylor series, from (y, d) at
-    z0; d is y' in z.  Each step is rho/sigma long (`_local_scale` at its
-    start) and ends with the state divided by the power of two just above
-    its size max(|y|, |y'|), exactly, so the state never overflows and its log
-    scale l is one rounding of base + k ln 2.  The forcing term is scaled
-    by r = e^-l, and a sweep whose e^-l is past the float range cannot
-    carry it.
+    z0; d is y' in z.
 
-    Returns y and y' at z1, and with `dense` the steps (z_c, l, c) whose
-    series sum c_k (z - z_c)^k e^l is y on the step."""
+    Each step is rho/sigma long, with the local scale sigma at its start,
+    so the steps are placed before the state is known.  One array pass
+    then gives every step's local series of the two basis solutions, and
+    of the particular solution of the unscaled forcing, and their values
+    and slopes at the step's end: the step's 2x2 transition matrix and
+    forcing vector.  The state passes through the steps in order, each
+    ending with the state divided by the power of two just above its size
+    max(|y|, |y'|), exactly, so the state never overflows and its log scale
+    l is one rounding of base + k ln 2.  The forcing vector is scaled by
+    r = e^-l, and a sweep whose e^-l is past the float range cannot carry it.
+
+    Returns y and y' at z1, and with `dense` the arrays (z_c, l, c) of the
+    steps, whose series sum c_k (z - z_c)^k e^l is y on the step."""
     q0, q1, q2 = q
     z0, z1 = complex(z0), complex(z1)
     length = abs(z1 - z0)
     e = (z1 - z0) / length if length else 1.0
+    # sigma: the solutions of y'' = (p0 + p1 h + p2 h^2) y change by a
+    # factor of about e^rho over |h| = rho/sigma
+    sigma2 = abs(q2) ** 0.25
+    zs = []
+    s = 0.0
+    while s < length:
+        zc = z0 + e * s
+        sigma = max(math.sqrt(abs(q0 + zc * (q1 + q2 * zc))),
+                    abs(q1 + 2.0 * q2 * zc) ** (1.0 / 3.0), sigma2)
+        h = min(rho / sigma, length - s)
+        zs.append(zc)
+        s = s + h if length - s > h else length
+    zc = np.array(zs, complex)
+    forcing = None
+    if R is not None:
+        forcing = [math.comb(R, k) * zc ** (R - k) for k in range(R + 1)]
+    c = _basis_series(q0 + zc * (q1 + q2 * zc), q1 + 2.0 * q2 * zc, q2,
+                      forcing)
+    # each series' value and slope at the step's end, the next step's
+    # start (the last's: z1), in one product with the powers of h: the
+    # transition matrix's columns (y, y'), then the forcing vector's
+    pw = _powers(np.diff(zc, append=z1))[:, None]
+    ends = np.stack(((c * pw).sum(0), (c[1:] * (pw[:-1] * _DEGREES)).sum(0)),
+                    axis=-1)
+    steps = ends.transpose(1, 0, 2).reshape(len(zs), 2 * c.shape[1]).tolist()
+
     base = max(y.log_abs, d.log_abs)
     if not math.isfinite(base):
         base = 0.0
     yv = (y * ScaledComplex.from_log(-base)).to_complex()
     dv = (d * ScaledComplex.from_log(-base)).to_complex()
-    binom = [math.comb(R, k) for k in range(R + 1)] if R is not None else []
-    steps = []
     k2 = 0  # the state is (y, y') e^-base 2^-k2
-    s = 0.0
-    while s < length:
-        zc = z0 + e * s
-        p1 = q1 + 2.0 * q2 * zc
-        p0 = q0 + zc * (q1 + q2 * zc)
-        h = min(rho / _local_scale(p0, p1, q2), length - s)
-        log0 = base + k2 * _LN2
-        forcing = ()
-        if binom:
+    start = []  # (y, y', k2) at each step's start
+    for yy, yd, dy, dd, *f in steps:
+        start.append((yv, dv, k2))
+        yv, dv = yy * yv + dy * dv, yd * yv + dd * dv
+        if f:
             try:
-                r = math.exp(-log0)
+                r = math.exp(-(base + k2 * _LN2))
             except OverflowError:
                 raise AccuracyError("forced sweep: the state is too small "
                                     "to carry the forcing term") from None
-            forcing = [r * b * zc ** (R - k) for k, b in enumerate(binom)]
-        c = _series(p0, p1, q2, yv, dv, forcing)
-        if dense:
-            steps.append((zc, log0, c))
-        yv, dv = _horner(c, e * h)
-        size = max(abs(yv), abs(dv))
-        if not math.isfinite(size):
-            raise StiffnessError(f"sweep overflowed at z = {zc}")
+            yv, dv = yv + r * f[0], dv + r * f[1]
+        ay, ad = abs(yv), abs(dv)
+        size = ay if ay > ad else ad
+        if not size < math.inf:
+            raise StiffnessError(f"sweep overflowed at z = {zs[len(start) - 1]}")
         if size > 0.0:
             shift = math.frexp(size)[1]
             yv, dv = yv * 2.0 ** -shift, dv * 2.0 ** -shift
             k2 += shift
-        s = s + h if length - s > h else length
     scale = ScaledComplex.from_log(base + k2 * _LN2)
-    return (ScaledComplex.from_complex(yv) * scale,
-            ScaledComplex.from_complex(dv) * scale, steps)
+    out = (ScaledComplex.from_complex(yv) * scale,
+           ScaledComplex.from_complex(dv) * scale)
+    if not dense:
+        return out + (None,)
+    ys, ds, k2s = (np.array(v) for v in zip(*start))
+    log = base + k2s * _LN2
+    coef = c[:, 0] * ys + c[:, 1] * ds
+    if forcing is not None:
+        coef += c[:, 2] * np.exp(-log)
+    return out + ((zc, log, coef.T),)
 
 
 def ode_polyline(q, R, vertices, y0: ScaledComplex, d0: ScaledComplex,
@@ -617,20 +662,21 @@ class _SweptLine:
 
     def _sweep_line(self, q, x0: float, T: float, y: ScaledComplex,
                     d: ScaledComplex, rho: float) -> None:
-        _, _, steps = _sweep(q, None, complex(x0, self.y), complex(-T, self.y),
-                             y, d, rho, dense=True)
-        steps.reverse()  # increasing x: step k covers [x_{k-1}, x_k]
-        self._x = np.array([z.real for z, _, _ in steps])
-        self._log = np.array([l for _, l, _ in steps])
-        self._coef = np.array([c for _, _, c in steps])
+        _, _, (z, log, coef) = _sweep(q, None, complex(x0, self.y),
+                                      complex(-T, self.y), y, d, rho, dense=True)
+        # increasing x: step k covers [x_{k-1}, x_k]
+        self._x = z.real[::-1]
+        self._log = log[::-1]
+        self._coef = coef[::-1]
         self._lo = np.concatenate(([-T], self._x[:-1]))
         self.norm = ScaledComplex.from_complex(1.0)
 
     def _raw(self, x: float) -> ScaledComplex:
         k = min(max(int(np.searchsorted(self._lo, x, side="right")) - 1, 0),
                 len(self._x) - 1)
-        v, _ = _horner(self._coef[k].tolist(), complex(x - self._x[k]))
-        return ScaledComplex.from_complex(v) * ScaledComplex.from_log(self._log[k])
+        v = self._coef[k] @ _powers(np.array(complex(x - self._x[k])))
+        return ScaledComplex.from_complex(complex(v)) * \
+            ScaledComplex.from_log(self._log[k])
 
     def __call__(self, x: float) -> ScaledComplex:
         return self._raw(float(x)) * self.norm

@@ -731,7 +731,7 @@ REGIONS = {
     **{("UR", p): _pair(*p) for p in ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))},
     ("UR-", (0, 1)): (Region("direct", (_Z, _UPPER), "PCF-", ("+inf", "+iinf")),),
     ("UR-", (-1, 0)): (Region("direct", (_Z, _LOWER), "PCF-", ("-iinf", "+inf")),),
-    ("WR", (0, 3)): (Region("direct", (_ZB03,), "WEB-", ("e+ipi/4", "e-ipi/4"),
+    ("WR", (0, 3)): (Region("direct", (_ZB03, _DISC), "WEB-", ("e+ipi/4", "e-ipi/4"),
                             where=lambda z: z.real >= -1e-12),
                      Region("reflection", (_ZB03, _DISC), "WEB-", ("e+ipi/4", "e-ipi/4"))),
     **{("Hi " + v, p): (Region("direct", (_FLOOR, test, _SCORER), *_ESTIMATE),)

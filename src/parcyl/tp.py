@@ -271,9 +271,9 @@ def _ab_direct(u: float, z: complex, m: int, variant: str,
 def tp_coeff_funcs(u: float, z: complex, m: int, variant: str = "PCF-") -> TPCoeffs:
     """A_{2m+2}(u,z), B_{2m+2}(u,z) (Weber variant when requested)."""
     check_inputs(u, z)
-    check_order(m, 0, get_tables().s_max // 2 - 1)
     if variant not in ("PCF-", "WEB+"):
         raise ValueError("variant must be 'PCF-' or 'WEB+'")
+    check_order(m, 0, get_tables().s_max // 2 - 1)
     z = plane.canon(z)
     plane.region("A,B " + variant, u, z)
     below = z.imag < 0
@@ -432,6 +432,7 @@ def _neg_value(u: float, z: complex, m: int, co: TPCoeffs,
 def _neg_coeffs(u: float, z: complex, m: int) -> TPCoeffs:
     """The PCF- entries' checks, then the coefficient functions at z."""
     check_inputs(u, z)
+    check_order(m, 0, get_tables().s_max // 2 - 1)
     plane.region("U-", u, z)
     return tp_coeff_funcs(u, z, m, "PCF-")
 
@@ -465,6 +466,7 @@ def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> Certif
     check_inputs(u, z)
     if which not in ("U", "V"):
         raise ValueError("which must be 'U' or 'V'")
+    check_order(m, 0, get_tables().s_max // 2 - 1)
     z = complex(z)
     plane.region("U-", u, z, route="reflection")
     w = -z
@@ -516,6 +518,7 @@ def weber_W_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedValue
     check_real(x)
     if sign not in ("+x", "-x"):
         raise ValueError("sign must be '+x' or '-x'")
+    check_order(m, 0, get_tables().s_max // 2 - 1)
     if plane.region("Wx", u, complex(x)).route == "image":
         # W(a, +-x) = W(a, -+|x|): the coefficient functions are then taken
         # near the right turning point, where the Cauchy circle is accurate

@@ -462,6 +462,12 @@ REFUSALS = {
     "series-weber-reflection-disc": (
         lambda: inhom.inhom_series(20.0, -0.1 + 1j, 3, 1, "weber-", (0, 3)),
         DomainError, "refusal radius"),
+    "series-weber-disc-above": (
+        lambda: inhom.inhom_series(20.0, 0.1 + 1j, 3, 0, "weber-", (0, 3)),
+        DomainError, "refusal radius"),
+    "series-weber-disc-below": (
+        lambda: inhom.inhom_series(20.0, 0.1 - 0.95j, 3, 0, "weber-", (0, 3)),
+        DomainError, "refusal radius"),
     "series-variant": (
         lambda: inhom.inhom_series(20.0, 1.5, 3, 1, "plus2"),
         ValueError, "plus2"),

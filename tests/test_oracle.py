@@ -231,6 +231,47 @@ class TestLineSweeps:
         assert len(coarse._x) != len(fine._x)
         assert coarse(1.0).mantissa != fine(1.0).mantissa
 
+    @pytest.mark.parametrize("a", [10.0, 100.0])
+    @pytest.mark.parametrize("y", [0.5, 1.9])
+    def test_each_resolution_within_the_estimate(self, a, y):
+        # the estimate of a swept value is the distance between the two
+        # resolutions; both start from one quadrature seed at T + iy, whose
+        # rounding floor that distance cannot see, so it is added
+        T = oracle._tail_start(a, 0.0)
+        lines = [oracle.UContour(a, y, T, rho) for rho in oracle.RHOS]
+        seed = max(oracle._u_quad(b, complex(T, y), 96, 22)[1]
+                   for b in (a, a + 1.0))
+        for x in (-0.8 * T, -0.4 * T, 0.0, 0.4 * T, 0.8 * T):
+            values = [line(x) for line in lines]
+            est = oracle._certify(*values, "ode").est_acc
+            with mpmath.workdps(30):
+                ref = mpmath.pcfu(a, mpmath.mpc(x, y))
+                for v in values:
+                    got = mpmath.mpc(v.mantissa) * mpmath.exp(v.log_scale)
+                    assert abs(got / ref - 1) <= est + seed, x
+
+    @pytest.mark.parametrize("a", [10.0, 100.0])
+    def test_each_step_ends_where_the_next_begins(self, a):
+        # each stored series, summed exactly at the next step's start (the
+        # lines run leftwards) and rescaled by the exact power of two between
+        # the two steps' scales, gives that step's (y, y') to 1e-15 of its
+        # size max(|y|, |y'|)
+        T = oracle._tail_start(a, 0.0)
+        for rho in oracle.RHOS:
+            line = oracle.UContour(a, 0.5, T, rho)
+            with mpmath.workdps(30):
+                for k in range(1, len(line._x)):
+                    h = mpmath.mpf(line._x[k - 1] - line._x[k])
+                    c = [mpmath.mpc(v) for v in line._coef[k].tolist()]
+                    scale = mpmath.ldexp(1, round((line._log[k] - line._log[k - 1])
+                                                  / math.log(2.0)))
+                    y = mpmath.polyval(c[::-1], h) * scale
+                    d = mpmath.polyval([j * c[j] for j in range(len(c) - 1, 0, -1)],
+                                       h) * scale
+                    y0, d0 = line._coef[k - 1][:2].tolist()
+                    size = max(abs(y0), abs(d0))
+                    assert max(abs(y - y0), abs(d - d0)) <= 1e-15 * size, (rho, k)
+
 
 class TestMirroredLines:
     # (a, y, T); y = 15.76 and T = 32 are the line of a verify op at u = 20
@@ -416,6 +457,56 @@ def test_log_gamma_within_the_error_it_charges():
     assert oracle._log_gamma(-2.0) == complex(math.inf)
 
 
+def _sweep_by_step(q, R, z0, z1, y, d, rho):
+    """y and y' at z1 of `oracle._sweep` one step at a time, on its steps:
+    each step's series from the state by the recurrence, the forcing
+    scaled by r = e^-l, summed by Horner at the next step's start, and the
+    state rescaled by a power of two; the reference for its array passes."""
+    _, _, (zc, log, _) = oracle._sweep(q, R, z0, z1, y, d, rho, dense=True)
+    q0, q1, q2 = q
+    base = log[0]
+    yv, dv = ((v * ScaledComplex.from_log(-base)).to_complex() for v in (y, d))
+    k2 = 0
+    for z, end in zip(zc.tolist(), zc[1:].tolist() + [complex(z1)]):
+        p0, p1 = q0 + z * (q1 + q2 * z), q1 + 2.0 * q2 * z
+        r = math.exp(-(base + k2 * math.log(2.0)))
+        f = [0.0] * (oracle.ORDER + 1)
+        for k in range(R + 1 if R is not None else 0):
+            f[k] = r * math.comb(R, k) * z ** (R - k)
+        c = [yv, dv]
+        for k in range(oracle.ORDER - 1):
+            c.append((p0 * c[k] + (p1 * c[k - 1] if k >= 1 else 0.0)
+                      + (q2 * c[k - 2] if k >= 2 else 0.0) + f[k])
+                     / ((k + 1) * (k + 2)))
+        h = end - z
+        yv = dv = 0j
+        for k in range(oracle.ORDER, 0, -1):
+            yv, dv = yv * h + c[k], dv * h + k * c[k]
+        yv = yv * h + c[0]
+        shift = math.frexp(max(abs(yv), abs(dv)))[1]
+        yv, dv, k2 = yv * 2.0 ** -shift, dv * 2.0 ** -shift, k2 + shift
+    scale = ScaledComplex.from_log(base + k2 * math.log(2.0))
+    return ScaledComplex.from_complex(yv) * scale, ScaledComplex.from_complex(dv) * scale
+
+
+@pytest.mark.parametrize("variant, a, R, z0, z1", [
+    ("PCF+", 10.0, None, 16.0 + 0.5j, -16.0 + 0.5j),
+    ("PCF-", 30.0, None, 0.0, 3.0j),
+    ("WEB-", 10.0, 2, 0.5, 2.0 + 2.0j),
+    ("PCF+", 10.0, 3, 0.0, -2.0 + 1.0j)])
+def test_sweep_matches_the_step_by_step_reference(variant, a, R, z0, z1):
+    # the array passes reorder the sums of the scalar loop: the states at
+    # z1 agree to 1e-13 of their size
+    q = oracle.VARIANT_Q[variant](a)
+    y0, d0 = oracle._u_origin_data(1.5)
+    for rho in oracle.RHOS:
+        got = oracle._sweep(q, R, z0, z1, y0, d0, rho)[:2]
+        ref = _sweep_by_step(q, R, z0, z1, y0, d0, rho)
+        size = max(v.abs().log_abs for v in ref)
+        for g, r in zip(got, ref):
+            assert (g - r).abs().log_abs - size <= math.log(1e-13)
+
+
 def _path_integral_by_panel(a, c, ea, s_max, n, npanel, tail=()):
     """The integral of `oracle._path_integral` one Gauss panel at a time,
     each panel summed on its own peak, the reference for its array pass."""
@@ -487,8 +578,9 @@ def _value(ov):
 #: parameters value) with the Taylor-series sweeps, each nearer to mpmath
 #: than before where mpmath has a reference.  Every route that reaches a
 #: path quadrature or lnGamma was recorded again when the quadrature became
-#: one array pass per path and lnGamma the oracle's own (CHANGES.md lists
-#: each move)
+#: one array pass per path and lnGamma the oracle's own, and every swept
+#: route when the sweep became per-step transition matrices (CHANGES.md
+#: lists each move)
 PINNED = [
     ("U a>0 quadrature", lambda: _value(oracle.oracle_U(10.0, 1.5 + 0.5j)),
      "-0.13570054785336627", "-2.1732634670934856", "-12.99971835758268",
@@ -500,8 +592,8 @@ PINNED = [
      "-0.12351693470391301", "-1.6355878740693686", "-1.5376690210948976",
      "1.8893852336097315e-14"),
     ("U a<0 recessive", lambda: _value(oracle.oracle_U(-10.0, 12.0)),
-     "1.4880802007047511", "-9.1118632733381244e-16", "-13.088372175164878",
-     "3.2827406117205171e-15"),
+     "1.4880802007047766", "-9.1118632733382782e-16", "-13.088372175164892",
+     "1.044508376456504e-15"),
     ("U a<0 cosine", lambda: _value(oracle.oracle_U(-10.0, 3.0 + 0.1j)),
      "1.526469864260372", "-0.21296328288760297", "5.8363962634500997",
      "1.542928817223893e-14"),
@@ -519,30 +611,30 @@ PINNED = [
      "5.4688190571757312e-14"),
     ("inhom (0,2) a>0",
      lambda: _value(oracle.oracle_inhom(10.0, 1.0 + 0.3j, 2, (0, 2))),
-     "-0.90510062279309522", "-0.47364322335425313", "-2.1411236071725241",
-     "3.8204049286591565e-14"),
+     "-0.90510062279310732", "-0.47364322335425946", "-2.1411236071725241",
+     "4.3503056443902384e-15"),
     ("inhom (0,1) a>0",
      lambda: _value(oracle.oracle_inhom(10.0, 1.0 + 0.3j, 1, (0, 1))),
-     "-1.0540603074119832", "-1.4787554427946148", "-2.1472213924907777",
-     "6.7969961656510557e-12"),
+     "-1.0540603074119903", "-1.4787554427946241", "-2.1472213924907777",
+     "6.7857554809158299e-12"),
     ("inhom (0,2) a<0",
      lambda: _value(oracle.oracle_inhom(-10.0, 1.0, 2, (0, 2))),
-     "-1.0853936121057022", "-3.944304526105059e-31", "3.3777050691603048",
-     "1.3501962570629813e-14"),
+     "-1.0853936121057195", "-1.9721522630525295e-31", "3.3777050691603048",
+     "2.0457519046408804e-15"),
     ("inhom (0,1) a<0",
      lambda: _value(oracle.oracle_inhom(-3.0, 1.0, 0, (0, 1))),
-     "1.4350342104682503", "-0.75164930218096382", "-0.19850084079310548",
-     "4.0882125664568846e-12"),
+     "1.4350342104682519", "-0.75164930218096426", "-0.19850084079310548",
+     "4.0879655481422637e-12"),
     ("UContour", lambda: (oracle.UContour(10.0, 0.5, 16.0)(5.0), 0.0),
-     "-0.46399229582310636", "-0.9289248556574301", "-24.889067193826506", "0"),
+     "-0.4639922958231058", "-0.9289248556574291", "-24.889067193826506", "0"),
     ("UContour on the axis",
      lambda: (oracle.UContour(10.0, 0.0, 16.0)(5.0), 0.0),
-     "1.4387774307976027", "0", "-25.254196220327373", "0"),
+     "1.4387774307976089", "0", "-25.254196220327373", "0"),
     ("UNegLine", lambda: (oracle.UNegLine(10.0, 16.0)(3.0), 0.0),
-     "1.1437468200464913", "-7.003429411024498e-16", "6.0868002013573346",
+     "1.143746820046488", "-7.0034294110244763e-16", "6.0868002013573346",
      "0"),
     ("ode_polyline", _ode_polyline_value,
-     "-2.2181487934227451", "0.42257081015435588", "1.0063533223082604", "0"),
+     "-2.2181487934227455", "0.4225708101543551", "1.0063533223082599", "0"),
 ]
 
 

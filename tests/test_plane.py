@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from parcyl import inhom, lg, plane, tp
-from parcyl.errors import CutError, DomainError, NoPath, ParcylError, TraceStalled
+from parcyl.errors import (CutError, DomainError, NoPath, OrderError, ParcylError,
+                           TraceStalled)
 
 
 def quad_path(f, pts, npanel=40, nnode=64):
@@ -390,6 +391,23 @@ def test_each_entry_asks_its_region_once(monkeypatch, entry):
         _refusal(f, 20.0, z, 3, *args)
         own = [a for a in asks if not a.startswith("A,B")] or asks[:1]
         assert len(own) == 1 and len(asks) - len(own) <= 1, (z, asks)
+
+
+@pytest.mark.parametrize("entry", ENTRIES,
+                         ids=lambda e: " ".join(map(str, (e[0].__name__, *e[1:]))))
+def test_order_is_checked_before_the_region(entry):
+    # inputs, then order, then region: wherever an entry refuses a point at
+    # order 3, an order out of range is the error it gives there.  The cut
+    # point -3 is for the WEB+ coefficient functions, which refuse only there
+    f, *args = entry
+    real = f in (tp.weber_W_real, lg.weber_neg_real)
+    points = (1.5, 0.3, -0.5, -0.97) if real else COUNT_POINTS + [-3.0 + 0j]
+    refused = [z for z in points
+               if _refusal(f, 20.0, z, 3, *args)[:1] in ((DomainError,), (NoPath,))]
+    assert refused
+    for z in refused:
+        with pytest.raises(OrderError):
+            f(20.0, z, 99, *args)
 
 
 @pytest.mark.parametrize("z", [1e8 * cmath.exp(1j * math.pi * k / 4) for k in range(8)]
