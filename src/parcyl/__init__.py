@@ -26,8 +26,8 @@ from .plane import (DomainId, PathPolyline, beta_map, domain_contains,
                     xi_bar, xi_zeta)
 from .ratpoly import RationalFunc, RationalPoly
 from .scaled import ScaledComplex
-from .tp import (TPCoeffs, pcf_left_extension, pcf_U_neg, pcf_U_rotated,
-                 pcf_V_neg, tp_coeff_funcs, weber_W_real)
+from .tp import (TPCoeffs, pcf_U_neg, pcf_U_rotated, pcf_V_neg, tp_coeff_funcs,
+                 weber_W_real)
 
 __version__ = "0.1.0"
 

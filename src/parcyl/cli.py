@@ -34,7 +34,6 @@ def _result_payload(cv) -> dict:
         "log_scale": _fmt(v.log_scale),
         "rel_bound": _fmt(cv.rel_bound),
         "order": cv.order,
-        "domain_ok": cv.domain_ok,
         "noncertified_terms": list(cv.noncertified),
     }
 

@@ -339,8 +339,8 @@ def _scorer_values(u: float, z: complex, m: int, R: int, variant: str,
         flipped = [{(-1, 1): (-1, 1), (0, 1): (-1, 0), (-1, 0): (0, 1)}[p]
                    for p in pairs]
         vals, co = _scorer_values(u, z.conjugate(), m, R, variant, flipped)
-        return [CertifiedValue(v.value.conj(), v.rel_bound, m, v.domain_ok,
-                               v.noncertified) for v in vals], co.conj()
+        return [CertifiedValue(v.value.conj(), v.rel_bound, m, v.noncertified)
+                for v in vals], co.conj()
 
     weber = variant == "WEB+"
     gamma = (gamma_W_mR(u, m, R) if weber else gamma_mR(u, m, R)).value.to_complex()

@@ -34,7 +34,6 @@ class CertifiedValue:
     value: ScaledComplex
     rel_bound: float
     order: int
-    domain_ok: bool = True
     noncertified: tuple[str, ...] = ()
 
     def to_complex(self) -> complex:

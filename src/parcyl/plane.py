@@ -666,11 +666,11 @@ def domain_contains(z: complex, d: DomainId) -> bool:
     return not (xi.imag <= tol if tag == "Zb0" else abs(xi.imag) <= tol and xi.real < 0)
 
 
-#: a row of `REGIONS`: its route ('direct'; 'image', the value at -z of a
-#: companion function; 'reflection', a connection formula through values at
-#: -z, whose tests see -z), its tests (refuses(u, z), error, message) in
-#: order, its bound paths' variant and far endpoints in summation order, and
-#: the half plane `where` that picks the route when the caller names none
+#: a row of `REGIONS`: its route ('direct'; 'image', U+ at -z (W1), paths at
+#: z; 'reflection', values at -z, whose tests see -z and whose paths are
+#: built there), its tests (refuses(u, z), error, message) in order, its
+#: bound paths' variant and far endpoints in summation order, and the half
+#: plane `where` that picks the route when the caller names none
 Region = namedtuple("Region", "route tests variant endpoints where", defaults=(None,))
 
 _DISC = (lambda u, z: abs(z - 1j) < TP_REFUSAL or abs(z + 1j) < TP_REFUSAL,
@@ -713,18 +713,17 @@ def _pair(j: int, k: int) -> tuple:
 REGIONS = {
     ("U+", None): (Region("direct", (_DISC, _LEVEL, _SHEETS["+inf"]), "PCF+", ("+inf",)),
                    Region("image", (_DISC, _LEVEL_IMAGE, _SHEETS["-inf"]), "PCF+", ("-inf",))),
-    ("U-", None): (Region("direct", (_FLOOR, _Z), *_ESTIMATE),
-                   Region("reflection", ((lambda u, z: z.real < -1e-12, DomainError,
-                                          "left extension expects Re z <= 0"), _FLOOR, _Z),
-                          *_ESTIMATE)),
+    ("U-", None): (Region("direct", (_FLOOR, _Z), *_ESTIMATE, where=lambda z: z.real > -1.0),
+                   Region("reflection", (_FLOOR, _Z), *_ESTIMATE)),
     ("W0", None): (Region("direct", _WEBM, "WEB-", ("e+ipi/4",)),),
     ("W3", None): (Region("direct", _WEBM, "WEB-", ("e-ipi/4",)),),
     ("W(-a,x)", None): (Region("direct", ((lambda u, z: z.real < 0, DomainError,
                                            "x must be >= 0; use the sign argument"),),
                                "WEB-", ("e+ipi/4",)),),
     ("Wx", None): (Region("direct", (_FLOOR,), *_ESTIMATE, where=lambda z: z.real >= 0.0),
-                   Region("image", (_FLOOR, _WEB_CUT, (
-                       lambda u, z: z.real < -1.0 + 0.05, DomainError,
+                   Region("reflection", (_FLOOR, (
+                       lambda u, z: z.imag == 0.0 and z.real >= 1.0, *_WEB_CUT[1:]), (
+                       lambda u, z: z.real > 1.0 - 0.05, DomainError,
                        "x below the validity cutoff -1 + 0.05")), *_ESTIMATE)),
     ("A,B PCF-", None): (Region("direct", (_Z,), *_ESTIMATE),),
     ("A,B WEB+", None): (Region("direct", (_WEB_CUT,), *_ESTIMATE),),

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -386,7 +386,7 @@ def _ab_est_err(u: float, z: complex, m: int, sums=None) -> float:
 # ----------------------------------------------------------------------
 
 #: the PCF- families: (rotation l of the Airy solution Ai_l, or None for Bi;
-#: (log prefactor, phase) from u and odd_sum_at_1; real on (-1, inf)?; tag)
+#: (log prefactor, phase) from u and odd_sum_at_1; real on the real axis?; tag)
 _NEG_FAMILIES = {
     "U-": (0, lambda u, odd1: (
         0.5 * math.log(math.pi) + (0.75 - 0.25 * u) * math.log(2.0)
@@ -424,59 +424,36 @@ def _neg_value(u: float, z: complex, m: int, co: TPCoeffs,
         raise DomainError("no finite error estimate: the turning-point "
                           "expansion does not hold here")
     val = ScaledComplex.from_log(*pref(u, odd_sum_at_1(u, m))) * wm
-    if real and z.imag == 0.0 and z.real > -1.0:
+    if real and z.imag == 0.0:
         val = ScaledComplex(complex(val.mantissa.real, 0.0), val.log_scale)
     return CertifiedValue(val, rel, m, noncertified=(tag,))
 
 
-def _neg_coeffs(u: float, z: complex, m: int) -> TPCoeffs:
-    """The PCF- entries' checks, then the coefficient functions at z."""
+def _neg_entry(u: float, z: complex, m: int, family: str) -> CertifiedValue:
+    """The PCF- entries: inputs, order, then `_neg` on the U- row of z."""
+    z = complex(z)
     check_inputs(u, z)
     check_order(m, 0, get_tables().s_max // 2 - 1)
-    plane.region("U-", u, z)
-    return tp_coeff_funcs(u, z, m, "PCF-")
+    return _neg(u, z, m, family, plane.region("U-", u, z))
 
 
-def pcf_U_neg(u: float, z: complex, m: int) -> CertifiedValue:
-    """U(-u/2, sqrt(2u) z) for z in the turning-point domain."""
-    z = complex(z)
-    return _neg_value(u, z, m, _neg_coeffs(u, z, m), "U-")
-
-
-def pcf_U_rotated(u: float, z: complex, m: int, sign: str = "-i") -> CertifiedValue:
-    """U(u/2, -i sqrt(2u) z) for sign='-i' (recessive at +i inf), and the
-    conjugate-phase '+i' variant; both through the rotated Airy solutions."""
-    if sign not in ("-i", "+i"):
-        raise ValueError("sign must be '-i' or '+i'")
-    z = complex(z)
-    return _neg_value(u, z, m, _neg_coeffs(u, z, m), "U" + sign)
-
-
-def pcf_V_neg(u: float, z: complex, m: int) -> CertifiedValue:
-    """V(-u/2, sqrt(2u) z) via the Bi-companion assembly."""
-    z = complex(z)
-    return _neg_value(u, z, m, _neg_coeffs(u, z, m), "V-")
-
-
-def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> CertifiedValue:
-    """U(-u/2, sqrt(2u) z) or V(-u/2, sqrt(2u) z) for Re z <= 0 with -z in
-    the turning-point domain, through the reflection connections, with
-    cos(pi a) and sin(pi a) exact (`sincospi`) and bounded by `sum_rel`'s
-    figure over the terms; DomainError where that figure is 1 or more."""
-    check_inputs(u, z)
-    if which not in ("U", "V"):
-        raise ValueError("which must be 'U' or 'V'")
-    check_order(m, 0, get_tables().s_max // 2 - 1)
-    z = complex(z)
-    plane.region("U-", u, z, route="reflection")
+def _neg(u: float, z: complex, m: int, family: str, row: plane.Region) -> CertifiedValue:
+    """A `_NEG_FAMILIES` value at a point that `row` admitted: the expansion
+    at z, or on the reflection row (Re z <= -1, where that misses by a term
+    of relative size e^{2u Re xi}) the coefficient functions once at w = -z:
+    U+-i(z) = U-+i(w), and U-, V- by the reflection connections (DLMF 12.2)
+    with cos(pi a), sin(pi a) exact (`sincospi`), bounded by `sum_rel`."""
+    if row.route == "direct":
+        return _neg_value(u, z, m, tp_coeff_funcs(u, z, m, "PCF-"), family)
     w = -z
+    co = tp_coeff_funcs(u, w, m, "PCF-")
+    if family in ("U+i", "U-i"):
+        return _neg_value(u, w, m, co, "U-i" if family == "U+i" else "U+i")
     a = u / 2.0
     sin_pa, cos_pa = sincospi(a)
     lg = math.lgamma(a + 0.5)
-    # one evaluation of the coefficient functions at w feeds both terms
-    co = tp_coeff_funcs(u, w, m, "PCF-")
     uneg = _neg_value(u, w, m, co, "U-")
-    if which == "U":
+    if family == "U-":
         upper = z.imag >= 0.0
         rot = _neg_value(u, w, m, co, "U+i" if upper else "U-i")
         # -+i e^{+-i pi a}
@@ -485,14 +462,39 @@ def pcf_left_extension(u: float, z: complex, m: int, which: str = "U") -> Certif
         # 1/Gamma(1/2 - a) = cos(pi a) Gamma(a + 1/2) / pi
         term2 = rot.value * (ScaledComplex.from_log(
             0.5 * math.log(2.0 * math.pi) + lg) * (cos_pa / math.pi * ph2))
-        return _connected([(uneg.value * ph1, uneg.rel_bound),
-                           (term2, rot.rel_bound)],
-                          m, ("eps_U", "eps_pm1"))
-    vneg = _neg_value(u, w, m, co, "V-")
-    return _connected(
-        [(uneg.value * cos_pa * ScaledComplex.from_log(-lg), uneg.rel_bound),
-         (vneg.value * -sin_pa, vneg.rel_bound)],
-        m, ("eps_U", "eps_V"))
+        cv = _connected([(uneg.value * ph1, uneg.rel_bound),
+                         (term2, rot.rel_bound)],
+                        m, ("eps_U", "eps_pm1"))
+    else:
+        vneg = _neg_value(u, w, m, co, "V-")
+        cv = _connected(
+            [(uneg.value * cos_pa * ScaledComplex.from_log(-lg), uneg.rel_bound),
+             (vneg.value * -sin_pa, vneg.rel_bound)],
+            m, ("eps_U", "eps_V"))
+    if z.imag == 0.0:
+        # U(-a, x) and V(-a, x) are real: drop the terms' rounding residue
+        cv = replace(cv, value=ScaledComplex(complex(cv.value.mantissa.real, 0.0),
+                                             cv.value.log_scale))
+    return cv
+
+
+def pcf_U_neg(u: float, z: complex, m: int) -> CertifiedValue:
+    """U(-u/2, sqrt(2u) z) for z in the turning-point domain, or with -z in
+    it for Re z <= -1."""
+    return _neg_entry(u, z, m, "U-")
+
+
+def pcf_U_rotated(u: float, z: complex, m: int, sign: str = "-i") -> CertifiedValue:
+    """U(u/2, -i sqrt(2u) z) for sign='-i' (recessive at +i inf), and the
+    conjugate-phase '+i' variant; both through the rotated Airy solutions."""
+    if sign not in ("-i", "+i"):
+        raise ValueError("sign must be '-i' or '+i'")
+    return _neg_entry(u, z, m, "U" + sign)
+
+
+def pcf_V_neg(u: float, z: complex, m: int) -> CertifiedValue:
+    """V(-u/2, sqrt(2u) z) via the Bi-companion assembly."""
+    return _neg_entry(u, z, m, "V-")
 
 
 def _connected(terms, m: int, noncertified: tuple[str, ...]) -> CertifiedValue:
@@ -519,7 +521,7 @@ def weber_W_real(u: float, x: float, m: int, sign: str = "+x") -> CertifiedValue
     if sign not in ("+x", "-x"):
         raise ValueError("sign must be '+x' or '-x'")
     check_order(m, 0, get_tables().s_max // 2 - 1)
-    if plane.region("Wx", u, complex(x)).route == "image":
+    if plane.region("Wx", u, complex(x)).route == "reflection":
         # W(a, +-x) = W(a, -+|x|): the coefficient functions are then taken
         # near the right turning point, where the Cauchy circle is accurate
         x, sign = -x, "-x" if sign == "+x" else "+x"

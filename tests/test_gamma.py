@@ -199,7 +199,7 @@ PUBLIC_NAMES = {
     "modified_coeff", "monotone_path", "oracle", "oracle_U",
     "oracle_U_prime", "oracle_V_neg", "oracle_inhom", "oracle_ode",
     "pcf_U_neg", "pcf_U_pos", "pcf_U_rotated", "pcf_Uprime_pos",
-    "pcf_V_neg", "pcf_left_extension", "plane", "quadrature", "ratpoly",
+    "pcf_V_neg", "plane", "quadrature", "ratpoly",
     "scaled", "scorer_hi", "scorer_hi_prime", "tp", "tp_coeff_funcs",
     "trace_level_curve", "weber_W_real", "weber_constants", "weber_neg_Wj",
     "weber_neg_real", "weber_ode_real", "weber_origin_data",

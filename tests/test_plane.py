@@ -276,22 +276,22 @@ class TestDomains:
         assert plane.domain_contains(z, plane.DomainId("Zb0")) is zb0
 
 
-#: every CLI family at u = 20, order 3, as its entry point is called, and
+#: every CLI family at order 3, as its entry point is called at (u, z), and
 #: the (family, pair, route) of the row that entry point asks plane.region
 CLI_REGIONS = {
-    "U+": (lambda z: lg.pcf_U_pos(20.0, z, 3), ("U+", None, "direct")),
-    "U+'": (lambda z: lg.pcf_Uprime_pos(20.0, z, 3), ("U+", None, "direct")),
-    "U-": (lambda z: tp.pcf_U_neg(20.0, z, 3), ("U-", None, "direct")),
-    "V-": (lambda z: tp.pcf_V_neg(20.0, z, 3), ("U-", None, "direct")),
-    "U+i": (lambda z: tp.pcf_U_rotated(20.0, z, 3, "+i"), ("U-", None, "direct")),
-    "U-i": (lambda z: tp.pcf_U_rotated(20.0, z, 3, "-i"), ("U-", None, "direct")),
-    "W+x": (lambda z: tp.weber_W_real(20.0, z.real, 3, "+x"), ("Wx", None, None)),
-    "W-x": (lambda z: tp.weber_W_real(20.0, z.real, 3, "-x"), ("Wx", None, None)),
-    "W0": (lambda z: lg.weber_neg_Wj(20.0, z, 3, 0), ("W0", None, None)),
-    "W3": (lambda z: lg.weber_neg_Wj(20.0, z, 3, 3), ("W3", None, None)),
-    "UR": (lambda z: inhom.inhom_series(20.0, z, 3, 0, "plus", (0, 2)),
+    "U+": (lambda u, z: lg.pcf_U_pos(u, z, 3), ("U+", None, "direct")),
+    "U+'": (lambda u, z: lg.pcf_Uprime_pos(u, z, 3), ("U+", None, "direct")),
+    "U-": (lambda u, z: tp.pcf_U_neg(u, z, 3), ("U-", None, None)),
+    "V-": (lambda u, z: tp.pcf_V_neg(u, z, 3), ("U-", None, None)),
+    "U+i": (lambda u, z: tp.pcf_U_rotated(u, z, 3, "+i"), ("U-", None, None)),
+    "U-i": (lambda u, z: tp.pcf_U_rotated(u, z, 3, "-i"), ("U-", None, None)),
+    "W+x": (lambda u, z: tp.weber_W_real(u, z.real, 3, "+x"), ("Wx", None, None)),
+    "W-x": (lambda u, z: tp.weber_W_real(u, z.real, 3, "-x"), ("Wx", None, None)),
+    "W0": (lambda u, z: lg.weber_neg_Wj(u, z, 3, 0), ("W0", None, None)),
+    "W3": (lambda u, z: lg.weber_neg_Wj(u, z, 3, 3), ("W3", None, None)),
+    "UR": (lambda u, z: inhom.inhom_series(u, z, 3, 0, "plus", (0, 2)),
            ("UR", (0, 2), None)),
-    "WR": (lambda z: inhom.inhom_series(20.0, z, 3, 0, "weber-", (0, 3)),
+    "WR": (lambda u, z: inhom.inhom_series(u, z, 3, 0, "weber-", (0, 3)),
            ("WR", (0, 3), None)),
 }
 #: the 0.5-spaced lattice over [-3, 3]^2, and points by the boundaries:
@@ -305,16 +305,18 @@ REGION_POINTS = [complex(a / 2, b / 2) for a in range(-6, 7) for b in range(-6, 
 @pytest.mark.parametrize("family", sorted(CLI_REGIONS))
 def test_entry_points_refuse_where_their_row_refuses(family):
     # with the row's own error and message; the real families take the real
-    # points
+    # points.  Below the floor u >= 5 too: at u = 20 the U- family's rows
+    # refuse nowhere
     entry, (key, pair, route) = CLI_REGIONS[family]
     refused = 0
-    for z in REGION_POINTS:
-        if family in ("W+x", "W-x") and z.imag != 0.0:
-            continue
-        expected = _refusal(plane.region, key, 20.0, z, pair, route)
-        if expected:
-            refused += 1
-            assert _refusal(entry, z) == expected, z
+    for u in (20.0, 4.9):
+        for z in REGION_POINTS:
+            if family in ("W+x", "W-x") and z.imag != 0.0:
+                continue
+            expected = _refusal(plane.region, key, u, z, pair, route)
+            if expected:
+                refused += 1
+                assert _refusal(entry, u, z) == expected, (u, z)
     assert refused >= 3
 
 
@@ -356,7 +358,6 @@ ENTRIES = [
     (lg.lg_W, "W1"), (lg.lg_W, "W2"),
     *((lg.weber_neg_Wj, j, d) for j in (0, 3) for d in (False, True)),
     (tp.pcf_U_neg,), (tp.pcf_V_neg,), (tp.pcf_U_rotated, "+i"), (tp.pcf_U_rotated, "-i"),
-    (tp.pcf_left_extension, "U"), (tp.pcf_left_extension, "V"),
     (tp.tp_coeff_funcs, "PCF-"), (tp.tp_coeff_funcs, "WEB+"),
     *((inhom.inhom_series, 1, "plus", p) for p in ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))),
     (inhom.inhom_series, 1, "minus", (0, 1)), (inhom.inhom_series, 1, "minus", (-1, 0)),
@@ -398,10 +399,12 @@ def test_each_entry_asks_its_region_once(monkeypatch, entry):
 def test_order_is_checked_before_the_region(entry):
     # inputs, then order, then region: wherever an entry refuses a point at
     # order 3, an order out of range is the error it gives there.  The cut
-    # point -3 is for the WEB+ coefficient functions, which refuse only there
+    # point -3 is for the WEB+ coefficient functions, which refuse only
+    # there, and 1e200 for the turning-point values, which refuse only
+    # there (xi^8 overflows)
     f, *args = entry
     real = f in (tp.weber_W_real, lg.weber_neg_real)
-    points = (1.5, 0.3, -0.5, -0.97) if real else COUNT_POINTS + [-3.0 + 0j]
+    points = (1.5, 0.3, -0.5, -0.97) if real else COUNT_POINTS + [-3.0 + 0j, 1e200 + 0j]
     refused = [z for z in points
                if _refusal(f, 20.0, z, 3, *args)[:1] in ((DomainError,), (NoPath,))]
     assert refused

@@ -3,6 +3,7 @@ connections and the real Weber functions."""
 
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -204,32 +205,22 @@ class TestHomogeneousTP:
         assert (l2 - l1) == pytest.approx(u * (xi2.real - xi1.real), rel=0.03)
 
     def test_left_extension(self):
+        # left of Re z = -1 U- takes the reflection through -z: finite at
+        # the left turning point, and against the oracle there
         u, m = 20.0, 3
-        # finite at the left turning point
-        v = tp.pcf_left_extension(u, -1.0, m, "U")
-        assert np.isfinite(v.value.mantissa.real)
-        # against the oracle on the dominant left side
-        for z in (-0.5, -1.0):
-            ov = oracle.oracle_U(-u / 2, math.sqrt(2 * u) * z)
-            cv = tp.pcf_left_extension(u, z, m, "U")
-            assert rel(cv, ov) < 1e-5
-        # V reflection identity residual
-        cv = tp.pcf_left_extension(u, -0.5, m, "V")
-        ov = oracle.oracle_V_neg(u / 2, -math.sqrt(2 * u) * 0.5)
-        assert rel(cv, ov) < 1e-4
+        cv = tp.pcf_U_neg(u, -1.0, m)
+        assert np.isfinite(cv.value.mantissa.real)
+        ov = oracle.oracle_U(-u / 2, -math.sqrt(2 * u))
+        assert rel(cv, ov) < 1e-5
 
-    def test_left_extension_consistency_at_zero(self):
-        # the two routes agree up to the dropped scalar-constant phases,
-        # which sit at the O(u^{-2m-2}) level
-        u, m = 20.0, 3
-        direct = tp.pcf_U_neg(u, 1e-12, m)
-        ext = tp.pcf_left_extension(u, -1e-12, m, "U")
-        assert abs((direct.value / ext.value).to_complex() - 1) < 2e-9
-
-    @pytest.mark.parametrize("which", ["U", "V"])
+    @pytest.mark.parametrize("entry", [
+        lambda z: tp.pcf_U_neg(20.0, z, 3), lambda z: tp.pcf_V_neg(20.0, z, 3),
+        lambda z: tp.pcf_U_rotated(20.0, z, 3, "+i"),
+        lambda z: tp.pcf_U_rotated(20.0, z, 3, "-i")],
+        ids=["U-", "V-", "U+i", "U-i"])
     def test_left_extension_evaluates_the_coefficient_functions_once(
-            self, monkeypatch, which):
-        # one call at w = 0.9 - 0.1i, which conjugates without calling
+            self, monkeypatch, entry):
+        # one call at w = 1.5 - 0.1i, which conjugates without calling
         # itself again
         calls = []
         inner = tp.tp_coeff_funcs
@@ -239,19 +230,25 @@ class TestHomogeneousTP:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(tp, "tp_coeff_funcs", counting)
-        tp.pcf_left_extension(20.0, -0.9 + 0.1j, 3, which)
-        assert len(calls) == 1
+        entry(-1.5 + 0.1j)
+        assert len(calls) == 1 and calls[0][1] == 1.5 - 0.1j
 
-    @pytest.mark.parametrize("z", [-0.9 + 0.1j, -0.9 - 0.1j, -0.5 + 0.3j,
-                                   -0.7 - 0.4j, -0.3 + 0j, -1.0 + 0j])
+    @pytest.mark.parametrize("z", [-1.9 + 0.1j, -1.9 - 0.1j, -1.5 + 0.3j,
+                                   -1.7 - 0.4j, -1.3 + 0j, -1.0 + 0j])
     def test_left_extension_matches_its_public_parts(self, z):
-        # the reflection connections assembled from the public entries, each
-        # of which evaluates the coefficient functions itself, and summed by
-        # sum_rel: bit for bit
+        # the reflection connections assembled from the entries at w = -z,
+        # each of which evaluates the coefficient functions itself, and
+        # summed by sum_rel: bit for bit, with the real part alone on the
+        # axis; and U+-i(z) = U-+i(w)
         u, m = 20.0, 3
         a, w = u / 2.0, -z
         sin_pa, cos_pa = sincospi(a)
         upper = z.imag >= 0.0
+
+        def on_axis(val):
+            return ScaledComplex(complex(val.mantissa.real, 0.0), val.log_scale) \
+                if z.imag == 0.0 else val
+
         uneg = tp.pcf_U_neg(u, w, m)
         rot = tp.pcf_U_rotated(u, w, m, "+i" if upper else "-i")
         ph1 = complex(sin_pa, -cos_pa if upper else cos_pa)
@@ -261,15 +258,17 @@ class TestHomogeneousTP:
             * (cos_pa / math.pi * ph2))
         val, rel_u = sum_rel([(uneg.value * ph1, uneg.rel_bound),
                               (term2, rot.rel_bound)])
-        got = tp.pcf_left_extension(u, z, m, "U")
-        assert got.value == val and got.rel_bound == rel_u
+        got = tp.pcf_U_neg(u, z, m)
+        assert got.value == on_axis(val) and got.rel_bound == rel_u
         vneg = tp.pcf_V_neg(u, w, m)
         val, rel_v = sum_rel([
             (uneg.value * cos_pa * ScaledComplex.from_log(-math.lgamma(a + 0.5)),
              uneg.rel_bound),
             (vneg.value * -sin_pa, vneg.rel_bound)])
-        got = tp.pcf_left_extension(u, z, m, "V")
-        assert got.value == val and got.rel_bound == rel_v
+        got = tp.pcf_V_neg(u, z, m)
+        assert got.value == on_axis(val) and got.rel_bound == rel_v
+        for sign, image in (("+i", "-i"), ("-i", "+i")):
+            assert tp.pcf_U_rotated(u, z, m, sign) == tp.pcf_U_rotated(u, w, m, image)
 
     @pytest.mark.parametrize("which", ["U", "V"])
     @pytest.mark.parametrize("u", LEFT_U)
@@ -277,15 +276,88 @@ class TestHomogeneousTP:
         # at integer and half-integer a = u/2 one of the reflection's factors
         # cos(pi a), sin(pi a) is exactly 0 and drops the dominant term; off
         # them the bound has to see the terms' cancellation
+        entry = tp.pcf_U_neg if which == "U" else tp.pcf_V_neg
         for z in LEFT_Z:
             ref = left_refs[u, z, which]
             if ref is None:
                 continue
-            cv = tp.pcf_left_extension(u, z, 3, which)
+            cv = entry(u, z, 3)
             with mpmath.workdps(30):
                 got = mpmath.mpc(cv.value.mantissa) * mpmath.exp(cv.value.log_scale)
                 err = float(abs(got - ref) / abs(ref))
             assert err <= cv.rel_bound, (z, err, cv.rel_bound)
+
+    @pytest.mark.parametrize("u", [10.0, 20.0, 40.0])
+    @pytest.mark.parametrize("x", [-1.0, -1.5, -3.0, -6.0])
+    def test_real_on_the_negative_axis(self, u, x):
+        # U(-a, x) and V(-a, x) are real there; the reflection's terms are
+        # complex and leave a rounding residue in the imaginary part
+        for entry in (tp.pcf_U_neg, tp.pcf_V_neg):
+            cv = entry(u, x, 3)
+            assert cv.value.mantissa.imag == 0.0 and cv.value.mantissa.real != 0.0
+
+
+#: the 0.25-spaced lattice over Re z in [-3, -1], |Im z| <= 3 (the real
+#: points -1, -1.5 and -3 among them) and the points where the expansion at
+#: z missed its estimate worst
+STOKES_Z = [complex(-1 - a / 4, b / 4) for a in range(9) for b in range(-12, 13)] \
+    + [-2.65 + 2.15j, -2.05 + 1.55j, -2 - 1.5j, -1.49 - 0.99j, -1 + 0.5j]
+STOKES_U = (10.0, 20.0, 40.0)
+#: the U- family as functions of (a, x), a = u/2, x = sqrt(2u) z
+STOKES_REF = {"U-": lambda a, x: mpmath.pcfu(-a, x),
+              "V-": lambda a, x: mpmath.pcfv(-a, x),
+              "U+i": lambda a, x: mpmath.pcfu(a, 1j * x),
+              "U-i": lambda a, x: mpmath.pcfu(a, -1j * x)}
+
+
+@pytest.fixture(scope="module")
+def stokes_refs():
+    """STOKES_REF at 80 digits on STOKES_U x STOKES_Z, from Im z >= 0: U-
+    and V- are real on the real axis, and U+-i(conj z) = conj U-+i(z)."""
+    refs = {}
+    with mpmath.workdps(80):
+        for u in STOKES_U:
+            a = mpmath.mpf(u) / 2
+            for z in STOKES_Z:
+                if z.imag < 0 and z.conjugate() in STOKES_Z:
+                    continue
+                x = mpmath.sqrt(2 * mpmath.mpf(u)) * mpmath.mpc(z)
+                for family, f in STOKES_REF.items():
+                    refs[u, z, family] = f(a, x)
+            for z in STOKES_Z:
+                if (u, z, "U-") not in refs:
+                    zc = z.conjugate()
+                    for family, image in (("U-", "U-"), ("V-", "V-"),
+                                          ("U+i", "U-i"), ("U-i", "U+i")):
+                        refs[u, z, family] = mpmath.conj(refs[u, zc, image])
+    return refs
+
+
+@pytest.mark.parametrize("family", sorted(STOKES_REF))
+@pytest.mark.parametrize("u", STOKES_U)
+def test_left_of_minus_one_every_answer_is_within_its_estimate(stokes_refs, u, family):
+    # the expansion at z misses by e^{2u Re xi(z)}, beyond all orders (0.34
+    # against 8e-11 for U- at -2.65+2.15i, u = 20); the values at -z do not.
+    # The estimate counts truncation, not rounding: the Airy argument's
+    # rounding comes back times u |xi| in its exponent, and is allowed for
+    # (U+-i at -3-+3i, u = 40: 3.31e-13 against 3.08e-13, as at 3+-3i)
+    entry = {"U-": tp.pcf_U_neg, "V-": tp.pcf_V_neg,
+             "U+i": lambda u, z, m: tp.pcf_U_rotated(u, z, m, "+i"),
+             "U-i": lambda u, z, m: tp.pcf_U_rotated(u, z, m, "-i")}[family]
+    answered = 0
+    for z in STOKES_Z:
+        try:
+            cv = entry(u, z, 3)
+        except DomainError:
+            continue
+        answered += 1
+        ref = stokes_refs[u, z, family]
+        with mpmath.workdps(30):
+            got = mpmath.mpc(cv.value.mantissa) * mpmath.exp(cv.value.log_scale)
+            err = float(abs(got - ref) / abs(ref))
+        rounding = u * abs(plane.xi_zeta(-z)[0]) * sys.float_info.epsilon
+        assert err <= cv.rel_bound + rounding, (z, err, cv.rel_bound)
+    assert answered >= len(STOKES_Z) - 3
 
 
 class TestLambda:
@@ -455,7 +527,7 @@ def test_weber_neg_real_at_large_u(u, m):
 LARGE_U_ENTRIES = {
     "pcf_U_pos": lambda u: lg.pcf_U_pos(u, 1.5, 6),
     "pcf_U_neg": lambda u: tp.pcf_U_neg(u, 1.5, 5),
-    "pcf_left_extension": lambda u: tp.pcf_left_extension(u, -1.5, 5),
+    "pcf_U_neg reflection": lambda u: tp.pcf_U_neg(u, -1.5, 5),
     "weber_W_real": lambda u: tp.weber_W_real(u, 1.5, 5),
     "inhom_scorer": lambda u: inhom.inhom_scorer(u, 1.1, 4, 0),
     "gamma_W_mR": lambda u: inhom.gamma_W_mR(u, 5, 0),
