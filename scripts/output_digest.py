@@ -12,6 +12,13 @@ command line before the library sees them.  A change that means to keep
 every value and every bound bit for bit shows it with one `diff` of this
 output at the parent and at the change.
 
+The `oracle` stream writes the independent reference of every op of the
+first ORACLE_BLOCKS blocks of `verify`, for the same seeds, whether or not
+the library answers the op: its mantissa, log_scale and est_acc in the
+same columns, or the type of the error the oracle raised.  It shows that
+a change to the oracle keeps every value `verify` checks against, and
+every oracle refusal.
+
 The `region` stream then gates where each expansion answers: every CLI
 family and the two Scorer families, at u = 10 and 20 (the seed column),
 order 3 and the benchmark's R and pair, on the 0.1-spaced lattice over
@@ -21,7 +28,7 @@ and their images, the curves Re xi = 0 of domain Z, |Im xi_bar| = pi/4 of
 Zb03 and their images, the axes, the cuts, the x cutoff of W+-x and the
 Scorer disc |z - 1| = 1.15.  The real families take the real points.  An
 op that raises any other exception is written with its type too.  The
-whole output is 98,240 lines and takes under two minutes on two cores.
+whole output is 98,645 lines and takes about 15 s on a 2-core VM.
 
 The op streams are read from perfbench/workloads.py and perfbench/outcome.py
 and are not changed.  The library is the one under src/ next to this
@@ -29,11 +36,11 @@ script.
 
 `--compare PARENT CHANGE` reads two such outputs instead and prints, for
 each workload and family, how many outputs are bit-identical, the worst
-relative move of the value and of rel_bound, how many bounds moved by more
-than 1e-13, and every op whose refusal changed (refused on one side only,
-or with another error).  It exits with status 0 only when the two are
-identical: every output, every refusal and the op streams themselves; any
-difference exits with status 1.  So a change that means to keep every
+relative move of the value and of rel_bound (est_acc on the oracle
+stream), how many bounds moved by more than 1e-13, and every op whose
+refusal changed (refused on one side only, or with another error).  It
+exits with status 0 only when the two are identical: every output, every
+refusal and the op streams themselves; any difference exits with status 1.  So a change that means to keep every
 output bit for bit is gated by this one command.
 
 Run:  python scripts/output_digest.py > digest.txt
@@ -57,6 +64,8 @@ import workloads  # noqa: E402
 #: blocks per workload: grid as a 30 s benchmark run measures it, and more
 #: of the cheap streams than a run sees
 BLOCKS = {"grid": 3, "sweep": 25, "cli": 4}
+#: the verify blocks whose oracle calls the oracle stream writes
+ORACLE_BLOCKS = 3
 SEEDS = (1, 2, 3)
 REGION_U = (10, 20)
 REGION_FAMILIES = workloads.CLI_FAMILIES + ("inhom_scorer", "connect_inhom_pcfm")
@@ -64,14 +73,25 @@ REGION_FAMILIES = workloads.CLI_FAMILIES + ("inhom_scorer", "connect_inhom_pcfm"
 EPS = 1e-9
 
 
-def digest(op: dict) -> str:
+def _library(op: dict):
+    cv = outcome.call_family(parcyl, op)
+    return cv.value, cv.rel_bound
+
+
+def _oracle(op: dict):
+    ov = outcome.call_oracle(parcyl, op)
+    return ov.value, ov.est_acc
+
+
+def digest(op: dict, call=_library) -> str:
+    """One op's value and its bound (the oracle's est_acc), or the type of
+    the error the call raised."""
     try:
-        cv = outcome.call_family(parcyl, op)
+        v, bound = call(op)
     except Exception as exc:  # noqa: BLE001 - a refusal or a fault, by type
         return type(exc).__name__
-    v = cv.value
     return " ".join(float(x).hex() for x in (v.mantissa.real, v.mantissa.imag,
-                                             v.log_scale, cv.rel_bound))
+                                             v.log_scale, bound))
 
 
 def _crossing(f, a: complex, b: complex) -> list[complex]:
@@ -198,6 +218,11 @@ def main() -> None:
             for i, op in enumerate(ops):
                 if op.get("bad") is None:
                     print(wl, seed, i, op["family"], digest(op))
+    for seed in SEEDS:
+        ops = itertools.takewhile(lambda op: op["block"] < ORACLE_BLOCKS,
+                                  workloads.ops("verify", seed))
+        for i, op in enumerate(ops):
+            print("oracle", seed, i, op["family"], digest(op, _oracle))
     for i, (u, op) in enumerate(region_ops()):
         print("region", u, i, op["family"], digest(op))
 

@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 _ORACLE_NAMES = ("OracleValue", "UContour", "oracle_inhom", "oracle_ode",
                  "oracle_U", "oracle_U_prime", "oracle_V_neg", "weber_ode_real",
-                 "weber_origin_data", "weber_quad_real")
+                 "weber_origin_data")
 
 # the helper module gamma stays out: its name would shadow math.gamma
 # under a star import

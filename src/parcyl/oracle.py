@@ -14,19 +14,22 @@ defining equations y'' = (q0 + q1 z + q2 z^2) y + z^R, whose local
 coefficients follow from an exact three-term recurrence (Jorba & Zou,
 Exp. Math. 14, 2005), run for two basis solutions at every step at once
 and applied as per-step transition matrices (van der Hoeven, Theoret.
-Comput. Sci. 210, 1999), always from the recessive towards the dominant
-side, with each step's series kept as the dense output along a line; and
-variation-of-parameters quadrature for the inhomogeneous solutions, whose
-moment panels are the steps of the line sweeps.
+Comput. Sci. 210, 1999), from the recessive towards the dominant side
+where the path allows it, with each step's series kept as the dense output
+along a line, which give U for complex a and in the recessive zone of
+a < 0 (`_u_swept`);
+and variation-of-parameters quadrature for the inhomogeneous solutions,
+whose moment panels are the steps of the line sweeps.
 
 Every value carries an accuracy estimate and is refused if it exceeds
 ACC_LIMIT = 1e-8.  A quadrature's estimate is the larger of its distance
 to a second resolution and its rounding floor, which counts the size of
 every exponent and the cancellation int |f| / |int f|; a swept value's is
-its distance to a second, independent sweep with another step length; a
-sum of two oracle values (U' from U, U- off the axis and V- from U at
-+-iz) takes sum |term_k| est_k / |sum term_k|, which sees their
-cancellation.  The oracle needs numpy only: its lnGamma (`_log_gamma`) is
+its distance to a second, independent sweep with another step length, and
+for a swept U at least the same rounding floor, with the state's error
+times how much the last leg amplifies it; a sum of two oracle values (U'
+from U, U- off the axis and V- from U at +-iz) takes
+sum |term_k| est_k / |sum term_k|, which sees their cancellation.  The oracle needs numpy only: its lnGamma (`_log_gamma`) is
 its own, math.lgamma on the real line and Stirling's series after an
 upward shift off it (Hare, J. Algorithms 25, 1997).
 """
@@ -239,14 +242,13 @@ def _u_saddle_integral(a: complex, Z: complex, n: int,
     return _path_integral(a, -Z, ts / abs(ts), abs(ts), n, npanel, (end,))
 
 
-def _u_quad(a, Z: complex, n: int, npanel: int) -> tuple[ScaledComplex, float]:
-    """U(a, Z) by quadrature, and its relative rounding floor."""
+def _u_quad(a: float, Z: complex, n: int,
+            npanel: int) -> tuple[ScaledComplex, float]:
+    """U(a, Z) for real a by quadrature, and its relative rounding floor."""
     a = complex(a)
     Z = complex(Z)
     if Z.real < 0:
         integral, err = _u_saddle_integral(a, Z, n, npanel)
-    elif abs(a.imag) > 1e-12:
-        integral, err = _u_integral_logvar(a, Z, n)
     else:
         integral, err = _u_pos_integral(a, Z, n, npanel)
     lg, lg_ulps = _log_gamma_ulps(a + 0.5)
@@ -254,66 +256,13 @@ def _u_quad(a, Z: complex, n: int, npanel: int) -> tuple[ScaledComplex, float]:
     return pref * integral, _rounding_floor(Z, err, lg_ulps)
 
 
-def _u_from_integral(a, Z: complex, n: int, npanel: int) -> ScaledComplex:
-    return _u_quad(a, Z, n, npanel)[0]
-
-
 def _rounding_floor(Z: complex, err: float, lg_ulps: float) -> float:
     """Relative rounding error of U(a, Z) = e^{-Z^2/4 - lnGamma(a+1/2)} I
     when the integral I is off by eps err relative: the prefactor's
     exponent carries the rounding of Z^2 and of the sum, and lnGamma's
-    error of lg_ulps eps (`_log_gamma_ulps`)."""
+    error of lg_ulps eps (`_log_gamma_ulps`).  A swept U charges the same
+    for its state's error err and the lnGamma of its origin data."""
     return EPS * (err + abs(Z) ** 2 / 2.0 + lg_ulps)
-
-
-def _u_integral_logvar(a: complex, Z: complex,
-                       n: int) -> tuple[ScaledComplex, float]:
-    """int_0^inf t^{a-1/2} e^{-t^2/2 - Zt} dt for complex a (Re a > -1/2),
-    and its rounding error as `_path_integral` counts it.
-
-    Substituting t = e^{i alpha} e^w makes the t^{Im a} oscillation uniform
-    in w; the head below w0 is summed analytically from the Taylor series of
-    exp(-q^2/2 - Zq), panels above track the local phase."""
-    Z = complex(Z)
-    alpha = -max(min(cmath.phase(Z) if Z != 0 else 0.0, 0.63), -0.63)
-    ea = cmath.exp(1j * alpha)
-    Zr = Z * ea
-    q0 = min(0.05 / max(abs(Z), 1.0), 0.02)
-    w0 = math.log(q0)
-    # analytic head: sum c_k q0^{a+1/2+k}/(a+1/2+k), f = exp(-Zr q - q^2 e^{2ia}/2)
-    c = [1.0 + 0j, -Zr]
-    for k in range(1, 40):
-        c.append((-Zr * c[k] - ea * ea * c[k - 1]) / (k + 1))
-    s = a + 0.5
-    head = 0j
-    qpow = q0 ** complex(s)
-    head_abs = 0.0
-    for k, ck in enumerate(c):
-        head += ck * qpow / (s + k)
-        head_abs += abs(ck * qpow / (s + k))
-        qpow *= q0
-        if abs(ck * qpow) < 1e-25 * max(abs(head), 1e-30) and k > 6:
-            break
-    # main panels: integrand g(w) = e^{s w} exp(-e^{2ia} e^{2w}/2 - Zr e^w),
-    # panel width tied to the local phase rate
-    ca = max(math.cos(2 * alpha), 0.15)
-    wmax = 0.5 * math.log(2.0 * (800.0 + 20.0 * abs(s)) / ca)
-    if Zr.real < 0:
-        wmax = max(wmax, math.log(abs(Zr.real) / (0.5 * ca) + 1.0) + 2.0)
-    edges = [w0]
-    while edges[-1] < wmax:
-        w_lo = edges[-1]
-        phase_rate = abs(math.sin(2 * alpha)) * math.exp(2 * w_lo) \
-            + abs(Zr.imag) * math.exp(w_lo) + abs(a.imag) + 1.0
-        edges.append(min(w_lo + min(1.0, 12.0 / phase_rate), wmax))
-    t, ww = _panels(edges, n)
-    q = np.exp(t)
-    g = ww * np.exp(s * t - (ea * ea) * q * q / 2.0 - Zr * q)
-    acc = complex(np.sum(g))
-    err = head_abs * (abs(s * w0) + 1.0) + float(np.sum(
-        np.abs(g) * (np.abs(s * t) + 0.5 * q * q + abs(Zr) * q + 1.0)))
-    return (ScaledComplex.from_complex(complex((head + acc) * ea ** s)),
-            err / abs(head + acc) if head + acc else math.inf)
 
 
 def _u_neg_integral(a: float, w: complex, n: int,
@@ -557,38 +506,95 @@ def oracle_ode(variant: str, a: float, R, z_path,
     return _certify(v1, v2, "ode")
 
 
-def _u_neg_recessive(am: float, x: float, rho: float) -> ScaledComplex:
-    """U(-am, x) for real x beyond the turning point 2 sqrt(am).
+#: how far Re Phi, Phi(t) = int sqrt(t^2/4 + a) dt, rises along the real
+#: axis from the target's abscissa (or the last turning point) to the start
+#: of an inward sweep: the seed's error along the solution that grows
+#: outward shrinks by about e^-(2 SWEEP_DEPTH) on the way in
+SWEEP_DEPTH = 50.0
 
-    Backward sweep: integrate y'' = (x^2/4 - am) y leftward from an
-    arbitrary seed placed far enough out that the contamination by the
-    dominant-rightward solution has died at the target, then normalize by
-    the exact origin value.
-    """
-    q = VARIANT_Q["PCF-"](am)
-    # integrating leftward amplifies the recessive-at-+inf direction; the
-    # seed error decays like exp(-2 * [xi(seed)-xi(x)] * scaled units)
-    x1 = x + max(3.0, 30.0 / max(math.sqrt(x * x / 4.0 - am), 1.0))
-    seed_y = ScaledComplex.from_complex(1.0)
-    seed_d = ScaledComplex.from_complex(-math.sqrt(x1 * x1 / 4.0 - am))
-    y_at_x, d_at_x = ode_polyline(q, None, [x1, x], seed_y, seed_d, rho)
-    y_at_0, _ = ode_polyline(q, None, [x, 0.0], y_at_x, d_at_x, rho)
-    u0, _ = _u_origin_data(-am)
-    return y_at_x * (u0 / y_at_0)
+
+def _sweep_start(a: complex, x: float) -> float:
+    """The point R > x of the real axis with Re Phi(R) = Re Phi(x) +
+    SWEEP_DEPTH, by bisection; x lies beyond every turning point, so Re Phi
+    increases from it."""
+
+    def re_phi(t: float) -> float:
+        s = 0.5 * t
+        r = cmath.sqrt(s * s + a)
+        return (s * r + a * cmath.log(s + r)).real
+
+    target = re_phi(x) + SWEEP_DEPTH
+    lo, hi = x, math.sqrt(x * x + 4.0 * SWEEP_DEPTH) + 1.0
+    while re_phi(hi) < target:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if re_phi(mid) < target else (lo, mid)
+    return hi
+
+
+def _u_swept(a, Z: complex) -> tuple[list, float]:
+    """(U(a, Z), U'(a, Z)) by Taylor sweeps of U'' = (Z^2/4 + a) U at each
+    step length of RHOS, and their relative rounding floor.
+
+    For Re Z >= 0 a sweep starts on the real axis at `_sweep_start`, past
+    every turning point, from (1, -sqrt(R^2/4 + a)), and runs inward to
+    Re Z, the direction in which U grows; from there one sweep runs on to 0,
+    where the exact origin data normalize the state, and one runs
+    vertically to Z.  For Re Z < 0 one sweep runs from the origin data out
+    to Z.  The last leg, to Z, may shrink U against the other solution:
+    it is swept once more from the state's orthogonal complement, and
+    kappa, the ratio of that probe's size to the state's at Z, is how much
+    the leg amplifies the state's error.  The floor is `_rounding_floor`
+    with that error taken as kappa times 4 eps of rounding (on lattices of
+    complex a and Z against mpmath, no error exceeded 3 kappa eps where
+    kappa was large) and, for Re Z < 0, the origin data's."""
+    a, Z = complex(a), complex(Z)
+    q = VARIANT_Q["PCF+"](a)
+    u0, d0 = _u_origin_data(a)
+    one = ScaledComplex.from_complex(1.0)
+    if Z.real >= 0:
+        # past Re Z and the turning points +-2 sqrt(-a)
+        R = _sweep_start(a, max(Z.real, (2.0 * cmath.sqrt(-a)).real))
+        seed = ScaledComplex.from_complex(-cmath.sqrt(R * R / 4.0 + a))
+    out, kappa = [], 1.0
+    for rho in RHOS:
+        x, y, d, c = 0.0, u0, d0, one
+        if Z.real >= 0:
+            x = Z.real
+            y, d, _ = _sweep(q, None, R, x, one, seed, rho)
+            y0, dy0, _ = _sweep(q, None, x, 0.0, y, d, rho)
+            # the larger component of the state at 0 is the more accurate
+            c = u0 / y0 if y0.abs().log_abs >= dy0.abs().log_abs else d0 / dy0
+        yz, dz, _ = _sweep(q, None, x, Z, y, d, rho)
+        py, pd, _ = _sweep(q, None, x, Z, -d.conj(), y.conj(), rho)
+        kappa = max(kappa, math.exp(min(
+            max(py.log_abs, pd.log_abs) - max(yz.log_abs, dz.log_abs), 50.0)))
+        out.append((yz * c, dz * c))
+    lg_ulps = max(_log_gamma_ulps(0.25 + 0.5 * a)[1],
+                  _log_gamma_ulps(0.75 + 0.5 * a)[1])
+    # the origin data's lnGamma error is in the last leg's state for
+    # Re Z < 0, and otherwise only in the normalization
+    carried = 4.0 + (lg_ulps if Z.real < 0 else 0.0)
+    return out, _rounding_floor(Z, kappa * carried, lg_ulps)
 
 
 def oracle_U(a, z: complex, n: int = 64, npanel: int = 16) -> OracleValue:
-    """U(a, z) for real a of either sign (complex a allowed when Re a > -1/2,
-    as needed for the rotated-argument solutions)."""
+    """U(a, z): for real a by quadrature, by the cosine route or the rotated
+    connection where a <= -1/4, and by `_u_swept` for complex a and for
+    a <= -1/4 on the real axis past the turning point."""
     z = complex(z)
-    ar = complex(a).real
-    if ar <= -0.25:
+    if abs(complex(a).imag) <= 1e-12:
+        if complex(a).real > -0.25:
+            v1, _ = _u_quad(a, z, n, npanel)
+            v2, floor = _u_quad(a, z, int(n * 1.5), npanel + 6)
+            return _certify(v2, v1, "quadrature", floor=floor)
         am = float(-complex(a).real)
         x0 = 2.0 * math.sqrt(am)
         on_axis = abs(z.imag) <= 1e-12
         # deep in the recessive zone of the real axis the cosine
         # representation cancels away; there, and where it fails just past
-        # the turning point, the self-normalized backward sweep is used
+        # the turning point, the swept route is used
         deep = on_axis and z.real > x0 + 0.5
         if abs(z.imag) <= 0.05 * abs(z) + 0.1 and not deep:
             try:
@@ -598,21 +604,19 @@ def oracle_U(a, z: complex, n: int = 64, npanel: int = 16) -> OracleValue:
             except AccuracyError:
                 if not on_axis or z.real <= x0 + 0.25:
                     raise
-        if on_axis:
-            v1, v2 = (_u_neg_recessive(am, z.real, rho) for rho in RHOS)
-            return _certify(v1, v2, "ode")
-        # off the real axis the cosine representation cancels badly; use the
-        # rotated-argument connection instead
-        ph = cmath.exp(1j * math.pi * (0.5 * am - 0.25))
-        pref = ScaledComplex.from_log_complex(_log_gamma(am + 0.5)) * \
-            (1.0 / math.sqrt(2.0 * math.pi))
-        return _combine([(pref * ov.value * p, ov.est_acc) for ov, p in (
-            (oracle_U(am, 1j * z, n, npanel), ph),
-            (oracle_U(am, -1j * z, n, npanel), ph.conjugate()))],
-            "quadrature")
-    v1, _ = _u_quad(a, z, n, npanel)
-    v2, floor = _u_quad(a, z, int(n * 1.5), npanel + 6)
-    return _certify(v2, v1, "quadrature", floor=floor)
+        if not on_axis:
+            # off the real axis the cosine representation cancels badly;
+            # use the rotated-argument connection instead
+            ph = cmath.exp(1j * math.pi * (0.5 * am - 0.25))
+            pref = ScaledComplex.from_log_complex(_log_gamma(am + 0.5)) * \
+                (1.0 / math.sqrt(2.0 * math.pi))
+            return _combine([(pref * ov.value * p, ov.est_acc) for ov, p in (
+                (oracle_U(am, 1j * z, n, npanel), ph),
+                (oracle_U(am, -1j * z, n, npanel), ph.conjugate()))],
+                "quadrature")
+        a, z = -am, complex(z.real)
+    ((v1, _), (v2, _)), floor = _u_swept(a, z)
+    return _certify(v1, v2, "ode", floor=floor)
 
 
 def _u_pair_from_integral(a, Z: complex, n: int,
@@ -620,8 +624,8 @@ def _u_pair_from_integral(a, Z: complex, n: int,
     """(U(a,z), U'(a,z)) from the quadratures of U(a,z) and U(a+1,z):
     U'(a,z) = -(z/2) U(a,z) - (a+1/2) U(a+1,z); differentiating the
     integral representation under the integral sign gives exactly this."""
-    ua = _u_from_integral(a, Z, n, npanel)
-    ub = _u_from_integral(complex(a) + 1.0, Z, n, npanel)
+    ua, _ = _u_quad(a, Z, n, npanel)
+    ub, _ = _u_quad(complex(a) + 1.0, Z, n, npanel)
     return ua, ua * (-Z / 2.0) - ub * (complex(a) + 0.5)
 
 
@@ -849,16 +853,12 @@ def _inhom_01_neg(a_signed: float, z: complex, R: int, n: int, npanel: int,
     line = _u_neg_line_cached(am, T, 0.0, rho)
     # int_{+inf}^z t^R U(-a,t) dt along the real axis
     j0 = -line.moment(R, z.real, T)
-    # int_{i inf}^z t^R U(a,-it) dt on the vertical ray t = z + is, each
-    # node a quadrature
-    j1 = ScaledComplex(0j, 0.0)
-    s, w = _panels(np.linspace(0.0, T, npanel + int(T) + 1), n)
-    for si, wi in zip(s.ravel().tolist(), w.ravel().tolist()):
-        t = z + 1j * si
-        j1 = j1 - _u_from_integral(am, -1j * t, max(n // 2, 40),
-                                   max(npanel - 2, 10)) * (1j * wi * t ** R)
+    # int_{i inf}^z t^R U(a,-it) dt on the vertical ray t = z + is: w = -it
+    # = s - iz walks the line Im w = -z from s = 0, and t^R dt = i^(R+1) w^R ds
+    wline = _u_contour_cached(am, -z.real, T, rho)
+    j1 = -wline.moment(R, 0.0, T) * 1j ** (R + 1)
     u0z = line(z.real)
-    u1z = _u_from_integral(am, -1j * z, max(n, 56), max(npanel, 12))
+    u1z = wline(0.0)
     wr = cmath.exp(1j * math.pi * (0.5 * am + 0.25))
     return (u1z * j0 - u0z * j1) * (1.0 / wr)
 
@@ -900,30 +900,12 @@ def weber_origin_data(a_signed: float) -> tuple[float, float]:
     return W, Wp
 
 
-def weber_quad_real(a_signed: float, x: float,
-                    n: int = 96, npanel: int = 22) -> tuple[float, float]:
-    """(W(a,x), W'(a,x)) for x >= 0 by quadrature through the connection
-    W(a,x) = sqrt(2 k) e^{pi a/4} Re{ e^{i rho} U(ia, x e^{-i pi/4}) }."""
-    u = 2.0 * a_signed
-    k = _k_stable(u)
-    rho = 0.5 * _log_gamma(0.5 + 0.5j * u).imag + math.pi / 8.0
-    ia = 1j * a_signed
-    Z = x * cmath.exp(-1j * math.pi / 4.0)
-    pair = _u_pair_from_integral(ia, Z, n, npanel) if x > 0 else _u_origin_data(ia)
-    uv, upv = (v.to_complex() for v in pair)
-    pre = math.sqrt(2.0 * k) * math.exp(math.pi * a_signed / 4.0)
-    ph = cmath.exp(1j * rho)
-    W = pre * (ph * uv).real
-    Wp = pre * (ph * cmath.exp(-1j * math.pi / 4.0) * upv).real
-    return W, Wp
-
-
 def weber_ode_real(a_signed: float, x_targets) -> dict:
     """W(a, x) on the real axis, integrating y'' = (a - x^2/4) y only in
     stable directions: leftward from the exact origin data (W grows towards
-    -inf for a > 0), and inward from a quadrature seed placed beyond the
-    turning point for the decaying positive side.  For a <= 0 the equation
-    is oscillatory everywhere and origin seeding is stable both ways.
+    -inf for a > 0), and inward from a seed placed beyond the turning point
+    for the decaying positive side.  For a <= 0 the equation is oscillatory
+    everywhere and origin seeding is stable both ways.
     Returns dict x -> (W, W')."""
     W0, W0p = weber_origin_data(a_signed)
     out = {0.0: (W0, W0p)}
@@ -945,7 +927,16 @@ def weber_ode_real(a_signed: float, x_targets) -> dict:
         if a_signed <= 0:
             sweep(0.0, (W0, W0p), pos)
         else:
+            # the seed through the connection W(a,x) = sqrt(2 k) e^{pi a/4}
+            # Re{e^{i rho} U(ia, x e^{-i pi/4})}, U from the swept route
             x_seed = max(2.0 * math.sqrt(a_signed) + 6.0, pos[-1] + 2.0)
-            seed = weber_quad_real(a_signed, x_seed)
+            rot = cmath.exp(-1j * math.pi / 4.0)
+            [(uv, upv), _], _ = _u_swept(1j * a_signed, x_seed * rot)
+            ph = cmath.exp(1j * (0.5 * _log_gamma(0.5 + 1j * a_signed).imag
+                                 + math.pi / 8.0))
+            pre = math.sqrt(2.0 * _k_stable(2.0 * a_signed)) * \
+                math.exp(math.pi * a_signed / 4.0)
+            seed = (pre * (ph * uv.to_complex()).real,
+                    pre * (ph * rot * upv.to_complex()).real)
             sweep(x_seed, seed, sorted(pos, reverse=True))
     return out

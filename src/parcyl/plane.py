@@ -38,6 +38,10 @@ def canon(z: complex) -> complex:
 
 #: plane truncation box for traced curves and path tails
 BOX_RADIUS = 50.0
+#: largest |z| whose path to +inf is its image alone: the run from 1 to
+#: beta_bar(z), about 1/(2 z^2) long, stays above 2000 eps up to here, and
+#: further out rounding takes its length and its bound with it
+FAR_RUN_MAX = 1e6
 #: minimum admissible distance of path vertices from turning points
 TP_CLEARANCE = 1e-3
 #: largest deviation from the traced level allowed at a chord midpoint
@@ -495,6 +499,10 @@ def monotone_path(z: complex, endpoint_id: str, variant: str) -> PathPolyline:
 
 
 def _pcfp_inf(z: complex) -> list[complex]:
+    if z.real >= BOX_RADIUS and abs(z) <= FAR_RUN_MAX:
+        # past the box the path runs outward from z, all of it beyond the
+        # truncation: only its image in beta_bar is left
+        return [z]
     if z.real >= 0 or abs(z.imag) < 1.0 - TP_CLEARANCE:
         return [complex(BOX_RADIUS, z.imag), z]
     # fig. 2: level-curve arc from z to the cut, then a horizontal ray

@@ -60,3 +60,13 @@ def test_far_field_answers_or_refuses(family):
                 continue
             assert cmath.isfinite(cv.value.mantissa) and math.isfinite(cv.value.log_scale) \
                 and math.isfinite(cv.rel_bound), (family, z)
+
+
+@pytest.mark.parametrize("family", ["U+", "U+'"])
+def test_far_field_bounds_do_not_grow_outward(family):
+    # past the box the path to +inf runs outward from z, so the bound
+    # integral only shrinks as z moves out; a path that ran from the box
+    # edge out to z made it grow
+    bounds = [FAMILIES[family](complex(x)).rel_bound
+              for x in (50.0, 60.0, 100.0, 1000.0, 1e6)]
+    assert all(b <= a for a, b in zip(bounds, bounds[1:])), bounds

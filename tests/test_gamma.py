@@ -203,7 +203,7 @@ PUBLIC_NAMES = {
     "scaled", "scorer_hi", "scorer_hi_prime", "tp", "tp_coeff_funcs",
     "trace_level_curve", "weber_W_real", "weber_constants", "weber_neg_Wj",
     "weber_neg_real", "weber_ode_real", "weber_origin_data",
-    "weber_quad_real", "wi", "wi_prime", "xi_bar", "xi_zeta",
+    "wi", "wi_prime", "xi_bar", "xi_zeta",
 }
 
 

@@ -129,8 +129,8 @@ class TestWeberNeg:
         for z in (1.0, 2.0):
             cv = lg.weber_neg_Wj(u, z, m, 0)
             Z = math.sqrt(2 * u) * z * cmath.exp(-1j * math.pi / 4)
-            ov = oracle.oracle_U(-1j * u / 2, Z, n=72, npanel=18)
-            assert rel_to_oracle(cv, ov) < 5e-7
+            ov = oracle.oracle_U(-1j * u / 2, Z)
+            assert rel_to_oracle(cv, ov) <= cv.rel_bound + ov.est_acc
 
     def test_derivative_ratio_identity(self):
         # U'(-iu/2, 0)/U'(iu/2, 0) against the gamma closed form

@@ -97,16 +97,21 @@ class TestInhomOracle:
         scale = abs(oracle.oracle_inhom(10.0, 0.5, 3, (0, 2)).to_complex())
         assert abs(v) < 1e-9 * scale
 
-    def test_inhom_ode_residual(self):
-        # the VoP value satisfies the forced equation via second differences
-        a, R = 10.0, 1
-        h = 2e-3
-        z = 1.0
-        vals = [oracle.oracle_inhom(a, z + k * h, R, (0, 2)).to_complex()
-                for k in (-1, 0, 1)]
+    @pytest.mark.parametrize("a, z, R, pair", [(10.0, 1.0, 1, (0, 2)),
+                                               (-10.0, 1.5, 1, (0, 1)),
+                                               (-3.0, 1.0, 0, (0, 1))])
+    def test_inhom_ode_residual(self, a, z, R, pair):
+        # the VoP value satisfies the forced equation via second differences;
+        # their truncation error h^2 y''''/12 is 2e-6 |y| at a = -10
+        h = 5e-4
+        ovs = [oracle.oracle_inhom(a, z + k * h, R, pair) for k in (-1, 0, 1)]
+        vals = [ov.to_complex() for ov in ovs]
         lap = (vals[0] - 2 * vals[1] + vals[2]) / (h * h)
         resid = lap - (z * z / 4 + a) * vals[1] - z ** R
         assert abs(resid) < 1e-5 * max(abs(vals[1]), 1.0)
+        if pair == (0, 1):
+            # both moments of the negative-parameter pair are line sweeps
+            assert max(ov.est_acc for ov in ovs) <= 1e-12
 
     def test_vop_vs_ode_propagation(self):
         # propagate the forced equation between two VoP values (short leg,
@@ -132,11 +137,12 @@ class TestWeberOracle:
             assert -2.0 * W * Wp == pytest.approx(1.0, rel=1e-12)
 
     def test_sweep_consistency(self):
-        # ODE table against the independent quadrature connection
+        # the table past the turning point, swept inward from its seed,
+        # against mpmath
         tab = oracle.weber_ode_real(10.0, [9.0, 14.0])
-        for x in (9.0, 14.0):
-            Wq, _ = oracle.weber_quad_real(10.0, x)
-            assert tab[x][0] == pytest.approx(Wq, rel=2e-7)
+        with mpmath.workdps(60):
+            for x in (9.0, 14.0):
+                assert float(abs(tab[x][0] / mpmath.pcfw(10.0, x) - 1)) < 1e-13
 
     def test_refusal(self):
         with pytest.raises(AccuracyError):
@@ -146,19 +152,18 @@ class TestWeberOracle:
     @pytest.mark.parametrize("a", [10.0, -10.0, 3.0])
     def test_real_axis_sweep_against_mpmath(self, a):
         # W and W' left of 0 and, for a <= 0, right of it come from the
-        # exact origin data; for a > 0 the right side comes from a
-        # quadrature seed beyond the turning point, good to a few 1e-9
+        # exact origin data; for a > 0 the right side comes from a seed
+        # of the swept route beyond the turning point
         xs = [-6.0, -2.5, 1.0, 4.0, 9.0]
         tab = oracle.weber_ode_real(a, xs)
         with mpmath.workdps(60):
             for x in xs:
-                tol = 1e-8 if (a > 0 and x > 0) else 1e-12
+                tol = 1e-13 if (a > 0 and x > 0) else 1e-12
                 W, Wp = tab[x]
                 ref = mpmath.pcfw(a, x)
                 dref = mpmath.diff(lambda s: mpmath.pcfw(a, s), x)
                 assert float(abs(W / ref - 1)) < tol
-                assert float(abs(Wp / dref - 1)) < (
-                    1e-6 if tol > 1e-12 else tol)
+                assert float(abs(Wp / dref - 1)) < tol
 
 
 class TestOdeOracle:
@@ -421,6 +426,29 @@ class TestSaddlePath:
                             "quadrature")
 
 
+_ROT = cmath.exp(-0.25j * math.pi)
+#: the swept route's inputs: W0 = U(-iu/2, sqrt(2u) z e^{-i pi/4}) at u = 20,
+#: U(10i, x e^{-i pi/4}) of the Weber functions W(10, +-x), and U(-a, x)
+#: in the recessive zone of the real axis
+SWEPT = ([(-10j, math.sqrt(40.0) * z * _ROT)
+          for z in (0.5 - 1.5j, 0.2 - 1j, 1 - 1j, 0.3 - 2.5j, 2.5 - 2.5j,
+                    0.1 - 0.5j)]
+         + [(10j, x * _ROT) for x in (1.0, 3.0, 9.0, 12.3)]
+         + [(-a, complex(x)) for a, xs in ((10.0, (7.0, 9.0, 12.0, 20.0)),
+                                           (75.0, (18.0, 25.0)),
+                                           (150.0, (26.0, 40.0)))
+            for x in xs])
+
+
+@pytest.mark.parametrize("a, Z", SWEPT)
+def test_swept_route_within_its_estimate(a, Z):
+    # at 3 e^{-i pi/4} the vertical leg shrinks U against the other
+    # solution, and the two step lengths' distance alone under-reads
+    ov = oracle.oracle_U(a, Z)
+    assert ov.method == "ode"
+    assert _mp_err(ov, _mp_u(a, Z)) <= ov.est_acc
+
+
 # ----------------------------------------------------------------------
 # the oracle's own lnGamma, and its one array pass per path
 # ----------------------------------------------------------------------
@@ -578,22 +606,23 @@ def _value(ov):
 #: parameters value) with the Taylor-series sweeps, each nearer to mpmath
 #: than before where mpmath has a reference.  Every route that reaches a
 #: path quadrature or lnGamma was recorded again when the quadrature became
-#: one array pass per path and lnGamma the oracle's own, and every swept
-#: route when the sweep became per-step transition matrices (CHANGES.md
-#: lists each move)
+#: one array pass per path and lnGamma the oracle's own, every swept
+#: route when the sweep became per-step transition matrices, and U complex
+#: a, U a<0 recessive and inhom (0,1) a<0 when they moved to the swept U
+#: route (CHANGES.md lists each move)
 PINNED = [
     ("U a>0 quadrature", lambda: _value(oracle.oracle_U(10.0, 1.5 + 0.5j)),
      "-0.13570054785336627", "-2.1732634670934856", "-12.99971835758268",
      "1.8653332097461409e-14"),
     ("U complex a", lambda: _value(oracle.oracle_U(3.0 + 2.0j, 1.5)),
-     "-1.1178701597741236", "-1.9474060242297293", "-4.1432332120812685",
-     "1.440048049239644e-14"),
+     "-0.66807308609254967", "-1.1638288589305008", "-3.6284502791396136",
+     "1.3402990600067226e-14"),
     ("U Re z<0", lambda: _value(oracle.oracle_U(10.0, -2.0 + 0.5j)),
      "-0.12351693470391301", "-1.6355878740693686", "-1.5376690210948976",
      "1.8893852336097315e-14"),
     ("U a<0 recessive", lambda: _value(oracle.oracle_U(-10.0, 12.0)),
-     "1.4880802007047766", "-9.1118632733382782e-16", "-13.088372175164892",
-     "1.044508376456504e-15"),
+     "2.5530490017782901", "-1.563291644047064e-15", "-13.628173673761189",
+     "2.928921989864006e-14"),
     ("U a<0 cosine", lambda: _value(oracle.oracle_U(-10.0, 3.0 + 0.1j)),
      "1.526469864260372", "-0.21296328288760297", "5.8363962634500997",
      "1.542928817223893e-14"),
@@ -623,8 +652,8 @@ PINNED = [
      "2.0457519046408804e-15"),
     ("inhom (0,1) a<0",
      lambda: _value(oracle.oracle_inhom(-3.0, 1.0, 0, (0, 1))),
-     "1.4350342104682519", "-0.75164930218096426", "-0.19850084079310548",
-     "4.0879655481422637e-12"),
+     "1.0403315871162739", "-0.5449100138439209", "0.12314835207961039",
+     "1.149488512013678e-14"),
     ("UContour", lambda: (oracle.UContour(10.0, 0.5, 16.0)(5.0), 0.0),
      "-0.4639922958231058", "-0.9289248556574291", "-24.889067193826506", "0"),
     ("UContour on the axis",

@@ -443,7 +443,7 @@ class TestWeberReal:
             Wm = tp.weber_W_real(u, x, m, "-x").value.to_complex()
             lhs = Wp / math.sqrt(wc.k) + 1j * math.sqrt(wc.k) * Wm
             Z = math.sqrt(2 * u) * x * cmath.exp(-1j * math.pi / 4)
-            W0 = oracle._u_from_integral(1j * u / 2, Z, 96, 22).to_complex()
+            W0 = oracle.oracle_U(1j * u / 2, Z).to_complex()
             rhs = math.sqrt(2.0) * math.exp(math.pi * u / 8) * \
                 cmath.exp(1j * wc.rho) * W0
             assert abs(lhs - rhs) < 1e-6 * abs(rhs)
